@@ -70,8 +70,9 @@ TURNOUT = TurnoutParams(
     sigma=3.0,
     kappa=1.0,
 )
-# The turnout analytic side runs a nested quadrature; these tolerances are
-# far below the Monte Carlo standard errors the demo compares against.
+# The turnout analytic side runs one shock quadrature per intensity; these
+# tolerances are far below the Monte Carlo standard errors the demo compares
+# against.
 TURNOUT_QUAD = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
 
 

@@ -42,8 +42,8 @@ BASE = ElectorateParams(
 )
 TP = TurnoutParams(base=BASE, c_bar=6.0, sigma=3.0, kappa=1.0)
 
-# Nested quadrature: these tolerances keep every printed digit stable while
-# the demo stays interactive (they agree with 10x tighter ones to 1e-9).
+# One shock quadrature per intensity: these tolerances keep the printed
+# digits stable (intensities agree with 10x tighter ones to 3e-9).
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
 
 

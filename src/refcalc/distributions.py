@@ -8,8 +8,8 @@ cdf goes through erfc and its quantile through erfcinv, the logistic pair is
 expit/logit in closed form.
 
 A truncated variant restricts a family to a symmetric interval [-w, w] and
-renormalises; it additionally exposes partial first moments in closed form,
-which the Monte Carlo oracle uses for turnout cell probabilities.
+renormalises; it additionally exposes partial first moments and E|u + a| in
+closed form, which the Monte Carlo oracle and the turnout intensity use.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ class DistributionSpec:
         else:
             s = special.expit(z)
             out = s * (1.0 - s) / self.scale
-        return out if out.ndim else float(out)
-
-    def pdf_derivative(self, x):
-        z = _check_finite(x) / self.scale
-        if self.family == "normal":
-            out = -z / self.scale * (_INV_SQRT2PI * np.exp(-0.5 * z * z) / self.scale)
-        else:
-            s = special.expit(z)
-            out = s * (1.0 - s) * (1.0 - 2.0 * s) / self.scale**2
         return out if out.ndim else float(out)
 
     def quantile(self, q):

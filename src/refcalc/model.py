@@ -54,13 +54,8 @@ class ElectorateParams:
     shock: DistributionSpec
 
 
-def validate(params: ElectorateParams) -> list[str]:
-    """Return the list of violated model requirements (empty means valid).
-
-    This is a report, not an exception: callers that want to enumerate
-    problems (the CLI, scenario linting) read the list; computational entry
-    points call require_valid instead.
-    """
+def _violations(params: ElectorateParams, bias_order: bool) -> list[str]:
+    # Shared by validate and the turnout extension, which skips bias_order.
     v = []
     if not 0 < params.r < 1:
         v.append(f"r must lie in (0, 1), got {params.r}")
@@ -68,7 +63,7 @@ def validate(params: ElectorateParams) -> list[str]:
         v.append(f"mu must lie in (0, 1), got {params.mu}")
     if not params.p > 0:
         v.append(f"p must be positive, got {params.p}")
-    if not (params.b_L < 0 and params.b_L < params.b_R):
+    if bias_order and not (params.b_L < 0 and params.b_L < params.b_R):
         v.append(
             f"bias ordering violated: need b_L < 0 and b_L < b_R, got b_L={params.b_L}, b_R={params.b_R}"
         )
@@ -80,6 +75,16 @@ def validate(params: ElectorateParams) -> list[str]:
                 f"competitiveness violated: need {lo:.6g} < r < {hi:.6g}, got r={params.r}"
             )
     return v
+
+
+def validate(params: ElectorateParams) -> list[str]:
+    """Return the list of violated model requirements (empty means valid).
+
+    This is a report, not an exception: callers that want to enumerate
+    problems (the CLI, scenario linting) read the list; computational entry
+    points call require_valid instead.
+    """
+    return _violations(params, bias_order=True)
 
 
 def require_valid(params: ElectorateParams) -> None:

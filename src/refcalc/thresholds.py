@@ -168,9 +168,9 @@ def r_star_star(
     """Cohesion threshold for a non-binding referendum from a diverged start.
 
     The net benefit restricted to the aligned tails (shock outside
-    [-b_R, -b_L]) is affine and increasing in r, negative at 0 and positive
-    at 1, so the unique root in (0, 1) is found by bracketed Brent on the
-    condition r*A - (1-r)*C with tail integrals A and C.
+    [-b_R, -b_L]) is proportional to r*A - (1-r)*C with tail integrals A and
+    C, affine and increasing in r, so the unique root is the closed ratio
+    C/(A+C).
     """
     _check_biases(b_L, b_R, p)
     if b_R < 0:
@@ -183,11 +183,9 @@ def r_star_star(
         lambda g: B(-p + g + b_L), shock, None, -b_R, config
     ) + integrate_shock(lambda g: B(-p + g + b_L), shock, -b_L, None, config)
 
-    def condition(r):
-        return r * A - (1.0 - r) * C
-
-    root, residual, iters = _brent(condition, 0.0, 1.0, "r_star_star")
-    return ThresholdReport("r_star_star", root, residual, (0.0, 1.0), iters)
+    value = C / (A + C)
+    residual = abs(value * A - (1.0 - value) * C)
+    return ThresholdReport("r_star_star", value, residual, (0.0, 1.0), 0)
 
 
 def delta_at_rbind(

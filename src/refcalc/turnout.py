@@ -6,7 +6,9 @@ Policy voters face a uniform voting cost on [0, c_bar] and participate only
 when their stake clears it: p alone without a referendum, p + |b_i| with one.
 The referendum therefore mobilizes each party in proportion to the mean
 absolute emerging-issue stake of its supporters, intensity(b_J), and the
-paying side is decided by r against the threshold r_T.
+paying side is decided by r against the threshold r_T. The stake's
+expectation over the taste draw is closed form, so each intensity is a
+single quadrature over the shock.
 
 Supports are truncated so stakes stay below c_bar: tastes to [-sigma, sigma],
 the shock to [-kappa, kappa], with the size ordering in validate_turnout
@@ -16,17 +18,18 @@ some cost draws.
 A note on bias signs: nothing here needs b_L < 0 < b_R or any ordering. The
 whole calculus runs through |b_J|, and the symmetry identities
 r_T(b_L, b_R) = r_T(-b_L, b_R) = r_T(b_L, -b_R) only make sense if sign
-flips are representable, so validate_turnout deliberately skips the sign
-constraints the sequential-referendum model imposes.
+flips are representable, so validate_turnout runs the base checks of
+model.validate except the bias ordering the sequential-referendum model
+imposes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .distributions import TruncatedDistribution
 from .errors import InvalidParamsError
-from .model import ElectorateParams
+from .model import ElectorateParams, _violations
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .thresholds import ThresholdReport
 
@@ -49,20 +52,8 @@ class TurnoutParams:
 
 def validate_turnout(tp: TurnoutParams) -> list[str]:
     """Collect every constraint violation; empty list means usable."""
-    v = []
     b = tp.base
-    if not 0 < b.r < 1:
-        v.append(f"r must lie in (0, 1), got {b.r}")
-    if not 0 < b.mu < 1:
-        v.append(f"mu must lie in (0, 1), got {b.mu}")
-    if not b.p > 0:
-        v.append(f"p must be positive, got {b.p}")
-    if 0 < b.mu < 1:
-        lo, hi = 1.0 - 1.0 / (2.0 * b.mu), 1.0 / (2.0 * b.mu)
-        if not lo < b.r < hi:
-            v.append(
-                f"competitiveness requires r in ({lo:.6g}, {hi:.6g}), got {b.r}"
-            )
+    v = _violations(b, bias_order=False)
     if not tp.sigma > 0:
         v.append(f"sigma must be positive, got {tp.sigma}")
     if not tp.kappa > 0:
@@ -93,31 +84,17 @@ def intensity(
 ) -> float:
     """Mean absolute stake E|u + b_J + gamma| over both truncated draws.
 
-    Even in b_J and strictly increasing in |b_J|. Nested adaptive Simpson;
-    the inner integrand loses smoothness where u + b_J + gamma changes sign,
-    so the inner range splits at the kink, and the inner pass runs at 100x
-    tighter tolerance so its noise stays invisible to the outer refinement.
+    Even in b_J and strictly increasing in |b_J|. The expectation over the
+    taste u is the closed-form TruncatedDistribution.abs_moment, so one
+    adaptive Simpson pass over the truncated shock is all that is left.
     """
     require_valid_turnout(tp)
     taste_t, shock_t = tp.taste_t, tp.shock_t
-    inner_config = replace(
-        config, abs_tol=config.abs_tol * 1e-2, rel_tol=config.rel_tol * 1e-2
-    )
-    lo, hi = -tp.sigma, tp.sigma
-
-    def inner(gamma):
-        def f(u):
-            return abs(u + b_J + gamma) * taste_t.pdf(u)
-
-        kink = -b_J - gamma
-        if kink <= lo or kink >= hi:
-            return integrate(f, lo, hi, inner_config)
-        return integrate(f, lo, kink, inner_config) + integrate(
-            f, kink, hi, inner_config
-        )
-
     return integrate(
-        lambda g: inner(g) * shock_t.pdf(g), -tp.kappa, tp.kappa, config
+        lambda g: taste_t.abs_moment(b_J + g) * shock_t.pdf(g),
+        -tp.kappa,
+        tp.kappa,
+        config,
     )
 
 
@@ -134,21 +111,13 @@ def win_prob_turnout(
     voter's stake is p, so D = (mu p / c_bar)(2r - 1) and the probability is
     1/2 + (mu/(1-mu))(p/c_bar)(r - 1/2). A referendum raises voter i's stake
     to p + |b_i|, which adds (mu/c_bar)[r I(b_R) - (1-r) I(b_L)] to D and
-    therefore half that, over (1-mu), to the win probability.
+    therefore net_benefit_turnout to the win probability.
     """
     require_valid_turnout(tp)
     b = tp.base
-    lever = b.mu / (1.0 - b.mu)
-    prob = 0.5 + lever * (b.p / tp.c_bar) * (b.r - 0.5)
+    prob = 0.5 + b.mu / (1.0 - b.mu) * (b.p / tp.c_bar) * (b.r - 0.5)
     if referendum:
-        prob += (
-            lever
-            / (2.0 * tp.c_bar)
-            * (
-                b.r * intensity(b.b_R, tp, config)
-                - (1.0 - b.r) * intensity(b.b_L, tp, config)
-            )
-        )
+        prob += net_benefit_turnout(tp, config)
     return prob
 
 

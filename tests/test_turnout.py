@@ -1,7 +1,7 @@
 """Same-day referendum turnout lever: intensities, win shift, and r_T.
 
-The nested quadrature is the most expensive numeric path in the package, so
-these tests run it at a relaxed tolerance (errors observed well under 1e-8
+Each intensity is one shock quadrature over the closed-form taste moment;
+most tests run it at a relaxed tolerance (errors observed well under 1e-8
 against the scipy reference) and lean on a small cache for repeated
 intensity lookups.
 """
@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from refcalc.errors import InvalidParamsError
+from refcalc.errors import InvalidParamsError, QuadratureError
 from refcalc.model import DistributionSpec, ElectorateParams
 from refcalc.quadrature import QuadratureConfig
 from refcalc.turnout import (
@@ -70,6 +70,18 @@ def test_intensity_frozen():
     # FROZEN scipy: I(-0.8) = 1.1585232962496952, I(-0.4) = 1.0082682745509306.
     assert _cached_intensity(-0.8) == pytest.approx(1.1585232962496952, abs=1e-7)
     assert _cached_intensity(-0.4) == pytest.approx(1.0082682745509306, abs=1e-7)
+
+
+def test_intensity_frozen_at_default_tolerance():
+    # Same FROZEN scipy values, at DEFAULT_QUADRATURE and a 1000x tighter bound.
+    assert intensity(-0.8, TURNOUT) == pytest.approx(1.1585232962496952, abs=1e-10)
+    assert intensity(-0.4, TURNOUT) == pytest.approx(1.0082682745509306, abs=1e-10)
+
+
+def test_intensity_budget_exhaustion_raises():
+    starved = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2)
+    with pytest.raises(QuadratureError):
+        intensity(-0.8, TURNOUT, starved)
 
 
 def test_intensity_even_and_monotone_in_magnitude():
