@@ -76,19 +76,15 @@ def _write_csv(path, header, rows):
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    quad = scenario.quadrature
-    if args.quad_abs_tol is not None:
-        quad = replace(quad, abs_tol=args.quad_abs_tol)
-    if args.quad_rel_tol is not None:
-        quad = replace(quad, rel_tol=args.quad_rel_tol)
     sim = scenario.sim
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
+    quad = _quad_from_args(args, scenario.quadrature)
     return replace(scenario, quadrature=quad, sim=sim)
 
 
-def _quad_from_args(args) -> QuadratureConfig:
-    quad = DEFAULT_QUADRATURE
+def _quad_from_args(args, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureConfig:
+    """quad with the --quad-abs-tol / --quad-rel-tol overrides applied."""
     if args.quad_abs_tol is not None:
         quad = replace(quad, abs_tol=args.quad_abs_tol)
     if args.quad_rel_tol is not None:

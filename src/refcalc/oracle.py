@@ -8,14 +8,17 @@ engines share the downstream accounting:
   (shock, noise share, party split, then multinomial cell counts over the
   relevant taste intervals), which is distributionally identical to drawing
   voters one by one but runs vectorized across replications;
-* the agents engine (agent_level=True) materializes every voter and decides
-  each ballot by explicit utility comparison, no interval algebra at all.
-  It is slow and meant for cross-checking the counts engine at small sizes.
+* the agents engine (agent_level=True) materializes every voter in one
+  per-voter loop shared by all modes and decides each ballot explicitly:
+  utility comparison between the majors, plus the spoiler's utility in
+  third_party mode, or stake against cost in turnout mode. No interval
+  algebra enters a sampled ballot. It is slow and meant for cross-checking
+  the counts engine at small sizes.
 
 Determinism contract. The counts engine uses a single Philox stream seeded
 with config.seed; the draw order per simulate() call is fixed: shock
-uniforms, noise shares, party counts, mode-specific cell counts (listed in
-each kernel), tie coins. The agents engine gives replication k its own
+uniforms, noise shares, party counts (the prologue all kernels share),
+mode-specific cell counts (listed in each kernel), tie coins. The agents engine gives replication k its own
 Philox stream from SeedSequence((seed, k + 1)); per replication the order is
 shock uniform, noise share, party uniforms, taste uniforms, cost uniforms
 (turnout only), tie coin. Identical config (seed included) therefore yields
@@ -25,8 +28,9 @@ Tie conventions: indifferent voters vote their own party; a spoiler loses
 exact vote ties to either major; an exactly tied two-way election falls to a
 fair coin from the stream; referendum tallies at exactly the threshold count
 as yes. The continuum_tally toggle replaces every referendum-derived
-quantity (tally, inferred positions, outcome, latent majority) by its exact
-conditional-on-shock value, isolating election noise from tally noise.
+quantity (tally or cast share, inferred positions, outcome, latent
+majority) by its exact conditional-on-shock value, in both engines and every
+mode, isolating election noise from tally noise.
 """
 
 from __future__ import annotations
@@ -110,15 +114,18 @@ class SimResult:
 
 @dataclass
 class _RepArrays:
+    """Per-replication outcomes. Left wins whenever neither Right nor the
+    spoiler does; win_T None means no spoiler and ahead_R None means Right
+    is ahead exactly when it wins."""
+
     win_R: np.ndarray
-    win_L: np.ndarray
-    win_T: np.ndarray
-    ahead_R: np.ndarray
     cong_y: np.ndarray
     cong_x: np.ndarray
     y1_share: np.ndarray | None
-    turnout_R: np.ndarray | None
-    turnout_L: np.ndarray | None
+    win_T: np.ndarray | None = None
+    ahead_R: np.ndarray | None = None
+    turnout_R: np.ndarray | None = None
+    turnout_L: np.ndarray | None = None
 
 
 def _uniform_open(rng, size=None):
@@ -130,6 +137,15 @@ def _cells(rng, counts, *probs):
     pvals = np.clip(np.stack(probs, axis=-1), 0.0, None)
     pvals /= pvals.sum(axis=-1, keepdims=True)
     return rng.multinomial(counts, pvals)
+
+
+def _base_draws(rng, shock, params, config):
+    """Shock, noise share and party split of every replication, in stream order."""
+    n, n_reps = config.n_policy_voters, config.n_replications
+    gamma = shock.quantile(_uniform_open(rng, n_reps))
+    eta = rng.random(n_reps)
+    n_right = rng.binomial(n, params.r, size=n_reps)
+    return gamma, eta, n_right, n - n_right
 
 
 def _tally_thresholds(params: ElectorateParams) -> tuple[float, float]:
@@ -167,10 +183,7 @@ def _two_party_positions(params, regime, tally):
 def _counts_two_party(params, regime, config, rng):
     n, n_reps = config.n_policy_voters, config.n_replications
     B = params.taste.cdf
-    gamma = params.shock.quantile(_uniform_open(rng, n_reps))
-    eta = rng.random(n_reps)
-    n_right = rng.binomial(n, params.r, size=n_reps)
-    n_left = n - n_right
+    gamma, eta, n_right, n_left = _base_draws(rng, params.shock, params, config)
 
     # Conservative taste cells: below the election cut (vote Left when
     # diverged), between election and referendum cuts (Right, no), above
@@ -201,14 +214,9 @@ def _counts_two_party(params, regime, config, rng):
     held = regime is not ReferendumRegime.NO_REFERENDUM
     return _RepArrays(
         win_R=win,
-        win_L=~win,
-        win_T=np.zeros(n_reps, dtype=bool),
-        ahead_R=win,
         cong_y=y_impl == maj_yes,
         cong_x=win == maj_right,
         y1_share=np.asarray(tally, dtype=float) if held else None,
-        turnout_R=None,
-        turnout_L=None,
     )
 
 
@@ -216,10 +224,7 @@ def _counts_third_party(tp, regime, config, rng):
     params, v = tp.base, tp.v
     n, n_reps = config.n_policy_voters, config.n_replications
     B = params.taste.cdf
-    gamma = params.shock.quantile(_uniform_open(rng, n_reps))
-    eta = rng.random(n_reps)
-    n_right = rng.binomial(n, params.r, size=n_reps)
-    n_left = n - n_right
+    gamma, eta, n_right, n_left = _base_draws(rng, params.shock, params, config)
 
     # Conservative cuts, in increasing order: election cut (Left vs Right
     # when majors diverge), referendum yes cut, spoiler defection cut.
@@ -237,14 +242,7 @@ def _counts_third_party(tp, regime, config, rng):
     yes = (cons[:, 2] + cons[:, 3]) + (n_left - libs[:, 0])
     support = referendum_support(params, gamma)
     tally = support if config.continuum_tally else yes / n
-
-    if regime is ReferendumRegime.NO_REFERENDUM:
-        y_right = np.zeros(n_reps, dtype=bool)
-        y_left = np.zeros(n_reps, dtype=bool)
-    else:
-        t_right, t_left = _tally_thresholds(params)
-        y_right = np.asarray(tally) >= t_right
-        y_left = np.asarray(tally) >= t_left
+    y_right, y_left = _two_party_positions(params, regime, np.asarray(tally))
 
     # Vote totals by post-referendum configuration. Majors both at y=1:
     # straight party-line voting, spoiler abandoned. Right alone at y=1: the
@@ -268,7 +266,6 @@ def _counts_third_party(tp, regime, config, rng):
     ahead = (s_right > s_left) | ((s_right == s_left) & (coin < 0.5))
     win_third = (s_third > s_right) & (s_third > s_left)
     win_right = ~win_third & ahead
-    win_left = ~win_third & ~ahead
 
     y_impl = np.where(win_third, True, np.where(win_right, y_right, y_left))
     x_impl = win_right | win_third
@@ -277,18 +274,15 @@ def _counts_third_party(tp, regime, config, rng):
     held = regime is not ReferendumRegime.NO_REFERENDUM
     return _RepArrays(
         win_R=win_right,
-        win_L=win_left,
-        win_T=win_third,
-        ahead_R=ahead,
         cong_y=y_impl == maj_yes,
         cong_x=x_impl == maj_right,
         y1_share=np.asarray(tally, dtype=float) if held else None,
-        turnout_R=None,
-        turnout_L=None,
+        win_T=win_third,
+        ahead_R=ahead,
     )
 
 
-def _participation_cells(taste_t, b_J, gamma, p, c_bar):
+def _participation_cells(tp, b_J, gamma):
     """Held-referendum cell probabilities for one party, given the shock.
 
     Cells: (participate, yes), (participate, no), (abstain, yes),
@@ -296,6 +290,7 @@ def _participation_cells(taste_t, b_J, gamma, p, c_bar):
     participation probability (p + |w|) / c_bar, integrated in closed form
     over each preference side via the truncated partial means.
     """
+    taste_t, p, c_bar = tp.taste_t, tp.base.p, tp.c_bar
     shift = b_J + gamma
     f0 = taste_t.cdf(-shift)
     w = taste_t.half_width
@@ -306,27 +301,34 @@ def _participation_cells(taste_t, b_J, gamma, p, c_bar):
     return p_yes, p_no, (1.0 - f0) - p_yes, f0 - p_no
 
 
+def _cast_rates(tp, gamma):
+    """Yes and no ballots cast per policy voter at shock gamma, measure held."""
+    params = tp.base
+    py_r, pn_r, *_ = _participation_cells(tp, params.b_R, gamma)
+    py_l, pn_l, *_ = _participation_cells(tp, params.b_L, gamma)
+    cast_yes_rate = params.r * py_r + (1.0 - params.r) * py_l
+    cast_no_rate = params.r * pn_r + (1.0 - params.r) * pn_l
+    return cast_yes_rate, cast_no_rate
+
+
+def _turnout_support(tp, gamma):
+    """Continuum yes share at shock gamma, over the truncated taste."""
+    params, cdf = tp.base, tp.taste_t.cdf
+    return params.r * (1.0 - cdf(-params.b_R - gamma)) + (1.0 - params.r) * (
+        1.0 - cdf(-params.b_L - gamma)
+    )
+
+
 def _counts_turnout(tp, regime, config, rng):
     params = tp.base
     n, n_reps = config.n_policy_voters, config.n_replications
-    taste_t, shock_t = tp.taste_t, tp.shock_t
-    gamma = shock_t.quantile(_uniform_open(rng, n_reps))
-    eta = rng.random(n_reps)
-    n_right = rng.binomial(n, params.r, size=n_reps)
-    n_left = n - n_right
+    taste_t = tp.taste_t
+    gamma, eta, n_right, n_left = _base_draws(rng, tp.shock_t, params, config)
     held = regime is ReferendumRegime.BINDING
 
     if held:
-        r_cells = _cells(
-            rng,
-            n_right,
-            *_participation_cells(taste_t, params.b_R, gamma, params.p, tp.c_bar),
-        )
-        l_cells = _cells(
-            rng,
-            n_left,
-            *_participation_cells(taste_t, params.b_L, gamma, params.p, tp.c_bar),
-        )
+        r_cells = _cells(rng, n_right, *_participation_cells(tp, params.b_R, gamma))
+        l_cells = _cells(rng, n_left, *_participation_cells(tp, params.b_L, gamma))
         part_right = r_cells[:, 0] + r_cells[:, 1]
         part_left = l_cells[:, 0] + l_cells[:, 1]
         yes_latent = (r_cells[:, 0] + r_cells[:, 2]) + (l_cells[:, 0] + l_cells[:, 2])
@@ -341,7 +343,6 @@ def _counts_turnout(tp, regime, config, rng):
         )
         yes_left = rng.binomial(n_left, 1.0 - taste_t.cdf(-params.b_L - gamma))
         yes_latent = yes_right + yes_left
-        yes_cast = no_cast = None
     coin = rng.random(n_reps)
 
     s_right = params.mu * part_right / n + (1.0 - params.mu) * eta
@@ -349,41 +350,23 @@ def _counts_turnout(tp, regime, config, rng):
     margin = s_right - s_left
     win = (margin > 0) | ((margin == 0) & (coin < 0.5))
 
-    support = params.r * (1.0 - taste_t.cdf(-params.b_R - gamma)) + (
-        1.0 - params.r
-    ) * (1.0 - taste_t.cdf(-params.b_L - gamma))
-    if held:
-        if config.continuum_tally:
-            py_r, pn_r, *_ = _participation_cells(
-                taste_t, params.b_R, gamma, params.p, tp.c_bar
-            )
-            py_l, pn_l, *_ = _participation_cells(
-                taste_t, params.b_L, gamma, params.p, tp.c_bar
-            )
-            cast_yes_rate = params.r * py_r + (1.0 - params.r) * py_l
-            cast_no_rate = params.r * pn_r + (1.0 - params.r) * pn_l
-            y_impl = cast_yes_rate >= cast_no_rate
-            y1_share = cast_yes_rate / (cast_yes_rate + cast_no_rate)
-        else:
+    support = _turnout_support(tp, gamma)
+    y_impl = np.zeros(n_reps, dtype=bool)
+    y1_share = None
+    # 0/0 (no ballots cast, or no voter in a party) yields NaN.
+    with np.errstate(invalid="ignore"):
+        if held:
+            if config.continuum_tally:
+                yes_cast, no_cast = _cast_rates(tp, gamma)
             y_impl = yes_cast >= no_cast
-            total_cast = yes_cast + no_cast
-            y1_share = np.where(
-                total_cast > 0, yes_cast / np.maximum(total_cast, 1), np.nan
-            )
-    else:
-        y_impl = np.zeros(n_reps, dtype=bool)
-        y1_share = None
+            y1_share = yes_cast / (yes_cast + no_cast)
+        turnout_right = part_right / n_right
+        turnout_left = part_left / n_left
 
     maj_yes = _majority_yes(yes_latent, n, config.continuum_tally, support)
     maj_right = 2 * n_right >= n
-    with np.errstate(invalid="ignore"):
-        turnout_right = np.where(n_right > 0, part_right / np.maximum(n_right, 1), np.nan)
-        turnout_left = np.where(n_left > 0, part_left / np.maximum(n_left, 1), np.nan)
     return _RepArrays(
         win_R=win,
-        win_L=~win,
-        win_T=np.zeros(n_reps, dtype=bool),
-        ahead_R=win,
         cong_y=y_impl == maj_yes,
         cong_x=win == maj_right,
         y1_share=y1_share,
@@ -392,167 +375,90 @@ def _counts_turnout(tp, regime, config, rng):
     )
 
 
-def _agents_two_party(params, regime, config, rng_for):
+def _agents(target, regime, config, rng_for):
+    """Per-voter loop shared by all modes; only the ballot rule differs."""
+    mode = config.mode
+    turnout = mode == "turnout"
+    params = target if mode == "two_party" else target.base
+    taste, shock = (
+        (target.taste_t, target.shock_t) if turnout else (params.taste, params.shock)
+    )
     n, n_reps = config.n_policy_voters, config.n_replications
-    out = _RepArrays(*[np.zeros(n_reps, dtype=bool) for _ in range(6)], None, None, None)
     held = regime is not ReferendumRegime.NO_REFERENDUM
-    y1 = np.full(n_reps, np.nan) if held else None
+    rows = []
     for k in range(n_reps):
         rng = rng_for(k)
-        gamma = float(params.shock.quantile(_uniform_open(rng)))
+        gamma = float(shock.quantile(_uniform_open(rng)))
         eta = rng.random()
         is_cons = rng.random(n) < params.r
-        u = params.taste.quantile(_uniform_open(rng, n))
+        u = taste.quantile(_uniform_open(rng, n))
+        cost = rng.random(n) * target.c_bar if turnout else None
         b_i = np.where(is_cons, params.b_R, params.b_L) + gamma + u
         coin = rng.random()
 
         yes = b_i >= 0
-        support = float(referendum_support(params, gamma))
-        tally = support if config.continuum_tally else yes.mean()
-        y_right, y_left = (
-            bool(a[0])
-            for a in _two_party_positions(params, regime, np.array([tally]))
-        )
-
-        util_right = params.p * is_cons + b_i * y_right
-        util_left = params.p * ~is_cons + b_i * y_left
-        vote_right = (util_right > util_left) | (
-            (util_right == util_left) & is_cons
-        )
-        share = params.mu * vote_right.mean() + (1.0 - params.mu) * eta
-        win = share > 0.5 or (share == 0.5 and coin < 0.5)
-
-        y_impl = y_right if win else y_left
-        maj_yes = bool(
-            _majority_yes(int(yes.sum()), n, config.continuum_tally, support)
-        )
-        maj_right = 2 * int(is_cons.sum()) >= n
-        out.win_R[k] = win
-        out.win_L[k] = not win
-        out.ahead_R[k] = win
-        out.cong_y[k] = y_impl == maj_yes
-        out.cong_x[k] = win == maj_right
-        if held:
-            y1[k] = tally
-    out.y1_share = y1
-    return out
-
-
-def _agents_third_party(tp, regime, config, rng_for):
-    params, v = tp.base, tp.v
-    n, n_reps = config.n_policy_voters, config.n_replications
-    out = _RepArrays(*[np.zeros(n_reps, dtype=bool) for _ in range(6)], None, None, None)
-    held = regime is not ReferendumRegime.NO_REFERENDUM
-    y1 = np.full(n_reps, np.nan) if held else None
-    for k in range(n_reps):
-        rng = rng_for(k)
-        gamma = float(params.shock.quantile(_uniform_open(rng)))
-        eta = rng.random()
-        is_cons = rng.random(n) < params.r
-        u = params.taste.quantile(_uniform_open(rng, n))
-        b_i = np.where(is_cons, params.b_R, params.b_L) + gamma + u
-        coin = rng.random()
-
-        yes = b_i >= 0
-        support = float(referendum_support(params, gamma))
-        tally = support if config.continuum_tally else yes.mean()
-        if held:
-            t_right, t_left = _tally_thresholds(params)
-            y_right, y_left = tally >= t_right, tally >= t_left
-        else:
-            y_right = y_left = False
-
-        util_right = params.p * is_cons + b_i * y_right
-        util_left = params.p * ~is_cons + b_i * y_left
-        util_third = params.p * is_cons + b_i + v
-        prefers_right = (util_right > util_left) | (
-            (util_right == util_left) & is_cons
-        )
-        best_major = np.maximum(util_right, util_left)
-        vote_third = util_third > best_major
-        vote_right = ~vote_third & prefers_right
-        vote_left = ~vote_third & ~prefers_right
-
-        s_right = params.mu * vote_right.mean() + (1.0 - params.mu) * eta
-        s_left = params.mu * vote_left.mean() + (1.0 - params.mu) * (1.0 - eta)
-        s_third = params.mu * vote_third.mean()
-        ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
-        win_third = s_third > s_right and s_third > s_left
-        win_right = not win_third and ahead
-        win_left = not win_third and not ahead
-
-        y_impl = True if win_third else (y_right if win_right else y_left)
-        x_impl = win_right or win_third
-        maj_yes = bool(
-            _majority_yes(int(yes.sum()), n, config.continuum_tally, support)
-        )
-        maj_right = 2 * int(is_cons.sum()) >= n
-        out.win_R[k] = win_right
-        out.win_L[k] = win_left
-        out.win_T[k] = win_third
-        out.ahead_R[k] = ahead
-        out.cong_y[k] = y_impl == maj_yes
-        out.cong_x[k] = x_impl == maj_right
-        if held:
-            y1[k] = tally
-    out.y1_share = y1
-    return out
-
-
-def _agents_turnout(tp, regime, config, rng_for):
-    params = tp.base
-    n, n_reps = config.n_policy_voters, config.n_replications
-    out = _RepArrays(*[np.zeros(n_reps, dtype=bool) for _ in range(6)], None, None, None)
-    held = regime is ReferendumRegime.BINDING
-    y1 = np.full(n_reps, np.nan) if held else None
-    t_right = np.full(n_reps, np.nan)
-    t_left = np.full(n_reps, np.nan)
-    taste_t, shock_t = tp.taste_t, tp.shock_t
-    for k in range(n_reps):
-        rng = rng_for(k)
-        gamma = float(shock_t.quantile(_uniform_open(rng)))
-        eta = rng.random()
-        is_cons = rng.random(n) < params.r
-        u = taste_t.quantile(_uniform_open(rng, n))
-        cost = rng.random(n) * tp.c_bar
-        b_i = np.where(is_cons, params.b_R, params.b_L) + gamma + u
-        coin = rng.random()
-
-        stake = params.p + np.abs(b_i) if held else params.p
-        votes = stake >= cost
-        part_right = votes & is_cons
-        part_left = votes & ~is_cons
-        s_right = params.mu * part_right.mean() + (1.0 - params.mu) * eta
-        s_left = params.mu * part_left.mean() + (1.0 - params.mu) * (1.0 - eta)
-        win = s_right > s_left or (s_right == s_left and coin < 0.5)
-
-        yes = b_i >= 0
-        support = params.r * (
-            1.0 - taste_t.cdf(-params.b_R - gamma)
-        ) + (1.0 - params.r) * (1.0 - taste_t.cdf(-params.b_L - gamma))
-        if held:
-            yes_cast = int((votes & yes).sum())
-            no_cast = int((votes & ~yes).sum())
-            y_impl = yes_cast >= no_cast
-            y1[k] = yes_cast / (yes_cast + no_cast) if yes_cast + no_cast else np.nan
-        else:
-            y_impl = False
-        maj_yes = bool(
-            _majority_yes(int(yes.sum()), n, config.continuum_tally, support)
-        )
         n_cons = int(is_cons.sum())
-        maj_right = 2 * n_cons >= n
-        out.win_R[k] = win
-        out.win_L[k] = not win
-        out.ahead_R[k] = win
-        out.cong_y[k] = y_impl == maj_yes
-        out.cong_x[k] = win == maj_right
-        t_right[k] = part_right.sum() / n_cons if n_cons else np.nan
-        t_left[k] = part_left.sum() / (n - n_cons) if n - n_cons else np.nan
-    out.y1_share = y1
-    out.turnout_R = t_right
-    out.turnout_L = t_left
-    return out
+        win_third = False
+        y1 = turnout_right = turnout_left = math.nan
+        if turnout:
+            support = _turnout_support(target, gamma)
+            stake = params.p + np.abs(b_i) if held else params.p
+            votes = stake >= cost
+            part_right = votes & is_cons
+            part_left = votes & ~is_cons
+            s_right = params.mu * part_right.mean() + (1.0 - params.mu) * eta
+            s_left = params.mu * part_left.mean() + (1.0 - params.mu) * (1.0 - eta)
+            win = ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
+            y_impl = False
+            if held:
+                if config.continuum_tally:
+                    yes_cast, no_cast = _cast_rates(target, gamma)
+                else:
+                    yes_cast = int((votes & yes).sum())
+                    no_cast = int((votes & ~yes).sum())
+                y_impl = yes_cast >= no_cast
+                total = yes_cast + no_cast
+                y1 = yes_cast / total if total else math.nan
+            turnout_right = part_right.sum() / n_cons if n_cons else math.nan
+            turnout_left = part_left.sum() / (n - n_cons) if n - n_cons else math.nan
+        else:
+            support = float(referendum_support(params, gamma))
+            tally = support if config.continuum_tally else yes.mean()
+            if held:
+                y1 = tally
+            y_right, y_left = (
+                bool(a[0])
+                for a in _two_party_positions(params, regime, np.array([tally]))
+            )
+            util_right = params.p * is_cons + b_i * y_right
+            util_left = params.p * ~is_cons + b_i * y_left
+            prefers_right = (util_right > util_left) | (
+                (util_right == util_left) & is_cons
+            )
+            if mode == "two_party":
+                share = params.mu * prefers_right.mean() + (1.0 - params.mu) * eta
+                win = ahead = share > 0.5 or (share == 0.5 and coin < 0.5)
+            else:
+                util_third = params.p * is_cons + b_i + target.v
+                vote_third = util_third > np.maximum(util_right, util_left)
+                vote_right = ~vote_third & prefers_right
+                vote_left = ~vote_third & ~prefers_right
+                s_right = params.mu * vote_right.mean() + (1.0 - params.mu) * eta
+                s_left = params.mu * vote_left.mean() + (1.0 - params.mu) * (1.0 - eta)
+                s_third = params.mu * vote_third.mean()
+                ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
+                win_third = s_third > s_right and s_third > s_left
+                win = not win_third and ahead
+            y_impl = win_third or (y_right if win else y_left)
+
+        maj_yes = bool(
+            _majority_yes(int(yes.sum()), n, config.continuum_tally, support)
+        )
+        rows.append((  # in _RepArrays field order
+            win, y_impl == maj_yes, (win or win_third) == (2 * n_cons >= n), y1,
+            win_third, ahead, turnout_right, turnout_left,
+        ))
+    return _RepArrays(*(np.array(col) for col in zip(*rows)))
 
 
 def _check_target(target, regime, config):
@@ -600,12 +506,7 @@ def _arrays(target, regime, config) -> _RepArrays:
                 np.random.Philox(np.random.SeedSequence((config.seed, k + 1)))
             )
 
-        kernel = {
-            "two_party": _agents_two_party,
-            "third_party": _agents_third_party,
-            "turnout": _agents_turnout,
-        }[config.mode]
-        return kernel(target, regime, config, rng_for)
+        return _agents(target, regime, config, rng_for)
     rng = np.random.Generator(np.random.Philox(config.seed))
     kernel = {
         "two_party": _counts_two_party,
@@ -642,6 +543,8 @@ def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
     arrays = _arrays(target, regime, config)
     n_reps = config.n_replications
     win_R = float(arrays.win_R.mean())
+    win_T = arrays.win_T if arrays.win_T is not None else np.zeros_like(arrays.win_R)
+    ahead_R = arrays.ahead_R if arrays.ahead_R is not None else arrays.win_R
     cong_y = float(arrays.cong_y.mean())
     cong_x = float(arrays.cong_x.mean())
     y1_mean, y1_se = _mean_se(arrays.y1_share)
@@ -654,9 +557,9 @@ def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
         n_policy_voters=config.n_policy_voters,
         n_replications=n_reps,
         win_freq_R=win_R,
-        win_freq_L=float(arrays.win_L.mean()),
-        win_freq_T=float(arrays.win_T.mean()),
-        ahead_freq_R=float(arrays.ahead_R.mean()),
+        win_freq_L=float((~arrays.win_R & ~win_T).mean()),
+        win_freq_T=float(win_T.mean()),
+        ahead_freq_R=float(ahead_R.mean()),
         se_win_R=_binom_se(win_R, n_reps),
         congruence_y=cong_y,
         se_congruence_y=_binom_se(cong_y, n_reps),
@@ -691,9 +594,7 @@ _THRESHOLD_RUNS = {
 def _with_r(target, r_value: float):
     if isinstance(target, ElectorateParams):
         return replace(target, r=r_value)
-    if isinstance(target, ThirdPartyParams):
-        return replace(target, base=replace(target.base, r=r_value))
-    if isinstance(target, TurnoutParams):
+    if isinstance(target, (ThirdPartyParams, TurnoutParams)):
         return replace(target, base=replace(target.base, r=r_value))
     raise UsageError(f"cannot sweep r on {type(target).__name__}")
 

@@ -2,8 +2,10 @@
 threshold estimator's honesty."""
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,11 @@ TURNOUT = TurnoutParams(
 
 FULL = SimConfig(n_policy_voters=100_000, n_replications=10_000, seed=11)
 
+# Aligned positions (b_R < 0): the non-binding branch takes r_star's side.
+ALIGNED = replace(SCENARIO_A, r=0.55, b_R=-0.1)
+
+GOLDEN_PATH = Path(__file__).with_name("oracle_golden.json")
+
 
 def _z(analytic, result):
     se = max(result.se_win_R, 1e-12)
@@ -77,6 +84,50 @@ def test_seed_changes_result():
 def test_agent_engine_is_deterministic_too():
     cfg = SimConfig(n_policy_voters=800, n_replications=60, seed=9, agent_level=True)
     assert simulate(SCENARIO_A, BINDING, cfg) == simulate(SCENARIO_A, BINDING, cfg)
+
+
+def _golden_results():
+    """repr of the SimResult tuple over mode x allowed regime x engine x
+    continuum_tally x seed, keyed by configuration.
+
+    Re-record after an intended change with
+    ``json.dump(_golden_results(), open(GOLDEN_PATH, "w"), indent=1)``.
+    """
+    targets = [
+        ("two_party", "A", SCENARIO_A, (NO_REF, BINDING, NON_BINDING)),
+        ("two_party", "aligned", ALIGNED, (NO_REF, BINDING, NON_BINDING)),
+        ("third_party", "spoiler", SPOILER, (NO_REF, NON_BINDING)),
+        ("turnout", "turnout", TURNOUT, (NO_REF, BINDING)),
+    ]
+    out = {}
+    for mode, name, target, regimes in targets:
+        for regime in regimes:
+            for agents in (False, True):
+                for continuum in (False, True):
+                    for seed in (1, 2**40 + 3):
+                        cfg = SimConfig(
+                            n_policy_voters=400, n_replications=50, seed=seed,
+                            mode=mode, agent_level=agents, continuum_tally=continuum,
+                        )
+                        key = "/".join([
+                            mode, name, regime.value,
+                            "agents" if agents else "counts",
+                            "continuum" if continuum else "sampled", str(seed),
+                        ])
+                        res = simulate(target, regime, cfg)
+                        out[key] = repr(astuple(res))
+    return out
+
+
+def test_golden_results_are_frozen():
+    # Pins the draw order of both engines: any reordering, extra draw or
+    # changed float comparison shows up as a changed field.
+    golden = json.loads(GOLDEN_PATH.read_text())
+    actual = _golden_results()
+    assert len(actual) == 80
+    assert actual.keys() == golden.keys()
+    changed = {k: (golden[k], v) for k, v in actual.items() if golden[k] != v}
+    assert not changed, changed
 
 
 # ------------------------------------------- analytic vs simulated (3 SE)
@@ -143,16 +194,31 @@ def test_binding_congruence_is_exactly_one():
         assert res.se_congruence_y == 0.0
 
 
+# With a near-degenerate shock the continuum share is almost constant, so
+# nearly all of the sampled share's spread is tally noise.
+QUIET_TURNOUT = replace(
+    TURNOUT, base=replace(TURNOUT.base, shock=DistributionSpec("normal", 1e-4))
+)
+
+
 def test_continuum_tally_removes_tally_noise():
-    noisy = simulate(
-        SCENARIO_A, BINDING, SimConfig(n_policy_voters=500, n_replications=2_000, seed=3)
-    )
-    smooth = simulate(
-        SCENARIO_A,
-        BINDING,
-        SimConfig(n_policy_voters=500, n_replications=2_000, seed=3, continuum_tally=True),
-    )
-    assert smooth.se_referendum_y1_share < noisy.se_referendum_y1_share
+    cases = [
+        (SCENARIO_A, SimConfig(n_policy_voters=500, n_replications=2_000, seed=3), 1.0),
+        # Agents engine, turnout mode: the cast share must come from the
+        # continuum as well, not from the sampled ballots.
+        (
+            QUIET_TURNOUT,
+            SimConfig(
+                n_policy_voters=2_000, n_replications=300, seed=3,
+                mode="turnout", agent_level=True,
+            ),
+            0.01,
+        ),
+    ]
+    for target, cfg, ratio in cases:
+        noisy = simulate(target, BINDING, cfg)
+        smooth = simulate(target, BINDING, replace(cfg, continuum_tally=True))
+        assert smooth.se_referendum_y1_share < ratio * noisy.se_referendum_y1_share
 
 
 # ------------------------------------------------- engine cross-validation

@@ -114,6 +114,22 @@ def test_net_benefit_is_win_prob_difference():
     assert net > 0  # r = 0.55 sits above r_T for these biases.
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the affine win map is not clamped: at mu=0.95 it leaves [0, 1]",
+)
+def test_win_prob_stays_a_probability_when_the_map_saturates():
+    # Passes validate_turnout; the oracle gives about 0.916 here.
+    tp = TurnoutParams(
+        base=replace(BASE_T, r=0.52, mu=0.95, b_L=-0.1, b_R=-0.9),
+        c_bar=3.5,
+        sigma=1.3,
+        kappa=1.0,
+    )
+    assert validate_turnout(tp) == []
+    assert 0.0 <= win_prob_turnout(tp, referendum=True, config=CFG) <= 1.0
+
+
 def test_r_T_frozen():
     rep = r_T(TURNOUT, CFG)
     assert rep.name == "r_T"
