@@ -68,9 +68,11 @@ def main(argv=None) -> int:
           f"shock truncation kappa = {TP.kappa}")
     violations = validate_turnout(TP)
     print(f"turnout requirements: {'all satisfied' if not violations else violations}")
-    print(f"  c_bar > p + kappa + sigma:  {TP.c_bar} > {b.p + TP.kappa + TP.sigma}")
-    print(f"  kappa > max(|b_L|, |b_R|):  {TP.kappa} > {max(abs(b.b_L), abs(b.b_R))}")
-    print(f"  sigma > p + kappa:          {TP.sigma} > {b.p + TP.kappa}")
+    b_max = max(abs(b.b_L), abs(b.b_R))
+    print(f"  c_bar >= p + sigma + kappa + max(|b_L|, |b_R|):  "
+          f"{TP.c_bar} >= {b.p + TP.sigma + TP.kappa + b_max:g}")
+    print(f"  kappa > max(|b_L|, |b_R|):                      {TP.kappa} > {b_max}")
+    print(f"  sigma > p + kappa:                              {TP.sigma} > {b.p + TP.kappa}")
 
     section("mobilization intensities")
     i_L = intensity(b.b_L, TP, QUAD)

@@ -4,7 +4,9 @@ All four subcommands read global flags --quad-abs-tol, --quad-rel-tol,
 --seed, --threads, --out. CLI flags override the scenario file's own
 quadrature and sim blocks. Exit codes: 0 on success (a validate run that
 prints FAIL verdicts still succeeded at its job), 2 on scenario or usage
-errors, 3 on numerical failures.
+errors, 3 on numerical failures. sweep rejects a --var or quantity whose
+regime, third_party or turnout block is missing (_NEEDS); where a present
+block fails its constraints at a grid point, the cell is empty.
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -172,6 +174,16 @@ _SCALAR_QUANTITIES = (
 )
 
 
+# Sweep vars and quantities that need a scenario block; the sweep is rejected
+# up front when the block is missing.
+_NEEDS = {
+    "net_benefit": "regime", "delta_second": "regime", "delta_traditional": "regime",
+    "phi": "third_party", "net_benefit_third": "third_party", "v": "third_party",
+    "r_T": "turnout", "net_benefit_turnout": "turnout",
+    "c_bar": "turnout", "sigma": "turnout", "kappa": "turnout",
+}
+
+
 def _rebuild(scenario: Scenario, var: str, value: float) -> Scenario:
     p = scenario.params
     if var in ("r", "mu", "p", "b_L", "b_R"):
@@ -180,12 +192,6 @@ def _rebuild(scenario: Scenario, var: str, value: float) -> Scenario:
         p = replace(p, taste=replace(p.taste, scale=value))
     elif var == "shock_scale":
         p = replace(p, shock=replace(p.shock, scale=value))
-    elif var == "v":
-        if scenario.third is None:
-            raise ScenarioError("sweeping v needs a third_party block")
-    elif var in ("c_bar", "sigma", "kappa"):
-        if scenario.turnout is None:
-            raise ScenarioError(f"sweeping {var} needs a turnout block")
     violations = validate_params(p)
     if violations:
         raise ScenarioError(
@@ -228,20 +234,12 @@ def _one_quantity(scn: Scenario, name: str):
         report = traditional_issue_congruence(p, regime, quad)
         return None if KNIFE_EDGE_FLAG in report.flags else report.delta
     if name == "phi":
-        if scn.third is None:
-            raise UsageError("phi needs a third_party block")
         return phi(p.b_L, p.b_R, p.shock)
     if name == "net_benefit_third":
-        if scn.third is None:
-            raise UsageError("net_benefit_third needs a third_party block")
         return net_benefit_third(scn.third, config=quad)
     if name == "r_T":
-        if scn.turnout is None:
-            raise UsageError("r_T needs a turnout block")
         return r_T(scn.turnout, config=quad).value
     if name == "net_benefit_turnout":
-        if scn.turnout is None:
-            raise UsageError("net_benefit_turnout needs a turnout block")
         return net_benefit_turnout(scn.turnout, config=quad)
     raise UsageError(f"unknown quantity {name!r}")
 
@@ -282,13 +280,19 @@ def _cmd_sweep(args) -> int:
                 f"quantity {q!r} not available for var {args.var!r}; "
                 f"allowed: {', '.join(allowed)}"
             )
-    if args.var != "gamma":
-        needs_regime = {"net_benefit", "delta_second", "delta_traditional"}
-        if scenario.regime is ReferendumRegime.NO_REFERENDUM and needs_regime & set(quantities):
-            raise ScenarioError(
-                "net_benefit and congruence deltas need a binding or "
-                "non_binding regime in the scenario"
+    present = {
+        "regime": scenario.regime is not ReferendumRegime.NO_REFERENDUM,
+        "third_party": scenario.third is not None,
+        "turnout": scenario.turnout is not None,
+    }
+    for name in (args.var, *quantities):
+        block = _NEEDS.get(name)
+        if block is not None and not present[block]:
+            what = (
+                "a binding or non_binding regime" if block == "regime"
+                else f"a {block} block"
             )
+            raise ScenarioError(f"{name} needs {what} in the scenario")
 
     step = (args.to - args.from_) / (args.steps - 1)
     values = [args.from_ + i * step for i in range(args.steps)]

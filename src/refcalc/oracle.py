@@ -148,19 +148,6 @@ def _base_draws(rng, shock, params, config):
     return gamma, eta, n_right, n - n_right
 
 
-def _tally_thresholds(params: ElectorateParams) -> tuple[float, float]:
-    """Referendum-support levels at which each party flips its position.
-
-    A non-binding tally share t reveals the shock through the strictly
-    increasing support curve, so party J adopts y=1 exactly when t is at
-    least the support evaluated at the shock -b_J.
-    """
-    B = params.taste.cdf
-    t_right = params.r * 0.5 + (1.0 - params.r) * B(params.b_L - params.b_R)
-    t_left = params.r * B(params.b_R - params.b_L) + (1.0 - params.r) * 0.5
-    return t_right, t_left
-
-
 def _majority_yes(yes_count, n, continuum, support):
     if continuum:
         return support >= 0.5
@@ -176,8 +163,13 @@ def _two_party_positions(params, regime, tally):
     if regime is ReferendumRegime.BINDING:
         outcome = tally >= 0.5
         return outcome, outcome.copy()
-    t_right, t_left = _tally_thresholds(params)
-    return tally >= t_right, tally >= t_left
+    # A non-binding tally share t reveals the shock through the strictly
+    # increasing support curve, so party J adopts y=1 exactly when t is at
+    # least the support at the shock -b_J.
+    return (
+        tally >= referendum_support(params, -params.b_R),
+        tally >= referendum_support(params, -params.b_L),
+    )
 
 
 def _counts_two_party(params, regime, config, rng):
@@ -483,16 +475,6 @@ def _check_target(target, regime, config):
             raise UsageError(
                 "a same-day referendum leaves no room to reposition; use "
                 "binding or no_referendum"
-            )
-        base = target.base
-        needed = base.p + target.sigma + target.kappa + max(
-            abs(base.b_L), abs(base.b_R)
-        )
-        if target.c_bar < needed:
-            raise UsageError(
-                f"simulation needs c_bar >= p + sigma + kappa + max|b_J| = "
-                f"{needed:.6g} so no participation probability exceeds one, "
-                f"got c_bar = {target.c_bar}"
             )
     if not isinstance(regime, ReferendumRegime):
         raise UsageError(f"regime must be a ReferendumRegime, got {regime!r}")

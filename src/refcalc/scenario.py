@@ -23,16 +23,16 @@ Schema (all numbers JSON numbers, booleans JSON booleans):
 
 The sim block carries no "mode": the tools pick the oracle mode from which
 extension blocks are present. In the third_party block v may be omitted
-(defaults to the library's standard small valence penalty).
+(defaults to DEFAULT_VALENCE, which this module re-exports from third_party).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .distributions import FAMILIES, DistributionSpec
-from .errors import ScenarioError
+from .distributions import DistributionSpec
+from .errors import ScenarioError, UsageError
 from .model import ElectorateParams, ReferendumRegime, require_valid
 from .oracle import SimConfig
 from .quadrature import QuadratureConfig
@@ -90,17 +90,32 @@ def _boolean(obj: dict, key: str, path: str) -> bool:
 def _distribution(obj: dict, key: str, path: str) -> DistributionSpec:
     if key not in obj:
         raise ScenarioError(f'missing required key "{key}" at {path}')
-    block = _require_object(obj[key], f"{path}.{key}")
-    _reject_unknown(block, f"{path}.{key}", ("family", "scale"))
-    family = block.get("family")
-    if family not in FAMILIES:
-        raise ScenarioError(
-            f"{path}.{key}.family must be one of {FAMILIES}, got {family!r}"
-        )
-    scale = _real(block, "scale", f"{path}.{key}")
-    if scale <= 0:
-        raise ScenarioError(f"{path}.{key}.scale must be positive, got {scale}")
-    return DistributionSpec(family=family, scale=scale)
+    where = f"{path}.{key}"
+    block = _require_object(obj[key], where)
+    _reject_unknown(block, where, ("family", "scale"))
+    scale = _real(block, "scale", where)
+    try:
+        return DistributionSpec(family=block.get("family"), scale=scale)
+    except UsageError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _fields(obj: dict, key: str, source: str, parsers: dict, required=()) -> dict:
+    """Keyword arguments from the optional block obj[key]; {} when it is absent.
+
+    parsers maps each allowed key to its _real/_integer/_boolean parser; keys
+    in required must be present, the others fall back to the target's defaults.
+    """
+    if key not in obj:
+        return {}
+    path = f"{source}.{key}"
+    block = _require_object(obj[key], path)
+    _reject_unknown(block, path, parsers)
+    return {
+        name: parse(block, name, path)
+        for name, parse in parsers.items()
+        if name in block or name in required
+    }
 
 
 _TOP_KEYS = (
@@ -138,62 +153,27 @@ def parse_scenario(data, source: str = "scenario") -> Scenario:
 
     third = None
     if "third_party" in obj:
-        block = _require_object(obj["third_party"], f"{source}.third_party")
-        _reject_unknown(block, f"{source}.third_party", ("v",))
-        v = _real(block, "v", f"{source}.third_party") if "v" in block else DEFAULT_VALENCE
-        third = ThirdPartyParams(base=params, v=v)
+        third = ThirdPartyParams(
+            base=params, **_fields(obj, "third_party", source, {"v": _real})
+        )
         require_valid_third(third)
 
     turnout = None
     if "turnout" in obj:
-        block = _require_object(obj["turnout"], f"{source}.turnout")
-        _reject_unknown(block, f"{source}.turnout", ("c_bar", "sigma", "kappa"))
+        sizes = ("c_bar", "sigma", "kappa")
         turnout = TurnoutParams(
             base=params,
-            c_bar=_real(block, "c_bar", f"{source}.turnout"),
-            sigma=_real(block, "sigma", f"{source}.turnout"),
-            kappa=_real(block, "kappa", f"{source}.turnout"),
+            **_fields(obj, "turnout", source, dict.fromkeys(sizes, _real), sizes),
         )
         require_valid_turnout(turnout)
 
-    quadrature = QuadratureConfig()
-    if "quadrature" in obj:
-        block = _require_object(obj["quadrature"], f"{source}.quadrature")
-        _reject_unknown(
-            block, f"{source}.quadrature", ("abs_tol", "rel_tol", "max_subdivisions")
-        )
-        if "abs_tol" in block:
-            quadrature = replace(
-                quadrature, abs_tol=_real(block, "abs_tol", f"{source}.quadrature")
-            )
-        if "rel_tol" in block:
-            quadrature = replace(
-                quadrature, rel_tol=_real(block, "rel_tol", f"{source}.quadrature")
-            )
-        if "max_subdivisions" in block:
-            quadrature = replace(
-                quadrature,
-                max_subdivisions=_integer(block, "max_subdivisions", f"{source}.quadrature"),
-            )
-
-    sim = SimConfig()
-    if "sim" in obj:
-        block = _require_object(obj["sim"], f"{source}.sim")
-        _reject_unknown(
-            block,
-            f"{source}.sim",
-            ("n_policy_voters", "n_replications", "seed", "agent_level", "continuum_tally"),
-        )
-        if "n_policy_voters" in block:
-            sim = replace(sim, n_policy_voters=_integer(block, "n_policy_voters", f"{source}.sim"))
-        if "n_replications" in block:
-            sim = replace(sim, n_replications=_integer(block, "n_replications", f"{source}.sim"))
-        if "seed" in block:
-            sim = replace(sim, seed=_integer(block, "seed", f"{source}.sim"))
-        if "agent_level" in block:
-            sim = replace(sim, agent_level=_boolean(block, "agent_level", f"{source}.sim"))
-        if "continuum_tally" in block:
-            sim = replace(sim, continuum_tally=_boolean(block, "continuum_tally", f"{source}.sim"))
+    quadrature = QuadratureConfig(**_fields(obj, "quadrature", source, {
+        "abs_tol": _real, "rel_tol": _real, "max_subdivisions": _integer,
+    }))
+    sim = SimConfig(**_fields(obj, "sim", source, {
+        "n_policy_voters": _integer, "n_replications": _integer, "seed": _integer,
+        "agent_level": _boolean, "continuum_tally": _boolean,
+    }))
 
     return Scenario(
         params=params, regime=regime, third=third, turnout=turnout,

@@ -67,8 +67,8 @@ def _check_biases(b_L, b_R, p):
         raise UsageError(f"p must be positive, got {p}")
     if not b_L < 0:
         raise UsageError(f"b_L must be negative, got {b_L}")
-    if not b_L < b_R:
-        raise UsageError(f"need b_L < b_R, got b_L={b_L}, b_R={b_R}")
+    if not b_L <= b_R:
+        raise UsageError(f"need b_L <= b_R, got b_L={b_L}, b_R={b_R}")
 
 
 def gamma_star(params: ElectorateParams) -> ThresholdReport:
@@ -133,12 +133,7 @@ def r_star(
     tau >= 1, hence r_star <= 1/2. The equal-bias edge b_R = b_L collapses
     the interval; the limit is 1/2 and is returned exactly.
     """
-    if not p > 0:
-        raise UsageError(f"p must be positive, got {p}")
-    if not b_L < 0:
-        raise UsageError(f"b_L must be negative, got {b_L}")
-    if not b_L <= b_R:
-        raise UsageError(f"need b_L <= b_R, got b_L={b_L}, b_R={b_R}")
+    _check_biases(b_L, b_R, p)
     if not b_R < 0:
         raise UsageError("r_star needs initially aligned positions (b_R < 0)")
     if b_R == b_L:
@@ -230,11 +225,8 @@ def br_dagger_ddagger(
     the edge with a not_found_in_window flag. A scan result, not a theorem:
     only the crossover neighbourhood of -b_L is guaranteed.
     """
-    if not p > 0:
-        raise UsageError(f"p must be positive, got {p}")
-    if not b_L < 0:
-        raise UsageError(f"b_L must be negative, got {b_L}")
     pivot = -b_L
+    _check_biases(b_L, pivot, p)
     window_hi = pivot + 4.0 * shock.scale
 
     def delta(b_R):

@@ -11,9 +11,10 @@ expectation over the taste draw is closed form, so each intensity is a
 single quadrature over the shock.
 
 Supports are truncated so stakes stay below c_bar: tastes to [-sigma, sigma],
-the shock to [-kappa, kappa], with the size ordering in validate_turnout
-keeping every participation probability strictly inside (0, 1) for at least
-some cost draws.
+the shock to [-kappa, kappa]. validate_turnout requires
+c_bar >= p + sigma + kappa + max(|b_L|, |b_R|), the largest possible stake,
+so every participation probability stake/c_bar is at most one and the
+affine participation rule is exact; the oracle relies on the same check.
 
 A note on bias signs: nothing here needs b_L < 0 < b_R or any ordering. The
 whole calculus runs through |b_J|, and the symmetry identities
@@ -58,10 +59,11 @@ def validate_turnout(tp: TurnoutParams) -> list[str]:
         v.append(f"sigma must be positive, got {tp.sigma}")
     if not tp.kappa > 0:
         v.append(f"kappa must be positive, got {tp.kappa}")
-    if not tp.c_bar > b.p + tp.kappa + tp.sigma:
+    ceiling = b.p + tp.sigma + tp.kappa + max(abs(b.b_L), abs(b.b_R))
+    if not tp.c_bar >= ceiling:
         v.append(
-            f"need c_bar > p + kappa + sigma, got {tp.c_bar} vs "
-            f"{b.p + tp.kappa + tp.sigma}"
+            f"need c_bar >= p + sigma + kappa + max(|b_L|, |b_R|) so no "
+            f"participation probability exceeds one, got {tp.c_bar} vs {ceiling:.6g}"
         )
     if not tp.kappa > max(abs(b.b_R), abs(b.b_L)):
         v.append(

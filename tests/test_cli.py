@@ -48,6 +48,18 @@ def _scenario_wide(**extra):
     return scn
 
 
+def _scenario_turnout(**turnout):
+    # Ceiling p + sigma + kappa + max|b_J| = 0.2 + 3 + 1 + 0.8 = 5.0 at the defaults.
+    return {
+        "r": 0.55, "mu": 0.6, "p": 0.2, "b_L": -0.8, "b_R": -0.4,
+        "taste": {"family": "normal", "scale": 1.2},
+        "shock": {"family": "normal", "scale": 0.3},
+        "regime": "binding",
+        "turnout": {"c_bar": 6.0, "sigma": 3.0, "kappa": 1.0, **turnout},
+        "quadrature": {"abs_tol": 1e-7, "rel_tol": 1e-6},
+    }
+
+
 def _dump(tmp_path, name, scn):
     path = tmp_path / name
     path.write_text(json.dumps(scn))
@@ -121,6 +133,14 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     scn = _dump(tmp_path, "bad.json", _scenario_a(b_L=0.5))
     rc = main(["eval", scn])
     assert rc == 2
+
+
+def test_turnout_below_the_cost_ceiling_exits_2(tmp_path, capsys):
+    # c_bar = 4.5 clears p + kappa + sigma = 4.2 but not the largest stake, 5.0.
+    scn = _dump(tmp_path, "cheap.json", _scenario_turnout(c_bar=4.5))
+    rc = main(["eval", scn])
+    assert rc == 2
+    assert "participation probability" in capsys.readouterr().err
 
 
 def test_exhausted_quadrature_exits_3(tmp_path, capsys):
@@ -216,6 +236,33 @@ def test_sweep_congruence_needs_a_regime(tmp_path, capsys):
                "--steps", "3", "--quantities", "delta_second"])
     assert rc == 2
     assert "regime" in capsys.readouterr().err
+
+
+def test_sweep_missing_block_exits_2(tmp_path, capsys):
+    scn = _dump(tmp_path, "a.json", _scenario_a(regime="binding"))
+    rc = main(["sweep", scn, "--var", "r", "--from", "0.4", "--to", "0.5",
+               "--steps", "2", "--quantities", "win_prob,r_T"])
+    assert rc == 2
+    assert "r_T needs a turnout block" in capsys.readouterr().err
+    rc = main(["sweep", scn, "--var", "v", "--from", "-0.05", "--to", "-0.01",
+               "--steps", "2", "--quantities", "win_prob"])
+    assert rc == 2
+    assert "v needs a third_party block" in capsys.readouterr().err
+
+
+def test_sweep_turnout_cells_empty_where_constraints_fail(tmp_path, capsys):
+    # sigma = 1 fails sigma > p + kappa, sigma = 5 the cost ceiling c_bar >= 7.
+    scn = _dump(tmp_path, "t.json", _scenario_turnout())
+    out = tmp_path / "sigma.csv"
+    rc = main(["sweep", scn, "--var", "sigma", "--from", "1.0", "--to", "5.0",
+               "--steps", "3", "--quantities", "r_T", "--out", str(out)])
+    assert rc == 0
+    header, rows = _read_csv(out)
+    assert header == ["sigma", "r_T"]
+    assert [row[0] for row in rows] == ["1", "3", "5"]
+    assert rows[0][1] == "" and rows[2][1] == ""
+    # FROZEN scipy: I_L / (I_L + I_R) at sigma = 3.
+    assert float(rows[1][1]) == pytest.approx(0.5346722369893764, abs=1e-7)
 
 
 # ---------------------------------------------------------------- figures

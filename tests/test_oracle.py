@@ -15,7 +15,7 @@ from refcalc.errors import UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.oracle import SimConfig, estimate_threshold, simulate
 from refcalc.third_party import ThirdPartyParams, win_prob_third
-from refcalc.turnout import TurnoutParams, win_prob_turnout
+from refcalc.turnout import TurnoutParams, validate_turnout, win_prob_turnout
 
 from conftest import SCENARIO_A
 
@@ -338,7 +338,9 @@ def test_unsupported_regime_mode_pairs():
 
 
 def test_turnout_cost_ceiling_guard():
-    cheap = replace(TURNOUT, c_bar=4.5)  # passes the analytic bound, not the sim one
+    # p + sigma + kappa + max|b_J| = 5.0: some stakes would exceed the cost cap.
+    cheap = replace(TURNOUT, c_bar=4.5)
+    assert any("participation probability" in v for v in validate_turnout(cheap))
     cfg = SimConfig(n_policy_voters=100, n_replications=10, seed=0, mode="turnout")
     with pytest.raises(UsageError) as exc:
         simulate(cheap, BINDING, cfg)

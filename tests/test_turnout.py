@@ -55,7 +55,10 @@ def test_scenario_satisfies_support_ordering():
 
 def test_validate_turnout_collects_violations():
     tight = replace(TURNOUT, c_bar=4.0)
-    assert any("c_bar > p + kappa + sigma" in v for v in validate_turnout(tight))
+    assert any(
+        "c_bar >= p + sigma + kappa + max(|b_L|, |b_R|)" in v
+        for v in validate_turnout(tight)
+    )
     small_kappa = replace(TURNOUT, kappa=0.5)
     assert any("kappa > max(|b_R|, |b_L|)" in v for v in validate_turnout(small_kappa))
     small_sigma = replace(TURNOUT, sigma=1.0)
