@@ -24,6 +24,7 @@ from .election import (
     ClampDiagnostics,
     lambda_win,
     net_benefit,
+    win_given_diverged,
     win_given_shock,
     win_prob,
 )

@@ -4,9 +4,11 @@ All four subcommands read global flags --quad-abs-tol, --quad-rel-tol,
 --seed, --threads, --out. CLI flags override the scenario file's own
 quadrature and sim blocks. Exit codes: 0 on success (a validate run that
 prints FAIL verdicts still succeeded at its job), 2 on scenario or usage
-errors, 3 on numerical failures. sweep rejects a --var or quantity whose
-regime, third_party or turnout block is missing (_NEEDS); where a present
-block fails its constraints at a grid point, the cell is empty.
+errors, 3 on numerical failures. eval and sweep share one table of named
+quantities (_QUANTITIES); sweep rejects a quantity or --var (_VARS) whose
+regime, third_party or turnout block is missing, and where a present block
+fails its constraints at a grid point, the cell is empty. sweep starts at
+most one of its --threads (>= 1) workers per grid point.
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -44,14 +46,13 @@ from .oracle import simulate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .scenario import Scenario, load_scenario
 from .third_party import (
-    ThirdPartyParams,
     net_benefit_third,
     phi,
     win_prob_third,
     worse_off_condition,
 )
 from .thresholds import gamma_star, r_bind, r_star, r_star_star
-from .turnout import TurnoutParams, net_benefit_turnout, r_T, win_prob_turnout
+from .turnout import net_benefit_turnout, r_T, win_prob_turnout
 
 
 def _fmt(value) -> str:
@@ -94,21 +95,66 @@ def _quad_from_args(args, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> Quadra
     return quad
 
 
+# ---------------------------------------------------------------- quantities
+
+def _threshold(fn, p: ElectorateParams, quad: QuadratureConfig):
+    """fn(b_L, b_R, p, taste, shock, quad).value, or None where fn's own check
+    rejects p's sign of b_R (r_bind and r_star_star need b_R >= 0, r_star
+    b_R < 0)."""
+    try:
+        return fn(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value
+    except UsageError:
+        return None
+
+
+def _held(scn: Scenario) -> bool:
+    return scn.regime is not ReferendumRegime.NO_REFERENDUM
+
+
+def _delta_traditional(scn: Scenario):
+    report = traditional_issue_congruence(scn.params, scn.regime, scn.quadrature)
+    return None if KNIFE_EDGE_FLAG in report.flags else report.delta
+
+
+# Every named scalar quantity, shared by eval and sweep: the scenario block it
+# needs (None, "regime", "third_party" or "turnout") and its value at a
+# Scenario. A sweep naming a quantity whose block is missing is rejected.
+_QUANTITIES = {
+    "win_prob": (None, lambda s: win_prob(s.params, s.regime, held=_held(s), config=s.quadrature)),
+    "net_benefit": ("regime", lambda s: net_benefit(s.params, s.regime, config=s.quadrature)),
+    "gamma_star": (None, lambda s: gamma_star(s.params).value),
+    "r_bind": (None, lambda s: _threshold(r_bind, s.params, s.quadrature)),
+    "r_star": (None, lambda s: _threshold(r_star, s.params, s.quadrature)),
+    "r_star_star": (None, lambda s: _threshold(r_star_star, s.params, s.quadrature)),
+    "delta_second": (
+        "regime", lambda s: second_issue_congruence(s.params, s.regime, s.quadrature).delta),
+    "delta_traditional": ("regime", _delta_traditional),
+    "phi": ("third_party", lambda s: phi(s.params.b_L, s.params.b_R, s.params.shock)),
+    "net_benefit_third": ("third_party", lambda s: net_benefit_third(s.third, config=s.quadrature)),
+    "r_T": ("turnout", lambda s: r_T(s.turnout, config=s.quadrature).value),
+    "net_benefit_turnout": (
+        "turnout", lambda s: net_benefit_turnout(s.turnout, config=s.quadrature)),
+}
+
+
+def _value(scn: Scenario, name: str):
+    return _QUANTITIES[name][1](scn)
+
+
 # ---------------------------------------------------------------- eval
 
 def _eval_rows(scenario: Scenario):
     """(code_name, symbol, value) triples for every applicable quantity."""
     p, quad = scenario.params, scenario.quadrature
     regime = scenario.regime
-    held = regime is not ReferendumRegime.NO_REFERENDUM
     rows = [
-        ("gamma_star", "γ*", gamma_star(p).value),
+        ("gamma_star", "γ*", _value(scenario, "gamma_star")),
         ("win_prob_no_referendum", "λ", win_prob(p, regime, held=False, config=quad)),
     ]
-    if held:
+    if _held(scenario):
         rows += [
-            (f"win_prob_{regime.value}", "λ", win_prob(p, regime, held=True, config=quad)),
-            ("net_benefit", "Δλ", net_benefit(p, regime, config=quad)),
+            (f"win_prob_{regime.value}", "λ", _value(scenario, "win_prob")),
+            ("net_benefit", "Δλ", _value(scenario, "net_benefit")),
         ]
         second = second_issue_congruence(p, regime, quad)
         trad = traditional_issue_congruence(p, regime, quad)
@@ -120,31 +166,26 @@ def _eval_rows(scenario: Scenario):
             ("congruence_traditional_with_ref", "P(x=maj)", trad.prob_with_ref),
             ("congruence_traditional_delta", "ΔP", trad.delta),
         ]
-    if p.b_R >= 0:
-        rows += [
-            ("r_bind", "r_bind", r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value),
-            ("r_star_star", "r**", r_star_star(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value),
-        ]
-    else:
-        rows.append(
-            ("r_star", "r*", r_star(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value)
-        )
+    for name, symbol in (("r_bind", "r_bind"), ("r_star_star", "r**"), ("r_star", "r*")):
+        value = _value(scenario, name)
+        if value is not None:
+            rows.append((name, symbol, value))
     if scenario.third is not None:
         tp = scenario.third
         rows += [
-            ("phi", "φ", phi(p.b_L, p.b_R, p.shock)),
+            ("phi", "φ", _value(scenario, "phi")),
             ("ahead_third_no_ref", "∫λ̂g", win_prob_third(tp, held=False, config=quad)),
             ("ahead_third_non_binding", "λ̂→λ", win_prob_third(tp, held=True, config=quad)),
-            ("net_benefit_third", "Γ", net_benefit_third(tp, config=quad)),
+            ("net_benefit_third", "Γ", _value(scenario, "net_benefit_third")),
             ("worse_off_with_spoiler", "∫λ̂g<λ(r)", worse_off_condition(tp, config=quad)),
         ]
     if scenario.turnout is not None:
         tu = scenario.turnout
         rows += [
-            ("r_T", "r_T", r_T(tu, config=quad).value),
+            ("r_T", "r_T", _value(scenario, "r_T")),
             ("win_prob_turnout_no_ref", "P_T", win_prob_turnout(tu, referendum=False, config=quad)),
             ("win_prob_turnout_binding", "P_T", win_prob_turnout(tu, referendum=True, config=quad)),
-            ("net_benefit_turnout", "ΔP_T", net_benefit_turnout(tu, config=quad)),
+            ("net_benefit_turnout", "ΔP_T", _value(scenario, "net_benefit_turnout")),
         ]
     return rows
 
@@ -164,84 +205,35 @@ def _cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-_SCALAR_VARS = ("r", "mu", "p", "b_L", "b_R", "taste_scale", "shock_scale",
-                "v", "c_bar", "sigma", "kappa")
-_GAMMA_QUANTITIES = ("s", "g")
-_SCALAR_QUANTITIES = (
-    "win_prob", "net_benefit", "gamma_star", "r_bind", "r_star", "r_star_star",
-    "delta_second", "delta_traditional", "phi", "net_benefit_third", "r_T",
-    "net_benefit_turnout",
-)
-
-
-# Sweep vars and quantities that need a scenario block; the sweep is rejected
-# up front when the block is missing.
-_NEEDS = {
-    "net_benefit": "regime", "delta_second": "regime", "delta_traditional": "regime",
-    "phi": "third_party", "net_benefit_third": "third_party", "v": "third_party",
-    "r_T": "turnout", "net_benefit_turnout": "turnout",
-    "c_bar": "turnout", "sigma": "turnout", "kappa": "turnout",
+# Each sweep var and the extension block it needs (None: the electorate
+# itself); a sweep over a var whose block is missing is rejected.
+_VARS = {
+    "r": None, "mu": None, "p": None, "b_L": None, "b_R": None,
+    "taste_scale": None, "shock_scale": None,
+    "v": "third_party", "c_bar": "turnout", "sigma": "turnout", "kappa": "turnout",
 }
+_GAMMA_QUANTITIES = ("s", "g")
 
 
 def _rebuild(scenario: Scenario, var: str, value: float) -> Scenario:
     p = scenario.params
-    if var in ("r", "mu", "p", "b_L", "b_R"):
+    if var in ("taste_scale", "shock_scale"):
+        dist = var.removesuffix("_scale")
+        p = replace(p, **{dist: replace(getattr(p, dist), scale=value)})
+    elif _VARS[var] is None:
         p = replace(p, **{var: value})
-    elif var == "taste_scale":
-        p = replace(p, taste=replace(p.taste, scale=value))
-    elif var == "shock_scale":
-        p = replace(p, shock=replace(p.shock, scale=value))
     violations = validate_params(p)
     if violations:
         raise ScenarioError(
             f"grid point {var}={value:g} leaves the electorate invalid: "
             + "; ".join(violations)
         )
-    third = scenario.third
+    third, turnout = scenario.third, scenario.turnout
     if third is not None:
-        v = value if var == "v" else third.v
-        third = ThirdPartyParams(base=p, v=v)
-    turnout = scenario.turnout
+        third = replace(third, base=p, **({var: value} if _VARS[var] == "third_party" else {}))
     if turnout is not None:
-        turnout = TurnoutParams(
-            base=p,
-            c_bar=value if var == "c_bar" else turnout.c_bar,
-            sigma=value if var == "sigma" else turnout.sigma,
-            kappa=value if var == "kappa" else turnout.kappa,
-        )
+        turnout = replace(turnout, base=p, **({var: value} if _VARS[var] == "turnout" else {}))
     return replace(scenario, params=p, third=third, turnout=turnout)
-
-
-def _one_quantity(scn: Scenario, name: str):
-    p, quad, regime = scn.params, scn.quadrature, scn.regime
-    held = regime is not ReferendumRegime.NO_REFERENDUM
-    if name == "win_prob":
-        return win_prob(p, regime, held=held, config=quad)
-    if name == "net_benefit":
-        return net_benefit(p, regime, config=quad)
-    if name == "gamma_star":
-        return gamma_star(p).value
-    if name == "r_bind":
-        return r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value
-    if name == "r_star":
-        return r_star(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value
-    if name == "r_star_star":
-        return r_star_star(p.b_L, p.b_R, p.p, p.taste, p.shock, quad).value
-    if name == "delta_second":
-        return second_issue_congruence(p, regime, quad).delta
-    if name == "delta_traditional":
-        report = traditional_issue_congruence(p, regime, quad)
-        return None if KNIFE_EDGE_FLAG in report.flags else report.delta
-    if name == "phi":
-        return phi(p.b_L, p.b_R, p.shock)
-    if name == "net_benefit_third":
-        return net_benefit_third(scn.third, config=quad)
-    if name == "r_T":
-        return r_T(scn.turnout, config=quad).value
-    if name == "net_benefit_turnout":
-        return net_benefit_turnout(scn.turnout, config=quad)
-    raise UsageError(f"unknown quantity {name!r}")
 
 
 def _sweep_cell(job):
@@ -258,7 +250,7 @@ def _sweep_cell(job):
     cells = []
     for q in quantities:
         try:
-            cells.append(_fmt(_one_quantity(point, q)))
+            cells.append(_fmt(_value(point, q)))
         except UsageError:
             cells.append("")
     return [_fmt(value)] + cells
@@ -273,7 +265,9 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError(f"steps must be at least 2, got {args.steps}")
     if not args.from_ < args.to:
         raise ScenarioError(f"need from < to, got {args.from_} .. {args.to}")
-    allowed = _GAMMA_QUANTITIES if args.var == "gamma" else _SCALAR_QUANTITIES
+    if args.threads < 1:
+        raise ScenarioError(f"threads must be at least 1, got {args.threads}")
+    allowed = _GAMMA_QUANTITIES if args.var == "gamma" else tuple(_QUANTITIES)
     for q in quantities:
         if q not in allowed:
             raise ScenarioError(
@@ -281,12 +275,14 @@ def _cmd_sweep(args) -> int:
                 f"allowed: {', '.join(allowed)}"
             )
     present = {
-        "regime": scenario.regime is not ReferendumRegime.NO_REFERENDUM,
+        "regime": _held(scenario),
         "third_party": scenario.third is not None,
         "turnout": scenario.turnout is not None,
     }
-    for name in (args.var, *quantities):
-        block = _NEEDS.get(name)
+    needs = [(args.var, _VARS.get(args.var))]
+    if args.var != "gamma":
+        needs += [(q, _QUANTITIES[q][0]) for q in quantities]
+    for name, block in needs:
         if block is not None and not present[block]:
             what = (
                 "a binding or non_binding regime" if block == "regime"
@@ -297,8 +293,9 @@ def _cmd_sweep(args) -> int:
     step = (args.to - args.from_) / (args.steps - 1)
     values = [args.from_ + i * step for i in range(args.steps)]
     jobs = [(scenario, args.var, v, quantities) for v in values]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))
     else:
         rows = [_sweep_cell(job) for job in jobs]
@@ -316,18 +313,22 @@ _FIG12_PARAMS = ElectorateParams(
     r=0.5, mu=0.5, p=0.2, b_L=-0.5, b_R=-0.1,
     taste=_normal(0.2), shock=_normal(0.25),
 )
-_FIG3 = dict(p=0.05, b_L=-1.0, taste=_normal(1.0), shock=_normal(0.5))
+# fig3 varies b_R; r and mu do not enter the thresholds.
+_FIG3_PARAMS = ElectorateParams(
+    r=0.5, mu=0.5, p=0.05, b_L=-1.0, b_R=0.0,
+    taste=_normal(1.0), shock=_normal(0.5),
+)
 _FIGG_PARAMS = ElectorateParams(
     r=0.5, mu=0.7, p=1.0, b_L=-1.0, b_R=-0.5,
     taste=DistributionSpec(family="logistic", scale=1.0), shock=_normal(0.5),
 )
+_FIG12_GAMMAS = [i / 100 for i in range(-100, 101)]
 
 
 def _figure_fig1(quad):
     header = ["gamma", "g", "s", "bold_segment"]
     rows = []
-    for i in range(-100, 101):
-        gamma = i / 100
+    for gamma in _FIG12_GAMMAS:
         rows.append([
             _fmt(gamma),
             _fmt(_FIG12_PARAMS.shock.pdf(gamma)),
@@ -341,8 +342,7 @@ def _figure_fig2(quad):
     alt = replace(_FIG12_PARAMS, b_R=-0.01)
     header = ["gamma", "s_bR_-0.1", "s_bR_-0.01"]
     rows = []
-    for i in range(-100, 101):
-        gamma = i / 100
+    for gamma in _FIG12_GAMMAS:
         rows.append([
             _fmt(gamma),
             _fmt(float(referendum_support(_FIG12_PARAMS, gamma))),
@@ -355,15 +355,10 @@ def _figure_fig3(quad):
     header = ["b_R", "r_bind", "r_star", "r_star_star"]
     rows = []
     for i in range(-19, 51):
-        b_R = i / 20
-        if b_R >= 0:
-            bind = r_bind(_FIG3["b_L"], b_R, _FIG3["p"], _FIG3["taste"], _FIG3["shock"], quad).value
-            star = None
-            star2 = r_star_star(_FIG3["b_L"], b_R, _FIG3["p"], _FIG3["taste"], _FIG3["shock"], quad).value
-        else:
-            bind = star2 = None
-            star = r_star(_FIG3["b_L"], b_R, _FIG3["p"], _FIG3["taste"], _FIG3["shock"], quad).value
-        rows.append([_fmt(b_R), _fmt(bind), _fmt(star), _fmt(star2)])
+        p = replace(_FIG3_PARAMS, b_R=i / 20)
+        rows.append([_fmt(p.b_R)] + [
+            _fmt(_threshold(fn, p, quad)) for fn in (r_bind, r_star, r_star_star)
+        ])
     return header, rows
 
 
@@ -526,14 +521,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="sweep one parameter and emit a CSV grid")
     p_sweep.add_argument("scenario", help="scenario JSON file")
-    p_sweep.add_argument("--var", required=True, choices=(*_SCALAR_VARS, "gamma"),
+    p_sweep.add_argument("--var", required=True, choices=(*_VARS, "gamma"),
                          help="parameter to sweep (gamma sweeps the shock axis)")
     p_sweep.add_argument("--from", dest="from_", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument(
         "--quantities", required=True,
-        help="comma-separated list; scalar vars: " + ", ".join(_SCALAR_QUANTITIES)
+        help="comma-separated list; scalar vars: " + ", ".join(_QUANTITIES)
              + "; gamma: s, g",
     )
     p_sweep.set_defaults(func=_cmd_sweep)

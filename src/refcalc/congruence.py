@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .election import win_given_shock, win_prob
+from .election import win_given_diverged, win_given_shock, win_prob
 from .errors import UsageError
 from .model import (
     ElectorateParams,
@@ -65,14 +65,8 @@ def _require_held_regime(regime: ReferendumRegime):
         raise UsageError(f"unknown regime {regime!r}")
 
 
-def _win_given_diverged(params, config, lo, hi):
-    # P(Right wins) restricted to shocks in [lo, hi], with diverged positions.
-    return integrate_shock(
-        lambda g: win_given_shock(params, g), params.shock, lo, hi, config
-    )
-
-
-def _lose_given_diverged(params, config, lo, hi):
+def _lose_given_diverged(params, lo, hi, config):
+    # P(Left wins and the shock lies in [lo, hi]), positions diverged there.
     return integrate_shock(
         lambda g: 1.0 - win_given_shock(params, g), params.shock, lo, hi, config
     )
@@ -99,8 +93,8 @@ def second_issue_congruence(
     G = params.shock.cdf
 
     if initial_positions(params).diverged:
-        no_ref = _lose_given_diverged(params, config, None, gs) + _win_given_diverged(
-            params, config, gs, None
+        no_ref = _lose_given_diverged(params, None, gs, config) + win_given_diverged(
+            params, gs, None, config
         )
     else:
         no_ref = G(gs)
@@ -110,8 +104,8 @@ def second_issue_congruence(
     else:
         with_ref = (
             G(-params.b_R)
-            + _lose_given_diverged(params, config, -params.b_R, gs)
-            + _win_given_diverged(params, config, gs, -params.b_L)
+            + _lose_given_diverged(params, -params.b_R, gs, config)
+            + win_given_diverged(params, gs, -params.b_L, config)
             + 1.0
             - G(-params.b_L)
         )

@@ -77,6 +77,19 @@ def win_given_shock(
     return _win_at_share(params, right_share_multi(params, gamma), diagnostics)
 
 
+def win_given_diverged(
+    params: ElectorateParams,
+    lo=None,
+    hi=None,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+    diagnostics: ClampDiagnostics | None = None,
+) -> float:
+    """P(Right wins and the shock lies in [lo, hi]), positions diverged there."""
+    return integrate_shock(
+        lambda g: win_given_shock(params, g, diagnostics), params.shock, lo, hi, config
+    )
+
+
 def win_prob(
     params: ElectorateParams,
     regime: ReferendumRegime,
@@ -95,19 +108,9 @@ def win_prob(
     """
     require_valid(params)
     diag = diagnostics if diagnostics is not None else ClampDiagnostics()
-
-    def multi(lo=None, hi=None):
-        return integrate_shock(
-            lambda g: _win_at_share(params, right_share_multi(params, g), diag),
-            params.shock,
-            lo,
-            hi,
-            config,
-        )
-
     if not held:
         if initial_positions(params).diverged:
-            return multi()
+            return win_given_diverged(params, config=config, diagnostics=diag)
         return _win_at_share(params, params.r, diag)
 
     if regime is ReferendumRegime.NO_REFERENDUM:
@@ -117,9 +120,8 @@ def win_prob(
     if regime is ReferendumRegime.NON_BINDING:
         G = params.shock.cdf
         aligned_mass = G(-params.b_R) + 1.0 - G(-params.b_L)
-        return aligned_mass * _win_at_share(params, params.r, diag) + multi(
-            -params.b_R, -params.b_L
-        )
+        mid = win_given_diverged(params, -params.b_R, -params.b_L, config, diag)
+        return aligned_mass * _win_at_share(params, params.r, diag) + mid
     raise UsageError(f"unknown regime {regime!r}")
 
 

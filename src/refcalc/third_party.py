@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import DistributionSpec
-from .election import ClampDiagnostics, lambda_win, win_given_shock
+from .election import ClampDiagnostics, lambda_win, win_given_diverged, win_given_shock
 from .errors import InvalidParamsError, UsageError
 from .model import ElectorateParams
 from .model import validate as validate_base
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
-from .thresholds import _brent
 
 DEFAULT_VALENCE = -0.01
 
@@ -111,9 +110,7 @@ def win_prob_third(
     low = integrate_shock(
         lambda g: lambda_hat(tp, g, d), b.shock, None, -b.b_R, config
     )
-    mid = integrate_shock(
-        lambda g: win_given_shock(b, g, d), b.shock, -b.b_R, -b.b_L, config
-    )
+    mid = win_given_diverged(b, -b.b_R, -b.b_L, config, d)
     top = (1.0 - G(-b.b_L)) * d.note(lambda_win(b.r, b.mu))
     return low + mid + top
 
@@ -195,15 +192,16 @@ def phi_thresholds(b_L: float, shock: DistributionSpec) -> PhiThresholds:
 
     b_L_star is the shock's lower quartile: above it phi > 0 for every
     b_R in [b_L, 0]. Below it phi crosses zero at a unique b_R_star in
-    (b_L, 0), found by Brent; None when no crossing exists.
+    (b_L, 0): by the shock's symmetry phi = 0 is G(b_R) = 2 G(b_L), so
+    b_R_star = G^-1(2 G(b_L)), or b_L where 2 G(b_L) underflows to zero.
     """
     if not b_L < 0:
         raise UsageError(f"b_L must be negative, got {b_L}")
     b_L_star = shock.quantile(0.25)
     if b_L >= b_L_star:
         return PhiThresholds(b_L_star, None)
-    root, _, _ = _brent(lambda x: phi(b_L, x, shock), b_L, 0.0, "b_R_star")
-    return PhiThresholds(b_L_star, root)
+    mass = 2.0 * shock.cdf(b_L)
+    return PhiThresholds(b_L_star, shock.quantile(mass) if mass > 0 else b_L)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,67 @@ def test_sweep_threads_byte_identical(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_sweep_threads_capped_at_grid_size(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        # Stands in for the process pool: records max_workers, maps in-process.
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("refcalc.cli.ProcessPoolExecutor", SerialPool)
+    scn = _dump(tmp_path, "wide.json", _scenario_wide())
+    argv = ["sweep", scn, "--var", "b_R", "--from", "0.0", "--to", "1.0",
+            "--steps", "5", "--quantities", "r_bind"]
+    one, many = tmp_path / "serial.csv", tmp_path / "many.csv"
+    assert main(argv + ["--out", str(one)]) == 0
+    assert pools == []
+    assert main(argv + ["--out", str(many), "--threads", "5000"]) == 0
+    assert pools == [5]
+    assert one.read_bytes() == many.read_bytes()
+    for bad in ("0", "-3"):
+        assert main(argv + ["--threads", bad]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+    assert pools == [5]
+
+
+# Quantities eval reports under the same name as sweep (win_prob under
+# win_prob_<regime>); a threshold eval omits is an empty sweep cell.
+_SHARED = ("win_prob", "net_benefit", "gamma_star", "r_bind", "r_star", "r_star_star")
+
+
+@pytest.mark.parametrize("scn, extra", [
+    (_scenario_a(regime="non_binding"), ()),
+    (_scenario_a(regime="non_binding", b_R=-0.1, third_party={"v": -0.01}),
+     ("phi", "net_benefit_third")),
+    (_scenario_turnout(), ("r_T", "net_benefit_turnout")),
+], ids=["diverged", "spoiler", "turnout"])
+def test_sweep_first_row_matches_eval(tmp_path, capsys, scn, extra):
+    path = _dump(tmp_path, "s.json", scn)
+    ev, sw = tmp_path / "eval.csv", tmp_path / "sweep.csv"
+    assert main(["eval", path, "--out", str(ev)]) == 0
+    quantities = (*_SHARED, *extra)
+    assert main(["sweep", path, "--var", "r", "--from", repr(scn["r"]),
+                 "--to", repr(scn["r"] + 0.01), "--steps", "2",
+                 "--quantities", ",".join(quantities), "--out", str(sw)]) == 0
+    evaluated = dict(_read_csv(ev)[1])
+    header, rows = _read_csv(sw)
+    first = dict(zip(header, rows[0]))
+    assert first["r"] == repr(scn["r"])
+    assert first["win_prob"] == evaluated[f"win_prob_{scn['regime']}"]
+    for name in quantities[1:]:
+        assert first[name] == evaluated.get(name, ""), name
+
+
 def test_sweep_gamma_axis(tmp_path, capsys):
     scn = _dump(tmp_path, "a.json", _scenario_a())
     out = tmp_path / "gamma.csv"

@@ -110,6 +110,21 @@ def test_phi_thresholds_frozen():
     assert phi(-0.5, th.b_R_star, SHOCK_HALF) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("b_L", [-3.0, -10.0])
+def test_phi_thresholds_tail_against_mpmath(b_L):
+    # phi = 0 is G(b_R) = 2 G(b_L); solved in 40-digit arithmetic. Deep in the
+    # shock tail G(-b_L) rounds to one, which a root finder on phi cannot see.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        target = 2 * mpmath.ncdf(b_L, sigma=0.5)
+        exact = mpmath.findroot(
+            lambda x: mpmath.ncdf(x, sigma=0.5) - target, b_L + 0.01
+        )
+    assert phi_thresholds(b_L, SHOCK_HALF).b_R_star == pytest.approx(
+        float(exact), abs=1e-12
+    )
+
+
 def test_phi_sign_structure_around_thresholds():
     th = phi_thresholds(-0.5, SHOCK_HALF)
     # Left bias below b_L_star: phi changes sign in (b_L, 0) at b_R_star.
