@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .election import win_given_diverged, win_given_shock, win_prob
+from .election import win_given_diverged, win_prob
 from .errors import UsageError
 from .model import (
     ElectorateParams,
@@ -26,7 +26,7 @@ from .model import (
     initial_positions,
     require_valid,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .thresholds import gamma_star
 
 ISSUE_TRADITIONAL = "traditional"
@@ -67,9 +67,9 @@ def _require_held_regime(regime: ReferendumRegime):
 
 def _lose_given_diverged(params, lo, hi, config):
     # P(Left wins and the shock lies in [lo, hi]), positions diverged there.
-    return integrate_shock(
-        lambda g: 1.0 - win_given_shock(params, g), params.shock, lo, hi, config
-    )
+    G = params.shock.cdf
+    mass = (1.0 if hi is None else G(hi)) - (0.0 if lo is None else G(lo))
+    return mass - win_given_diverged(params, lo, hi, config)
 
 
 def second_issue_congruence(

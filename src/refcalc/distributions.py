@@ -5,7 +5,9 @@ log-concave, and parameterised by a single positive scale (the standard
 deviation for the normal family, the usual logistic scale parameter for the
 logistic family). Cdf and quantile round-trip to double precision: the normal
 cdf goes through erfc and its quantile through erfcinv, the logistic pair is
-expit/logit in closed form.
+expit/logit in closed form. logcdf and its inverse ilogcdf carry the same
+pair into the far tail (log_ndtr / ndtri_exp, log_expit / the logit of a
+log-probability), where the cdf itself underflows.
 
 A truncated variant restricts a family to a symmetric interval [-w, w] and
 renormalises; it additionally exposes partial first moments and E|u + a| in
@@ -74,6 +76,26 @@ class DistributionSpec:
             out = -self.scale * _SQRT2 * special.erfcinv(2.0 * qa)
         else:
             out = self.scale * (np.log(qa) - np.log1p(-qa))
+        return out if out.ndim else float(out)
+
+    def logcdf(self, x):
+        """log cdf(x), accurate where cdf(x) underflows."""
+        z = _check_finite(x) / self.scale
+        if self.family == "normal":
+            out = special.log_ndtr(z)
+        else:
+            out = special.log_expit(z)
+        return out if out.ndim else float(out)
+
+    def ilogcdf(self, log_q):
+        """The quantile of exp(log_q): inverts logcdf for log_q < 0."""
+        la = np.asarray(log_q, dtype=float)
+        if np.any((la >= 0) | ~np.isfinite(la)):
+            raise UsageError("ilogcdf argument must be finite and negative")
+        if self.family == "normal":
+            out = self.scale * special.ndtri_exp(la)
+        else:
+            out = self.scale * (la - np.log(-np.expm1(la)))
         return out if out.ndim else float(out)
 
     def partial_mean(self, lo, hi):

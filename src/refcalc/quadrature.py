@@ -1,18 +1,20 @@
-"""Adaptive Simpson quadrature.
+"""Adaptive Gauss-Kronrod (G7-K15) quadrature.
 
 Deliberately a small, self-contained recursive bisection scheme rather than a
 wrapper around a library integrator: the tolerances and the subdivision budget
 are part of the artifact's reproducibility contract, and the rule is simple
 enough to reimplement identically anywhere.
 
-The classic scheme: Simpson on [a, b], Simpson on each half, accept when
+Each panel [a, b] is integrated by the 15-point Kronrod rule K15 and by the
+7-point Gauss rule G7 whose nodes it contains (QUADPACK's QK15; Piessens et
+al. 1983, Kronrod 1965). The panel is accepted when
 
-    |S_left + S_right - S_whole| <= 15 * tol
+    |K15 - G7| <= max(abs_tol_local, rel_tol * |K15|)
 
-and return the Richardson-extrapolated sum. The tolerance is halved on each
-side as the recursion descends; tol at a node is max(abs_tol_local,
-rel_tol * |local estimate|). Exhausting the subdivision budget raises
-QuadratureError carrying the tolerance actually achieved.
+and contributes K15; otherwise it is bisected and abs_tol_local is halved on
+each side. Every bisection spends one unit of max_subdivisions; exhausting the
+budget, or reaching _MAX_DEPTH, raises QuadratureError carrying the worst
+rejected |K15 - G7|.
 """
 
 from __future__ import annotations
@@ -41,9 +43,31 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 # Tail mass discarded when an improper integral is truncated to quantiles.
 TRUNCATION_TAIL = 1e-12
 
+# QUADPACK dqk15 on [-1, 1], one row per Kronrod abscissa x >= 0 (x > 0
+# stands for the pair +-x): (x, K15 weight, G7 weight), the G7 weight being 0
+# where x is not also a Gauss abscissa.
+_QK15 = (
+    (0.99145537112081263921, 0.02293532201052922496, 0.0),
+    (0.94910791234275852453, 0.06309209262997855329, 0.12948496616886969327),
+    (0.86486442335976907279, 0.10479001032225018384, 0.0),
+    (0.74153118559939443986, 0.14065325971552591875, 0.27970539148927666790),
+    (0.58608723546769113029, 0.16900472663926790283, 0.0),
+    (0.40584515137739716691, 0.19035057806478540991, 0.38183005050511894495),
+    (0.20778495500789846760, 0.20443294007529889241, 0.0),
+    (0.0, 0.20948214108472782801, 0.41795918367346938776),
+)
 
-def _simpson(fa, fm, fb, h):
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+
+def _panel(f, a, b):
+    """(K15, G7) estimates of the integral of f over [a, b]; 15 evaluations."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    k15 = g7 = 0.0
+    for x, wk, wg in _QK15:
+        fx = f(centre - half * x) + f(centre + half * x) if x else f(centre)
+        k15 += wk * fx
+        g7 += wg * fx
+    return half * k15, half * g7
 
 
 class _Budget:
@@ -59,26 +83,20 @@ class _Budget:
 _MAX_DEPTH = 60
 
 
-def _adapt(f, a, b, fa, fm, fb, whole, abs_tol, rel_tol, budget, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    err = left + right - whole
-    tol = max(abs_tol, rel_tol * abs(left + right))
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    budget.worst = max(budget.worst, abs(err) / 15.0)
+def _adapt(f, a, b, abs_tol, rel_tol, budget, depth):
+    k15, g7 = _panel(f, a, b)
+    err = abs(k15 - g7)
+    if err <= max(abs_tol, rel_tol * abs(k15)):
+        return k15
+    budget.worst = max(budget.worst, err)
     if budget.left <= 0 or depth >= _MAX_DEPTH:
         raise QuadratureError("subdivision budget exhausted", budget.worst)
     budget.left -= 1
+    m = 0.5 * (a + b)
     half_abs = 0.5 * abs_tol
-    return _adapt(
-        f, a, m, fa, flm, fm, left, half_abs, rel_tol, budget, depth + 1
-    ) + _adapt(f, m, b, fm, frm, fb, right, half_abs, rel_tol, budget, depth + 1)
+    return _adapt(f, a, m, half_abs, rel_tol, budget, depth + 1) + _adapt(
+        f, m, b, half_abs, rel_tol, budget, depth + 1
+    )
 
 
 def integrate(f, a, b, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -89,15 +107,8 @@ def integrate(f, a, b, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
         raise UsageError("integrate needs finite limits; truncate first")
     if b <= a:
         return 0.0
-    fa = f(a)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    fb = f(b)
-    whole = _simpson(fa, fm, fb, b - a)
     budget = _Budget(config.max_subdivisions)
-    return _adapt(
-        f, a, b, fa, fm, fb, whole, config.abs_tol, config.rel_tol, budget, 0
-    )
+    return _adapt(f, a, b, config.abs_tol, config.rel_tol, budget, 0)
 
 
 def shock_bounds(shock, lo=None, hi=None):

@@ -193,15 +193,15 @@ def phi_thresholds(b_L: float, shock: DistributionSpec) -> PhiThresholds:
     b_L_star is the shock's lower quartile: above it phi > 0 for every
     b_R in [b_L, 0]. Below it phi crosses zero at a unique b_R_star in
     (b_L, 0): by the shock's symmetry phi = 0 is G(b_R) = 2 G(b_L), so
-    b_R_star = G^-1(2 G(b_L)), or b_L where 2 G(b_L) underflows to zero.
+    b_R_star = G^-1(2 G(b_L)), taken in log space so that it holds where
+    G(b_L) underflows.
     """
     if not b_L < 0:
         raise UsageError(f"b_L must be negative, got {b_L}")
     b_L_star = shock.quantile(0.25)
     if b_L >= b_L_star:
         return PhiThresholds(b_L_star, None)
-    mass = 2.0 * shock.cdf(b_L)
-    return PhiThresholds(b_L_star, shock.quantile(mass) if mass > 0 else b_L)
+    return PhiThresholds(b_L_star, shock.ilogcdf(math.log(2.0) + shock.logcdf(b_L)))
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,19 @@ paying off for Right, under one of the regime/bias configurations:
 * delta_at_rbind / br_dagger_ddagger: where r_star_star sits relative to
   r_bind as b_R moves through -b_L, located by a bounded sign scan.
 
-All of them come from conditions affine in r with positive slope, so the
-closed ratios are exact roots; they are reported with the residual of the
-defining condition, the containing bracket, and iteration counts so callers
-can audit convergence. None depends on mu: the popularity channel scales the
-net benefit without moving its sign change (as long as the affine win map
-never saturates; see the election module).
+The three cohesion thresholds solve one condition affine in r with positive
+slope, (1-r) * L - r * R = 0, with L and R the shock integrals of
+B(-p + gamma + b_L) and B(-p - gamma - b_R) over the shock pieces where the
+referendum moves positions. Each root is the closed kernel ratio L/(L+R),
+reported with the residual of the condition. None depends on mu: the
+popularity channel scales the net benefit without moving its sign change (as
+long as the affine win map never saturates; see the election module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import optimize
 
 from .distributions import DistributionSpec
@@ -87,6 +87,25 @@ def gamma_star(params: ElectorateParams) -> ThresholdReport:
     return ThresholdReport("gamma_star", root, residual, (lo, hi), iters)
 
 
+def _kernels(b_L, b_R, p, taste, shock, pieces, config):
+    """Shock integrals L of B(-p + gamma + b_L) and R of B(-p - gamma - b_R).
+
+    Each is summed over pieces, a sequence of (lo, hi) shock intervals with
+    None for an infinite end.
+    """
+    B = taste.cdf
+    L = R = 0.0
+    for lo, hi in pieces:
+        L += integrate_shock(lambda g: B(-p + g + b_L), shock, lo, hi, config)
+        R += integrate_shock(lambda g: B(-p - g - b_R), shock, lo, hi, config)
+    return L, R
+
+
+def _ratio(name, L, R, bracket):
+    value = L / (L + R)
+    return ThresholdReport(name, value, abs((1.0 - value) * L - value * R), bracket, 0)
+
+
 def r_bind(
     b_L: float,
     b_R: float,
@@ -97,24 +116,14 @@ def r_bind(
 ) -> ThresholdReport:
     """Cohesion threshold for a binding referendum (diverged start, b_R >= 0).
 
-    The net benefit is proportional to r*den - num with
-
-        num = integral of B(gamma + b_L - p) g(gamma),
-        den = integral of (1 - B(p + gamma + b_R) + B(gamma + b_L - p)) g(gamma),
-
-    so the root is the closed ratio num/den, evaluated by quadrature.
+    The net benefit is proportional to (1-r) * L - r * R with the kernels
+    integrated over the whole shock line, so r_bind = L/(L+R).
     """
     _check_biases(b_L, b_R, p)
     if b_R < 0:
         raise UsageError("r_bind needs initially diverged positions (b_R >= 0)")
-    B = taste.cdf
-    num = integrate_shock(lambda g: B(g + b_L - p), shock, None, None, config)
-    den = integrate_shock(
-        lambda g: 1.0 - B(p + g + b_R) + B(g + b_L - p), shock, None, None, config
-    )
-    value = num / den
-    residual = abs(value * den - num)
-    return ThresholdReport("r_bind", value, residual, (0.0, 1.0), 0)
+    L, R = _kernels(b_L, b_R, p, taste, shock, ((None, None),), config)
+    return _ratio("r_bind", L, R, (0.0, 1.0))
 
 
 def r_star(
@@ -127,11 +136,10 @@ def r_star(
 ) -> ThresholdReport:
     """Cohesion threshold for a non-binding referendum from an aligned start.
 
-    Requires b_L <= b_R < 0. Proportional condition on the middle interval
-    [-b_R, -b_L]: (1-r) * B(-p + gamma + b_L) - r * B(-p - gamma - b_R),
-    giving r_star = 1/(1 + tau) with tau the ratio of the two integrals.
-    tau >= 1, hence r_star <= 1/2. The equal-bias edge b_R = b_L collapses
-    the interval; the limit is 1/2 and is returned exactly.
+    Requires b_L <= b_R < 0. The condition lives on the middle interval
+    [-b_R, -b_L], where the parties split, so r_star = L/(L+R) over it;
+    R >= L there, hence r_star <= 1/2. The equal-bias edge b_R = b_L
+    collapses the interval; the limit is 1/2 and is returned exactly.
     """
     _check_biases(b_L, b_R, p)
     if not b_R < 0:
@@ -140,16 +148,8 @@ def r_star(
         return ThresholdReport(
             "r_star", 0.5, 0.0, (0.0, 0.5), 0, ("degenerate_equal_biases",)
         )
-    B = taste.cdf
-    num = integrate_shock(
-        lambda g: B(-p - g - b_R), shock, -b_R, -b_L, config
-    )
-    den = integrate_shock(
-        lambda g: B(-p + g + b_L), shock, -b_R, -b_L, config
-    )
-    value = den / (num + den)
-    residual = abs(value * (num + den) - den)
-    return ThresholdReport("r_star", value, residual, (0.0, 0.5), 0)
+    L, R = _kernels(b_L, b_R, p, taste, shock, ((-b_R, -b_L),), config)
+    return _ratio("r_star", L, R, (0.0, 0.5))
 
 
 def r_star_star(
@@ -163,24 +163,15 @@ def r_star_star(
     """Cohesion threshold for a non-binding referendum from a diverged start.
 
     The net benefit restricted to the aligned tails (shock outside
-    [-b_R, -b_L]) is proportional to r*A - (1-r)*C with tail integrals A and
-    C, affine and increasing in r, so the unique root is the closed ratio
-    C/(A+C).
+    [-b_R, -b_L]) is proportional to r * R - (1-r) * L with the kernels
+    integrated over both tails, so the unique root is L/(L+R).
     """
     _check_biases(b_L, b_R, p)
     if b_R < 0:
         raise UsageError("r_star_star needs initially diverged positions (b_R >= 0)")
-    B = taste.cdf
-    A = integrate_shock(
-        lambda g: B(-p - g - b_R), shock, None, -b_R, config
-    ) + integrate_shock(lambda g: B(-p - g - b_R), shock, -b_L, None, config)
-    C = integrate_shock(
-        lambda g: B(-p + g + b_L), shock, None, -b_R, config
-    ) + integrate_shock(lambda g: B(-p + g + b_L), shock, -b_L, None, config)
-
-    value = C / (A + C)
-    residual = abs(value * A - (1.0 - value) * C)
-    return ThresholdReport("r_star_star", value, residual, (0.0, 1.0), 0)
+    tails = ((None, -b_R), (-b_L, None))
+    L, R = _kernels(b_L, b_R, p, taste, shock, tails, config)
+    return _ratio("r_star_star", L, R, (0.0, 1.0))
 
 
 def delta_at_rbind(
@@ -191,21 +182,15 @@ def delta_at_rbind(
     shock: DistributionSpec,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
-    """Middle-interval condition evaluated at r = r_bind.
+    """Middle-interval condition (1-r) * L - r * R evaluated at r = r_bind.
 
     Sign tells whether r_star_star lies above (negative) or below (positive)
     r_bind: the tail condition at r_bind equals minus this middle integral,
     because the full-line condition vanishes there by construction.
     """
     rb = r_bind(b_L, b_R, p, taste, shock, config).value
-    B = taste.cdf
-    return integrate_shock(
-        lambda g: (1.0 - rb) * B(-p + g + b_L) - rb * B(-p - g - b_R),
-        shock,
-        -b_R,
-        -b_L,
-        config,
-    )
+    L, R = _kernels(b_L, b_R, p, taste, shock, ((-b_R, -b_L),), config)
+    return (1.0 - rb) * L - rb * R
 
 
 def br_dagger_ddagger(

@@ -88,7 +88,7 @@ def intensity(
 
     Even in b_J and strictly increasing in |b_J|. The expectation over the
     taste u is the closed-form TruncatedDistribution.abs_moment, so one
-    adaptive Simpson pass over the truncated shock is all that is left.
+    adaptive G7-K15 pass over the truncated shock is all that is left.
     """
     require_valid_turnout(tp)
     taste_t, shock_t = tp.taste_t, tp.shock_t

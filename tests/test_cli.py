@@ -414,10 +414,18 @@ def test_validate_report_passes_and_csv(tmp_path, capsys):
 
 def test_validate_with_corrupted_tolerance_reports_fail_but_exits_zero(
         tmp_path, capsys):
-    scn = _dump(tmp_path, "a.json", _scenario_a(
-        regime="non_binding",
-        sim={"n_policy_voters": 20000, "n_replications": 2000, "seed": 5},
-    ))
+    # A taste scale 100x below the shock scale turns the taste cdf into a
+    # step between two of the 15 nodes of a single panel; at tolerance 1
+    # that panel is accepted as it stands and the analytic column is wrong.
+    scn = _dump(tmp_path, "a.json", {
+        "r": 0.45, "mu": 0.5, "p": 0.05, "b_L": -1.0, "b_R": 0.1,
+        "taste": {"family": "normal", "scale": 0.01},
+        "shock": {"family": "normal", "scale": 1.0},
+        "regime": "non_binding",
+        "sim": {"n_policy_voters": 20000, "n_replications": 2000, "seed": 5},
+    })
+    assert main(["validate", scn]) == 0
+    assert "4 of 4 checks within 3 standard errors" in capsys.readouterr().out
     rc = main(["validate", scn, "--quad-abs-tol", "1", "--quad-rel-tol", "1"])
     assert rc == 0  # the run did its job; the verdict column carries the news
     report = capsys.readouterr().out

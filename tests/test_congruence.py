@@ -13,7 +13,7 @@ from refcalc.congruence import (
 )
 from refcalc.election import net_benefit, win_prob
 from refcalc.errors import UsageError
-from refcalc.model import ReferendumRegime
+from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 
 BINDING = ReferendumRegime.BINDING
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -67,6 +67,21 @@ def test_traditional_tracks_majority_right(scenario_a):
     )
     assert rep.delta == pytest.approx(net_benefit(flipped, NON_BINDING), abs=1e-9)
     assert rep.flags == ()
+
+
+def test_traditional_saturated_figg_cell_frozen():
+    # The figg cell b_R=-0.36, r=0.70: mu = 0.7 > 1/2, so the clamped win map
+    # saturates and has a kink inside the middle interval that is not a panel
+    # boundary. FROZEN scipy quad (perfbench/reference.json): -0.04920599459504249,
+    # held to 1x the requested tolerance at the default config.
+    params = ElectorateParams(
+        r=0.70, mu=0.7, p=1.0, b_L=-1.0, b_R=-0.36,
+        taste=DistributionSpec("logistic", 1.0),
+        shock=DistributionSpec("normal", 0.5),
+    )
+    frozen = -0.04920599459504249
+    delta = traditional_issue_congruence(params, NON_BINDING).delta
+    assert abs(delta - frozen) <= 1e-10 + 1e-8 * max(abs(frozen), 1.0)
 
 
 def test_traditional_knife_edge_reports_both_conventions(scenario_a):

@@ -68,6 +68,25 @@ def test_quantile_roundtrip(family, scale, q):
     assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-9)
 
 
+@given(
+    family=st.sampled_from(["normal", "logistic"]),
+    scale=st.floats(0.05, 5.0),
+    z=st.floats(-1000.0, 5.0),
+)
+def test_logcdf_roundtrip_past_underflow(family, scale, z):
+    # The cdf underflows near z = -38.5 (normal) and z = -745 (logistic);
+    # logcdf and ilogcdf still invert each other there, and logcdf is
+    # log(cdf) wherever the cdf is a normal float.
+    d = DistributionSpec(family, scale)
+    x = z * scale
+    assert d.ilogcdf(d.logcdf(x)) == pytest.approx(x, rel=1e-11, abs=1e-11 * scale)
+    if z > -30.0:
+        assert d.logcdf(x) == pytest.approx(math.log(d.cdf(x)), rel=1e-12, abs=1e-12)
+    for bad in (0.0, 1.0, math.nan, -math.inf):
+        with pytest.raises(UsageError):
+            d.ilogcdf(bad)
+
+
 def test_quantile_symmetry():
     d = DistributionSpec("normal", 0.5)
     # FROZEN scipy: norm.ppf(0.25, scale=0.5) = -0.33724487509804085.

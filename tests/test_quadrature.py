@@ -1,4 +1,4 @@
-"""Adaptive Simpson integrator: exactness, adaptivity, and failure modes."""
+"""Adaptive G7-K15 integrator: rule constants, exactness, adaptivity, and failure modes."""
 from __future__ import annotations
 
 import math
@@ -9,14 +9,26 @@ from refcalc.distributions import DistributionSpec
 from refcalc.errors import QuadratureError, UsageError
 from refcalc.quadrature import (
     QuadratureConfig,
+    _panel,
     integrate,
     integrate_shock,
     shock_bounds,
 )
 
 
+def test_panel_rule_degrees():
+    # The typed QUADPACK constants: on [-1, 1] K15 integrates x^0..x^22
+    # exactly and G7 x^0..x^13. The next even powers, x^24 and x^14, are not
+    # exact, so a mistyped node or weight cannot pass on symmetry alone.
+    for n in range(25):
+        k15, g7 = _panel(lambda x: x ** n, -1.0, 1.0)
+        exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
+        assert (abs(k15 - exact) <= 1e-15) == (n != 24), n
+        assert (abs(g7 - exact) <= 1e-15) == (n <= 13 or n % 2 == 1), n
+
+
 def test_polynomial_exact():
-    # Simpson is exact on cubics; x^2 over [0, 1] should come out to machine
+    # K15 is exact up to degree 23; x^2 over [0, 1] should come out to machine
     # precision without any subdivision.
     assert integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert integrate(lambda x: x ** 3 - x, -1.0, 2.0) == pytest.approx(2.25, abs=1e-12)
@@ -86,14 +98,11 @@ def test_integrate_shock_piece():
     assert val == pytest.approx(0.9772498680518208 - 0.5, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="adaptive Simpson accepts a wrong estimate here without raising",
-)
 def test_integrate_shock_meets_its_tolerance_or_raises():
     # E[Phi(-1 - gamma)] with gamma ~ N(0, 0.5^2) is Phi(-1/sqrt(1.25)). The
-    # default config asks for max(1e-10, 1e-8 * 0.1855) ~ 1.9e-9; the result
-    # is 1.1e-7 off, while the shifts -0.95 and -1.05 land within 4e-12.
+    # default config asks for max(1e-10, 1e-8 * 0.1855) ~ 1.9e-9. Adaptive
+    # Simpson's error estimate was fooled here and returned a value 1.1e-7
+    # off without raising.
     exact = 0.5 * math.erfc(1.0 / math.sqrt(2.5))
     taste = DistributionSpec("normal", 1.0)
     try:

@@ -110,10 +110,11 @@ def test_phi_thresholds_frozen():
     assert phi(-0.5, th.b_R_star, SHOCK_HALF) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("b_L", [-3.0, -10.0])
+@pytest.mark.parametrize("b_L", [-3.0, -10.0, -20.0])
 def test_phi_thresholds_tail_against_mpmath(b_L):
     # phi = 0 is G(b_R) = 2 G(b_L); solved in 40-digit arithmetic. Deep in the
-    # shock tail G(-b_L) rounds to one, which a root finder on phi cannot see.
+    # shock tail G(-b_L) rounds to one, which a root finder on phi cannot see;
+    # at -20, G(b_L) ~ 4e-350 underflows to zero in double precision.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         target = 2 * mpmath.ncdf(b_L, sigma=0.5)
@@ -121,6 +122,19 @@ def test_phi_thresholds_tail_against_mpmath(b_L):
             lambda x: mpmath.ncdf(x, sigma=0.5) - target, b_L + 0.01
         )
     assert phi_thresholds(b_L, SHOCK_HALF).b_R_star == pytest.approx(
+        float(exact), abs=1e-12
+    )
+
+
+def test_phi_thresholds_logistic_far_tail_against_mpmath():
+    # At b_L = -400, scale 0.5, G(b_L) = expit(-800) ~ 4e-348 underflows to
+    # zero in double precision; the logistic quantile of 2 G(b_L) is closed form.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        target = 2 / (1 + mpmath.exp(800))
+        exact = 0.5 * mpmath.log(target / (1 - target))
+    shock = DistributionSpec("logistic", 0.5)
+    assert phi_thresholds(-400.0, shock).b_R_star == pytest.approx(
         float(exact), abs=1e-12
     )
 
