@@ -14,7 +14,9 @@ al. 1983, Kronrod 1965). The panel is accepted when
 and contributes K15; otherwise it is bisected and abs_tol_local is halved on
 each side. Every bisection spends one unit of max_subdivisions; exhausting the
 budget, or reaching _MAX_DEPTH, raises QuadratureError carrying the worst
-rejected |K15 - G7|.
+rejected |K15 - G7|. A NaN or inf integrand value makes |K15 - G7| NaN (G7's
+zero weights turn an inf into NaN), so its panel is rejected; it then raises
+QuadratureError at once, with achieved tolerance inf.
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ def _adapt(f, a, b, abs_tol, rel_tol, budget, depth):
     err = abs(k15 - g7)
     if err <= max(abs_tol, rel_tol * abs(k15)):
         return k15
+    if not math.isfinite(err):
+        # A NaN or inf integrand value is a failure, not an error to bisect
+        # away; max() would also drop a NaN from the worst-error estimate.
+        raise QuadratureError(f"non-finite integrand on [{a!r}, {b!r}]", math.inf)
     budget.worst = max(budget.worst, err)
     if budget.left <= 0 or depth >= _MAX_DEPTH:
         raise QuadratureError("subdivision budget exhausted", budget.worst)

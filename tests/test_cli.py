@@ -153,6 +153,20 @@ def test_exhausted_quadrature_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_integrand_exits_3(tmp_path, capsys, monkeypatch):
+    scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding"))
+    pdf = DistributionSpec.pdf
+    monkeypatch.setattr(
+        DistributionSpec, "pdf",
+        lambda self, x: math.nan if type(x) is float and x > 0.1 else pdf(self, x),
+    )
+    rc = main(["eval", scn])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite integrand" in err
+    assert "achieved tolerance inf" in err
+
+
 def test_unknown_figure_name_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig9"])

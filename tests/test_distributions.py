@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from refcalc.distributions import (
     DistributionSpec,
@@ -85,6 +85,38 @@ def test_logcdf_roundtrip_past_underflow(family, scale, z):
     for bad in (0.0, 1.0, math.nan, -math.inf):
         with pytest.raises(UsageError):
             d.ilogcdf(bad)
+
+
+@seed(20240607)
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["normal", "logistic"]),
+    scale=st.floats(0.05, 5.0),
+    z=st.floats(-40.0, 40.0),
+    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_float_path_equals_array_path(family, scale, z, q):
+    # A Python float skips the array conversion but must run the same ufuncs
+    # in the same order: the results are bit-identical, not merely close.
+    d = DistributionSpec(family, scale)
+    x = z * scale
+    for method, arg in ((d.cdf, x), (d.pdf, x), (d.quantile, q)):
+        out = method(arg)
+        assert type(out) is float
+        assert out == method(np.array([arg, 0.5]))[0]
+        assert out == method(np.float64(arg))
+
+
+def test_float_path_rejects_non_finite_and_closed_unit_interval():
+    for family in ("normal", "logistic"):
+        d = DistributionSpec(family, 1.0)
+        with pytest.raises(UsageError):
+            d.cdf(math.nan)
+        with pytest.raises(UsageError):
+            d.pdf(math.inf)
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(UsageError):
+                d.quantile(bad)
 
 
 def test_quantile_symmetry():

@@ -65,6 +65,22 @@ def test_budget_exhaustion_raises_with_achieved_tolerance():
     assert "achieved tolerance" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_integrand_raises_at_once(bad):
+    # The bad value fills (0.5, 1], so bisection can never isolate it; the
+    # error must say so at the first panel rather than after the budget.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return bad if x > 0.5 else 1.0
+
+    with pytest.raises(QuadratureError, match="non-finite integrand") as exc:
+        integrate(f, 0.0, 1.0)
+    assert exc.value.achieved_tol == math.inf
+    assert len(calls) == 15
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         QuadratureConfig(abs_tol=0.0)
