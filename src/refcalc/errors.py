@@ -2,7 +2,7 @@
 
 Usage errors (bad inputs, invalid parameters, malformed scenarios) derive from
 UsageError; numerical failures (quadrature budget exhausted, root finder left
-without a bracket) derive from NumericalError. The CLI maps the former to exit
+without a bracket or out of iterations) derive from NumericalError. The CLI maps the former to exit
 code 2 and the latter to exit code 3.
 """
 

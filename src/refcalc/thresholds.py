@@ -19,13 +19,23 @@ referendum moves positions. Each root is the closed kernel ratio L/(L+R),
 reported with the residual of the condition. None depends on mu: the
 popularity channel scales the net benefit without moving its sign change (as
 long as the affine win map never saturates; see the election module).
+
+The roots that remain (gamma_star and the b_R scan) come from _brent, a port
+of scipy's brentq.c (Brent, "Algorithms for Minimization without
+Derivatives", 1973, ch. 4, with scipy's own extrapolation formula). It keeps
+brentq's tolerances (xtol = ROOT_XTOL, rtol = 4 eps, maxiter = ROOT_MAXITER),
+its iteration order and its float operations, so root and iteration count
+equal brentq's bit for bit. At an exact zero on an endpoint it returns that
+endpoint with count 1 (brentq leaves its count unset there). The port spares
+importing scipy.optimize, which loads scipy.linalg, sparse, fft and spatial
+and was about a third of the package's import time.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-
-from scipy import optimize
 
 from .distributions import DistributionSpec
 from .errors import RootFindError, UsageError
@@ -35,6 +45,8 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
 ROOT_XTOL = 1e-12
 ROOT_MAXITER = 200
 RESIDUAL_LIMIT = 1e-9
+# brentq's default relative tolerance.
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -48,18 +60,75 @@ class ThresholdReport:
 
 
 def _brent(f, lo, hi, name):
-    try:
-        root, info = optimize.brentq(
-            f, lo, hi, xtol=ROOT_XTOL, maxiter=ROOT_MAXITER, full_output=True
-        )
-    except ValueError as exc:
-        raise RootFindError(f"{name}: {exc}") from exc
-    if not info.converged:
+    """Root of f on [lo, hi], its residual |f(root)| and the iteration count.
+
+    Step for step scipy's brentq.c: xpre/xcur are the last two iterates, xblk
+    the point that brackets the root with xcur, spre/scur the previous and
+    current steps. A NaN value, an unbracketed interval and non-convergence
+    within ROOT_MAXITER iterations raise RootFindError.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise RootFindError(
+                f"{name}: the function value at x={x} is NaN; solver cannot continue"
+            )
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre, 0.0, 1
+    if fcur == 0.0:
+        return xcur, 0.0, 1
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootFindError(f"{name}: f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, ROOT_MAXITER + 1):
+        # brentq also asks fpre, fcur != 0: fpre never is here, and a zero
+        # fcur ends the iteration below whatever the bracket.
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            break
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Secant interpolation.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Inverse quadratic extrapolation; where C divides by zero
+                # (inf or NaN) the step is rejected, as here.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    else:
         raise RootFindError(f"{name}: no convergence in {ROOT_MAXITER} iterations")
-    residual = abs(f(root))
+    residual = abs(fcur)
     if residual >= RESIDUAL_LIMIT:
         raise RootFindError(f"{name}: residual {residual:.3e} above {RESIDUAL_LIMIT}")
-    return root, residual, info.iterations
+    return xcur, residual, iterations
 
 
 def _check_biases(b_L, b_R, p):

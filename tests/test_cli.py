@@ -167,6 +167,14 @@ def test_non_finite_integrand_exits_3(tmp_path, capsys, monkeypatch):
     assert "achieved tolerance inf" in err
 
 
+def test_root_finder_out_of_iterations_exits_3(tmp_path, capsys, monkeypatch):
+    scn = _dump(tmp_path, "a.json", _scenario_a())
+    monkeypatch.setattr("refcalc.thresholds.ROOT_MAXITER", 2)
+    rc = main(["eval", scn])
+    assert rc == 3
+    assert "numerical failure: gamma_star: no convergence in 2 iterations" in capsys.readouterr().err
+
+
 def test_unknown_figure_name_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig9"])

@@ -6,14 +6,20 @@ these tests were written.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
+from scipy import optimize
 
-from refcalc.errors import UsageError
-from refcalc.model import DistributionSpec, ElectorateParams
+from refcalc import thresholds
+from refcalc.errors import RootFindError, UsageError
+from refcalc.model import DistributionSpec, ElectorateParams, validate
 from refcalc.thresholds import (
+    ROOT_MAXITER,
+    ROOT_XTOL,
+    _brent,
     br_dagger_ddagger,
     delta_at_rbind,
     gamma_star,
@@ -89,6 +95,98 @@ def test_gamma_star_always_interior(r, b_L, gap, ts, ss):
     rep = gamma_star(params)
     assert -params.b_R < rep.value < -params.b_L
     assert abs(referendum_support(params, rep.value) - 0.5) < 1e-9
+
+
+# ------------------------------------------------------------ Brent port
+
+
+def _brentq(f, lo, hi):
+    return optimize.brentq(f, lo, hi, xtol=ROOT_XTOL, maxiter=ROOT_MAXITER, full_output=True)
+
+
+@seed(20220810)
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["normal", "logistic"]),
+    mu=st.floats(0.05, 0.95),
+    r_frac=st.floats(0.01, 0.99),
+    b_L=st.floats(-5.0, -0.01),
+    gap=st.floats(1e-6, 10.0),
+    ts=st.floats(0.05, 5.0),
+)
+def test_gamma_star_is_brentq_bit_for_bit(family, mu, r_frac, b_L, gap, ts):
+    # The port keeps brentq's tolerances, iteration order and float
+    # operations, so root and iteration count are equal, not close. r is
+    # drawn inside the competitiveness band so that the problem is one
+    # model.validate accepts.
+    r_lo, r_hi = max(0.0, 1.0 - 1.0 / (2.0 * mu)), min(1.0, 1.0 / (2.0 * mu))
+    params = ElectorateParams(
+        r=r_lo + r_frac * (r_hi - r_lo),
+        mu=mu,
+        p=0.1,
+        b_L=b_L,
+        b_R=b_L + gap,
+        taste=DistributionSpec(family, ts),
+        shock=DistributionSpec(family, 0.5),
+    )
+    assume(not validate(params))
+    root, info = _brentq(lambda g: referendum_support(params, g) - 0.5, -params.b_R, -params.b_L)
+    rep = gamma_star(params)
+    assert rep.value == root
+    assert rep.iterations == info.iterations
+    assert rep.residual == abs(referendum_support(params, root) - 0.5)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, iterations",
+    [
+        # x**3 is flat at its root, so Brent falls back on bisection.
+        (lambda x: x**3, -1.0, 2.0, 125),
+        # At this scale the extrapolation denominator underflows to 0, where
+        # C divides to inf or NaN and rejects the step: 19 iterations, not 9.
+        (lambda x: 1e-200 * (x**3 - 0.3), 0.0, 1.0, 19),
+    ],
+    ids=["cubic", "underflow"],
+)
+def test_brent_matches_brentq_on_fixed_cases(f, lo, hi, iterations):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    root, residual, iters = _brent(counted, lo, hi, "fixed")
+    ref, info = _brentq(f, lo, hi)
+    assert (root, iters) == (ref, info.iterations)
+    assert iters == iterations
+    # The residual is the value the iteration already holds: no extra call.
+    assert len(calls) == info.function_calls
+    assert residual == abs(f(root))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)], ids=["lower", "upper"])
+def test_brent_exact_zero_at_an_endpoint(lo, hi):
+    # brentq returns the endpoint after its two initial calls; its iteration
+    # count there is not set (1 in a fresh process, anything later), so the
+    # port's 1 is pinned on its own.
+    assert _brent(lambda x: x, lo, hi, "edge") == (0.0, 0.0, 1)
+    assert _brentq(lambda x: x, lo, hi)[0] == 0.0
+
+
+def test_brent_rejects_an_unbracketed_interval():
+    with pytest.raises(RootFindError, match="edge: f\\(a\\) and f\\(b\\) must have different signs"):
+        _brent(lambda x: x * x + 1.0, 0.0, 1.0, "edge")
+
+
+def test_brent_names_the_point_of_a_nan_value():
+    with pytest.raises(RootFindError, match="x=1.0 is NaN"):
+        _brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, "nan")
+
+
+def test_brent_raises_when_it_runs_out_of_iterations(monkeypatch):
+    monkeypatch.setattr(thresholds, "ROOT_MAXITER", 2)
+    with pytest.raises(RootFindError, match="demo: no convergence in 2 iterations"):
+        _brent(lambda x: x**3 - 0.3, 0.0, 1.0, "demo")
 
 
 # ------------------------------------------------------------------ r_bind
