@@ -89,12 +89,12 @@ def main(argv=None) -> int:
         print(f"  support for the emerging policy at gamma={g:+.4f}: {s:.4f}{marker}")
 
     section("win probabilities and the value of holding a referendum")
-    base = record("win_prob_no_referendum", win_prob(p, ReferendumRegime.NO_REFERENDUM, held=False))
+    base = record("win_prob_no_referendum", win_prob(p, ReferendumRegime.NO_REFERENDUM))
     print(f"P(Right wins), no referendum:         {base:.6f}")
     for regime in (ReferendumRegime.BINDING, ReferendumRegime.NON_BINDING):
-        held = record(f"win_prob_{regime.value}", win_prob(p, regime, held=True))
+        with_ref = record(f"win_prob_{regime.value}", win_prob(p, regime))
         gain = record(f"net_benefit_{regime.value}", net_benefit(p, regime))
-        print(f"P(Right wins), {regime.value:<12} referendum: {held:.6f}"
+        print(f"P(Right wins), {regime.value:<12} referendum: {with_ref:.6f}"
               f"   net benefit {gain:+.6f}")
     print("Both gains are positive: r sits above both cohesion thresholds (next")
     print("section), so Right profits from settling the emerging issue, and the")

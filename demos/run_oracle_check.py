@@ -125,10 +125,9 @@ def main(argv=None) -> int:
         ReferendumRegime.NON_BINDING,
     )):
         sim = simulate(BASELINE, regime, config(offset, "two_party"))
-        held = regime is not ReferendumRegime.NO_REFERENDUM
-        analytic_win = win_prob(BASELINE, regime, held=held)
+        analytic_win = win_prob(BASELINE, regime)
         check(f"win_prob[{regime.value}]", analytic_win, sim.win_freq_R, sim.se_win_R)
-        if held:
+        if regime is not ReferendumRegime.NO_REFERENDUM:
             analytic_cong = second_issue_congruence(BASELINE, regime).prob_with_ref
         else:
             analytic_cong = second_issue_congruence(
@@ -143,8 +142,7 @@ def main(argv=None) -> int:
         ReferendumRegime.NON_BINDING,
     ), start=10):
         sim = simulate(SPOILER, regime, config(offset, "third_party"))
-        held = regime is not ReferendumRegime.NO_REFERENDUM
-        analytic = win_prob_third(SPOILER, held=held)
+        analytic = win_prob_third(SPOILER, regime)
         se = sim.se_win_R if sim.se_win_R > 0 else 1.0 / args.reps
         check(f"ahead_of_left[{regime.value}]", analytic, sim.ahead_freq_R, se)
 
@@ -154,8 +152,7 @@ def main(argv=None) -> int:
         ReferendumRegime.BINDING,
     ), start=20):
         sim = simulate(TURNOUT, regime, config(offset, "turnout"))
-        held = regime is not ReferendumRegime.NO_REFERENDUM
-        analytic = win_prob_turnout(TURNOUT, referendum=held, config=TURNOUT_QUAD)
+        analytic = win_prob_turnout(TURNOUT, regime, TURNOUT_QUAD)
         check(f"win_prob_turnout[{regime.value}]", analytic,
               sim.win_freq_R, sim.se_win_R)
 

@@ -21,6 +21,7 @@ import csv
 from refcalc import (
     DistributionSpec,
     ElectorateParams,
+    ReferendumRegime,
     ThirdPartyParams,
     classify_referendum_preference,
     lambda_hat,
@@ -89,8 +90,8 @@ def main(argv=None) -> int:
     print("in which Right welcomes the entrant's presence.")
 
     section("what the advisory referendum is worth")
-    unheld = win_prob_third(TP, held=False)
-    held = win_prob_third(TP, held=True)
+    unheld = win_prob_third(TP, ReferendumRegime.NO_REFERENDUM)
+    held = win_prob_third(TP, ReferendumRegime.NON_BINDING)
     gain = net_benefit_third(TP)
     print(f"P(Right ahead of Left), no referendum:   {unheld:.6f}")
     print(f"P(Right ahead of Left), referendum held: {held:.6f}")

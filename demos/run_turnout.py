@@ -23,6 +23,7 @@ from refcalc import (
     DistributionSpec,
     ElectorateParams,
     QuadratureConfig,
+    ReferendumRegime,
     TurnoutParams,
     intensity,
     net_benefit_turnout,
@@ -90,8 +91,8 @@ def main(argv=None) -> int:
               f"|diff| = {abs(hi - lo):.1e}")
 
     section("win probability with costly voting")
-    quiet = win_prob_turnout(TP, referendum=False, config=QUAD)
-    loud = win_prob_turnout(TP, referendum=True, config=QUAD)
+    quiet = win_prob_turnout(TP, ReferendumRegime.NO_REFERENDUM, QUAD)
+    loud = win_prob_turnout(TP, ReferendumRegime.BINDING, QUAD)
     gain = net_benefit_turnout(TP, QUAD)
     print(f"P(Right wins), no ballot measure:   {quiet:.6f}")
     print(f"P(Right wins), measure on ballot:   {loud:.6f}")

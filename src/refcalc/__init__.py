@@ -37,12 +37,14 @@ from .errors import (
     UsageError,
 )
 from .model import (
+    REGIMES,
     ElectorateParams,
     PartyPositions,
     ReferendumRegime,
     initial_positions,
     post_referendum_positions,
     referendum_support,
+    require_regime,
     require_valid,
     validate,
 )

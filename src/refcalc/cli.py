@@ -1,14 +1,15 @@
 """Command-line front end: eval, sweep, figure, validate.
 
-All four subcommands read global flags --quad-abs-tol, --quad-rel-tol,
---seed, --threads, --out. CLI flags override the scenario file's own
-quadrature and sim blocks. Exit codes: 0 on success (a validate run that
-prints FAIL verdicts still succeeded at its job), 2 on scenario or usage
-errors, 3 on numerical failures. eval and sweep share one table of named
-quantities (_QUANTITIES); sweep rejects a quantity or --var (_VARS) whose
-regime, third_party or turnout block is missing, and where a present block
-fails its constraints at a grid point, the cell is empty. sweep starts at
-most one of its --threads (>= 1) workers per grid point.
+All four subcommands take --quad-abs-tol, --quad-rel-tol and --out; only
+sweep takes --threads and only validate --seed, the one subcommand that runs
+the oracle. CLI flags override the scenario file's own quadrature and sim
+blocks. Exit codes: 0 on success (a validate run that prints FAIL verdicts
+still succeeded at its job), 2 on scenario or usage errors, 3 on numerical
+failures. eval and sweep share one table of named quantities (_QUANTITIES);
+sweep rejects a quantity or --var (_VARS) whose regime, third_party or
+turnout block is missing, and where a present block fails its constraints at
+a grid point, the cell is empty. sweep starts at most one of its --threads
+(>= 1) workers per grid point.
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -37,6 +38,7 @@ from .distributions import DistributionSpec
 from .election import net_benefit, win_prob
 from .errors import NumericalError, ScenarioError, UsageError
 from .model import (
+    REGIMES,
     ElectorateParams,
     ReferendumRegime,
     referendum_support,
@@ -53,6 +55,10 @@ from .third_party import (
 )
 from .thresholds import gamma_star, r_bind, r_star, r_star_star
 from .turnout import net_benefit_turnout, r_T, win_prob_turnout
+
+NO_REFERENDUM = ReferendumRegime.NO_REFERENDUM
+BINDING = ReferendumRegime.BINDING
+NON_BINDING = ReferendumRegime.NON_BINDING
 
 
 def _fmt(value) -> str:
@@ -78,12 +84,10 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    sim = scenario.sim
-    if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
-    quad = _quad_from_args(args, scenario.quadrature)
-    return replace(scenario, quadrature=quad, sim=sim)
+def _load(args) -> Scenario:
+    """The scenario file with the --quad-abs-tol / --quad-rel-tol overrides applied."""
+    scenario = load_scenario(args.scenario)
+    return replace(scenario, quadrature=_quad_from_args(args, scenario.quadrature))
 
 
 def _quad_from_args(args, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureConfig:
@@ -107,10 +111,6 @@ def _threshold(fn, p: ElectorateParams, quad: QuadratureConfig):
         return None
 
 
-def _held(scn: Scenario) -> bool:
-    return scn.regime is not ReferendumRegime.NO_REFERENDUM
-
-
 def _delta_traditional(scn: Scenario):
     report = traditional_issue_congruence(scn.params, scn.regime, scn.quadrature)
     return None if KNIFE_EDGE_FLAG in report.flags else report.delta
@@ -120,7 +120,7 @@ def _delta_traditional(scn: Scenario):
 # needs (None, "regime", "third_party" or "turnout") and its value at a
 # Scenario. A sweep naming a quantity whose block is missing is rejected.
 _QUANTITIES = {
-    "win_prob": (None, lambda s: win_prob(s.params, s.regime, held=_held(s), config=s.quadrature)),
+    "win_prob": (None, lambda s: win_prob(s.params, s.regime, s.quadrature)),
     "net_benefit": ("regime", lambda s: net_benefit(s.params, s.regime, config=s.quadrature)),
     "gamma_star": (None, lambda s: gamma_star(s.params).value),
     "r_bind": (None, lambda s: _threshold(r_bind, s.params, s.quadrature)),
@@ -149,9 +149,9 @@ def _eval_rows(scenario: Scenario):
     regime = scenario.regime
     rows = [
         ("gamma_star", "γ*", _value(scenario, "gamma_star")),
-        ("win_prob_no_referendum", "λ", win_prob(p, regime, held=False, config=quad)),
+        ("win_prob_no_referendum", "λ", win_prob(p, NO_REFERENDUM, quad)),
     ]
-    if _held(scenario):
+    if regime is not NO_REFERENDUM:
         rows += [
             (f"win_prob_{regime.value}", "λ", _value(scenario, "win_prob")),
             ("net_benefit", "Δλ", _value(scenario, "net_benefit")),
@@ -174,8 +174,8 @@ def _eval_rows(scenario: Scenario):
         tp = scenario.third
         rows += [
             ("phi", "φ", _value(scenario, "phi")),
-            ("ahead_third_no_ref", "∫λ̂g", win_prob_third(tp, held=False, config=quad)),
-            ("ahead_third_non_binding", "λ̂→λ", win_prob_third(tp, held=True, config=quad)),
+            ("ahead_third_no_ref", "∫λ̂g", win_prob_third(tp, NO_REFERENDUM, quad)),
+            ("ahead_third_non_binding", "λ̂→λ", win_prob_third(tp, NON_BINDING, quad)),
             ("net_benefit_third", "Γ", _value(scenario, "net_benefit_third")),
             ("worse_off_with_spoiler", "∫λ̂g<λ(r)", worse_off_condition(tp, config=quad)),
         ]
@@ -183,15 +183,15 @@ def _eval_rows(scenario: Scenario):
         tu = scenario.turnout
         rows += [
             ("r_T", "r_T", _value(scenario, "r_T")),
-            ("win_prob_turnout_no_ref", "P_T", win_prob_turnout(tu, referendum=False, config=quad)),
-            ("win_prob_turnout_binding", "P_T", win_prob_turnout(tu, referendum=True, config=quad)),
+            ("win_prob_turnout_no_ref", "P_T", win_prob_turnout(tu, NO_REFERENDUM, quad)),
+            ("win_prob_turnout_binding", "P_T", win_prob_turnout(tu, BINDING, quad)),
             ("net_benefit_turnout", "ΔP_T", _value(scenario, "net_benefit_turnout")),
         ]
     return rows
 
 
 def _cmd_eval(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load(args)
     rows = _eval_rows(scenario)
     print(f"scenario: {args.scenario}")
     print(f"regime:   {scenario.regime.value}")
@@ -257,7 +257,7 @@ def _sweep_cell(job):
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load(args)
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not quantities:
         raise ScenarioError("no quantities requested")
@@ -275,7 +275,7 @@ def _cmd_sweep(args) -> int:
                 f"allowed: {', '.join(allowed)}"
             )
     present = {
-        "regime": _held(scenario),
+        "regime": scenario.regime is not NO_REFERENDUM,
         "third_party": scenario.third is not None,
         "turnout": scenario.turnout is not None,
     }
@@ -366,7 +366,7 @@ def _figure_figg(quad):
     b_R_values = [-(96 - 4 * j) / 100 for j in range(24)]
     r_values = [(30 + 2 * k) / 100 for k in range(21)]
     cells = classify_congruence_region(
-        _FIGG_PARAMS, b_R_values, r_values, ReferendumRegime.NON_BINDING, quad
+        _FIGG_PARAMS, b_R_values, r_values, NON_BINDING, quad
     )
     header = ["b_R", "r", "delta_second", "delta_traditional", "region_flag"]
     rows = [
@@ -393,68 +393,50 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------- validate
 
 def _validate_checks(scenario: Scenario):
-    """(name, analytic, simulated, se) rows comparing calculus to the oracle."""
-    p, quad = scenario.params, scenario.quadrature
+    """(name, analytic, simulated, se) rows comparing calculus to the oracle;
+    each row feeds one regime to both."""
+    p, quad, sim_cfg = scenario.params, scenario.quadrature, scenario.sim
     regime = scenario.regime
-    held = regime is not ReferendumRegime.NO_REFERENDUM
-    sim_cfg = scenario.sim
+    held = regime is not NO_REFERENDUM
+    # Without a referendum only prob_no_ref is used, and it is the same
+    # under either held regime.
+    second = second_issue_congruence(p, regime if held else BINDING, quad)
     checks = []
-
-    base = simulate(p, ReferendumRegime.NO_REFERENDUM, sim_cfg)
-    checks.append((
-        "win_prob_no_referendum",
-        win_prob(p, regime, held=False, config=quad),
-        base.win_freq_R, base.se_win_R,
-    ))
-    cong_regime = regime if held else ReferendumRegime.BINDING
-    second = second_issue_congruence(p, cong_regime, quad)
-    checks.append((
-        "congruence_y_no_referendum",
-        second.prob_no_ref, base.congruence_y, base.se_congruence_y,
-    ))
-    if held:
-        res = simulate(p, regime, sim_cfg)
+    for reg in (NO_REFERENDUM, regime) if held else (NO_REFERENDUM,):
+        res = simulate(p, reg, sim_cfg)
         checks.append((
-            f"win_prob_{regime.value}",
-            win_prob(p, regime, held=True, config=quad),
-            res.win_freq_R, res.se_win_R,
+            f"win_prob_{reg.value}", win_prob(p, reg, quad), res.win_freq_R, res.se_win_R,
         ))
+        cong = second.prob_no_ref if reg is NO_REFERENDUM else second.prob_with_ref
         checks.append((
-            f"congruence_y_{regime.value}",
-            second.prob_with_ref, res.congruence_y, res.se_congruence_y,
+            f"congruence_y_{reg.value}", cong, res.congruence_y, res.se_congruence_y,
         ))
 
     if scenario.third is not None:
         cfg = replace(sim_cfg, mode="third_party")
-        for label, is_held, reg in (
-            ("no_referendum", False, ReferendumRegime.NO_REFERENDUM),
-            ("non_binding", True, ReferendumRegime.NON_BINDING),
-        ):
+        for reg in REGIMES["third_party"]:
             res = simulate(scenario.third, reg, cfg)
             se = math.sqrt(res.ahead_freq_R * (1 - res.ahead_freq_R) / cfg.n_replications)
             checks.append((
-                f"ahead_third_{label}",
-                win_prob_third(scenario.third, held=is_held, config=quad),
-                res.ahead_freq_R, se,
+                f"ahead_third_{reg.value}",
+                win_prob_third(scenario.third, reg, quad), res.ahead_freq_R, se,
             ))
 
     if scenario.turnout is not None:
         cfg = replace(sim_cfg, mode="turnout")
-        for label, ref, reg in (
-            ("no_referendum", False, ReferendumRegime.NO_REFERENDUM),
-            ("binding", True, ReferendumRegime.BINDING),
-        ):
+        for reg in REGIMES["turnout"]:
             res = simulate(scenario.turnout, reg, cfg)
             checks.append((
-                f"win_prob_turnout_{label}",
-                win_prob_turnout(scenario.turnout, referendum=ref, config=quad),
-                res.win_freq_R, res.se_win_R,
+                f"win_prob_turnout_{reg.value}",
+                win_prob_turnout(scenario.turnout, reg, quad), res.win_freq_R, res.se_win_R,
             ))
     return checks
 
 
 def _cmd_validate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load(args)
+    if args.seed is not None:
+        scenario = replace(scenario, sim=replace(scenario.sim, seed=args.seed))
     checks = _validate_checks(scenario)
     rows = []
     n_pass = 0
@@ -499,10 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override quadrature absolute tolerance")
     common.add_argument("--quad-rel-tol", type=float, default=None,
                         help="override quadrature relative tolerance")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for sweep grids")
     common.add_argument("--out", default=None,
                         help="write CSV here instead of stdout")
 
@@ -531,6 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated list; scalar vars: " + ", ".join(_QUANTITIES)
              + "; gamma: s, g",
     )
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="parallel workers for the grid")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", parents=[common],
@@ -541,6 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", parents=[common],
                            help="compare analytic quantities against the Monte Carlo oracle")
     p_val.add_argument("scenario", help="scenario JSON file")
+    p_val.add_argument("--seed", type=int, default=None,
+                       help="override the simulation seed")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .election import win_given_diverged, win_prob
-from .errors import UsageError
 from .model import (
     ElectorateParams,
     ReferendumRegime,
     initial_positions,
+    require_regime,
     require_valid,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -55,16 +55,6 @@ class CongruenceReport:
     alt_delta: float | None = None
 
 
-def _require_held_regime(regime: ReferendumRegime):
-    if regime is ReferendumRegime.NO_REFERENDUM:
-        raise UsageError(
-            "congruence compares a referendum against the no-referendum "
-            "baseline; pick binding or non_binding"
-        )
-    if regime not in (ReferendumRegime.BINDING, ReferendumRegime.NON_BINDING):
-        raise UsageError(f"unknown regime {regime!r}")
-
-
 def _lose_given_diverged(params, lo, hi, config):
     # P(Left wins and the shock lies in [lo, hi]), positions diverged there.
     G = params.shock.cdf
@@ -88,7 +78,7 @@ def second_issue_congruence(
     to the election, now with gamma_star interior to it.
     """
     require_valid(params)
-    _require_held_regime(regime)
+    require_regime(regime, "post_referendum")
     gs = gamma_star(params).value
     G = params.shock.cdf
 
@@ -129,9 +119,9 @@ def traditional_issue_congruence(
     reported and flagged.
     """
     require_valid(params)
-    _require_held_regime(regime)
-    wp_no = win_prob(params, regime, held=False, config=config)
-    wp_with = win_prob(params, regime, held=True, config=config)
+    require_regime(regime, "post_referendum")
+    wp_no = win_prob(params, ReferendumRegime.NO_REFERENDUM, config)
+    wp_with = win_prob(params, regime, config)
 
     if params.r > 0.5:
         return CongruenceReport(
@@ -197,7 +187,7 @@ def classify_congruence_region(
     b_R outer, r inner. Cells at exactly r = 1/2 get the knife_edge flag and
     an empty traditional delta rather than an arbitrary majority convention.
     """
-    _require_held_regime(regime)
+    require_regime(regime, "post_referendum")
     cells = []
     for b_R in b_R_values:
         for r in r_values:

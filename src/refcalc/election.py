@@ -23,6 +23,7 @@ from .model import (
     ElectorateParams,
     ReferendumRegime,
     initial_positions,
+    require_regime,
     require_valid,
 )
 from .quadrature import (
@@ -93,36 +94,29 @@ def win_given_diverged(
 def win_prob(
     params: ElectorateParams,
     regime: ReferendumRegime,
-    held: bool,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
     diagnostics: ClampDiagnostics | None = None,
 ) -> float:
-    """Probability that Right wins the election.
+    """Probability that Right wins the election under the given regime.
 
-    held=False ignores the regime and gives the baseline: a single-issue race
-    decided by r when the parties agree on the emerging policy (b_R < 0), or
-    the multi-issue integral of lambda(share(gamma)) when they diverge.
-    A binding referendum collapses any divergence, so the race is single-issue
-    at share r. A non-binding one makes positions shock-dependent: aligned in
-    both tails (single-issue), diverged on the middle interval.
+    No referendum is the baseline: a single-issue race decided by r when the
+    parties agree on the emerging policy (b_R < 0), or the multi-issue
+    integral of lambda(share(gamma)) when they diverge. A binding referendum
+    collapses any divergence, so the race is single-issue at share r. A
+    non-binding one makes positions shock-dependent: aligned in both tails
+    (single-issue), diverged on the middle interval.
     """
     require_valid(params)
+    require_regime(regime, "two_party")
     diag = diagnostics if diagnostics is not None else ClampDiagnostics()
-    if not held:
-        if initial_positions(params).diverged:
-            return win_given_diverged(params, config=config, diagnostics=diag)
-        return _win_at_share(params, params.r, diag)
-
-    if regime is ReferendumRegime.NO_REFERENDUM:
-        raise UsageError("held=True is meaningless without a referendum regime")
-    if regime is ReferendumRegime.BINDING:
-        return _win_at_share(params, params.r, diag)
     if regime is ReferendumRegime.NON_BINDING:
         G = params.shock.cdf
         aligned_mass = G(-params.b_R) + 1.0 - G(-params.b_L)
         mid = win_given_diverged(params, -params.b_R, -params.b_L, config, diag)
         return aligned_mass * _win_at_share(params, params.r, diag) + mid
-    raise UsageError(f"unknown regime {regime!r}")
+    if regime is ReferendumRegime.NO_REFERENDUM and initial_positions(params).diverged:
+        return win_given_diverged(params, config=config, diagnostics=diag)
+    return _win_at_share(params, params.r, diag)
 
 
 def net_benefit(
@@ -133,8 +127,8 @@ def net_benefit(
 ) -> float:
     """Right's gain in win probability from the referendum being held.
 
-    Equals win_prob(held) - win_prob(unheld), but computed from the piecewise
-    form so each regime's sign structure is explicit:
+    Equals win_prob(regime) - win_prob(NO_REFERENDUM), but computed from the
+    piecewise form so each regime's sign structure is explicit:
 
     * binding, b_R < 0: exactly zero (the referendum changes nothing, both
       parties already match on the emerging policy);
@@ -144,6 +138,7 @@ def net_benefit(
     * non-binding, b_R >= 0: the two aligned tails of lambda(r) - lambda(share).
     """
     require_valid(params)
+    require_regime(regime, "post_referendum")
     diag = diagnostics if diagnostics is not None else ClampDiagnostics()
 
     def gap(g):
@@ -158,13 +153,8 @@ def net_benefit(
             return 0.0
         return integrate_shock(gap, params.shock, None, None, config)
 
-    if regime is ReferendumRegime.NON_BINDING:
-        if not misaligned:
-            return -integrate_shock(
-                gap, params.shock, -params.b_R, -params.b_L, config
-            )
-        lo_tail = integrate_shock(gap, params.shock, None, -params.b_R, config)
-        hi_tail = integrate_shock(gap, params.shock, -params.b_L, None, config)
-        return lo_tail + hi_tail
-
-    raise UsageError("net_benefit compares held vs not held; pick a referendum regime")
+    if not misaligned:
+        return -integrate_shock(gap, params.shock, -params.b_R, -params.b_L, config)
+    lo_tail = integrate_shock(gap, params.shock, None, -params.b_R, config)
+    hi_tail = integrate_shock(gap, params.shock, -params.b_L, None, config)
+    return lo_tail + hi_tail

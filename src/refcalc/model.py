@@ -32,6 +32,29 @@ class ReferendumRegime(enum.Enum):
     NON_BINDING = "non_binding"
 
 
+# The regimes each model defines, keyed by oracle mode; "post_referendum"
+# covers the quantities that compare a referendum with the no-referendum
+# baseline (net benefit, congruence, positions after the vote). A spoiler
+# race has no binding referendum, and a same-day ballot measure leaves no
+# room to reposition, so turnout has no non-binding one.
+REGIMES = {
+    "two_party": tuple(ReferendumRegime),
+    "third_party": (ReferendumRegime.NO_REFERENDUM, ReferendumRegime.NON_BINDING),
+    "turnout": (ReferendumRegime.NO_REFERENDUM, ReferendumRegime.BINDING),
+    "post_referendum": (ReferendumRegime.BINDING, ReferendumRegime.NON_BINDING),
+}
+
+
+def require_regime(regime, model: str) -> None:
+    """Raise UsageError unless regime is one of REGIMES[model]."""
+    allowed = REGIMES[model]
+    if regime not in allowed:
+        raise UsageError(
+            f"{model} needs one of the regimes "
+            f"{', '.join(r.value for r in allowed)}; got {regime!r}"
+        )
+
+
 class PartyPositions(NamedTuple):
     """Emerging-dimension positions. Traditional positions are fixed (L=0, R=1)."""
 
@@ -121,12 +144,11 @@ def post_referendum_positions(
     policy iff b_J + gamma >= 0. Binding: both parties stand on the referendum
     majority, i.e. 1 iff the support share reaches 1/2.
     """
+    require_regime(regime, "post_referendum")
     if regime is ReferendumRegime.NON_BINDING:
         return PartyPositions(
             y_left=1 if gamma >= -params.b_L else 0,
             y_right=1 if gamma >= -params.b_R else 0,
         )
-    if regime is ReferendumRegime.BINDING:
-        y = 1 if referendum_support(params, gamma) >= 0.5 else 0
-        return PartyPositions(y_left=y, y_right=y)
-    raise UsageError("positions after a referendum need a referendum regime")
+    y = 1 if referendum_support(params, gamma) >= 0.5 else 0
+    return PartyPositions(y_left=y, y_right=y)

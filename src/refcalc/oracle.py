@@ -45,6 +45,7 @@ from .model import (
     ReferendumRegime,
     initial_positions,
     referendum_support,
+    require_regime,
     require_valid,
 )
 from .errors import UsageError
@@ -454,33 +455,22 @@ def _agents(target, regime, config, rng_for):
 
 
 def _check_target(target, regime, config):
-    if config.mode == "two_party":
-        if not isinstance(target, ElectorateParams):
-            raise UsageError("two_party mode simulates an ElectorateParams")
-        require_valid(target)
-    elif config.mode == "third_party":
-        if not isinstance(target, ThirdPartyParams):
-            raise UsageError("third_party mode simulates a ThirdPartyParams")
-        require_valid_third(target)
-        if regime is ReferendumRegime.BINDING:
-            raise UsageError(
-                "a binding referendum with a spoiler in the race is not "
-                "modeled; use non_binding or no_referendum"
-            )
-    else:
-        if not isinstance(target, TurnoutParams):
-            raise UsageError("turnout mode simulates a TurnoutParams")
-        require_valid_turnout(target)
-        if regime is ReferendumRegime.NON_BINDING:
-            raise UsageError(
-                "a same-day referendum leaves no room to reposition; use "
-                "binding or no_referendum"
-            )
-    if not isinstance(regime, ReferendumRegime):
-        raise UsageError(f"regime must be a ReferendumRegime, got {regime!r}")
+    kind, require = {
+        "two_party": (ElectorateParams, require_valid),
+        "third_party": (ThirdPartyParams, require_valid_third),
+        "turnout": (TurnoutParams, require_valid_turnout),
+    }[config.mode]
+    if not isinstance(target, kind):
+        raise UsageError(
+            f"{config.mode} mode simulates a {kind.__name__}, got {type(target).__name__}"
+        )
+    require(target)
+    require_regime(regime, config.mode)
 
 
 def _arrays(target, regime, config) -> _RepArrays:
+    # simulate and estimate_threshold both come through here.
+    _validate_config(config)
     _check_target(target, regime, config)
     if config.agent_level:
         def rng_for(k):
@@ -518,10 +508,10 @@ def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
     """Run the finite-agent election and aggregate replication frequencies.
 
     target must match config.mode: ElectorateParams for two_party,
-    ThirdPartyParams for third_party, TurnoutParams for turnout. The regime
-    doubles as the held flag: no_referendum is the baseline without one.
+    ThirdPartyParams for third_party, TurnoutParams for turnout. regime is
+    one the mode's model defines (model.REGIMES), no_referendum being the
+    baseline, and the same value the analytic win probability takes.
     """
-    _validate_config(config)
     arrays = _arrays(target, regime, config)
     n_reps = config.n_replications
     win_R = float(arrays.win_R.mean())
@@ -607,6 +597,8 @@ def estimate_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < 1.0:
         raise UsageError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"tol must be finite and positive, got {tol!r}")
 
     def measure(r_value):
         t = _with_r(target, r_value)
@@ -643,6 +635,8 @@ def estimate_threshold(
     se_mid = max(se_lo, se_hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: tol is below their spacing
         d_mid, se_mid = measure(mid)
         evaluations += 1
         if orient * d_mid >= 0.0:

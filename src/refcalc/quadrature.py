@@ -34,8 +34,11 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol < 0:
-            raise UsageError("quadrature tolerances must be positive")
+        # Written so that NaN fails them: NaN compares false to everything.
+        if not 0.0 < self.abs_tol < math.inf:
+            raise UsageError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise UsageError(f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
         if self.max_subdivisions < 1:
             raise UsageError("max_subdivisions must be at least 1")
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .distributions import DistributionSpec
 from .election import ClampDiagnostics, lambda_win, win_given_diverged, win_given_shock
 from .errors import InvalidParamsError, UsageError
-from .model import ElectorateParams
+from .model import ElectorateParams, ReferendumRegime, require_regime
 from .model import validate as validate_base
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
 
@@ -87,22 +87,23 @@ def lambda_hat(
 
 def win_prob_third(
     tp: ThirdPartyParams,
-    held: bool,
+    regime: ReferendumRegime,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
     diagnostics: ClampDiagnostics | None = None,
 ) -> float:
     """P(Right ahead of Left), without or with an advisory referendum.
 
-    Unheld: lambda_hat integrated over the shock. Held: below -b_R nothing
-    moves (both majors hold y=0, spoiler intact); on [-b_R, -b_L) Right
-    repositions to y=1, absorbing the spoiler's base, and the race is the
-    standard diverged two-party one; above -b_L both majors sit at y=1 and
-    the race is single-issue at share r.
+    No referendum: lambda_hat integrated over the shock. Non-binding: below
+    -b_R nothing moves (both majors hold y=0, spoiler intact); on
+    [-b_R, -b_L) Right repositions to y=1, absorbing the spoiler's base, and
+    the race is the standard diverged two-party one; above -b_L both majors
+    sit at y=1 and the race is single-issue at share r.
     """
     require_valid_third(tp)
+    require_regime(regime, "third_party")
     b = tp.base
     d = diagnostics if diagnostics is not None else ClampDiagnostics()
-    if not held:
+    if regime is ReferendumRegime.NO_REFERENDUM:
         return integrate_shock(
             lambda g: lambda_hat(tp, g, d), b.shock, None, None, config
         )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .distributions import TruncatedDistribution
 from .errors import InvalidParamsError
-from .model import ElectorateParams, _violations
+from .model import ElectorateParams, ReferendumRegime, _violations, require_regime
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .thresholds import ThresholdReport
 
@@ -102,11 +102,11 @@ def intensity(
 
 def win_prob_turnout(
     tp: TurnoutParams,
-    referendum: bool,
+    regime: ReferendumRegime,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
-    """Right's win probability with costly voting, with or without the ballot
-    measure.
+    """Right's win probability with costly voting, without or with the
+    binding ballot measure.
 
     The noise-voter margin turns a policy-vote share difference D into a win
     probability of 1/2 + D / (2(1-mu)). Without a referendum every policy
@@ -118,9 +118,10 @@ def win_prob_turnout(
     not clamped, so with large mu the result can leave [0, 1].
     """
     require_valid_turnout(tp)
+    require_regime(regime, "turnout")
     b = tp.base
     prob = 0.5 + b.mu / (1.0 - b.mu) * (b.p / tp.c_bar) * (b.r - 0.5)
-    if referendum:
+    if regime is ReferendumRegime.BINDING:
         prob += net_benefit_turnout(tp, config)
     return prob
 

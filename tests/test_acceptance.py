@@ -222,8 +222,7 @@ def test_criterion_4_oracle_equivalence():
                 cfg = SimConfig(n_policy_voters=100_000,
                                 n_replications=10_000, seed=seed)
                 res = simulate(params, regime, cfg)
-                held = regime is not ReferendumRegime.NO_REFERENDUM
-                analytic = win_prob(params, regime, held=held)
+                analytic = win_prob(params, regime)
                 simulated, se = res.win_freq_R, res.se_win_R
             elif kind == "third_party":
                 params = _draw_valid_base(rng, negative_b_R=True)
@@ -234,7 +233,7 @@ def test_criterion_4_oracle_equivalence():
                                 n_replications=10_000, seed=seed,
                                 mode="third_party")
                 res = simulate(tp, ReferendumRegime.NO_REFERENDUM, cfg)
-                analytic = win_prob_third(tp, held=False)
+                analytic = win_prob_third(tp, ReferendumRegime.NO_REFERENDUM)
                 simulated = res.ahead_freq_R
                 se = math.sqrt(simulated * (1.0 - simulated)
                                / cfg.n_replications)
@@ -252,7 +251,7 @@ def test_criterion_4_oracle_equivalence():
                                 n_replications=10_000, seed=seed,
                                 mode="turnout")
                 res = simulate(tu, ReferendumRegime.BINDING, cfg)
-                analytic = win_prob_turnout(tu, referendum=True,
+                analytic = win_prob_turnout(tu, ReferendumRegime.BINDING,
                                             config=turnout_quad)
                 simulated, se = res.win_freq_R, res.se_win_R
             # frequency SE floors at the replication resolution

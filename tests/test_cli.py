@@ -181,6 +181,40 @@ def test_unknown_figure_name_is_an_argparse_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--quad-abs-tol", "--quad-rel-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_flag_exits_2(tmp_path, capsys, flag, value):
+    scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding"))
+    assert main(["eval", scn, flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nan_tolerance_in_scenario_file_exits_2(tmp_path, capsys):
+    # json.load accepts the NaN literal, so the file reaches the parser.
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(_scenario_a(quadrature={"rel_tol": math.nan})))
+    assert "NaN" in path.read_text()
+    assert main(["eval", str(path)]) == 2
+    assert "rel_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "SCN", "--threads", "2"],
+    ["eval", "SCN", "--seed", "3"],
+    ["sweep", "SCN", "--var", "r", "--from", "0.4", "--to", "0.5", "--steps", "2",
+     "--quantities", "win_prob", "--seed", "3"],
+    ["figure", "fig1", "--threads", "2"],
+    ["validate", "SCN", "--threads", "2"],
+])
+def test_flags_only_where_they_are_read(tmp_path, capsys, argv):
+    # --threads belongs to sweep and --seed to validate; elsewhere they are
+    # argparse errors rather than silently ignored.
+    scn = _dump(tmp_path, "a.json", _scenario_a())
+    with pytest.raises(SystemExit) as exc:
+        main([scn if a == "SCN" else a for a in argv])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_threshold_grid(tmp_path, capsys):

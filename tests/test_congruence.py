@@ -49,8 +49,8 @@ def test_traditional_tracks_minority_left(scenario_a):
     # Scenario A has r = 0.45 < 1/2: the traditional majority is Left, so the
     # report is Left's win probability and its delta is minus Right's gain.
     rep = traditional_issue_congruence(scenario_a, NON_BINDING)
-    wp_no = win_prob(scenario_a, NON_BINDING, held=False)
-    wp_with = win_prob(scenario_a, NON_BINDING, held=True)
+    wp_no = win_prob(scenario_a, NO_REF)
+    wp_with = win_prob(scenario_a, NON_BINDING)
     assert rep.prob_no_ref == pytest.approx(1.0 - wp_no, abs=1e-12)
     assert rep.prob_with_ref == pytest.approx(1.0 - wp_with, abs=1e-12)
     assert rep.delta == pytest.approx(-net_benefit(scenario_a, NON_BINDING), abs=1e-9)
@@ -63,7 +63,7 @@ def test_traditional_tracks_majority_right(scenario_a):
     flipped = replace(scenario_a, r=0.55)
     rep = traditional_issue_congruence(flipped, NON_BINDING)
     assert rep.prob_no_ref == pytest.approx(
-        win_prob(flipped, NON_BINDING, held=False), abs=1e-12
+        win_prob(flipped, NO_REF), abs=1e-12
     )
     assert rep.delta == pytest.approx(net_benefit(flipped, NON_BINDING), abs=1e-9)
     assert rep.flags == ()

@@ -60,7 +60,7 @@ def test_win_given_shock_matches_share_map(scenario_a):
 def test_win_prob_baseline_frozen(scenario_a):
     # FROZEN scipy quad: integral of lambda(share(gamma)) g(gamma) dgamma
     # for the diverged baseline = 0.4312868827503117.
-    assert win_prob(scenario_a, NO_REF, held=False) == pytest.approx(
+    assert win_prob(scenario_a, NO_REF) == pytest.approx(
         0.4312868827503117, abs=1e-8
     )
 
@@ -68,7 +68,7 @@ def test_win_prob_baseline_frozen(scenario_a):
 def test_win_prob_non_binding_frozen(scenario_a):
     # FROZEN scipy quad: aligned tails at lambda(r) plus the diverged middle
     # integral = 0.44589834351968965.
-    assert win_prob(scenario_a, NON_BINDING, held=True) == pytest.approx(
+    assert win_prob(scenario_a, NON_BINDING) == pytest.approx(
         0.44589834351968965, abs=1e-8
     )
 
@@ -76,17 +76,17 @@ def test_win_prob_non_binding_frozen(scenario_a):
 def test_win_prob_binding_is_single_issue(scenario_a):
     # Binding referendum collapses divergence: win probability is lambda(r),
     # which at mu = 1/2 is r itself.
-    assert win_prob(scenario_a, BINDING, held=True) == pytest.approx(0.45, abs=1e-12)
+    assert win_prob(scenario_a, BINDING) == pytest.approx(0.45, abs=1e-12)
 
 
 def test_win_prob_aligned_baseline_is_lambda_r(scenario_a):
     aligned = replace(scenario_a, b_R=-0.1)
-    assert win_prob(aligned, NO_REF, held=False) == pytest.approx(0.45, abs=1e-12)
+    assert win_prob(aligned, NO_REF) == pytest.approx(0.45, abs=1e-12)
 
 
 def test_win_prob_rejects_invalid_params(scenario_a):
     with pytest.raises(InvalidParamsError):
-        win_prob(replace(scenario_a, p=-1.0), NO_REF, held=False)
+        win_prob(replace(scenario_a, p=-1.0), NO_REF)
 
 
 def test_net_benefit_non_binding_frozen(scenario_a):
@@ -135,13 +135,13 @@ def test_clamp_diagnostics_reports_saturation():
         shock=DistributionSpec("normal", 0.5),
     )
     diag = ClampDiagnostics()
-    win_prob(params, NO_REF, held=False, diagnostics=diag)
+    win_prob(params, NO_REF, diagnostics=diag)
     assert diag.clamped
 
 
 def test_quadrature_config_threading(scenario_a):
     # A looser tolerance must still land within its own error budget.
     loose = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
-    tight = win_prob(scenario_a, NO_REF, held=False)
-    rough = win_prob(scenario_a, NO_REF, held=False, config=loose)
+    tight = win_prob(scenario_a, NO_REF)
+    rough = win_prob(scenario_a, NO_REF, config=loose)
     assert rough == pytest.approx(tight, abs=1e-4)

@@ -13,6 +13,8 @@ from refcalc.election import win_prob
 from refcalc.congruence import second_issue_congruence
 from refcalc.errors import UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
+from refcalc.quadrature import QuadratureConfig
+from refcalc import oracle
 from refcalc.oracle import SimConfig, estimate_threshold, simulate
 from refcalc.third_party import ThirdPartyParams, win_prob_third
 from refcalc.turnout import TurnoutParams, validate_turnout, win_prob_turnout
@@ -136,7 +138,7 @@ def test_golden_results_are_frozen():
 @pytest.mark.parametrize("regime", [NO_REF, BINDING, NON_BINDING])
 def test_two_party_matches_analytic(regime):
     res = simulate(SCENARIO_A, regime, FULL)
-    analytic = win_prob(SCENARIO_A, regime, held=regime is not NO_REF)
+    analytic = win_prob(SCENARIO_A, regime)
     assert _z(analytic, res) < 3.0
     assert res.win_freq_L == pytest.approx(1.0 - res.win_freq_R, abs=1e-12)
     assert res.win_freq_T == 0.0
@@ -154,17 +156,19 @@ def test_two_party_congruence_matches_analytic():
 def test_third_party_matches_analytic(held, regime):
     cfg = replace(FULL, mode="third_party")
     res = simulate(SPOILER, regime, cfg)
-    assert _z(win_prob_third(SPOILER, held=held), res) < 3.0
+    assert res.held is held
+    assert _z(win_prob_third(SPOILER, regime), res) < 3.0
     assert res.win_freq_R + res.win_freq_L + res.win_freq_T == pytest.approx(
         1.0, abs=1e-12
     )
 
 
-@pytest.mark.parametrize("referendum, regime", [(False, NO_REF), (True, BINDING)])
-def test_turnout_matches_analytic(referendum, regime):
+@pytest.mark.parametrize("held, regime", [(False, NO_REF), (True, BINDING)])
+def test_turnout_matches_analytic(held, regime):
     cfg = replace(FULL, mode="turnout")
     res = simulate(TURNOUT, regime, cfg)
-    assert _z(win_prob_turnout(TURNOUT, referendum=referendum), res) < 3.0
+    assert res.held is held
+    assert _z(win_prob_turnout(TURNOUT, regime), res) < 3.0
 
 
 def test_turnout_participation_levels():
@@ -306,6 +310,43 @@ def test_estimate_threshold_reports_missing_sign_change():
     assert est.evaluations == 2
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_estimate_threshold_rejects_a_tolerance_that_is_not_finite_and_positive(
+    tol, monkeypatch
+):
+    # tol=0 used to bisect forever once lo and hi were adjacent floats, and a
+    # NaN tol skipped the bisection; both are rejected before any simulation.
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking tol")
+
+    monkeypatch.setattr(oracle, "_arrays", no_simulation)
+    cfg = SimConfig(n_policy_voters=100, n_replications=10, seed=0)
+    with pytest.raises(UsageError, match="tol"):
+        estimate_threshold(SCENARIO_A, "r_bind", cfg, tol=tol)
+
+
+@pytest.mark.parametrize("changes", [{"n_policy_voters": 0}, {"seed": -1}])
+def test_estimate_threshold_validates_its_config(changes):
+    # It used to skip the SimConfig checks: no voters gave a bracket-wide
+    # estimate, and a negative seed a bare ValueError from numpy.
+    cfg = replace(SimConfig(n_policy_voters=100, n_replications=10, seed=0), **changes)
+    with pytest.raises(UsageError):
+        estimate_threshold(SCENARIO_A, "r_bind", cfg)
+
+
+def test_estimate_threshold_stops_at_adjacent_floats():
+    # A tolerance below the float spacing of the bracket still terminates.
+    target = ElectorateParams(
+        r=0.5, mu=0.5, p=0.05, b_L=-1.0, b_R=0.5,
+        taste=DistributionSpec("normal", 1.0),
+        shock=DistributionSpec("normal", 0.5),
+    )
+    cfg = SimConfig(n_policy_voters=2_000, n_replications=50, seed=0)
+    est = estimate_threshold(target, "r_bind", cfg, bracket=(0.1, 0.9), tol=1e-300)
+    assert est.flags == ()
+    assert est.evaluations < 80
+
+
 def test_estimate_threshold_rejects_unknown_quantity():
     cfg = SimConfig(n_policy_voters=100, n_replications=10, seed=0)
     with pytest.raises(UsageError):
@@ -327,6 +368,32 @@ def test_mode_and_target_must_match():
         simulate(SCENARIO_A, NO_REF, replace(cfg, mode="third_party"))
     with pytest.raises(UsageError):
         simulate(TURNOUT, NO_REF, replace(cfg, mode="two_party"))
+
+
+@pytest.mark.parametrize("regime", [NO_REF, BINDING, NON_BINDING, "binding"])
+@pytest.mark.parametrize("mode", ["two_party", "third_party", "turnout"])
+def test_analytic_side_and_oracle_accept_the_same_regimes(mode, regime):
+    target, analytic = {
+        "two_party": (SCENARIO_A, win_prob),
+        "third_party": (SPOILER, win_prob_third),
+        "turnout": (TURNOUT, win_prob_turnout),
+    }[mode]
+    cfg = SimConfig(n_policy_voters=50, n_replications=5, seed=0, mode=mode)
+    loose = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
+    outcomes = []
+    for run in (lambda: analytic(target, regime, loose), lambda: simulate(target, regime, cfg)):
+        try:
+            run()
+            outcomes.append("returned")
+        except UsageError:
+            outcomes.append("raised")
+    assert outcomes[0] == outcomes[1], outcomes
+    # No binding referendum with a spoiler, no non-binding same-day measure.
+    unsupported = (
+        not isinstance(regime, ReferendumRegime)
+        or (mode, regime) in (("third_party", BINDING), ("turnout", NON_BINDING))
+    )
+    assert outcomes[0] == ("raised" if unsupported else "returned")
 
 
 def test_unsupported_regime_mode_pairs():

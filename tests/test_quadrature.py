@@ -88,6 +88,15 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_config_rejects_nan_infinite_or_negative_tolerances(field, value):
+    # NaN fails every comparison, so a check written as "reject if <= 0"
+    # would let it through.
+    with pytest.raises(UsageError, match=field):
+        QuadratureConfig(**{field: value})
+
+
 def test_shock_bounds_clip():
     shock = DistributionSpec("normal", 0.5)
     lo, hi = shock_bounds(shock)

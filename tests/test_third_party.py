@@ -23,6 +23,9 @@ from refcalc.third_party import (
     worse_off_condition,
 )
 
+NO_REF = ReferendumRegime.NO_REFERENDUM
+NON_BINDING = ReferendumRegime.NON_BINDING
+
 # Aligned-majors electorate with a mild spoiler; the FROZEN values below were
 # produced by scipy quadrature over hand-written retention shares.
 BASE_B = ElectorateParams(
@@ -54,10 +57,10 @@ def test_validate_third_requires_aligned_majors_and_negative_valence():
 def test_win_prob_third_frozen():
     # FROZEN scipy quad: no referendum 0.46555792854946826, advisory
     # referendum 0.48553450953041294.
-    assert win_prob_third(SPOILER, held=False) == pytest.approx(
+    assert win_prob_third(SPOILER, NO_REF) == pytest.approx(
         0.46555792854946826, abs=1e-8
     )
-    assert win_prob_third(SPOILER, held=True) == pytest.approx(
+    assert win_prob_third(SPOILER, NON_BINDING) == pytest.approx(
         0.48553450953041294, abs=1e-8
     )
 
@@ -68,7 +71,7 @@ def test_net_benefit_third_frozen_and_dual_route():
     assert gamma == pytest.approx(0.01997658098094468, abs=1e-8)
     # The module computes the net benefit by its own integral; it must agree
     # with the difference of the two win probabilities it refines.
-    diff = win_prob_third(SPOILER, held=True) - win_prob_third(SPOILER, held=False)
+    diff = win_prob_third(SPOILER, NON_BINDING) - win_prob_third(SPOILER, NO_REF)
     assert gamma == pytest.approx(diff, abs=1e-8)
 
 
@@ -153,13 +156,11 @@ def test_phi_sign_structure_around_thresholds():
 def test_worse_off_condition_matches_definition():
     # Right is worse off with the spoiler present when its three-way win
     # probability falls short of the two-party one.
-    expected = win_prob_third(SPOILER, held=False) < lambda_win(BASE_B.r, BASE_B.mu)
+    expected = win_prob_third(SPOILER, NO_REF) < lambda_win(BASE_B.r, BASE_B.mu)
     assert worse_off_condition(SPOILER) is expected
     assert worse_off_condition(SPOILER) is True
     # The two-party comparison point for the aligned baseline is lambda(r).
-    assert win_prob(
-        BASE_B, ReferendumRegime.NO_REFERENDUM, held=False
-    ) == pytest.approx(lambda_win(BASE_B.r, BASE_B.mu), abs=1e-12)
+    assert win_prob(BASE_B, NO_REF) == pytest.approx(lambda_win(BASE_B.r, BASE_B.mu), abs=1e-12)
 
 
 def test_classify_requires_wide_dispersion():
@@ -225,4 +226,4 @@ def test_classify_flags_near_zero_phi():
 
 def test_invalid_spoiler_raises():
     with pytest.raises(InvalidParamsError):
-        win_prob_third(ThirdPartyParams(base=BASE_B, v=0.5), held=False)
+        win_prob_third(ThirdPartyParams(base=BASE_B, v=0.5), NO_REF)

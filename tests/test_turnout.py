@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 from refcalc.errors import InvalidParamsError, QuadratureError
-from refcalc.model import DistributionSpec, ElectorateParams
+from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
 from refcalc.turnout import (
     TurnoutParams,
@@ -38,6 +38,8 @@ BASE_T = ElectorateParams(
 TURNOUT = TurnoutParams(base=BASE_T, c_bar=6.0, sigma=3.0, kappa=1.0)
 
 CFG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
+NO_REF = ReferendumRegime.NO_REFERENDUM
+BINDING = ReferendumRegime.BINDING
 
 
 def _with(**base_changes):
@@ -95,22 +97,22 @@ def test_intensity_even_and_monotone_in_magnitude():
 
 def test_win_prob_without_referendum_closed_form():
     # 1/2 + (mu/(1-mu)) (p/c_bar) (r - 1/2) = 0.5025 at the scenario values.
-    assert win_prob_turnout(TURNOUT, referendum=False, config=CFG) == pytest.approx(
+    assert win_prob_turnout(TURNOUT, NO_REF, config=CFG) == pytest.approx(
         0.5025, abs=1e-12
     )
 
 
 def test_win_prob_with_referendum_frozen():
     # FROZEN scipy: 0.5066515084613311.
-    assert win_prob_turnout(TURNOUT, referendum=True, config=CFG) == pytest.approx(
+    assert win_prob_turnout(TURNOUT, BINDING, config=CFG) == pytest.approx(
         0.5066515084613311, abs=1e-7
     )
 
 
 def test_net_benefit_is_win_prob_difference():
     net = net_benefit_turnout(TURNOUT, CFG)
-    diff = win_prob_turnout(TURNOUT, referendum=True, config=CFG) - win_prob_turnout(
-        TURNOUT, referendum=False, config=CFG
+    diff = win_prob_turnout(TURNOUT, BINDING, config=CFG) - win_prob_turnout(
+        TURNOUT, NO_REF, config=CFG
     )
     assert net == pytest.approx(diff, abs=1e-14)
     assert net == pytest.approx(0.5066515084613311 - 0.5025, abs=1e-7)
@@ -130,7 +132,7 @@ def test_win_prob_stays_a_probability_when_the_map_saturates():
         kappa=1.0,
     )
     assert validate_turnout(tp) == []
-    assert 0.0 <= win_prob_turnout(tp, referendum=True, config=CFG) <= 1.0
+    assert 0.0 <= win_prob_turnout(tp, BINDING, config=CFG) <= 1.0
 
 
 def test_r_T_frozen():
