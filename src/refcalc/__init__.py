@@ -55,6 +55,7 @@ from .oracle import (
     ThresholdEstimate,
     estimate_threshold,
     simulate,
+    simulate_runs,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,

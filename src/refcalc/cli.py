@@ -44,7 +44,7 @@ from .model import (
     referendum_support,
     validate as validate_params,
 )
-from .oracle import simulate
+from .oracle import simulate_runs
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .scenario import Scenario, load_scenario
 from .third_party import (
@@ -394,41 +394,40 @@ def _cmd_figure(args) -> int:
 
 def _validate_checks(scenario: Scenario):
     """(name, analytic, simulated, se) rows comparing calculus to the oracle;
-    each row feeds one regime to both."""
+    each row feeds one regime to both. One simulate_runs call covers every
+    row, so runs on a shared draw stream are drawn once."""
     p, quad, sim_cfg = scenario.params, scenario.quadrature, scenario.sim
     regime = scenario.regime
     held = regime is not NO_REFERENDUM
     # Without a referendum only prob_no_ref is used, and it is the same
     # under either held regime.
     second = second_issue_congruence(p, regime if held else BINDING, quad)
-    checks = []
-    for reg in (NO_REFERENDUM, regime) if held else (NO_REFERENDUM,):
-        res = simulate(p, reg, sim_cfg)
-        checks.append((
-            f"win_prob_{reg.value}", win_prob(p, reg, quad), res.win_freq_R, res.se_win_R,
-        ))
-        cong = second.prob_no_ref if reg is NO_REFERENDUM else second.prob_with_ref
-        checks.append((
-            f"congruence_y_{reg.value}", cong, res.congruence_y, res.se_congruence_y,
-        ))
-
+    runs = [(p, reg) for reg in ((NO_REFERENDUM, regime) if held else (NO_REFERENDUM,))]
     if scenario.third is not None:
-        cfg = replace(sim_cfg, mode="third_party")
-        for reg in REGIMES["third_party"]:
-            res = simulate(scenario.third, reg, cfg)
-            se = math.sqrt(res.ahead_freq_R * (1 - res.ahead_freq_R) / cfg.n_replications)
+        runs += [(scenario.third, reg) for reg in REGIMES["third_party"]]
+    if scenario.turnout is not None:
+        runs += [(scenario.turnout, reg) for reg in REGIMES["turnout"]]
+
+    checks = []
+    for (target, reg), res in zip(runs, simulate_runs(runs, sim_cfg)):
+        if res.mode == "two_party":
+            checks.append((
+                f"win_prob_{reg.value}", win_prob(p, reg, quad), res.win_freq_R, res.se_win_R,
+            ))
+            cong = second.prob_no_ref if reg is NO_REFERENDUM else second.prob_with_ref
+            checks.append((
+                f"congruence_y_{reg.value}", cong, res.congruence_y, res.se_congruence_y,
+            ))
+        elif res.mode == "third_party":
+            se = math.sqrt(res.ahead_freq_R * (1 - res.ahead_freq_R) / res.n_replications)
             checks.append((
                 f"ahead_third_{reg.value}",
-                win_prob_third(scenario.third, reg, quad), res.ahead_freq_R, se,
+                win_prob_third(target, reg, quad), res.ahead_freq_R, se,
             ))
-
-    if scenario.turnout is not None:
-        cfg = replace(sim_cfg, mode="turnout")
-        for reg in REGIMES["turnout"]:
-            res = simulate(scenario.turnout, reg, cfg)
+        else:
             checks.append((
                 f"win_prob_turnout_{reg.value}",
-                win_prob_turnout(scenario.turnout, reg, quad), res.win_freq_R, res.se_win_R,
+                win_prob_turnout(target, reg, quad), res.win_freq_R, res.se_win_R,
             ))
     return checks
 

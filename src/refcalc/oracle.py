@@ -15,14 +15,24 @@ engines share the downstream accounting:
   algebra enters a sampled ballot. It is slow and meant for cross-checking
   the counts engine at small sizes.
 
-Determinism contract. The counts engine uses a single Philox stream seeded
-with config.seed; the draw order per simulate() call is fixed: shock
-uniforms, noise shares, party counts (the prologue all kernels share),
-mode-specific cell counts (listed in each kernel), tie coins. The agents engine gives replication k its own
-Philox stream from SeedSequence((seed, k + 1)); per replication the order is
-shock uniform, noise share, party uniforms, taste uniforms, cost uniforms
-(turnout only), tie coin. Identical config (seed included) therefore yields
-bit-identical results regardless of how replications are scheduled.
+Determinism contract. Every run draws from Philox streams seeded with
+config.seed alone. The counts engine uses a single stream per run; the draw
+order is fixed: shock uniforms, noise shares, party counts (the prologue all
+kernels share), mode-specific cell counts (listed in each kernel), tie coins.
+The agents engine gives replication k its own Philox stream from
+SeedSequence((seed, k + 1)); per replication the order is shock uniform,
+noise share, party uniforms, taste uniforms, cost uniforms (turnout only),
+tie coin. Identical config (seed included) therefore yields bit-identical
+results regardless of how replications are scheduled.
+
+simulate_runs draws each stream its runs share once and decides every
+run's ballots on it, so a paired run's result is byte-identical to a
+separate simulate call. Counts engine: the two_party runs of one
+ElectorateParams share a stream, as do the third_party runs of one
+ThirdPartyParams; each turnout run keeps its own, as a held measure draws
+different cells. Agents engine: the two_party and third_party runs on one
+electorate (target or target.base, compared with ==) share one, as do the
+turnout runs of one TurnoutParams.
 
 Tie conventions: indifferent voters vote their own party; a spoiler loses
 exact vote ties to either major; an exactly tied two-way election falls to a
@@ -68,8 +78,6 @@ class SimConfig:
 
 
 def _validate_config(config: SimConfig) -> None:
-    if config.mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {config.mode!r}")
     if not (isinstance(config.n_policy_voters, int) and config.n_policy_voters >= 1):
         raise UsageError(
             f"n_policy_voters must be a positive integer, got {config.n_policy_voters!r}"
@@ -173,7 +181,8 @@ def _two_party_positions(params, regime, tally):
     )
 
 
-def _counts_two_party(params, regime, config, rng):
+def _counts_two_party(params, regimes, config, rng):
+    """One _RepArrays per regime, all decided on one set of draws."""
     n, n_reps = config.n_policy_voters, config.n_replications
     B = params.taste.cdf
     gamma, eta, n_right, n_left = _base_draws(rng, params.shock, params, config)
@@ -191,29 +200,30 @@ def _counts_two_party(params, regime, config, rng):
 
     yes = cons[:, 2] + (n_left - libs[:, 0])
     support = referendum_support(params, gamma)
-    tally = support if config.continuum_tally else yes / n
-
-    y_right, y_left = _two_party_positions(params, regime, np.asarray(tally))
-    diverged = y_right & ~y_left
-    votes_right = np.where(
-        diverged, cons[:, 1] + cons[:, 2] + libs[:, 2], n_right
-    )
-    share_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
-    win = (share_right > 0.5) | ((share_right == 0.5) & (coin < 0.5))
-
-    y_impl = np.where(win, y_right, y_left)
+    tally = np.asarray(support if config.continuum_tally else yes / n)
+    votes_diverged = cons[:, 1] + cons[:, 2] + libs[:, 2]
     maj_yes = _majority_yes(yes, n, config.continuum_tally, support)
     maj_right = 2 * n_right >= n
-    held = regime is not ReferendumRegime.NO_REFERENDUM
-    return _RepArrays(
-        win_R=win,
-        cong_y=y_impl == maj_yes,
-        cong_x=win == maj_right,
-        y1_share=np.asarray(tally, dtype=float) if held else None,
-    )
+
+    def decide(regime):
+        y_right, y_left = _two_party_positions(params, regime, tally)
+        votes_right = np.where(y_right & ~y_left, votes_diverged, n_right)
+        share_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
+        win = (share_right > 0.5) | ((share_right == 0.5) & (coin < 0.5))
+        y_impl = np.where(win, y_right, y_left)
+        held = regime is not ReferendumRegime.NO_REFERENDUM
+        return _RepArrays(
+            win_R=win,
+            cong_y=y_impl == maj_yes,
+            cong_x=win == maj_right,
+            y1_share=tally if held else None,
+        )
+
+    return [decide(regime) for regime in regimes]
 
 
-def _counts_third_party(tp, regime, config, rng):
+def _counts_third_party(tp, regimes, config, rng):
+    """One _RepArrays per regime, all decided on one set of draws."""
     params, v = tp.base, tp.v
     n, n_reps = config.n_policy_voters, config.n_replications
     B = params.taste.cdf
@@ -234,45 +244,49 @@ def _counts_third_party(tp, regime, config, rng):
 
     yes = (cons[:, 2] + cons[:, 3]) + (n_left - libs[:, 0])
     support = referendum_support(params, gamma)
-    tally = support if config.continuum_tally else yes / n
-    y_right, y_left = _two_party_positions(params, regime, np.asarray(tally))
+    tally = np.asarray(support if config.continuum_tally else yes / n)
+    maj_yes = _majority_yes(yes, n, config.continuum_tally, support)
+    maj_right = 2 * n_right >= n
 
     # Vote totals by post-referendum configuration. Majors both at y=1:
     # straight party-line voting, spoiler abandoned. Right alone at y=1: the
     # spoiler's base merges into Right, Left keeps everyone below its
     # election cut. Majors both at y=0: the pre-referendum three-way split.
-    both = y_left
-    only_right = y_right & ~y_left
     vr_pre = n_right - cons[:, 3]
     vl_pre = n_left - libs[:, 3]
     vt_pre = cons[:, 3] + libs[:, 3]
     vr_mid = (n_right - cons[:, 0]) + libs[:, 2] + libs[:, 3]
     vl_mid = cons[:, 0] + libs[:, 0] + libs[:, 1]
-    votes_right = np.where(both, n_right, np.where(only_right, vr_mid, vr_pre))
-    votes_left = np.where(both, n_left, np.where(only_right, vl_mid, vl_pre))
-    votes_third = np.where(both | only_right, 0, vt_pre)
 
-    s_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
-    s_left = params.mu * votes_left / n + (1.0 - params.mu) * (1.0 - eta)
-    s_third = params.mu * votes_third / n
+    def decide(regime):
+        y_right, y_left = _two_party_positions(params, regime, tally)
+        both = y_left
+        only_right = y_right & ~y_left
+        votes_right = np.where(both, n_right, np.where(only_right, vr_mid, vr_pre))
+        votes_left = np.where(both, n_left, np.where(only_right, vl_mid, vl_pre))
+        votes_third = np.where(both | only_right, 0, vt_pre)
 
-    ahead = (s_right > s_left) | ((s_right == s_left) & (coin < 0.5))
-    win_third = (s_third > s_right) & (s_third > s_left)
-    win_right = ~win_third & ahead
+        s_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
+        s_left = params.mu * votes_left / n + (1.0 - params.mu) * (1.0 - eta)
+        s_third = params.mu * votes_third / n
 
-    y_impl = np.where(win_third, True, np.where(win_right, y_right, y_left))
-    x_impl = win_right | win_third
-    maj_yes = _majority_yes(yes, n, config.continuum_tally, support)
-    maj_right = 2 * n_right >= n
-    held = regime is not ReferendumRegime.NO_REFERENDUM
-    return _RepArrays(
-        win_R=win_right,
-        cong_y=y_impl == maj_yes,
-        cong_x=x_impl == maj_right,
-        y1_share=np.asarray(tally, dtype=float) if held else None,
-        win_T=win_third,
-        ahead_R=ahead,
-    )
+        ahead = (s_right > s_left) | ((s_right == s_left) & (coin < 0.5))
+        win_third = (s_third > s_right) & (s_third > s_left)
+        win_right = ~win_third & ahead
+
+        y_impl = np.where(win_third, True, np.where(win_right, y_right, y_left))
+        x_impl = win_right | win_third
+        held = regime is not ReferendumRegime.NO_REFERENDUM
+        return _RepArrays(
+            win_R=win_right,
+            cong_y=y_impl == maj_yes,
+            cong_x=x_impl == maj_right,
+            y1_share=tally if held else None,
+            win_T=win_third,
+            ahead_R=ahead,
+        )
+
+    return [decide(regime) for regime in regimes]
 
 
 def _participation_cells(tp, b_J, gamma):
@@ -312,7 +326,9 @@ def _turnout_support(tp, gamma):
     )
 
 
-def _counts_turnout(tp, regime, config, rng):
+def _counts_turnout(tp, regimes, config, rng):
+    """A held measure draws different cells, so regimes holds one regime."""
+    (regime,) = regimes
     params = tp.base
     n, n_reps = config.n_policy_voters, config.n_replications
     taste_t = tp.taste_t
@@ -358,27 +374,30 @@ def _counts_turnout(tp, regime, config, rng):
 
     maj_yes = _majority_yes(yes_latent, n, config.continuum_tally, support)
     maj_right = 2 * n_right >= n
-    return _RepArrays(
+    return [_RepArrays(
         win_R=win,
         cong_y=y_impl == maj_yes,
         cong_x=win == maj_right,
         y1_share=y1_share,
         turnout_R=turnout_right,
         turnout_L=turnout_left,
-    )
+    )]
 
 
-def _agents(target, regime, config, rng_for):
-    """Per-voter loop shared by all modes; only the ballot rule differs."""
-    mode = config.mode
+def _agents(runs, config, rng_for):
+    """Per-voter loop shared by all modes; only the ballot rule differs.
+
+    runs are (mode, target, regime) triples on one draw stream: each
+    replication is drawn once and every run's ballots are decided on it.
+    """
+    mode, target, _ = runs[0]
     turnout = mode == "turnout"
     params = target if mode == "two_party" else target.base
     taste, shock = (
         (target.taste_t, target.shock_t) if turnout else (params.taste, params.shock)
     )
     n, n_reps = config.n_policy_voters, config.n_replications
-    held = regime is not ReferendumRegime.NO_REFERENDUM
-    rows = []
+    rows = [[] for _ in runs]
     for k in range(n_reps):
         rng = rng_for(k)
         gamma = float(shock.quantile(_uniform_open(rng)))
@@ -391,101 +410,124 @@ def _agents(target, regime, config, rng_for):
 
         yes = b_i >= 0
         n_cons = int(is_cons.sum())
-        win_third = False
-        y1 = turnout_right = turnout_left = math.nan
+        maj_right = 2 * n_cons >= n
         if turnout:
             support = _turnout_support(target, gamma)
-            stake = params.p + np.abs(b_i) if held else params.p
-            votes = stake >= cost
-            part_right = votes & is_cons
-            part_left = votes & ~is_cons
-            s_right = params.mu * part_right.mean() + (1.0 - params.mu) * eta
-            s_left = params.mu * part_left.mean() + (1.0 - params.mu) * (1.0 - eta)
-            win = ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
-            y_impl = False
-            if held:
-                if config.continuum_tally:
-                    yes_cast, no_cast = _cast_rates(target, gamma)
-                else:
-                    yes_cast = int((votes & yes).sum())
-                    no_cast = int((votes & ~yes).sum())
-                y_impl = yes_cast >= no_cast
-                total = yes_cast + no_cast
-                y1 = yes_cast / total if total else math.nan
-            turnout_right = part_right.sum() / n_cons if n_cons else math.nan
-            turnout_left = part_left.sum() / (n - n_cons) if n - n_cons else math.nan
         else:
             support = float(referendum_support(params, gamma))
             tally = support if config.continuum_tally else yes.mean()
-            if held:
-                y1 = tally
-            y_right, y_left = (
-                bool(a[0])
-                for a in _two_party_positions(params, regime, np.array([tally]))
-            )
-            util_right = params.p * is_cons + b_i * y_right
-            util_left = params.p * ~is_cons + b_i * y_left
-            prefers_right = (util_right > util_left) | (
-                (util_right == util_left) & is_cons
-            )
-            if mode == "two_party":
-                share = params.mu * prefers_right.mean() + (1.0 - params.mu) * eta
-                win = ahead = share > 0.5 or (share == 0.5 and coin < 0.5)
-            else:
-                util_third = params.p * is_cons + b_i + target.v
-                vote_third = util_third > np.maximum(util_right, util_left)
-                vote_right = ~vote_third & prefers_right
-                vote_left = ~vote_third & ~prefers_right
-                s_right = params.mu * vote_right.mean() + (1.0 - params.mu) * eta
-                s_left = params.mu * vote_left.mean() + (1.0 - params.mu) * (1.0 - eta)
-                s_third = params.mu * vote_third.mean()
-                ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
-                win_third = s_third > s_right and s_third > s_left
-                win = not win_third and ahead
-            y_impl = win_third or (y_right if win else y_left)
-
+            p_cons, p_libs = params.p * is_cons, params.p * ~is_cons
         maj_yes = bool(
             _majority_yes(int(yes.sum()), n, config.continuum_tally, support)
         )
-        rows.append((  # in _RepArrays field order
-            win, y_impl == maj_yes, (win or win_third) == (2 * n_cons >= n), y1,
-            win_third, ahead, turnout_right, turnout_left,
-        ))
-    return _RepArrays(*(np.array(col) for col in zip(*rows)))
+        for (run_mode, run_target, regime), out in zip(runs, rows):
+            held = regime is not ReferendumRegime.NO_REFERENDUM
+            win_third = False
+            y1 = turnout_right = turnout_left = math.nan
+            if turnout:
+                stake = params.p + np.abs(b_i) if held else params.p
+                votes = stake >= cost
+                part_right = votes & is_cons
+                part_left = votes & ~is_cons
+                s_right = params.mu * part_right.mean() + (1.0 - params.mu) * eta
+                s_left = params.mu * part_left.mean() + (1.0 - params.mu) * (1.0 - eta)
+                win = ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
+                y_impl = False
+                if held:
+                    if config.continuum_tally:
+                        yes_cast, no_cast = _cast_rates(target, gamma)
+                    else:
+                        yes_cast = int((votes & yes).sum())
+                        no_cast = int((votes & ~yes).sum())
+                    y_impl = yes_cast >= no_cast
+                    total = yes_cast + no_cast
+                    y1 = yes_cast / total if total else math.nan
+                turnout_right = part_right.sum() / n_cons if n_cons else math.nan
+                turnout_left = part_left.sum() / (n - n_cons) if n - n_cons else math.nan
+            else:
+                if held:
+                    y1 = tally
+                y_right, y_left = (
+                    bool(a[0])
+                    for a in _two_party_positions(params, regime, np.array([tally]))
+                )
+                util_right = p_cons + b_i * y_right
+                util_left = p_libs + b_i * y_left
+                prefers_right = (util_right > util_left) | (
+                    (util_right == util_left) & is_cons
+                )
+                if run_mode == "two_party":
+                    share = params.mu * prefers_right.mean() + (1.0 - params.mu) * eta
+                    win = ahead = share > 0.5 or (share == 0.5 and coin < 0.5)
+                else:
+                    util_third = p_cons + b_i + run_target.v
+                    vote_third = util_third > np.maximum(util_right, util_left)
+                    vote_right = ~vote_third & prefers_right
+                    vote_left = ~vote_third & ~prefers_right
+                    s_right = params.mu * vote_right.mean() + (1.0 - params.mu) * eta
+                    s_left = params.mu * vote_left.mean() + (1.0 - params.mu) * (1.0 - eta)
+                    s_third = params.mu * vote_third.mean()
+                    ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
+                    win_third = s_third > s_right and s_third > s_left
+                    win = not win_third and ahead
+                y_impl = win_third or (y_right if win else y_left)
+
+            out.append((  # in _RepArrays field order
+                win, y_impl == maj_yes, (win or win_third) == maj_right, y1,
+                win_third, ahead, turnout_right, turnout_left,
+            ))
+    return [_RepArrays(*(np.array(col) for col in zip(*out))) for out in rows]
 
 
-def _check_target(target, regime, config):
-    kind, require = {
-        "two_party": (ElectorateParams, require_valid),
-        "third_party": (ThirdPartyParams, require_valid_third),
-        "turnout": (TurnoutParams, require_valid_turnout),
-    }[config.mode]
-    if not isinstance(target, kind):
-        raise UsageError(
-            f"{config.mode} mode simulates a {kind.__name__}, got {type(target).__name__}"
-        )
-    require(target)
-    require_regime(regime, config.mode)
+_TARGETS = {  # target type: (mode, validator)
+    ElectorateParams: ("two_party", require_valid),
+    ThirdPartyParams: ("third_party", require_valid_third),
+    TurnoutParams: ("turnout", require_valid_turnout),
+}
+_COUNTS = {
+    "two_party": _counts_two_party,
+    "third_party": _counts_third_party,
+    "turnout": _counts_turnout,
+}
 
 
-def _arrays(target, regime, config) -> _RepArrays:
-    # simulate and estimate_threshold both come through here.
+def _require_mode(target, config) -> None:
+    if _TARGETS.get(type(target), ("",))[0] != config.mode:
+        raise UsageError(f"{config.mode} mode cannot simulate a {type(target).__name__}")
+
+
+def _arrays(runs, config):
+    """Yield (index, _RepArrays) for every (target, regime) run, one draw
+    stream at a time, drawing each shared stream once (see the determinism
+    contract). Every run is validated before the first draw."""
+    # simulate_runs and estimate_threshold both come through here.
     _validate_config(config)
-    _check_target(target, regime, config)
-    if config.agent_level:
-        def rng_for(k):
-            return np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((config.seed, k + 1)))
-            )
+    groups = {}
+    for i, (target, regime) in enumerate(runs):
+        if type(target) not in _TARGETS:
+            raise UsageError(f"cannot simulate a {type(target).__name__}")
+        mode, require = _TARGETS[type(target)]
+        require(target)
+        require_regime(regime, mode)
+        if config.agent_level:
+            key = target.base if mode == "third_party" else target
+        else:
+            key = i if mode == "turnout" else target
+        groups.setdefault(key, []).append((i, mode, target, regime))
 
-        return _agents(target, regime, config, rng_for)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    kernel = {
-        "two_party": _counts_two_party,
-        "third_party": _counts_third_party,
-        "turnout": _counts_turnout,
-    }[config.mode]
-    return kernel(target, regime, config, rng)
+    def rng_for(k):
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((config.seed, k + 1)))
+        )
+
+    for group in groups.values():
+        order, modes, targets, regimes = zip(*group)
+        if config.agent_level:
+            results = _agents(tuple(zip(modes, targets, regimes)), config, rng_for)
+        else:
+            rng = np.random.Generator(np.random.Philox(config.seed))
+            results = _COUNTS[modes[0]](targets[0], regimes, config, rng)
+        yield from zip(order, results)
 
 
 def _binom_se(phat: float, n_reps: int) -> float:
@@ -504,15 +546,7 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, se
 
 
-def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
-    """Run the finite-agent election and aggregate replication frequencies.
-
-    target must match config.mode: ElectorateParams for two_party,
-    ThirdPartyParams for third_party, TurnoutParams for turnout. regime is
-    one the mode's model defines (model.REGIMES), no_referendum being the
-    baseline, and the same value the analytic win probability takes.
-    """
-    arrays = _arrays(target, regime, config)
+def _summary(target, regime, arrays: _RepArrays, config: SimConfig) -> SimResult:
     n_reps = config.n_replications
     win_R = float(arrays.win_R.mean())
     win_T = arrays.win_T if arrays.win_T is not None else np.zeros_like(arrays.win_R)
@@ -523,7 +557,7 @@ def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
     turnout_R, _ = _mean_se(arrays.turnout_R)
     turnout_L, _ = _mean_se(arrays.turnout_L)
     return SimResult(
-        mode=config.mode,
+        mode=_TARGETS[type(target)][0],
         regime=regime,
         held=regime is not ReferendumRegime.NO_REFERENDUM,
         n_policy_voters=config.n_policy_voters,
@@ -543,6 +577,35 @@ def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
         turnout_freq_L=turnout_L,
         seed=config.seed,
     )
+
+
+def simulate_runs(runs, config: SimConfig) -> tuple[SimResult, ...]:
+    """Run several finite-agent elections under one config, in input order.
+
+    runs holds (target, regime) pairs. Each run's mode is read off its
+    target's type, not from config.mode. Runs on one draw stream are drawn
+    once (see the determinism contract); each result is byte-identical to a
+    separate simulate call.
+    """
+    runs = tuple(runs)
+    results = [None] * len(runs)
+    # Summarise each stream's runs before the next is drawn.
+    for i, arrays in _arrays(runs, config):
+        results[i] = _summary(*runs[i], arrays, config)
+    return tuple(results)
+
+
+def simulate(target, regime: ReferendumRegime, config: SimConfig) -> SimResult:
+    """Run the finite-agent election and aggregate replication frequencies.
+
+    target must match config.mode: ElectorateParams for two_party,
+    ThirdPartyParams for third_party, TurnoutParams for turnout. regime is
+    one the mode's model defines (model.REGIMES), no_referendum being the
+    baseline, and the same value the analytic win probability takes.
+    simulate_runs runs several regimes or targets on shared draws.
+    """
+    _require_mode(target, config)
+    return simulate_runs(((target, regime),), config)[0]
 
 
 @dataclass(frozen=True)
@@ -566,9 +629,7 @@ _THRESHOLD_RUNS = {
 def _with_r(target, r_value: float):
     if isinstance(target, ElectorateParams):
         return replace(target, r=r_value)
-    if isinstance(target, (ThirdPartyParams, TurnoutParams)):
-        return replace(target, base=replace(target.base, r=r_value))
-    raise UsageError(f"cannot sweep r on {type(target).__name__}")
+    return replace(target, base=replace(target.base, r=r_value))
 
 
 def estimate_threshold(
@@ -594,6 +655,7 @@ def estimate_threshold(
     mode, regime, orient = _THRESHOLD_RUNS[quantity]
     if config.mode != mode:
         raise UsageError(f"{quantity} needs config.mode={mode!r}, got {config.mode!r}")
+    _require_mode(target, config)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < 1.0:
         raise UsageError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
@@ -602,9 +664,8 @@ def estimate_threshold(
 
     def measure(r_value):
         t = _with_r(target, r_value)
-        diff = _arrays(t, regime, config).win_R.astype(np.float64) - _arrays(
-            t, ReferendumRegime.NO_REFERENDUM, config
-        ).win_R.astype(np.float64)
+        arrays = dict(_arrays(((t, regime), (t, ReferendumRegime.NO_REFERENDUM)), config))
+        diff = arrays[0].win_R.astype(np.float64) - arrays[1].win_R.astype(np.float64)
         se = (
             float(diff.std(ddof=1) / math.sqrt(diff.size))
             if diff.size > 1

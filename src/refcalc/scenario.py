@@ -167,9 +167,13 @@ def parse_scenario(data, source: str = "scenario") -> Scenario:
         )
         require_valid_turnout(turnout)
 
-    quadrature = QuadratureConfig(**_fields(obj, "quadrature", source, {
+    tolerances = _fields(obj, "quadrature", source, {
         "abs_tol": _real, "rel_tol": _real, "max_subdivisions": _integer,
-    }))
+    })
+    try:
+        quadrature = QuadratureConfig(**tolerances)
+    except UsageError as exc:
+        raise ScenarioError(f"{source}.quadrature: {exc}") from None
     sim = SimConfig(**_fields(obj, "sim", source, {
         "n_policy_voters": _integer, "n_replications": _integer, "seed": _integer,
         "agent_level": _boolean, "continuum_tally": _boolean,

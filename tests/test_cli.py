@@ -198,6 +198,16 @@ def test_nan_tolerance_in_scenario_file_exits_2(tmp_path, capsys):
     assert "rel_tol" in capsys.readouterr().err
 
 
+def test_quadrature_block_error_names_its_path(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(_scenario_a(quadrature={"rel_tol": math.nan})))
+    assert main(["eval", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"scenario error: {path}.quadrature: "
+        "rel_tol must be finite and non-negative, got nan\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "SCN", "--threads", "2"],
     ["eval", "SCN", "--seed", "3"],
@@ -509,3 +519,89 @@ def test_validate_seed_flag_overrides_scenario(tmp_path, capsys):
     assert main(["validate", scn, "--out", str(one)]) == 0
     assert main(["validate", scn, "--out", str(two), "--seed", "10"]) == 0
     assert one.read_bytes() != two.read_bytes()
+
+
+def _scenario_combined(agent_level):
+    # Both extension blocks on one electorate: validate's third-party and
+    # turnout rows, with every two-party and spoiler run on one draw stream.
+    return {
+        **_scenario_turnout(),
+        "regime": "non_binding",
+        "third_party": {"v": -0.05},
+        "sim": {"n_policy_voters": 2000, "n_replications": 200, "seed": 5,
+                "agent_level": agent_level},
+    }
+
+
+# validate's report (after its "scenario:" line) and CSV on the combined
+# scenario, as the oracle produced them with one simulate call per row.
+_COMBINED_VALIDATE = {
+    "counts": (
+        (
+            'seed:     5\n'
+            'voters:   2000   replications: 200\n'
+            '==============================================================================\n'
+            'win_prob_no_referendum         analytic= 0.575000  simulated= 0.590000  z=  0.43  PASS\n'
+            'congruence_y_no_referendum     analytic= 0.973365  simulated= 0.975000  z=  0.15  PASS\n'
+            'win_prob_non_binding           analytic= 0.567023  simulated= 0.580000  z=  0.37  PASS\n'
+            'congruence_y_non_binding       analytic= 0.959931  simulated= 0.935000  z=  1.43  PASS\n'
+            'ahead_third_no_referendum      analytic= 0.494141  simulated= 0.505000  z=  0.31  PASS\n'
+            'ahead_third_non_binding        analytic= 0.495742  simulated= 0.500000  z=  0.12  PASS\n'
+            'win_prob_turnout_no_referendum analytic= 0.502500  simulated= 0.515000  z=  0.35  PASS\n'
+            'win_prob_turnout_binding       analytic= 0.506652  simulated= 0.520000  z=  0.38  PASS\n'
+            '==============================================================================\n'
+            '8 of 8 checks within 3 standard errors\n'
+        ),
+        (
+            'quantity,analytic,simulated,se,z,verdict\r\n'
+            'win_prob_no_referendum,0.575,0.59,0.0347778665246,0.431308803529,PASS\r\n'
+            'congruence_y_no_referendum,0.9733645854,0.975,0.0110397010829,0.148139391454,PASS\r\n'
+            'win_prob_non_binding,0.56702250159,0.58,0.0348998567332,0.371849618444,PASS\r\n'
+            'congruence_y_non_binding,0.959930615436,0.935,0.0174320107848,1.43016291944,PASS\r\n'
+            'ahead_third_no_referendum,0.49414074641,0.505,0.0353535712482,0.30716143254,PASS\r\n'
+            'ahead_third_non_binding,0.495741885843,0.5,0.0353553390593,0.120437655818,PASS\r\n'
+            'win_prob_turnout_no_referendum,0.5025,0.515,0.0353394255754,0.353712597091,PASS\r\n'
+            'win_prob_turnout_binding,0.506651508461,0.52,0.0353270434653,0.377854760243,PASS\r\n'
+        ),
+    ),
+    "agents": (
+        (
+            'seed:     5\n'
+            'voters:   2000   replications: 200\n'
+            '==============================================================================\n'
+            'win_prob_no_referendum         analytic= 0.575000  simulated= 0.610000  z=  1.01  PASS\n'
+            'congruence_y_no_referendum     analytic= 0.973365  simulated= 0.980000  z=  0.67  PASS\n'
+            'win_prob_non_binding           analytic= 0.567023  simulated= 0.610000  z=  1.25  PASS\n'
+            'congruence_y_non_binding       analytic= 0.959931  simulated= 0.950000  z=  0.64  PASS\n'
+            'ahead_third_no_referendum      analytic= 0.494141  simulated= 0.500000  z=  0.17  PASS\n'
+            'ahead_third_non_binding        analytic= 0.495742  simulated= 0.510000  z=  0.40  PASS\n'
+            'win_prob_turnout_no_referendum analytic= 0.502500  simulated= 0.495000  z=  0.21  PASS\n'
+            'win_prob_turnout_binding       analytic= 0.506652  simulated= 0.515000  z=  0.24  PASS\n'
+            '==============================================================================\n'
+            '8 of 8 checks within 3 standard errors\n'
+        ),
+        (
+            'quantity,analytic,simulated,se,z,verdict\r\n'
+            'win_prob_no_referendum,0.575,0.61,0.034489128722,1.0148125307,PASS\r\n'
+            'congruence_y_no_referendum,0.9733645854,0.98,0.00989949493661,0.670278094261,PASS\r\n'
+            'win_prob_non_binding,0.56702250159,0.61,0.034489128722,1.24611725499,PASS\r\n'
+            'congruence_y_non_binding,0.959930615436,0.95,0.0154110350074,0.644383419465,PASS\r\n'
+            'ahead_third_no_referendum,0.49414074641,0.5,0.0353553390593,0.165724717847,PASS\r\n'
+            'ahead_third_non_binding,0.495741885843,0.51,0.0353482672843,0.403361048571,PASS\r\n'
+            'win_prob_turnout_no_referendum,0.5025,0.495,0.0353535712482,0.212142641753,PASS\r\n'
+            'win_prob_turnout_binding,0.506651508461,0.515,0.0353394255754,0.236237329915,PASS\r\n'
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["counts", "agents"])
+def test_validate_third_party_and_turnout_rows_are_pinned(tmp_path, capsys, engine):
+    scn = _dump(tmp_path, "both.json", _scenario_combined(engine == "agents"))
+    out = tmp_path / "val.csv"
+    assert main(["validate", scn, "--out", str(out)]) == 0
+    report, expected_csv = _COMBINED_VALIDATE[engine]
+    captured = capsys.readouterr()
+    assert captured.out == f"scenario: {scn}\n" + report
+    assert captured.err == ""
+    assert out.read_bytes() == expected_csv.encode()

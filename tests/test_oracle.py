@@ -7,6 +7,7 @@ import math
 from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from refcalc.election import win_prob
@@ -88,35 +89,42 @@ def test_agent_engine_is_deterministic_too():
     assert simulate(SCENARIO_A, BINDING, cfg) == simulate(SCENARIO_A, BINDING, cfg)
 
 
-def _golden_results():
+GOLDEN_TARGETS = [
+    ("two_party", "A", SCENARIO_A, (NO_REF, BINDING, NON_BINDING)),
+    ("two_party", "aligned", ALIGNED, (NO_REF, BINDING, NON_BINDING)),
+    ("third_party", "spoiler", SPOILER, (NO_REF, NON_BINDING)),
+    ("turnout", "turnout", TURNOUT, (NO_REF, BINDING)),
+]
+
+
+def _golden_results(paired=False):
     """repr of the SimResult tuple over mode x allowed regime x engine x
-    continuum_tally x seed, keyed by configuration.
+    continuum_tally x seed, keyed by configuration. With paired, one
+    simulate_runs call per target x engine x tally x seed covers all of the
+    target's regimes on shared draws.
 
     Re-record after an intended change with
     ``json.dump(_golden_results(), open(GOLDEN_PATH, "w"), indent=1)``.
     """
-    targets = [
-        ("two_party", "A", SCENARIO_A, (NO_REF, BINDING, NON_BINDING)),
-        ("two_party", "aligned", ALIGNED, (NO_REF, BINDING, NON_BINDING)),
-        ("third_party", "spoiler", SPOILER, (NO_REF, NON_BINDING)),
-        ("turnout", "turnout", TURNOUT, (NO_REF, BINDING)),
-    ]
     out = {}
-    for mode, name, target, regimes in targets:
-        for regime in regimes:
-            for agents in (False, True):
-                for continuum in (False, True):
-                    for seed in (1, 2**40 + 3):
-                        cfg = SimConfig(
-                            n_policy_voters=400, n_replications=50, seed=seed,
-                            mode=mode, agent_level=agents, continuum_tally=continuum,
-                        )
+    for mode, name, target, regimes in GOLDEN_TARGETS:
+        for agents in (False, True):
+            for continuum in (False, True):
+                for seed in (1, 2**40 + 3):
+                    cfg = SimConfig(
+                        n_policy_voters=400, n_replications=50, seed=seed,
+                        mode=mode, agent_level=agents, continuum_tally=continuum,
+                    )
+                    if paired:
+                        results = oracle.simulate_runs([(target, r) for r in regimes], cfg)
+                    else:
+                        results = [simulate(target, r, cfg) for r in regimes]
+                    for regime, res in zip(regimes, results, strict=True):
                         key = "/".join([
                             mode, name, regime.value,
                             "agents" if agents else "counts",
                             "continuum" if continuum else "sampled", str(seed),
                         ])
-                        res = simulate(target, regime, cfg)
                         out[key] = repr(astuple(res))
     return out
 
@@ -130,6 +138,75 @@ def test_golden_results_are_frozen():
     assert actual.keys() == golden.keys()
     changed = {k: (golden[k], v) for k, v in actual.items() if golden[k] != v}
     assert not changed, changed
+
+
+def test_paired_runs_reproduce_the_golden_file():
+    # Every result must still be the one a separate simulate call froze.
+    assert _golden_results(paired=True) == json.loads(GOLDEN_PATH.read_text())
+
+
+def _separately(runs, cfg):
+    return [
+        repr(astuple(simulate(target, regime, replace(cfg, mode=mode))))
+        for mode, target, regime in runs
+    ]
+
+
+def _paired(runs, cfg):
+    results = oracle.simulate_runs([(target, regime) for _, target, regime in runs], cfg)
+    assert [res.mode for res in results] == [mode for mode, _, _ in runs]
+    assert [res.regime for res in results] == [regime for _, _, regime in runs]
+    return [repr(astuple(res)) for res in results]
+
+
+@pytest.mark.parametrize("agents", [False, True], ids=["counts", "agents"])
+def test_two_party_and_third_party_runs_pair_on_one_electorate(agents):
+    # In the agents engine all five runs share one per-voter loop.
+    runs = [("two_party", SPOILER.base, r) for r in (NO_REF, BINDING, NON_BINDING)]
+    runs += [("third_party", SPOILER, r) for r in (NO_REF, NON_BINDING)]
+    cfg = SimConfig(n_policy_voters=500, n_replications=40, seed=3, agent_level=agents)
+    assert _paired(runs, cfg) == _separately(runs, cfg)
+
+
+@pytest.mark.parametrize("agents", [False, True], ids=["counts", "agents"])
+def test_paired_results_come_back_in_input_order(agents):
+    runs = [
+        ("turnout", TURNOUT, BINDING),
+        ("two_party", SCENARIO_A, NON_BINDING),
+        ("third_party", SPOILER, NON_BINDING),
+        ("two_party", ALIGNED, NO_REF),
+        ("turnout", TURNOUT, NO_REF),
+        ("two_party", SCENARIO_A, NO_REF),
+        ("two_party", SPOILER.base, BINDING),
+        ("third_party", SPOILER, NO_REF),
+        ("two_party", SCENARIO_A, NON_BINDING),
+    ]
+    cfg = SimConfig(n_policy_voters=500, n_replications=40, seed=8, agent_level=agents)
+    assert _paired(runs, cfg) == _separately(runs, cfg)
+
+
+@pytest.mark.parametrize(
+    "agents, streams", [(False, 4), (True, 2 * 10)], ids=["counts", "agents"]
+)
+def test_runs_on_one_stream_are_drawn_once(agents, streams, monkeypatch):
+    # validate's six runs on a scenario with both extension blocks. The
+    # counts engine pairs regimes within a mode, except a held turnout
+    # measure, which draws different cells: 4 streams, not 6. The agents
+    # engine draws the electorate once for the four ballot runs and once for
+    # the turnout runs: 2 streams per replication, not 6.
+    made = []
+
+    def philox(*args, _philox=np.random.Philox):
+        made.append(args)
+        return _philox(*args)
+
+    monkeypatch.setattr(np.random, "Philox", philox)
+    runs = [(TURNOUT.base, NO_REF), (TURNOUT.base, NON_BINDING)]
+    runs += [(replace(SPOILER, base=TURNOUT.base), r) for r in (NO_REF, NON_BINDING)]
+    runs += [(TURNOUT, r) for r in (NO_REF, BINDING)]
+    cfg = SimConfig(n_policy_voters=200, n_replications=10, seed=1, agent_level=agents)
+    assert len(oracle.simulate_runs(runs, cfg)) == 6
+    assert len(made) == streams
 
 
 # ------------------------------------------- analytic vs simulated (3 SE)
@@ -353,6 +430,8 @@ def test_estimate_threshold_rejects_unknown_quantity():
         estimate_threshold(SCENARIO_A, "r_nonsense", cfg)
     with pytest.raises(UsageError):
         estimate_threshold(SCENARIO_A, "r_T", cfg)  # wrong mode for quantity
+    with pytest.raises(UsageError):
+        estimate_threshold(SPOILER, "r_star", cfg)  # wrong target for the mode
     with pytest.raises(UsageError):
         estimate_threshold(SCENARIO_A, "r_bind", cfg, bracket=(0.9, 0.1))
 

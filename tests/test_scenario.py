@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -134,6 +135,23 @@ def test_quadrature_and_sim_overrides():
     assert sc.sim.n_replications == 10_000  # untouched default
     assert sc.sim.seed == 7
     assert sc.sim.agent_level is True
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"rel_tol": math.nan}, "rel_tol must be finite and non-negative, got nan"),
+    ({"abs_tol": 0.0}, "abs_tol must be finite and positive, got 0.0"),
+    ({"max_subdivisions": 0}, "max_subdivisions must be at least 1"),
+])
+def test_quadrature_block_errors_name_their_path(block, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({**_minimal(), "quadrature": block}, source="scn.json")
+    assert str(exc.value) == f"scn.json.quadrature: {message}"
+
+
+def test_quadrature_type_error_names_its_field_once():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({**_minimal(), "quadrature": {"rel_tol": "x"}}, source="scn.json")
+    assert str(exc.value) == "scn.json.quadrature.rel_tol must be a number, got 'x'"
 
 
 def test_sim_integer_fields_reject_floats_and_bools():
