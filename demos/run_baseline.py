@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     print(f"model requirements: {'all satisfied' if not violations else violations}")
     for dist, label in ((p.taste, "taste"), (p.shock, "shock")):
         report = validate_shape(dist)
-        verdict = "ok" if report.ok else f"FAILED {report.failures}"
+        verdict = "ok" if report.ok else f"FAILED {report.failures()}"
         print(f"shape audit ({label:>5}): symmetric, unimodal, unit-mass ... {verdict}")
 
     section("positions and the pivotal shock")

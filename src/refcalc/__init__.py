@@ -49,7 +49,6 @@ from .model import (
     validate,
 )
 from .oracle import (
-    MODES,
     SimConfig,
     SimResult,
     ThresholdEstimate,

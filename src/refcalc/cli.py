@@ -4,12 +4,13 @@ All four subcommands take --quad-abs-tol, --quad-rel-tol and --out; only
 sweep takes --threads and only validate --seed, the one subcommand that runs
 the oracle. CLI flags override the scenario file's own quadrature and sim
 blocks. Exit codes: 0 on success (a validate run that prints FAIL verdicts
-still succeeded at its job), 2 on scenario or usage errors, 3 on numerical
-failures. eval and sweep share one table of named quantities (_QUANTITIES);
-sweep rejects a quantity or --var (_VARS) whose regime, third_party or
-turnout block is missing, and where a present block fails its constraints at
-a grid point, the cell is empty. sweep starts at most one of its --threads
-(>= 1) workers per grid point.
+still succeeded at its job), 2 on scenario or usage errors (an --out path
+that cannot be opened among them), 3 on numerical failures. eval and sweep
+share one table of named quantities (_QUANTITIES); sweep rejects a quantity
+or --var (_VARS) whose regime, third_party or turnout block is missing, and
+where a present block fails its constraints at a grid point, the cell is
+empty. sweep starts at most one of its --threads (>= 1) workers per grid
+point.
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -72,9 +73,12 @@ def _fmt(value) -> str:
 
 
 def _open_out(path):
-    if path:
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
         return open(path, "w", newline="", encoding="utf-8")
-    return nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_csv(path, header, rows):

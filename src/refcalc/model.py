@@ -19,6 +19,7 @@ Two maintained restrictions gate every computation:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,8 +85,11 @@ def _violations(params: ElectorateParams, bias_order: bool) -> list[str]:
         v.append(f"r must lie in (0, 1), got {params.r}")
     if not 0 < params.mu < 1:
         v.append(f"mu must lie in (0, 1), got {params.mu}")
-    if not params.p > 0:
-        v.append(f"p must be positive, got {params.p}")
+    if not 0 < params.p < math.inf:
+        v.append(f"p must be positive and finite, got {params.p}")
+    for name in ("b_L", "b_R"):
+        if not math.isfinite(getattr(params, name)):
+            v.append(f"{name} must be finite, got {getattr(params, name)}")
     if bias_order and not (params.b_L < 0 and params.b_L < params.b_R):
         v.append(
             f"bias ordering violated: need b_L < 0 and b_L < b_R, got b_L={params.b_L}, b_R={params.b_R}"

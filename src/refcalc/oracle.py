@@ -62,8 +62,6 @@ from .errors import UsageError
 from .third_party import ThirdPartyParams, require_valid_third
 from .turnout import TurnoutParams, require_valid_turnout
 
-MODES = ("two_party", "third_party", "turnout")
-
 _TINY = 1e-16  # keeps quantile-transform arguments strictly inside (0, 1)
 
 
@@ -76,33 +74,29 @@ class SimConfig:
     agent_level: bool = False
     continuum_tally: bool = False
 
-
-def _validate_config(config: SimConfig) -> None:
-    if not (isinstance(config.n_policy_voters, int) and config.n_policy_voters >= 1):
-        raise UsageError(
-            f"n_policy_voters must be a positive integer, got {config.n_policy_voters!r}"
-        )
-    if not (isinstance(config.n_replications, int) and config.n_replications >= 1):
-        raise UsageError(
-            f"n_replications must be a positive integer, got {config.n_replications!r}"
-        )
-    if not (isinstance(config.seed, int) and 0 <= config.seed < 2**64):
-        raise UsageError(f"seed must be an integer in [0, 2^64), got {config.seed!r}")
+    def __post_init__(self):
+        # type() rather than isinstance(): bool is an int subclass.
+        for name in ("n_policy_voters", "n_replications"):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= 1):
+                raise UsageError(f"{name} must be a positive integer, got {value!r}")
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
+            raise UsageError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class SimResult:
     """Aggregated frequencies over replications, with binomial standard errors.
 
-    win_freq_T and the turnout fields are NaN outside their modes, as is
-    referendum_y1_share when no referendum is held. ahead_freq_R is the
-    probability Right outpolls Left (equal to win_freq_R except in
-    third_party mode, where the spoiler can in principle finish first).
+    win_freq_T is 0.0 outside third_party mode. The turnout fields are NaN
+    outside turnout mode, as is referendum_y1_share when no referendum is
+    held. ahead_freq_R is the probability Right outpolls Left (equal to
+    win_freq_R except in third_party mode, where the spoiler can in
+    principle finish first).
     """
 
     mode: str
     regime: ReferendumRegime
-    held: bool
     n_policy_voters: int
     n_replications: int
     win_freq_R: float
@@ -211,12 +205,11 @@ def _counts_two_party(params, regimes, config, rng):
         share_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
         win = (share_right > 0.5) | ((share_right == 0.5) & (coin < 0.5))
         y_impl = np.where(win, y_right, y_left)
-        held = regime is not ReferendumRegime.NO_REFERENDUM
         return _RepArrays(
             win_R=win,
             cong_y=y_impl == maj_yes,
             cong_x=win == maj_right,
-            y1_share=tally if held else None,
+            y1_share=None if regime is ReferendumRegime.NO_REFERENDUM else tally,
         )
 
     return [decide(regime) for regime in regimes]
@@ -276,12 +269,11 @@ def _counts_third_party(tp, regimes, config, rng):
 
         y_impl = np.where(win_third, True, np.where(win_right, y_right, y_left))
         x_impl = win_right | win_third
-        held = regime is not ReferendumRegime.NO_REFERENDUM
         return _RepArrays(
             win_R=win_right,
             cong_y=y_impl == maj_yes,
             cong_x=x_impl == maj_right,
-            y1_share=tally if held else None,
+            y1_share=None if regime is ReferendumRegime.NO_REFERENDUM else tally,
             win_T=win_third,
             ahead_R=ahead,
         )
@@ -479,15 +471,10 @@ def _agents(runs, config, rng_for):
     return [_RepArrays(*(np.array(col) for col in zip(*out))) for out in rows]
 
 
-_TARGETS = {  # target type: (mode, validator)
-    ElectorateParams: ("two_party", require_valid),
-    ThirdPartyParams: ("third_party", require_valid_third),
-    TurnoutParams: ("turnout", require_valid_turnout),
-}
-_COUNTS = {
-    "two_party": _counts_two_party,
-    "third_party": _counts_third_party,
-    "turnout": _counts_turnout,
+_TARGETS = {  # target type: (mode, validator, counts kernel)
+    ElectorateParams: ("two_party", require_valid, _counts_two_party),
+    ThirdPartyParams: ("third_party", require_valid_third, _counts_third_party),
+    TurnoutParams: ("turnout", require_valid_turnout, _counts_turnout),
 }
 
 
@@ -500,13 +487,11 @@ def _arrays(runs, config):
     """Yield (index, _RepArrays) for every (target, regime) run, one draw
     stream at a time, drawing each shared stream once (see the determinism
     contract). Every run is validated before the first draw."""
-    # simulate_runs and estimate_threshold both come through here.
-    _validate_config(config)
     groups = {}
     for i, (target, regime) in enumerate(runs):
         if type(target) not in _TARGETS:
             raise UsageError(f"cannot simulate a {type(target).__name__}")
-        mode, require = _TARGETS[type(target)]
+        mode, require, _ = _TARGETS[type(target)]
         require(target)
         require_regime(regime, mode)
         if config.agent_level:
@@ -526,7 +511,8 @@ def _arrays(runs, config):
             results = _agents(tuple(zip(modes, targets, regimes)), config, rng_for)
         else:
             rng = np.random.Generator(np.random.Philox(config.seed))
-            results = _COUNTS[modes[0]](targets[0], regimes, config, rng)
+            counts = _TARGETS[type(targets[0])][2]
+            results = counts(targets[0], regimes, config, rng)
         yield from zip(order, results)
 
 
@@ -559,7 +545,6 @@ def _summary(target, regime, arrays: _RepArrays, config: SimConfig) -> SimResult
     return SimResult(
         mode=_TARGETS[type(target)][0],
         regime=regime,
-        held=regime is not ReferendumRegime.NO_REFERENDUM,
         n_policy_voters=config.n_policy_voters,
         n_replications=n_reps,
         win_freq_R=win_R,

@@ -39,6 +39,9 @@ class QuadratureConfig:
             raise UsageError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
         if not 0.0 <= self.rel_tol < math.inf:
             raise UsageError(f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
+        # A NaN or inf budget would never run out; bool is an int subclass.
+        if type(self.max_subdivisions) is not int:
+            raise UsageError(f"max_subdivisions must be an integer, got {self.max_subdivisions!r}")
         if self.max_subdivisions < 1:
             raise UsageError("max_subdivisions must be at least 1")
 

@@ -174,10 +174,14 @@ def parse_scenario(data, source: str = "scenario") -> Scenario:
         quadrature = QuadratureConfig(**tolerances)
     except UsageError as exc:
         raise ScenarioError(f"{source}.quadrature: {exc}") from None
-    sim = SimConfig(**_fields(obj, "sim", source, {
+    settings = _fields(obj, "sim", source, {
         "n_policy_voters": _integer, "n_replications": _integer, "seed": _integer,
         "agent_level": _boolean, "continuum_tally": _boolean,
-    }))
+    })
+    try:
+        sim = SimConfig(**settings)
+    except UsageError as exc:
+        raise ScenarioError(f"{source}.sim: {exc}") from None
 
     return Scenario(
         params=params, regime=regime, third=third, turnout=turnout,

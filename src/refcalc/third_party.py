@@ -51,8 +51,8 @@ def validate_third(tp: ThirdPartyParams) -> list[str]:
             f"spoiler analysis needs both majors at y=0 (b_L < b_R < 0), "
             f"got b_R={tp.base.b_R}"
         )
-    if not tp.v < 0:
-        violations.append(f"valence v must be negative, got {tp.v}")
+    if not -math.inf < tp.v < 0:
+        violations.append(f"valence v must be negative and finite, got {tp.v}")
     return violations
 
 

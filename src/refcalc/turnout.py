@@ -26,13 +26,14 @@ imposes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distributions import TruncatedDistribution
 from .errors import InvalidParamsError
 from .model import ElectorateParams, ReferendumRegime, _violations, require_regime
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from .thresholds import ThresholdReport
+from .thresholds import ThresholdReport, _ratio
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,9 @@ def validate_turnout(tp: TurnoutParams) -> list[str]:
     """Collect every constraint violation; empty list means usable."""
     b = tp.base
     v = _violations(b, bias_order=False)
-    if not tp.sigma > 0:
-        v.append(f"sigma must be positive, got {tp.sigma}")
-    if not tp.kappa > 0:
-        v.append(f"kappa must be positive, got {tp.kappa}")
+    for name in ("c_bar", "sigma", "kappa"):
+        if not 0 < getattr(tp, name) < math.inf:
+            v.append(f"{name} must be positive and finite, got {getattr(tp, name)}")
     ceiling = b.p + tp.sigma + tp.kappa + max(abs(b.b_L), abs(b.b_R))
     if not tp.c_bar >= ceiling:
         v.append(
@@ -158,6 +158,4 @@ def r_T(
     require_valid_turnout(tp)
     i_L = intensity(tp.base.b_L, tp, config)
     i_R = intensity(tp.base.b_R, tp, config)
-    value = i_L / (i_L + i_R)
-    residual = abs(value * (i_L + i_R) - i_L)
-    return ThresholdReport("r_T", value, residual, (0.0, 1.0), 0)
+    return _ratio("r_T", i_L, i_R, (0.0, 1.0))

@@ -208,6 +208,36 @@ def test_quadrature_block_error_names_its_path(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["eval", "validate"])
+def test_sim_block_error_names_its_path(tmp_path, capsys, command):
+    # eval reads no sim block, but a bad one still fails the file at load.
+    path = tmp_path / "no_reps.json"
+    path.write_text(json.dumps(_scenario_a(sim={"n_replications": 0})))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"scenario error: {path}.sim: "
+        "n_replications must be a positive integer, got 0\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "SCN"],
+    ["sweep", "SCN", "--var", "r", "--from", "0.4", "--to", "0.5", "--steps", "2",
+     "--quantities", "win_prob"],
+    ["figure", "fig1"],
+    ["validate", "SCN"],
+], ids=["eval", "sweep", "figure", "validate"])
+def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
+    scn = _dump(tmp_path, "a.json", _scenario_a(
+        sim={"n_policy_voters": 200, "n_replications": 20}))
+    out = tmp_path / "missing" / "x.csv"
+    argv = [scn if a == "SCN" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: No such file or directory\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "SCN", "--threads", "2"],
     ["eval", "SCN", "--seed", "3"],

@@ -1,6 +1,7 @@
 """Parameter validation, referendum support, and party position rules."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -39,6 +40,9 @@ def test_baseline_scenario_is_valid(scenario_a):
         (dict(b_L=-0.2, b_R=-0.3), "bias ordering violated"),
         (dict(mu=0.9, r=0.9), "competitiveness violated"),
         (dict(mu=0.9, r=0.05), "competitiveness violated"),
+        (dict(p=math.inf), "p must be positive and finite"),
+        (dict(b_R=math.inf), "b_R must be finite"),
+        (dict(b_L=-math.inf), "b_L must be finite"),
     ],
 )
 def test_validate_reports_each_violation(scenario_a, changes, fragment):

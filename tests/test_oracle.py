@@ -233,7 +233,7 @@ def test_two_party_congruence_matches_analytic():
 def test_third_party_matches_analytic(held, regime):
     cfg = replace(FULL, mode="third_party")
     res = simulate(SPOILER, regime, cfg)
-    assert res.held is held
+    assert (res.regime is not NO_REF) is held
     assert _z(win_prob_third(SPOILER, regime), res) < 3.0
     assert res.win_freq_R + res.win_freq_L + res.win_freq_T == pytest.approx(
         1.0, abs=1e-12
@@ -244,7 +244,7 @@ def test_third_party_matches_analytic(held, regime):
 def test_turnout_matches_analytic(held, regime):
     cfg = replace(FULL, mode="turnout")
     res = simulate(TURNOUT, regime, cfg)
-    assert res.held is held
+    assert (res.regime is not NO_REF) is held
     assert _z(win_prob_turnout(TURNOUT, regime), res) < 3.0
 
 
@@ -406,9 +406,17 @@ def test_estimate_threshold_rejects_a_tolerance_that_is_not_finite_and_positive(
 def test_estimate_threshold_validates_its_config(changes):
     # It used to skip the SimConfig checks: no voters gave a bracket-wide
     # estimate, and a negative seed a bare ValueError from numpy.
-    cfg = replace(SimConfig(n_policy_voters=100, n_replications=10, seed=0), **changes)
     with pytest.raises(UsageError):
+        cfg = replace(SimConfig(n_policy_voters=100, n_replications=10, seed=0), **changes)
         estimate_threshold(SCENARIO_A, "r_bind", cfg)
+
+
+@pytest.mark.parametrize("field", ["n_policy_voters", "n_replications", "seed"])
+def test_sim_config_rejects_a_bool_for_a_size_or_seed(field):
+    # bool is an int subclass: True used to run as one voter or seed 1, and
+    # as a replication count failed in numpy with a bare TypeError.
+    with pytest.raises(UsageError, match=field):
+        SimConfig(**{field: True})
 
 
 def test_estimate_threshold_stops_at_adjacent_floats():

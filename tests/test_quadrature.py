@@ -97,6 +97,13 @@ def test_config_rejects_nan_infinite_or_negative_tolerances(field, value):
         QuadratureConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True])
+def test_config_rejects_a_subdivision_budget_that_is_not_an_integer(value):
+    # A NaN or inf budget never runs out, leaving only the depth cap.
+    with pytest.raises(UsageError, match="max_subdivisions"):
+        QuadratureConfig(max_subdivisions=value)
+
+
 def test_shock_bounds_clip():
     shock = DistributionSpec("normal", 0.5)
     lo, hi = shock_bounds(shock)

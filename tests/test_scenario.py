@@ -148,6 +148,17 @@ def test_quadrature_block_errors_name_their_path(block, message):
     assert str(exc.value) == f"scn.json.quadrature: {message}"
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"n_replications": 0}, "n_replications must be a positive integer, got 0"),
+    ({"n_policy_voters": 0}, "n_policy_voters must be a positive integer, got 0"),
+    ({"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
+])
+def test_sim_block_errors_name_their_path(block, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({**_minimal(), "sim": block}, source="scn.json")
+    assert str(exc.value) == f"scn.json.sim: {message}"
+
+
 def test_quadrature_type_error_names_its_field_once():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario({**_minimal(), "quadrature": {"rel_tol": "x"}}, source="scn.json")

@@ -52,6 +52,8 @@ def test_validate_third_requires_aligned_majors_and_negative_valence():
     assert any("b_L < b_R < 0" in v for v in validate_third(diverged))
     cherished = ThirdPartyParams(base=BASE_B, v=0.1)
     assert any("valence" in v for v in validate_third(cherished))
+    infinitely_shunned = ThirdPartyParams(base=BASE_B, v=-math.inf)
+    assert any("v must be negative and finite" in v for v in validate_third(infinitely_shunned))
 
 
 def test_win_prob_third_frozen():

@@ -7,6 +7,7 @@ intensity lookups.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -65,6 +66,8 @@ def test_validate_turnout_collects_violations():
     assert any("kappa > max(|b_R|, |b_L|)" in v for v in validate_turnout(small_kappa))
     small_sigma = replace(TURNOUT, sigma=1.0)
     assert any("sigma > p + kappa" in v for v in validate_turnout(small_sigma))
+    priceless = replace(TURNOUT, c_bar=math.inf)
+    assert any("c_bar must be positive and finite" in v for v in validate_turnout(priceless))
     lopsided = _with(mu=0.8, r=0.7)
     assert any("competitiveness" in v for v in validate_turnout(lopsided))
     with pytest.raises(InvalidParamsError):
