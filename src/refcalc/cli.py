@@ -5,12 +5,12 @@ sweep takes --threads and only validate --seed, the one subcommand that runs
 the oracle. CLI flags override the scenario file's own quadrature and sim
 blocks. Exit codes: 0 on success (a validate run that prints FAIL verdicts
 still succeeded at its job), 2 on scenario or usage errors (an --out path
-that cannot be opened among them), 3 on numerical failures. eval and sweep
-share one table of named quantities (_QUANTITIES); sweep rejects a quantity
-or --var (_VARS) whose regime, third_party or turnout block is missing, and
-where a present block fails its constraints at a grid point, the cell is
-empty. sweep starts at most one of its --threads (>= 1) workers per grid
-point.
+that cannot be opened among them, found before any computation), 3 on
+numerical failures. eval and sweep share one table of named quantities
+(_QUANTITIES); sweep rejects a quantity or --var (_VARS) whose regime,
+third_party or turnout block is missing, and where a present block fails its
+constraints at a grid point, the cell is empty. sweep starts at most one of
+its --threads (>= 1) workers per grid point.
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -46,7 +46,7 @@ from .model import (
     validate as validate_params,
 )
 from .oracle import simulate_runs
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, memo
 from .scenario import Scenario, load_scenario
 from .third_party import (
     net_benefit_third,
@@ -81,11 +81,10 @@ def _open_out(path):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_csv(path, header, rows):
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(out, header, rows):
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _load(args) -> Scenario:
@@ -194,7 +193,7 @@ def _eval_rows(scenario: Scenario):
     return rows
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, out) -> int:
     scenario = _load(args)
     rows = _eval_rows(scenario)
     print(f"scenario: {args.scenario}")
@@ -203,7 +202,7 @@ def _cmd_eval(args) -> int:
     for code, symbol, value in rows:
         print(f"{code:<34} {symbol:<10} {_fmt(value)}")
     if args.out:
-        _write_csv(args.out, ["quantity", "value"], [(c, _fmt(v)) for c, _, v in rows])
+        _write_csv(out, ["quantity", "value"], [(c, _fmt(v)) for c, _, v in rows])
     return 0
 
 
@@ -260,7 +259,7 @@ def _sweep_cell(job):
     return [_fmt(value)] + cells
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, out) -> int:
     scenario = _load(args)
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not quantities:
@@ -303,7 +302,7 @@ def _cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, jobs))
     else:
         rows = [_sweep_cell(job) for job in jobs]
-    _write_csv(args.out, [args.var, *quantities], rows)
+    _write_csv(out, [args.var, *quantities], rows)
     return 0
 
 
@@ -388,9 +387,9 @@ _FIGURES = {
 }
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args, out) -> int:
     header, rows = _FIGURES[args.name](_quad_from_args(args))
-    _write_csv(args.out, header, rows)
+    _write_csv(out, header, rows)
     return 0
 
 
@@ -436,7 +435,7 @@ def _validate_checks(scenario: Scenario):
     return checks
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, out) -> int:
     scenario = _load(args)
     if args.seed is not None:
         scenario = replace(scenario, sim=replace(scenario.sim, seed=args.seed))
@@ -466,7 +465,7 @@ def _cmd_validate(args) -> int:
     print(f"{n_pass} of {len(rows)} checks within 3 standard errors")
     if args.out:
         _write_csv(
-            args.out,
+            out,
             ["quantity", "analytic", "simulated", "se", "z", "verdict"],
             [
                 (name, _fmt(a), _fmt(s), _fmt(se), _fmt(z), verdict)
@@ -531,9 +530,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    --out is opened before any computation, so a path that cannot be opened
+    exits 2 at once; a later failure leaves the file empty. The command runs
+    inside quadrature.memo(), so each cohesion kernel and diverged win
+    integral is computed once per command, and none is kept once main
+    returns.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _open_out(args.out) as out, memo():
+            return args.func(args, out)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     integrate_shock,
+    recall,
 )
 
 
@@ -85,10 +86,25 @@ def win_given_diverged(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
     diagnostics: ClampDiagnostics | None = None,
 ) -> float:
-    """P(Right wins and the shock lies in [lo, hi]), positions diverged there."""
-    return integrate_shock(
-        lambda g: win_given_shock(params, g, diagnostics), params.shock, lo, hi, config
-    )
+    """P(Right wins and the shock lies in [lo, hi]), positions diverged there.
+
+    Within quadrature.memo() each (params, lo, hi, config) integral is
+    computed once per command, and a repeat sets diagnostics.clamped as the
+    first computation did.
+    """
+
+    def compute():
+        diag = ClampDiagnostics()
+        value = integrate_shock(
+            lambda g: win_given_shock(params, g, diag), params.shock, lo, hi, config
+        )
+        return value, diag.clamped
+
+    # params by its fields: b_R may be 0.0 or -0.0.
+    value, clamped = recall(compute, "win", *vars(params).values(), lo, hi, config)
+    if clamped and diagnostics is not None:
+        diagnostics.clamped = True
+    return value
 
 
 def win_prob(

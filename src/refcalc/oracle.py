@@ -631,7 +631,9 @@ def estimate_threshold(
     oriented by which side of the threshold benefits Right. The confidence
     interval combines the bisection width with 3 standard errors of the
     per-replication difference mapped through a secant slope estimate, so
-    a flat net benefit honestly widens the interval.
+    a flat net benefit honestly widens the interval. Both ends of bracket
+    must lie inside the competitiveness band 1 - 1/(2 mu) < r < 1/(2 mu);
+    the default (0.1, 0.9) does only for mu < 5/9.
     """
     if quantity not in _THRESHOLD_RUNS:
         raise UsageError(
@@ -644,6 +646,15 @@ def estimate_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi < 1.0:
         raise UsageError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
+    mu = (target if isinstance(target, ElectorateParams) else target.base).mu
+    if 0.0 < mu < 1.0:
+        # model's competitiveness constraint on r; wider than (0, 1) for mu <= 1/2.
+        band = (1.0 - 1.0 / (2.0 * mu), 1.0 / (2.0 * mu))
+        if not (band[0] < lo and hi < band[1]):
+            raise UsageError(
+                f"bracket {bracket} leaves the competitiveness band "
+                f"({band[0]:.6g}, {band[1]:.6g}) of mu={mu}"
+            )
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be finite and positive, got {tol!r}")
 

@@ -17,11 +17,17 @@ budget, or reaching _MAX_DEPTH, raises QuadratureError carrying the worst
 rejected |K15 - G7|. A NaN or inf integrand value makes |K15 - G7| NaN (G7's
 zero weights turn an inf into NaN), so its panel is rejected; it then raises
 QuadratureError at once, with achieved tolerance inf.
+
+Within memo(), callers look an integral up by an exact key before computing
+it (recall), so a command integrates each distinct integral once. Outside it
+nothing is kept.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import QuadratureError, UsageError
@@ -140,3 +146,49 @@ def integrate_shock(fn, shock, lo=None, hi=None, config: QuadratureConfig = DEFA
     """Integral of fn(gamma) * shock.pdf(gamma) over [lo, hi] (default: whole line)."""
     a, b = shock_bounds(shock, lo, hi)
     return integrate(lambda g: fn(g) * shock.pdf(g), a, b, config)
+
+
+# The integrals of the command now running, by exact key; None outside
+# memo(). A context variable, so another thread or task does not see it.
+_memo = ContextVar("refcalc_integral_memo", default=None)
+
+
+@contextmanager
+def memo():
+    """Keep every integral that recall computes until the block exits.
+
+    The CLI enters it once per command. Worker processes forked inside the
+    block start from a copy and fill their own. Nothing outlives the block,
+    so each command does the work of a cold one.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _exact(parts):
+    # Equal floats have equal bits except 0.0 and -0.0, which also hash
+    # alike, so a zero float is keyed by its hex form. A dataclass part is
+    # compared by its own ==, so callers pass one only where no sign of zero
+    # inside it can change the integral: a DistributionSpec (its scale is
+    # positive) or a QuadratureConfig.
+    return tuple(part.hex() if isinstance(part, float) and not part else part for part in parts)
+
+
+def recall(compute, *key):
+    """compute(), or inside memo() what it returned before for the same key.
+
+    Key parts match only when equal bit for bit, so a hit returns the very
+    double that recomputing would. An exception from compute is not stored.
+    """
+    table = _memo.get()
+    if table is None:
+        return compute()
+    key = _exact(key)
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = compute()
+        return value

@@ -19,6 +19,9 @@ referendum moves positions. Each root is the closed kernel ratio L/(L+R),
 reported with the residual of the condition. None depends on mu: the
 popularity channel scales the net benefit without moving its sign change (as
 long as the affine win map never saturates; see the election module).
+Neither does any kernel, so within one command (quadrature.memo) each kernel
+integral is computed once: a sweep over r or mu integrates them at its first
+point only, and r_bind's L, which does not involve b_R, once for all b_R.
 
 The roots that remain (gamma_star and the b_R scan) come from _brent, a port
 of scipy's brentq.c (Brent, "Algorithms for Minimization without
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from .distributions import DistributionSpec
 from .errors import RootFindError, UsageError
 from .model import ElectorateParams, referendum_support, require_valid
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock, recall
 
 ROOT_XTOL = 1e-12
 ROOT_MAXITER = 200
@@ -160,13 +163,20 @@ def _kernels(b_L, b_R, p, taste, shock, pieces, config):
     """Shock integrals L of B(-p + gamma + b_L) and R of B(-p - gamma - b_R).
 
     Each is summed over pieces, a sequence of (lo, hi) shock intervals with
-    None for an infinite end.
+    None for an infinite end. Within quadrature.memo() each piece's integral
+    is looked up before it is computed.
     """
     B = taste.cdf
     L = R = 0.0
     for lo, hi in pieces:
-        L += integrate_shock(lambda g: B(-p + g + b_L), shock, lo, hi, config)
-        R += integrate_shock(lambda g: B(-p - g - b_R), shock, lo, hi, config)
+        L += recall(
+            lambda: integrate_shock(lambda g: B(-p + g + b_L), shock, lo, hi, config),
+            "L", b_L, p, taste, shock, lo, hi, config,
+        )
+        R += recall(
+            lambda: integrate_shock(lambda g: B(-p - g - b_R), shock, lo, hi, config),
+            "R", b_R, p, taste, shock, lo, hi, config,
+        )
     return L, R
 
 

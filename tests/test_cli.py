@@ -227,15 +227,30 @@ def test_sim_block_error_names_its_path(tmp_path, capsys, command):
     ["figure", "fig1"],
     ["validate", "SCN"],
 ], ids=["eval", "sweep", "figure", "validate"])
-def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
+def test_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # --out is opened before any computation: validate used to run every
+    # simulation and print its whole report before failing here.
+    def no_simulation(*args):
+        raise AssertionError("simulated before opening --out")
+
+    monkeypatch.setattr("refcalc.cli.simulate_runs", no_simulation)
     scn = _dump(tmp_path, "a.json", _scenario_a(
         sim={"n_policy_voters": 200, "n_replications": 20}))
     out = tmp_path / "missing" / "x.csv"
     argv = [scn if a == "SCN" else a for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: cannot write {out}: No such file or directory\n"
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: No such file or directory\n"
     )
+
+
+def test_numerical_failure_after_opening_out_leaves_it_empty(tmp_path, capsys, monkeypatch):
+    scn = _dump(tmp_path, "a.json", _scenario_a())
+    out = tmp_path / "eval.csv"
+    out.write_text("old contents")
+    monkeypatch.setattr("refcalc.thresholds.ROOT_MAXITER", 2)
+    assert main(["eval", scn, "--out", str(out)]) == 3
+    assert out.read_bytes() == b""
 
 
 @pytest.mark.parametrize("argv", [

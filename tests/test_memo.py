@@ -1,0 +1,244 @@
+"""The per-command integral memo (quadrature.memo / quadrature.recall).
+
+The CLI runs every command inside quadrature.memo(), where the cohesion
+kernels and the diverged win integrals are looked up before they are
+integrated. These tests pin what that may and may not change: each distinct
+integral is integrated once per command, every value is the very double
+computed outside the memo, nothing survives the command, and a failure is
+never stored.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from refcalc import cli, election, quadrature, thresholds
+from refcalc.cli import main
+from refcalc.congruence import classify_congruence_region
+from refcalc.election import ClampDiagnostics, win_given_diverged
+from refcalc.errors import QuadratureError, UsageError
+from refcalc.model import ElectorateParams, ReferendumRegime
+from refcalc.quadrature import QuadratureConfig, memo
+from refcalc.scenario import load_scenario
+from refcalc.thresholds import r_bind, r_star, r_star_star
+
+from conftest import SCENARIO_A
+
+# The benchmark's diverged scenario and its serial r-sweep.
+DIVERGED = {
+    "r": 0.45, "mu": 0.5, "p": 0.2, "b_L": -0.5, "b_R": 0.3,
+    "taste": {"family": "normal", "scale": 0.2},
+    "shock": {"family": "normal", "scale": 0.25},
+    "regime": "non_binding",
+    "quadrature": {"abs_tol": 1e-10, "rel_tol": 1e-8},
+}
+SWEEP_QUANTITIES = (
+    "win_prob", "net_benefit", "gamma_star", "r_bind", "r_star_star",
+    "delta_second", "delta_traditional",
+)
+
+
+def _dump(tmp_path, scn):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    return str(path)
+
+
+def _sweep_r(path, steps=41):
+    return ["sweep", path, "--var", "r", "--from", "0.3", "--to", "0.6",
+            "--steps", str(steps), "--quantities", ",".join(SWEEP_QUANTITIES)]
+
+
+class _Tally:
+    """Counts quadrature.integrate calls, and per exact key the lookups and
+    computations that go through recall."""
+
+    def __init__(self, monkeypatch):
+        self.integrals = 0
+        self.looked_up = Counter()
+        self.computed = Counter()
+        self.integrals_in_compute = 0
+        integrate, recall = quadrature.integrate, quadrature.recall
+
+        def counted_integrate(*args, **kwargs):
+            self.integrals += 1
+            return integrate(*args, **kwargs)
+
+        def spied_recall(compute, *key):
+            exact = quadrature._exact(key)
+            self.looked_up[exact] += 1
+
+            def counted_compute():
+                self.computed[exact] += 1
+                before = self.integrals
+                value = compute()
+                self.integrals_in_compute += self.integrals - before
+                return value
+
+            return recall(counted_compute, *key)
+
+        monkeypatch.setattr(quadrature, "integrate", counted_integrate)
+        for module in (thresholds, election):
+            monkeypatch.setattr(module, "recall", spied_recall)
+
+
+@pytest.mark.parametrize("command", ["sweep_r", "fig3"])
+def test_each_distinct_integral_is_integrated_once_per_command(
+    tmp_path, capsys, monkeypatch, command
+):
+    argv = _sweep_r(_dump(tmp_path, DIVERGED)) if command == "sweep_r" else ["figure", "fig3"]
+    tally = _Tally(monkeypatch)
+    assert main(argv) == 0
+    assert set(tally.computed) == set(tally.looked_up)
+    assert max(tally.computed.values()) == 1
+    # One integrate call per key, and only its first lookup pays for it.
+    assert tally.integrals_in_compute == len(tally.looked_up)
+    assert sum(tally.looked_up.values()) > len(tally.looked_up)
+    kernels = [key for key in tally.computed if key[0] in ("L", "R")]
+    if command == "sweep_r":
+        # Neither kernel depends on r: r_bind's two and r_star_star's four
+        # integrals are computed at the first grid point only.
+        assert len(kernels) == 6
+        # Per point: the middle win integral, the full line one and the four
+        # pieces split at gamma_star; each reused within the point.
+        assert len(tally.computed) - len(kernels) == 41 * 6
+    else:
+        # r_bind's L does not involve b_R: one for all 50 diverged rows.
+        assert sum(key[0] == "L" and key[5:7] == (None, None) for key in kernels) == 1
+
+
+def test_consecutive_commands_do_the_same_work(tmp_path, capsys, monkeypatch):
+    # The memo empties when main returns, so a second identical command is as
+    # cold as the first.
+    argv = _sweep_r(_dump(tmp_path, DIVERGED), steps=5)
+    tally = _Tally(monkeypatch)
+    counts = []
+    for _ in range(2):
+        before = tally.integrals
+        assert main(argv) == 0
+        counts.append(tally.integrals - before)
+    assert counts[0] == counts[1] > 0
+    assert quadrature._memo.get() is None
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def _sweep_values(scenario, var, grid, quantities):
+    rows = []
+    for value in grid:
+        point = cli._rebuild(scenario, var, value)
+        row = []
+        for q in quantities:
+            try:
+                row.append(cli._value(point, q))
+            except UsageError:  # an empty cell, as in the sweep
+                row.append(None)
+        rows.append(_bits(row))
+    return rows
+
+
+@pytest.mark.parametrize("var, grid", [
+    ("r", [0.3 + 0.0075 * i for i in range(41)]),
+    # Both zeros, each twice, among other b_R values.
+    ("b_R", [-0.2, 0.0, -0.0, 0.3, 0.0, -0.0, -0.1, 0.3]),
+])
+def test_sweep_cells_are_the_doubles_computed_without_the_memo(tmp_path, var, grid):
+    scenario = load_scenario(_dump(tmp_path, DIVERGED))
+    quantities = (*SWEEP_QUANTITIES, "r_star")
+    with memo():
+        inside = _sweep_values(scenario, var, grid, quantities)
+    assert inside == _sweep_values(scenario, var, grid, quantities)
+
+
+def test_negative_zero_is_its_own_key(monkeypatch):
+    # 0.0 == -0.0 and both hash alike; the memo must still tell them apart.
+    tally = _Tally(monkeypatch)
+    params = dict(b_L=-0.5, p=0.2, taste=SCENARIO_A.taste, shock=SCENARIO_A.shock)
+    with memo():
+        r_star_star(b_R=0.0, **params)
+        before = len(tally.computed)
+        r_star_star(b_R=-0.0, **params)
+        # The lower tail ends at -b_R and R involves b_R; only L's upper
+        # tail (-b_L, None) is shared.
+        assert len(tally.computed) - before == 3
+        r_star_star(b_R=-0.0, **params)
+        assert len(tally.computed) - before == 3
+        # The win integral keys the electorate by its fields, b_R among them.
+        for b_R in (0.0, -0.0, 0.0):
+            win_given_diverged(replace(SCENARIO_A, b_R=b_R), -0.2, 0.2)
+        assert len(tally.computed) - before == 5
+
+
+def test_figure_and_eval_rows_are_the_doubles_computed_without_the_memo(tmp_path):
+    quad = quadrature.DEFAULT_QUADRATURE
+    fig3 = cli._FIG3_PARAMS
+
+    def fig3_rows():
+        return [
+            _bits(cli._threshold(fn, replace(fig3, b_R=i / 20), quad)
+                  for fn in (r_bind, r_star, r_star_star))
+            for i in range(-19, 51)
+        ]
+
+    def figg_rows():
+        b_R_values = [-(96 - 4 * j) / 100 for j in range(24)]
+        r_values = [(30 + 2 * k) / 100 for k in range(21)]
+        cells = classify_congruence_region(
+            cli._FIGG_PARAMS, b_R_values, r_values, ReferendumRegime.NON_BINDING, quad)
+        return [(_bits((c.delta_second, c.delta_traditional)), c.region_flag) for c in cells]
+
+    scenarios = [
+        load_scenario(_dump(tmp_path, DIVERGED)),
+        load_scenario(_dump(tmp_path, {**DIVERGED, "b_R": -0.1, "third_party": {"v": -0.01}})),
+    ]
+
+    def eval_rows():
+        return [[(name, _bits([v])) for name, _, v in cli._eval_rows(s)] for s in scenarios]
+
+    for rows in (fig3_rows, figg_rows, eval_rows):
+        with memo():
+            inside = rows()
+        assert inside == rows()
+
+
+def test_sweep_with_two_workers_prints_the_serial_bytes(tmp_path, capsys):
+    argv = _sweep_r(_dump(tmp_path, DIVERGED), steps=9)
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
+def test_a_failed_integral_is_not_stored():
+    # One subdivision is too few for the full-line kernels at the default
+    # tolerance; the identical next call must fail again, not hit.
+    starved = QuadratureConfig(max_subdivisions=1)
+    p = SCENARIO_A
+    with memo():
+        for _ in range(2):
+            with pytest.raises(QuadratureError):
+                r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock, starved)
+            with pytest.raises(QuadratureError):
+                win_given_diverged(p, config=starved)
+
+
+def test_a_hit_sets_the_clamp_flag():
+    # mu = 0.9 saturates the win map in the shock tails.
+    params = ElectorateParams(
+        r=0.5, mu=0.9, p=0.2, b_L=-0.5, b_R=0.3,
+        taste=SCENARIO_A.taste, shock=SCENARIO_A.shock,
+    )
+    outside = ClampDiagnostics()
+    expected = win_given_diverged(params, diagnostics=outside)
+    assert outside.clamped
+    with memo():
+        for _ in range(2):
+            diag = ClampDiagnostics()
+            assert win_given_diverged(params, diagnostics=diag).hex() == expected.hex()
+            assert diag.clamped

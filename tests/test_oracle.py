@@ -368,7 +368,7 @@ def test_estimate_r_bind_brackets_analytic():
 def test_estimate_r_T_brackets_analytic():
     cfg = SimConfig(n_policy_voters=20_000, n_replications=2_000, seed=0, mode="turnout")
     # mu = 0.6 narrows the admissible r band to (1/6, 5/6); the default
-    # bracket would step outside it, so pass one inside.
+    # bracket leaves it, so pass one inside.
     est = estimate_threshold(TURNOUT, "r_T", cfg, bracket=(0.25, 0.75))
     # FROZEN scipy: r_T = 0.5346722369893764.
     assert est.ci_low < 0.5346722369893764 < est.ci_high
@@ -400,6 +400,21 @@ def test_estimate_threshold_rejects_a_tolerance_that_is_not_finite_and_positive(
     cfg = SimConfig(n_policy_voters=100, n_replications=10, seed=0)
     with pytest.raises(UsageError, match="tol"):
         estimate_threshold(SCENARIO_A, "r_bind", cfg, tol=tol)
+
+
+@pytest.mark.parametrize("bracket", [(0.1, 0.9), (0.1, 0.5), (0.5, 0.9)])
+def test_estimate_threshold_rejects_a_bracket_outside_the_competitiveness_band(
+    bracket, monkeypatch
+):
+    # mu = 0.6 allows only 1/6 < r < 5/6. The default bracket used to fail at
+    # the first draw, with a message about the electorate, not the bracket.
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking the bracket")
+
+    monkeypatch.setattr(oracle, "_arrays", no_simulation)
+    cfg = SimConfig(n_policy_voters=100, n_replications=10, seed=0, mode="turnout")
+    with pytest.raises(UsageError, match=r"^bracket .* competitiveness band \(0\.166667, 0\.833333\)"):
+        estimate_threshold(TURNOUT, "r_T", cfg, bracket=bracket)
 
 
 @pytest.mark.parametrize("changes", [{"n_policy_voters": 0}, {"seed": -1}])
