@@ -534,9 +534,10 @@ def main(argv=None) -> int:
 
     --out is opened before any computation, so a path that cannot be opened
     exits 2 at once; a later failure leaves the file empty. The command runs
-    inside quadrature.memo(), so each cohesion kernel and diverged win
-    integral is computed once per command, and none is kept once main
-    returns.
+    inside quadrature.memo(), so each cohesion kernel integral is computed
+    once per command, and none is kept once main returns. Only the kernels
+    are reused: they involve neither r nor mu, while every other integral
+    depends on the whole electorate and rarely repeats.
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -26,12 +26,7 @@ from .model import (
     require_regime,
     require_valid,
 )
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    integrate_shock,
-    recall,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
 
 
 @dataclass
@@ -40,10 +35,18 @@ class ClampDiagnostics:
 
     clamped: bool = False
 
-    def note(self, value):
-        if value < 0.0 or value > 1.0:
-            self.clamped = True
-        return value if 0.0 <= value <= 1.0 else (0.0 if value < 0.0 else 1.0)
+
+def _clamp(value, diagnostics):
+    """value saturated into [0, 1], setting diagnostics.clamped if it was outside.
+
+    diagnostics may be None. A NaN is returned unchanged, so the quadrature
+    that integrates it raises rather than counting it as a probability.
+    """
+    if value < 0.0 or value > 1.0:
+        if diagnostics is not None:
+            diagnostics.clamped = True
+        return 0.0 if value < 0.0 else 1.0
+    return value
 
 
 def lambda_win(share: float, mu: float) -> float:
@@ -68,8 +71,7 @@ def right_share_multi(params: ElectorateParams, gamma):
 
 
 def _win_at_share(params, share, diag):
-    d = diag if diag is not None else ClampDiagnostics()
-    return d.note(lambda_win(share, params.mu))
+    return _clamp(lambda_win(share, params.mu), diag)
 
 
 def win_given_shock(
@@ -88,23 +90,13 @@ def win_given_diverged(
 ) -> float:
     """P(Right wins and the shock lies in [lo, hi]), positions diverged there.
 
-    Within quadrature.memo() each (params, lo, hi, config) integral is
-    computed once per command, and a repeat sets diagnostics.clamped as the
-    first computation did.
+    Computed afresh on every call, also within quadrature.memo(): the
+    integral depends on every electorate parameter, so a command almost
+    never asks for the same one twice.
     """
-
-    def compute():
-        diag = ClampDiagnostics()
-        value = integrate_shock(
-            lambda g: win_given_shock(params, g, diag), params.shock, lo, hi, config
-        )
-        return value, diag.clamped
-
-    # params by its fields: b_R may be 0.0 or -0.0.
-    value, clamped = recall(compute, "win", *vars(params).values(), lo, hi, config)
-    if clamped and diagnostics is not None:
-        diagnostics.clamped = True
-    return value
+    return integrate_shock(
+        lambda g: win_given_shock(params, g, diagnostics), params.shock, lo, hi, config
+    )
 
 
 def win_prob(
@@ -124,15 +116,14 @@ def win_prob(
     """
     require_valid(params)
     require_regime(regime, "two_party")
-    diag = diagnostics if diagnostics is not None else ClampDiagnostics()
     if regime is ReferendumRegime.NON_BINDING:
         G = params.shock.cdf
         aligned_mass = G(-params.b_R) + 1.0 - G(-params.b_L)
-        mid = win_given_diverged(params, -params.b_R, -params.b_L, config, diag)
-        return aligned_mass * _win_at_share(params, params.r, diag) + mid
+        mid = win_given_diverged(params, -params.b_R, -params.b_L, config, diagnostics)
+        return aligned_mass * _win_at_share(params, params.r, diagnostics) + mid
     if regime is ReferendumRegime.NO_REFERENDUM and initial_positions(params).diverged:
-        return win_given_diverged(params, config=config, diagnostics=diag)
-    return _win_at_share(params, params.r, diag)
+        return win_given_diverged(params, config=config, diagnostics=diagnostics)
+    return _win_at_share(params, params.r, diagnostics)
 
 
 def net_benefit(
@@ -155,11 +146,10 @@ def net_benefit(
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
-    diag = diagnostics if diagnostics is not None else ClampDiagnostics()
 
     def gap(g):
-        return _win_at_share(params, params.r, diag) - _win_at_share(
-            params, right_share_multi(params, g), diag
+        return _win_at_share(params, params.r, diagnostics) - _win_at_share(
+            params, right_share_multi(params, g), diagnostics
         )
 
     misaligned = initial_positions(params).diverged

@@ -18,9 +18,9 @@ rejected |K15 - G7|. A NaN or inf integrand value makes |K15 - G7| NaN (G7's
 zero weights turn an inf into NaN), so its panel is rejected; it then raises
 QuadratureError at once, with achieved tolerance inf.
 
-Within memo(), callers look an integral up by an exact key before computing
-it (recall), so a command integrates each distinct integral once. Outside it
-nothing is kept.
+Within memo(), the cohesion kernels look each integral up by its key before
+computing it (recall), so a command integrates each distinct kernel once.
+Outside it nothing is kept.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def integrate_shock(fn, shock, lo=None, hi=None, config: QuadratureConfig = DEFA
     return integrate(lambda g: fn(g) * shock.pdf(g), a, b, config)
 
 
-# The integrals of the command now running, by exact key; None outside
-# memo(). A context variable, so another thread or task does not see it.
+# The integrals of the command now running, by key; None outside memo().
+# A context variable, so another thread or task does not see it.
 _memo = ContextVar("refcalc_integral_memo", default=None)
 
 
@@ -168,25 +168,19 @@ def memo():
         _memo.reset(token)
 
 
-def _exact(parts):
-    # Equal floats have equal bits except 0.0 and -0.0, which also hash
-    # alike, so a zero float is keyed by its hex form. A dataclass part is
-    # compared by its own ==, so callers pass one only where no sign of zero
-    # inside it can change the integral: a DistributionSpec (its scale is
-    # positive) or a QuadratureConfig.
-    return tuple(part.hex() if isinstance(part, float) and not part else part for part in parts)
-
-
 def recall(compute, *key):
-    """compute(), or inside memo() what it returned before for the same key.
+    """compute(), or inside memo() what it returned before for an equal key.
 
-    Key parts match only when equal bit for bit, so a hit returns the very
-    double that recomputing would. An exception from compute is not stored.
+    Key parts compare by ==, so 0.0 and -0.0 share a key. That is exact for
+    the one caller, the cohesion kernels (thresholds._kernels): a piece end at
+    either zero gives the same G7-K15 nodes, and the taste cdf at x - 0.0 and
+    x + 0.0 is the same double, so a hit returns the very double that
+    recomputing would. A DistributionSpec or QuadratureConfig part compares
+    by its own fields. An exception from compute is not stored.
     """
     table = _memo.get()
     if table is None:
         return compute()
-    key = _exact(key)
     try:
         return table[key]
     except KeyError:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import DistributionSpec
-from .election import ClampDiagnostics, lambda_win, win_given_diverged, win_given_shock
+from .election import ClampDiagnostics, _clamp, lambda_win, win_given_diverged, win_given_shock
 from .errors import InvalidParamsError, UsageError
 from .model import ElectorateParams, ReferendumRegime, require_regime
 from .model import validate as validate_base
@@ -77,12 +77,11 @@ def lambda_hat(
     """
     b = tp.base
     B = b.taste.cdf
-    d = diagnostics if diagnostics is not None else ClampDiagnostics()
     raw = 0.5 - b.mu / (2.0 * (1.0 - b.mu)) * (
         (1.0 - b.r) * B(b.p - tp.v - b.b_L - gamma)
         - b.r * B(-tp.v - b.b_R - gamma)
     )
-    return d.note(raw)
+    return _clamp(raw, diagnostics)
 
 
 def win_prob_third(
@@ -102,17 +101,16 @@ def win_prob_third(
     require_valid_third(tp)
     require_regime(regime, "third_party")
     b = tp.base
-    d = diagnostics if diagnostics is not None else ClampDiagnostics()
     if regime is ReferendumRegime.NO_REFERENDUM:
         return integrate_shock(
-            lambda g: lambda_hat(tp, g, d), b.shock, None, None, config
+            lambda g: lambda_hat(tp, g, diagnostics), b.shock, None, None, config
         )
     G = b.shock.cdf
     low = integrate_shock(
-        lambda g: lambda_hat(tp, g, d), b.shock, None, -b.b_R, config
+        lambda g: lambda_hat(tp, g, diagnostics), b.shock, None, -b.b_R, config
     )
-    mid = win_given_diverged(b, -b.b_R, -b.b_L, config, d)
-    top = (1.0 - G(-b.b_L)) * d.note(lambda_win(b.r, b.mu))
+    mid = win_given_diverged(b, -b.b_R, -b.b_L, config, diagnostics)
+    top = (1.0 - G(-b.b_L)) * _clamp(lambda_win(b.r, b.mu), diagnostics)
     return low + mid + top
 
 
@@ -131,17 +129,16 @@ def net_benefit_third(
     """
     require_valid_third(tp)
     b = tp.base
-    d = diagnostics if diagnostics is not None else ClampDiagnostics()
-    lam_r = d.note(lambda_win(b.r, b.mu))
+    lam_r = _clamp(lambda_win(b.r, b.mu), diagnostics)
     mid = integrate_shock(
-        lambda g: win_given_shock(b, g, d) - lambda_hat(tp, g, d),
+        lambda g: win_given_shock(b, g, diagnostics) - lambda_hat(tp, g, diagnostics),
         b.shock,
         -b.b_R,
         -b.b_L,
         config,
     )
     tail = integrate_shock(
-        lambda g: lam_r - lambda_hat(tp, g, d), b.shock, -b.b_L, None, config
+        lambda g: lam_r - lambda_hat(tp, g, diagnostics), b.shock, -b.b_L, None, config
     )
     return mid + tail
 

@@ -7,6 +7,7 @@ import pytest
 
 from refcalc.election import (
     ClampDiagnostics,
+    _clamp,
     lambda_win,
     net_benefit,
     right_share_multi,
@@ -34,9 +35,13 @@ def test_lambda_win_shape():
     # integration site and is recorded in ClampDiagnostics.
     assert lambda_win(0.75, 0.8) > 1.0
     diag = ClampDiagnostics()
-    assert diag.note(lambda_win(0.75, 0.8)) == 1.0
-    assert diag.note(lambda_win(0.25, 0.8)) == 0.0
+    assert _clamp(lambda_win(0.6, 0.75), diag) == lambda_win(0.6, 0.75)
+    assert not diag.clamped
+    assert _clamp(lambda_win(0.75, 0.8), diag) == 1.0
+    assert _clamp(lambda_win(0.25, 0.8), diag) == 0.0
     assert diag.clamped
+    # Without diagnostics the value is still saturated.
+    assert _clamp(lambda_win(0.75, 0.8), None) == 1.0
 
 
 def test_right_share_multi_monotone(scenario_a):

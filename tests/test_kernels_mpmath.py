@@ -5,10 +5,10 @@ r_bind, r_star and r_star_star are ratios L/(L+R) of the shock integrals
     L = int B(-p + g + b_L) g(gamma) dgamma,  R = int B(-p - g - b_R) g(gamma) dgamma
 
 over each threshold's shock pieces (the whole line, [-b_R, -b_L], and the
-two tails outside it). The reference integrates them with mpmath.quad, split
-at the piece ends, with its own normal and logistic cdf and pdf: it shares no
-code with refcalc. It runs at mpmath's default 15 digits, which agree with 40
-digits to 1e-18 at these points. Each refcalc kernel must agree within
+two tails outside it). The reference integrates them with tests/reference_mp.py
+(mpmath.quad split at the piece ends, its own cdf and pdf), which shares no
+code with refcalc. It runs at mpmath's default 15 digits, which agree with
+40 digits to 1e-18 at these points. Each refcalc kernel must agree within
 the tolerance it declares: abs_tol per piece plus rel_tol * I (the panel
 acceptance test summed over panels; the integrands are positive), plus the
 1e-12 of shock mass it drops at each infinite end.
@@ -23,20 +23,7 @@ from refcalc.distributions import DistributionSpec
 from refcalc.quadrature import DEFAULT_QUADRATURE, memo
 
 mp = pytest.importorskip("mpmath")
-
-TAIL = 1e-12
-
-
-def _cdf(family, scale):
-    if family == "normal":
-        return lambda x: mp.ncdf(x, 0, scale)
-    return lambda x: 1 / (1 + mp.exp(-x / scale))
-
-
-def _pdf(family, scale):
-    if family == "normal":
-        return lambda x: mp.npdf(x, 0, scale)
-    return lambda x: mp.exp(-abs(x) / scale) / (scale * (1 + mp.exp(-abs(x) / scale)) ** 2)
+from reference_mp import TAIL, cdf, shock_integral  # noqa: E402  (needs mpmath)
 
 
 def _pieces(name, b_L, b_R):
@@ -49,13 +36,12 @@ def _pieces(name, b_L, b_R):
 
 def _reference(name, b_L, b_R, p, taste, shock):
     """(L, R) by mpmath, and the absolute error refcalc may add to each."""
-    B, g = _cdf(*taste), _pdf(*shock)
+    B = cdf(*taste)
     L = R = mp.mpf(0)
     slack = 0.0
     for lo, hi in _pieces(name, b_L, b_R):
-        points = [lo, 0, hi] if lo < 0 < hi else [lo, hi]
-        L += mp.quad(lambda x: B(-p + x + b_L) * g(x), points)
-        R += mp.quad(lambda x: B(-p - x - b_R) * g(x), points)
+        L += shock_integral(lambda x: B(-p + x + b_L), shock, lo, hi)
+        R += shock_integral(lambda x: B(-p - x - b_R), shock, lo, hi)
         # Each piece is one integrate call, held to abs_tol on its own.
         slack += DEFAULT_QUADRATURE.abs_tol + TAIL * ((lo == -mp.inf) + (hi == mp.inf))
     return float(L), float(R), slack

@@ -1,10 +1,11 @@
 """The per-command integral memo (quadrature.memo / quadrature.recall).
 
 The CLI runs every command inside quadrature.memo(), where the cohesion
-kernels and the diverged win integrals are looked up before they are
-integrated. These tests pin what that may and may not change: each distinct
-integral is integrated once per command, every value is the very double
-computed outside the memo, nothing survives the command, and a failure is
+kernels, and only they, are looked up before they are integrated. Keys
+compare by ==, so 0.0 and -0.0 share one. These tests pin what that may and
+may not change: each distinct kernel is integrated once per command, the
+memo stores nothing else, every value is the very double computed outside
+the memo (at either zero), nothing survives the command, and a failure is
 never stored.
 """
 
@@ -12,16 +13,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from refcalc import cli, election, quadrature, thresholds
+from refcalc import cli, quadrature, thresholds
 from refcalc.cli import main
 from refcalc.congruence import classify_congruence_region
-from refcalc.election import ClampDiagnostics, win_given_diverged
 from refcalc.errors import QuadratureError, UsageError
-from refcalc.model import ElectorateParams, ReferendumRegime
+from refcalc.model import DistributionSpec, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig, memo
 from refcalc.scenario import load_scenario
 from refcalc.thresholds import r_bind, r_star, r_star_star
@@ -54,14 +55,16 @@ def _sweep_r(path, steps=41):
 
 
 class _Tally:
-    """Counts quadrature.integrate calls, and per exact key the lookups and
-    computations that go through recall."""
+    """Counts quadrature.integrate calls, and per key the lookups and
+    computations that go through the kernels' recall. Keeps the table of
+    each memo the CLI enters."""
 
     def __init__(self, monkeypatch):
         self.integrals = 0
         self.looked_up = Counter()
         self.computed = Counter()
         self.integrals_in_compute = 0
+        self.tables = []
         integrate, recall = quadrature.integrate, quadrature.recall
 
         def counted_integrate(*args, **kwargs):
@@ -69,11 +72,10 @@ class _Tally:
             return integrate(*args, **kwargs)
 
         def spied_recall(compute, *key):
-            exact = quadrature._exact(key)
-            self.looked_up[exact] += 1
+            self.looked_up[key] += 1
 
             def counted_compute():
-                self.computed[exact] += 1
+                self.computed[key] += 1
                 before = self.integrals
                 value = compute()
                 self.integrals_in_compute += self.integrals - before
@@ -81,9 +83,15 @@ class _Tally:
 
             return recall(counted_compute, *key)
 
+        @contextmanager
+        def kept_memo():
+            with memo():
+                self.tables.append(quadrature._memo.get())
+                yield
+
         monkeypatch.setattr(quadrature, "integrate", counted_integrate)
-        for module in (thresholds, election):
-            monkeypatch.setattr(module, "recall", spied_recall)
+        monkeypatch.setattr(thresholds, "recall", spied_recall)
+        monkeypatch.setattr(cli, "memo", kept_memo)
 
 
 @pytest.mark.parametrize("command", ["sweep_r", "fig3"])
@@ -98,17 +106,20 @@ def test_each_distinct_integral_is_integrated_once_per_command(
     # One integrate call per key, and only its first lookup pays for it.
     assert tally.integrals_in_compute == len(tally.looked_up)
     assert sum(tally.looked_up.values()) > len(tally.looked_up)
-    kernels = [key for key in tally.computed if key[0] in ("L", "R")]
+    # The memo holds the kernels and nothing else: a win integral or a net
+    # benefit is integrated afresh wherever it is asked for.
+    (table,) = tally.tables
+    assert set(table) == set(tally.computed)
+    assert {key[0] for key in table} <= {"L", "R"}
     if command == "sweep_r":
         # Neither kernel depends on r: r_bind's two and r_star_star's four
-        # integrals are computed at the first grid point only.
-        assert len(kernels) == 6
-        # Per point: the middle win integral, the full line one and the four
-        # pieces split at gamma_star; each reused within the point.
-        assert len(tally.computed) - len(kernels) == 41 * 6
+        # integrals are computed at the first grid point only, while the
+        # win integrals are integrated at every point.
+        assert len(table) == 6
+        assert tally.integrals - tally.integrals_in_compute >= 41 * 2
     else:
         # r_bind's L does not involve b_R: one for all 50 diverged rows.
-        assert sum(key[0] == "L" and key[5:7] == (None, None) for key in kernels) == 1
+        assert sum(key[0] == "L" and key[5:7] == (None, None) for key in table) == 1
 
 
 def test_consecutive_commands_do_the_same_work(tmp_path, capsys, monkeypatch):
@@ -156,23 +167,34 @@ def test_sweep_cells_are_the_doubles_computed_without_the_memo(tmp_path, var, gr
     assert inside == _sweep_values(scenario, var, grid, quantities)
 
 
-def test_negative_zero_is_its_own_key(monkeypatch):
-    # 0.0 == -0.0 and both hash alike; the memo must still tell them apart.
+@pytest.mark.parametrize("family", ["normal", "logistic"])
+def test_both_zeros_share_one_key(monkeypatch, family):
+    # 0.0 == -0.0 and both hash alike, so they share a key. That is exact:
+    # outside the memo, each threshold and each kernel is the same double at
+    # either zero, and inside it the second zero computes nothing new.
+    args = dict(b_L=-0.5, p=0.2, taste=DistributionSpec(family, 0.2), shock=SCENARIO_A.shock)
+
+    def thresholds_at(b_R):
+        return _bits([r_bind(b_R=b_R, **args).value, r_star_star(b_R=b_R, **args).value])
+
+    def kernels_at(b_R):
+        # r_bind's piece, then r_star_star's two.
+        return [
+            _bits(thresholds._kernels(args["b_L"], b_R, args["p"], args["taste"],
+                                      args["shock"], pieces, quadrature.DEFAULT_QUADRATURE))
+            for pieces in (((None, None),), ((None, -b_R), (-args["b_L"], None)))
+        ]
+
+    outside = thresholds_at(0.0)
+    assert thresholds_at(-0.0) == outside
+    assert kernels_at(-0.0) == kernels_at(0.0)
     tally = _Tally(monkeypatch)
-    params = dict(b_L=-0.5, p=0.2, taste=SCENARIO_A.taste, shock=SCENARIO_A.shock)
     with memo():
-        r_star_star(b_R=0.0, **params)
-        before = len(tally.computed)
-        r_star_star(b_R=-0.0, **params)
-        # The lower tail ends at -b_R and R involves b_R; only L's upper
-        # tail (-b_L, None) is shared.
-        assert len(tally.computed) - before == 3
-        r_star_star(b_R=-0.0, **params)
-        assert len(tally.computed) - before == 3
-        # The win integral keys the electorate by its fields, b_R among them.
-        for b_R in (0.0, -0.0, 0.0):
-            win_given_diverged(replace(SCENARIO_A, b_R=b_R), -0.2, 0.2)
-        assert len(tally.computed) - before == 5
+        assert thresholds_at(0.0) == outside
+        assert len(tally.computed) == 6
+        before = tally.integrals
+        assert thresholds_at(-0.0) == outside
+        assert tally.integrals == before
 
 
 def test_figure_and_eval_rows_are_the_doubles_computed_without_the_memo(tmp_path):
@@ -224,21 +246,3 @@ def test_a_failed_integral_is_not_stored():
         for _ in range(2):
             with pytest.raises(QuadratureError):
                 r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock, starved)
-            with pytest.raises(QuadratureError):
-                win_given_diverged(p, config=starved)
-
-
-def test_a_hit_sets_the_clamp_flag():
-    # mu = 0.9 saturates the win map in the shock tails.
-    params = ElectorateParams(
-        r=0.5, mu=0.9, p=0.2, b_L=-0.5, b_R=0.3,
-        taste=SCENARIO_A.taste, shock=SCENARIO_A.shock,
-    )
-    outside = ClampDiagnostics()
-    expected = win_given_diverged(params, diagnostics=outside)
-    assert outside.clamped
-    with memo():
-        for _ in range(2):
-            diag = ClampDiagnostics()
-            assert win_given_diverged(params, diagnostics=diag).hex() == expected.hex()
-            assert diag.clamped

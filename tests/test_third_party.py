@@ -8,7 +8,7 @@ import math
 import pytest
 
 from refcalc.election import lambda_win, win_prob
-from refcalc.errors import InvalidParamsError, UsageError
+from refcalc.errors import InvalidParamsError, QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.third_party import (
     DEFAULT_VALENCE,
@@ -75,6 +75,29 @@ def test_net_benefit_third_frozen_and_dual_route():
     # with the difference of the two win probabilities it refines.
     diff = win_prob_third(SPOILER, NON_BINDING) - win_prob_third(SPOILER, NO_REF)
     assert gamma == pytest.approx(diff, abs=1e-8)
+
+
+def test_a_nan_in_the_spoiler_integrand_raises(monkeypatch):
+    # The benchmark's spoiler electorate. A taste cdf that returns NaN on
+    # part of its range must fail the quadrature, not be saturated to 1.0
+    # and integrated as a probability.
+    tp = ThirdPartyParams(
+        base=ElectorateParams(
+            r=0.45, mu=0.5, p=0.2, b_L=-0.5, b_R=-0.1,
+            taste=DistributionSpec("normal", 0.2),
+            shock=DistributionSpec("normal", 0.25),
+        ),
+        v=-0.01,
+    )
+    assert win_prob_third(tp, NO_REF) == pytest.approx(0.3714, abs=1e-4)
+    cdf = DistributionSpec.cdf
+    monkeypatch.setattr(
+        DistributionSpec, "cdf",
+        lambda self, x: math.nan if type(x) is float and 0.30 < x < 0.50 else cdf(self, x),
+    )
+    for regime in (NO_REF, NON_BINDING):
+        with pytest.raises(QuadratureError, match="non-finite integrand"):
+            win_prob_third(tp, regime)
 
 
 def test_lambda_hat_approaches_two_party_limit():

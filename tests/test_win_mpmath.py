@@ -1,0 +1,102 @@
+"""The win integrals and the net benefit against mpmath.
+
+election.win_given_diverged and election.net_benefit are checked at the
+benchmark's diverged (b_R = 0.3) and spoiler (b_R = -0.1) electorates, with
+normal and logistic taste, against tests/reference_mp.py, which shares no
+code with refcalc. The net benefit's reference is the difference of the two
+win probabilities, so it also checks the piecewise form refcalc integrates.
+mu stays at or below 1/2, where the win map never saturates, and the clamp
+flag must stay down.
+
+Each integrate call may miss by the tolerance it declares: abs_tol, plus
+rel_tol times the integral of |f| over its piece (the panel acceptance test
+summed over panels), plus the 1e-12 of shock mass it drops at each infinite
+end (|f| <= 1 here).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from refcalc.distributions import DistributionSpec
+from refcalc.election import ClampDiagnostics, net_benefit, win_given_diverged
+from refcalc.model import ElectorateParams, ReferendumRegime
+from refcalc.quadrature import DEFAULT_QUADRATURE
+
+mp = pytest.importorskip("mpmath")
+import reference_mp as ref  # noqa: E402  (needs mpmath)
+
+ABS, REL = DEFAULT_QUADRATURE.abs_tol, DEFAULT_QUADRATURE.rel_tol
+
+DIVERGED = dict(r=0.45, mu=0.5, p=0.2, b_L=-0.5, b_R=0.3, shock=("normal", 0.25))
+SPOILER = {**DIVERGED, "b_R": -0.1}
+# The benchmark's mu = 1/2 makes the win map the identity, so the logistic
+# cases take mu = 0.3 to check its slope as well.
+CASES = [
+    {**e, "mu": mu, "taste": (family, 0.2)}
+    for e in (DIVERGED, SPOILER)
+    for family, mu in (("normal", 0.5), ("logistic", 0.3))
+]
+
+
+def _ids(e):
+    return f"b_R={e['b_R']}-mu={e['mu']}-{e['taste'][0]}"
+
+
+def _params(e):
+    return ElectorateParams(
+        r=e["r"], mu=e["mu"], p=e["p"], b_L=e["b_L"], b_R=e["b_R"],
+        taste=DistributionSpec(*e["taste"]), shock=DistributionSpec(*e["shock"]),
+    )
+
+
+def _call_tol(integral_of_abs, lo, hi):
+    return ABS + REL * integral_of_abs + ref.TAIL * ((lo == -mp.inf) + (hi == mp.inf))
+
+
+@pytest.mark.parametrize("e", CASES, ids=_ids)
+def test_win_given_diverged_matches_mpmath(e):
+    params = _params(e)
+    for lo, hi in ((-mp.inf, mp.inf), (-e["b_R"], -e["b_L"])):
+        diag = ClampDiagnostics()
+        finite = [None if abs(end) == mp.inf else end for end in (lo, hi)]
+        value = win_given_diverged(params, *finite, diagnostics=diag)
+        assert not diag.clamped
+        expected = ref.win_diverged(e, lo, hi)
+        # The integrand is a probability, so its integral is its |f| integral.
+        assert abs(value - expected) <= _call_tol(expected, lo, hi)
+
+
+def _net_benefit_pieces(e, regime):
+    """The shock pieces net_benefit integrates, one integrate call each."""
+    diverged = e["b_R"] >= 0
+    if regime == "binding":
+        return [(-mp.inf, mp.inf)] if diverged else []
+    if diverged:
+        return [(-mp.inf, -e["b_R"]), (-e["b_L"], mp.inf)]
+    return [(-e["b_R"], -e["b_L"])]
+
+
+@pytest.mark.parametrize("regime", ["binding", "non_binding"])
+@pytest.mark.parametrize("e", CASES, ids=_ids)
+def test_net_benefit_matches_mpmath(e, regime):
+    diag = ClampDiagnostics()
+    value = net_benefit(_params(e), ReferendumRegime(regime), diagnostics=diag)
+    assert not diag.clamped
+    expected = ref.win_prob(e, regime) - ref.win_prob(e, "no_referendum")
+    pieces = _net_benefit_pieces(e, regime)
+    if not pieces:
+        # Binding from an aligned start changes nothing.
+        assert value == 0.0 and expected == 0
+        return
+    lam_r = ref.lam(e, e["r"])
+
+    def gap(x):
+        return abs(lam_r - ref.lam(e, ref.right_share(e, x)))
+
+    # A tolerance needs only a few digits of the integral of |gap|.
+    tol = sum(
+        _call_tol(ref.shock_integral(gap, e["shock"], lo, hi, maxdegree=3), lo, hi)
+        for lo, hi in pieces
+    )
+    assert abs(value - expected) <= tol

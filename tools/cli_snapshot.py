@@ -1,0 +1,99 @@
+"""Save the output of a fixed set of refcalc commands, one file per stream.
+
+    python tools/cli_snapshot.py OUTDIR [--root CHECKOUT]
+
+Writes the benchmark's diverged, spoiler and turnout scenarios, read from
+perfbench/workloads.py, into OUTDIR (also with the two oracle sizes as sim
+blocks), then runs every command in COMMANDS as `python -m refcalc.cli`
+with OUTDIR as its working directory. Paths are relative to OUTDIR, so what
+a command prints does not depend on where OUTDIR is. Command NAME leaves
+NAME.csv (its --out), NAME.stdout, NAME.stderr and NAME.exit (the exit code).
+
+Two snapshots of the same code must be equal under `diff -r`: that checks
+that the outputs are deterministic. A snapshot of a parent commit and one of
+a change compare their outputs byte for byte. --root runs the refcalc in
+CHECKOUT/src instead of this checkout's; the scenarios always come from this
+checkout, so both sides read the same inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(HERE / "perfbench"))
+
+import workloads as wl  # noqa: E402
+
+# Oracle sizes for validate: small enough that every scenario runs in seconds.
+COUNTS = {"n_policy_voters": 20_000, "n_replications": 2_000, "agent_level": False}
+AGENTS = {"n_policy_voters": 2_000, "n_replications": 200, "agent_level": True}
+SEED = "5"
+
+SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNOUT}
+
+
+def _sweep(scenario, var, lo, hi, steps, quantities, *extra):
+    return ["sweep", f"{scenario}.json", "--var", var, "--from", lo, "--to", hi,
+            "--steps", str(steps), "--quantities", ",".join(quantities), *extra]
+
+
+def _commands():
+    yield from ((f"eval_{name}", ["eval", f"{name}.json"]) for name in SCENARIOS)
+    yield "sweep_r", _sweep("diverged", "r", "0.3", "0.6", 41, wl.SWEEP_QUANTITIES)
+    b_R = ("diverged", "b_R", "-0.4", "0.4", 17, (*wl.SWEEP_QUANTITIES, "r_star"))
+    yield "sweep_b_R", _sweep(*b_R)
+    yield "sweep_b_R_threads2", _sweep(*b_R, "--threads", "2")
+    yield "sweep_spoiler_r", _sweep(
+        "spoiler", "r", "0.3", "0.6", 13, ("win_prob", "net_benefit", "phi", "net_benefit_third"))
+    yield "sweep_turnout_r", _sweep(
+        "turnout", "r", "0.4", "0.7", 7, ("win_prob", "r_T", "net_benefit_turnout"))
+    yield from ((f"figure_{name}", ["figure", name]) for name in ("fig1", "fig2", "fig3", "figg"))
+    for name in SCENARIOS:
+        for engine in ("counts", "agents"):
+            yield f"validate_{name}_{engine}", ["validate", f"{name}_{engine}.json", "--seed", SEED]
+
+
+COMMANDS = dict(_commands())
+
+
+def snapshot(outdir: Path, src: Path) -> int:
+    """Write the scenarios and every command's streams; return the failures."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, spec in SCENARIOS.items():
+        (outdir / f"{name}.json").write_text(json.dumps(spec))
+        for engine, sim in (("counts", COUNTS), ("agents", AGENTS)):
+            (outdir / f"{name}_{engine}.json").write_text(json.dumps({**spec, "sim": sim}))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    failed = 0
+    for name, argv in COMMANDS.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "refcalc.cli", *argv, "--out", f"{name}.csv"],
+            cwd=outdir, env=env, capture_output=True,
+        )
+        (outdir / f"{name}.stdout").write_bytes(done.stdout)
+        (outdir / f"{name}.stderr").write_bytes(done.stderr)
+        (outdir / f"{name}.exit").write_text(f"{done.returncode}\n")
+        print(f"{name}: exit {done.returncode}")
+        failed += done.returncode != 0
+    return failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--root", type=Path, default=HERE,
+                        help="checkout whose src/refcalc runs (default: this one)")
+    args = parser.parse_args(argv)
+    failed = snapshot(args.outdir, args.root.resolve() / "src")
+    # Every command here should succeed; the snapshot is written either way.
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
