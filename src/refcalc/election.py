@@ -50,8 +50,13 @@ def _clamp(value, diagnostics):
 
 
 def lambda_win(share: float, mu: float) -> float:
-    """Right's win probability given the policy-voter share backing it (unsaturated)."""
-    if not 0 <= share <= 1:
+    """Right's win probability given the policy-voter share backing it (unsaturated).
+
+    A share outside [0, 1] is a usage error. A NaN share is not: it passes
+    through as a NaN probability, so the quadrature integrating it raises
+    QuadratureError instead of the point reading as undefined.
+    """
+    if share < 0.0 or share > 1.0:
         raise UsageError(f"share must lie in [0, 1], got {share}")
     if not 0 < mu < 1:
         raise UsageError(f"mu must lie in (0, 1), got {mu}")

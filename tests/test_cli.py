@@ -167,6 +167,30 @@ def test_non_finite_integrand_exits_3(tmp_path, capsys, monkeypatch):
     assert "achieved tolerance inf" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_a_nan_in_the_win_integrand_exits_3(tmp_path, capsys, monkeypatch, command):
+    # A taste cdf that returns NaN on part of its range puts a NaN share into
+    # the two-party win integrand. The sweep used to read the usage error it
+    # raised as "undefined here": blank cells and exit 0.
+    scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding"))
+    argv = {
+        "sweep": ["sweep", scn, "--var", "r", "--from", "0.4", "--to", "0.5",
+                  "--steps", "3", "--quantities", "win_prob,net_benefit"],
+        "eval": ["eval", scn],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cdf = DistributionSpec.cdf
+    monkeypatch.setattr(
+        DistributionSpec, "cdf",
+        lambda self, x: math.nan if type(x) is float and 0.30 < x < 0.50 else cdf(self, x),
+    )
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert captured.out == ""
+
+
 def test_root_finder_out_of_iterations_exits_3(tmp_path, capsys, monkeypatch):
     scn = _dump(tmp_path, "a.json", _scenario_a())
     monkeypatch.setattr("refcalc.thresholds.ROOT_MAXITER", 2)

@@ -1,6 +1,7 @@
 """Right's win probability and the value of holding a referendum."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from refcalc.election import (
     win_given_shock,
     win_prob,
 )
-from refcalc.errors import InvalidParamsError
+from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
 from refcalc.thresholds import r_bind
@@ -42,6 +43,19 @@ def test_lambda_win_shape():
     assert diag.clamped
     # Without diagnostics the value is still saturated.
     assert _clamp(lambda_win(0.75, 0.8), None) == 1.0
+
+
+@pytest.mark.parametrize("share", [-1e-12, 1.0 + 1e-12, -math.inf, math.inf])
+def test_lambda_win_rejects_a_share_outside_the_unit_interval(share):
+    with pytest.raises(UsageError, match="share must lie in"):
+        lambda_win(share, 0.5)
+
+
+def test_lambda_win_passes_a_nan_share_through():
+    # A NaN share is a numerical fault upstream, not a point where the win
+    # probability is undefined: it must reach the quadrature, which raises.
+    assert math.isnan(lambda_win(math.nan, 0.5))
+    assert lambda_win(0.0, 0.5) == 0.0 and lambda_win(1.0, 0.5) == 1.0
 
 
 def test_right_share_multi_monotone(scenario_a):

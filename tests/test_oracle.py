@@ -97,7 +97,9 @@ GOLDEN_TARGETS = [
 ]
 
 
-def _golden_results(paired=False):
+def _golden_results(
+    paired=False, n=400, n_reps=50, seeds=(1, 2**40 + 3), engines=(False, True)
+):
     """repr of the SimResult tuple over mode x allowed regime x engine x
     continuum_tally x seed, keyed by configuration. With paired, one
     simulate_runs call per target x engine x tally x seed covers all of the
@@ -108,11 +110,11 @@ def _golden_results(paired=False):
     """
     out = {}
     for mode, name, target, regimes in GOLDEN_TARGETS:
-        for agents in (False, True):
+        for agents in engines:
             for continuum in (False, True):
-                for seed in (1, 2**40 + 3):
+                for seed in seeds:
                     cfg = SimConfig(
-                        n_policy_voters=400, n_replications=50, seed=seed,
+                        n_policy_voters=n, n_replications=n_reps, seed=seed,
                         mode=mode, agent_level=agents, continuum_tally=continuum,
                     )
                     if paired:
@@ -143,6 +145,42 @@ def test_golden_results_are_frozen():
 def test_paired_runs_reproduce_the_golden_file():
     # Every result must still be the one a separate simulate call froze.
     assert _golden_results(paired=True) == json.loads(GOLDEN_PATH.read_text())
+
+
+AGENTS_GOLDEN_PATH = Path(__file__).with_name("oracle_agents_golden.json")
+
+# (n_policy_voters, n_replications, seeds): electorates of one to seven
+# voters, where a party or the turnout can be empty, and one full-size case.
+AGENTS_GOLDEN_SIZES = [(n, 40, (1, 2**40 + 3)) for n in (1, 2, 3, 7)]
+AGENTS_GOLDEN_SIZES.append((10_000, 20, (1,)))
+
+
+def _agents_golden_results(paired=False):
+    """The golden results of the agents engine alone at each of
+    AGENTS_GOLDEN_SIZES, keyed by n_policy_voters/golden key. The tiny
+    electorates reach the empty-party and no-ballot-cast NaN branches,
+    which the 400-voter file does not. Re-record after an intended change
+    with
+    ``json.dump(_agents_golden_results(), open(AGENTS_GOLDEN_PATH, "w"), indent=1)``.
+    """
+    out = {}
+    for n, n_reps, seeds in AGENTS_GOLDEN_SIZES:
+        results = _golden_results(paired, n, n_reps, seeds, engines=(True,))
+        out.update({f"{n}/{key}": value for key, value in results.items()})
+    return out
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["separate", "paired"])
+def test_agents_engine_is_frozen_on_tiny_electorates(paired):
+    # With one voter every replication has an empty party, and a held
+    # turnout measure often draws no ballot at all; the summary skips those
+    # NaN replications, so a changed branch shows as a changed mean.
+    golden = json.loads(AGENTS_GOLDEN_PATH.read_text())
+    actual = _agents_golden_results(paired)
+    assert len(actual) == 4 * 40 + 20
+    assert actual.keys() == golden.keys()
+    changed = {k: (golden[k], v) for k, v in actual.items() if golden[k] != v}
+    assert not changed, changed
 
 
 def _separately(runs, cfg):
@@ -183,6 +221,31 @@ def test_paired_results_come_back_in_input_order(agents):
     ]
     cfg = SimConfig(n_policy_voters=500, n_replications=40, seed=8, agent_level=agents)
     assert _paired(runs, cfg) == _separately(runs, cfg)
+
+
+@pytest.mark.parametrize("continuum", [False, True], ids=["sampled", "continuum"])
+def test_runs_at_the_same_positions_match_separate_calls(continuum):
+    # With a near-degenerate shock every non-binding tally of the spoiler
+    # electorate (about 0.33) stays below both cuts (about 0.39 and 0.64),
+    # so all four runs leave the majors at their initial positions (0, 0)
+    # in every replication and the agents engine decides the major-party
+    # choice once for all of them.
+    quiet = replace(SPOILER, base=replace(SPOILER.base, shock=DistributionSpec("normal", 1e-4)))
+    runs = [("two_party", quiet.base, r) for r in (NO_REF, NON_BINDING)]
+    runs += [("third_party", quiet, r) for r in (NO_REF, NON_BINDING)]
+    cfg = SimConfig(
+        n_policy_voters=2_000, n_replications=40, seed=4, agent_level=True,
+        continuum_tally=continuum,
+    )
+    assert _paired(runs, cfg) == _separately(runs, cfg)
+    two_no, two_nb, third_no, third_nb = oracle.simulate_runs(
+        [(target, regime) for _, target, regime in runs], cfg
+    )
+    for no_ref, non_binding in ((two_no, two_nb), (third_no, third_nb)):
+        assert math.isnan(no_ref.referendum_y1_share)
+        assert non_binding.referendum_y1_share < 0.36
+        for field in ("win_freq_R", "win_freq_T", "ahead_freq_R", "congruence_x"):
+            assert getattr(no_ref, field) == getattr(non_binding, field), field
 
 
 @pytest.mark.parametrize(
