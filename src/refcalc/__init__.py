@@ -42,10 +42,10 @@ from .model import (
     PartyPositions,
     ReferendumRegime,
     initial_positions,
-    post_referendum_positions,
     referendum_support,
     require_regime,
     require_valid,
+    shock_pieces,
     validate,
 )
 from .oracle import (

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .election import win_given_diverged, win_prob
+from .election import _cdf_ends, win_given_diverged, win_prob
 from .model import (
     ElectorateParams,
     ReferendumRegime,
-    initial_positions,
     require_regime,
     require_valid,
+    shock_pieces,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .thresholds import gamma_star
@@ -55,11 +55,28 @@ class CongruenceReport:
     alt_delta: float | None = None
 
 
-def _lose_given_diverged(params, lo, hi, config):
-    # P(Left wins and the shock lies in [lo, hi]), positions diverged there.
+def _congruent(params, regime, gs, config):
+    # P(the implemented emerging policy is the majority's, y=1 iff the shock
+    # is at least gs), summed over the regime's shock pieces.
     G = params.shock.cdf
-    mass = (1.0 if hi is None else G(hi)) - (0.0 if lo is None else G(lo))
-    return mass - win_given_diverged(params, lo, hi, config)
+    total = 0.0
+    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
+        if positions.diverged:
+            # gamma_star lies inside the split piece: Left (y=0) must win
+            # below it, Right (y=1) above it.
+            g_lo, g_gs = _cdf_ends(G, lo, gs)
+            lose = g_gs - g_lo - win_given_diverged(params, lo, gs, config)
+            total = total + lose + win_given_diverged(params, gs, hi, config)
+            continue
+        # Aligned at y: congruent where the majority wants y; a binding
+        # majority is always wanted.
+        if positions.y_left == 0:
+            hi = gs if hi is None else min(hi, gs)
+        elif positions.y_left == 1:
+            lo = gs if lo is None else max(lo, gs)
+        g_lo, g_hi = _cdf_ends(G, lo, hi)
+        total = total + g_hi - g_lo
+    return total
 
 
 def second_issue_congruence(
@@ -69,37 +86,19 @@ def second_issue_congruence(
 ) -> CongruenceReport:
     """Probability the implemented emerging policy matches the majority.
 
-    Without a referendum: if the parties agree on y=0, the outcome is
-    congruent exactly when the shock stays below gamma_star; if they diverge,
-    congruence requires the right-sided party to win on the right side of
-    gamma_star. A binding referendum makes the match certain. A non-binding
-    one realigns positions with the shock, which helps in the tails (both
-    parties end up on the majority side) but still leaves the middle interval
-    to the election, now with gamma_star interior to it.
+    Summed over model.shock_pieces. Where the parties agree on y=0 the
+    outcome is congruent exactly when the shock stays below gamma_star; where
+    they diverge, congruence requires the right-sided party to win on the
+    right side of gamma_star. A binding referendum makes the match certain. A
+    non-binding one realigns positions with the shock, which helps in the
+    tails (both parties end up on the majority side) but still leaves the
+    middle interval to the election, now with gamma_star interior to it.
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
     gs = gamma_star(params).value
-    G = params.shock.cdf
-
-    if initial_positions(params).diverged:
-        no_ref = _lose_given_diverged(params, None, gs, config) + win_given_diverged(
-            params, gs, None, config
-        )
-    else:
-        no_ref = G(gs)
-
-    if regime is ReferendumRegime.BINDING:
-        with_ref = 1.0
-    else:
-        with_ref = (
-            G(-params.b_R)
-            + _lose_given_diverged(params, -params.b_R, gs, config)
-            + win_given_diverged(params, gs, -params.b_L, config)
-            + 1.0
-            - G(-params.b_L)
-        )
-
+    no_ref = _congruent(params, ReferendumRegime.NO_REFERENDUM, gs, config)
+    with_ref = _congruent(params, regime, gs, config)
     return CongruenceReport(
         ISSUE_SECOND, regime, no_ref, with_ref, with_ref - no_ref
     )

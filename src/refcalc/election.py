@@ -22,9 +22,10 @@ from .errors import UsageError
 from .model import (
     ElectorateParams,
     ReferendumRegime,
-    initial_positions,
+    moved_pieces,
     require_regime,
     require_valid,
+    shock_pieces,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
 
@@ -47,6 +48,11 @@ def _clamp(value, diagnostics):
             diagnostics.clamped = True
         return 0.0 if value < 0.0 else 1.0
     return value
+
+
+def _cdf_ends(G, lo, hi):
+    """(G(lo), G(hi)) for a shock piece, 0 and 1 at its infinite ends."""
+    return (0.0 if lo is None else G(lo)), (1.0 if hi is None else G(hi))
 
 
 def lambda_win(share: float, mu: float) -> float:
@@ -112,23 +118,19 @@ def win_prob(
 ) -> float:
     """Probability that Right wins the election under the given regime.
 
-    No referendum is the baseline: a single-issue race decided by r when the
-    parties agree on the emerging policy (b_R < 0), or the multi-issue
-    integral of lambda(share(gamma)) when they diverge. A binding referendum
-    collapses any divergence, so the race is single-issue at share r. A
-    non-binding one makes positions shock-dependent: aligned in both tails
-    (single-issue), diverged on the middle interval.
+    Sums over the regime's model.shock_pieces: where the parties agree the
+    race is single-issue at share r, where they split it is the multi-issue
+    integral of lambda(share(gamma)).
     """
     require_valid(params)
-    require_regime(regime, "two_party")
-    if regime is ReferendumRegime.NON_BINDING:
-        G = params.shock.cdf
-        aligned_mass = G(-params.b_R) + 1.0 - G(-params.b_L)
-        mid = win_given_diverged(params, -params.b_R, -params.b_L, config, diagnostics)
-        return aligned_mass * _win_at_share(params, params.r, diagnostics) + mid
-    if regime is ReferendumRegime.NO_REFERENDUM and initial_positions(params).diverged:
-        return win_given_diverged(params, config=config, diagnostics=diagnostics)
-    return _win_at_share(params, params.r, diagnostics)
+    aligned = diverged = 0.0
+    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
+        if positions.diverged:
+            diverged = diverged + win_given_diverged(params, lo, hi, config, diagnostics)
+        else:
+            g_lo, g_hi = _cdf_ends(params.shock.cdf, lo, hi)
+            aligned = aligned + g_hi - g_lo
+    return aligned * _win_at_share(params, params.r, diagnostics) + diverged
 
 
 def net_benefit(
@@ -139,15 +141,11 @@ def net_benefit(
 ) -> float:
     """Right's gain in win probability from the referendum being held.
 
-    Equals win_prob(regime) - win_prob(NO_REFERENDUM), but computed from the
-    piecewise form so each regime's sign structure is explicit:
-
-    * binding, b_R < 0: exactly zero (the referendum changes nothing, both
-      parties already match on the emerging policy);
-    * binding, b_R >= 0: lambda(r) minus the multi-issue integral;
-    * non-binding, b_R < 0: the middle-interval integral of
-      lambda(share) - lambda(r), the only shocks that now split the parties;
-    * non-binding, b_R >= 0: the two aligned tails of lambda(r) - lambda(share).
+    Equals win_prob(regime) - win_prob(NO_REFERENDUM), but computed only over
+    model.moved_pieces, so each regime's sign structure is explicit: the
+    integral of lambda(r) - lambda(share) where the referendum aligns the
+    parties, minus it where the referendum splits them, and exactly zero
+    where it moves nothing (binding, b_R < 0).
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
@@ -157,15 +155,8 @@ def net_benefit(
             params, right_share_multi(params, g), diagnostics
         )
 
-    misaligned = initial_positions(params).diverged
-
-    if regime is ReferendumRegime.BINDING:
-        if not misaligned:
-            return 0.0
-        return integrate_shock(gap, params.shock, None, None, config)
-
-    if not misaligned:
-        return -integrate_shock(gap, params.shock, -params.b_R, -params.b_L, config)
-    lo_tail = integrate_shock(gap, params.shock, None, -params.b_R, config)
-    hi_tail = integrate_shock(gap, params.shock, -params.b_L, None, config)
-    return lo_tail + hi_tail
+    total = 0.0
+    for lo, hi, positions in moved_pieces(params.b_L, params.b_R, regime):
+        piece = integrate_shock(gap, params.shock, lo, hi, config)
+        total = total - piece if positions.diverged else total + piece
+    return total

@@ -1,4 +1,4 @@
-"""Electorate primitives: parameters, validity checks, and party positions.
+"""Electorate primitives: parameters, validity checks, and the position rule.
 
 The policy space has two binary dimensions. On the traditional dimension the
 parties are fixed (Left at 0, Right at 1) and a fraction r of policy voters
@@ -35,9 +35,9 @@ class ReferendumRegime(enum.Enum):
 
 # The regimes each model defines, keyed by oracle mode; "post_referendum"
 # covers the quantities that compare a referendum with the no-referendum
-# baseline (net benefit, congruence, positions after the vote). A spoiler
-# race has no binding referendum, and a same-day ballot measure leaves no
-# room to reposition, so turnout has no non-binding one.
+# baseline (net benefit and congruence). A spoiler race has no binding
+# referendum, and a same-day ballot measure leaves no room to reposition, so
+# turnout has no non-binding one.
 REGIMES = {
     "two_party": tuple(ReferendumRegime),
     "third_party": (ReferendumRegime.NO_REFERENDUM, ReferendumRegime.NON_BINDING),
@@ -59,8 +59,8 @@ def require_regime(regime, model: str) -> None:
 class PartyPositions(NamedTuple):
     """Emerging-dimension positions. Traditional positions are fixed (L=0, R=1)."""
 
-    y_left: int
-    y_right: int
+    y_left: int | None
+    y_right: int | None
 
     @property
     def diverged(self):
@@ -122,10 +122,7 @@ def require_valid(params: ElectorateParams) -> None:
 
 def initial_positions(params: ElectorateParams) -> PartyPositions:
     """Positions before any referendum: party J adopts 1 iff b_J >= 0."""
-    return PartyPositions(
-        y_left=1 if params.b_L >= 0 else 0,
-        y_right=1 if params.b_R >= 0 else 0,
-    )
+    return shock_pieces(params.b_L, params.b_R, ReferendumRegime.NO_REFERENDUM)[0][2]
 
 
 def referendum_support(params: ElectorateParams, gamma):
@@ -139,20 +136,31 @@ def referendum_support(params: ElectorateParams, gamma):
     return params.r * B(gamma + params.b_R) + (1.0 - params.r) * B(gamma + params.b_L)
 
 
-def post_referendum_positions(
-    params: ElectorateParams, gamma: float, regime: ReferendumRegime
-) -> PartyPositions:
-    """Positions after a referendum reveals the aggregate shock gamma.
+def shock_pieces(b_L: float, b_R: float, regime: ReferendumRegime) -> tuple:
+    """The position rule: the regime's shock pieces (lo, hi, PartyPositions).
 
-    Non-binding: each party follows its own updated mean taste, adopting the
-    policy iff b_J + gamma >= 0. Binding: both parties stand on the referendum
-    majority, i.e. 1 iff the support share reaches 1/2.
+    The pieces tile the shock line in order, with None for an infinite end.
+    No referendum keeps the initial positions on the whole line: party J
+    holds y=1 iff b_J >= 0. A binding referendum puts both parties on the
+    majority's side on the whole line; their common y follows gamma_star and
+    is left as None. A non-binding one reveals the shock and party J adopts
+    the policy exactly when gamma >= -b_J, so the parties split on
+    [-b_R, -b_L] and agree on both tails.
     """
-    require_regime(regime, "post_referendum")
-    if regime is ReferendumRegime.NON_BINDING:
-        return PartyPositions(
-            y_left=1 if gamma >= -params.b_L else 0,
-            y_right=1 if gamma >= -params.b_R else 0,
-        )
-    y = 1 if referendum_support(params, gamma) >= 0.5 else 0
-    return PartyPositions(y_left=y, y_right=y)
+    require_regime(regime, "two_party")
+    if regime is ReferendumRegime.NO_REFERENDUM:
+        return ((None, None, PartyPositions(int(b_L >= 0), int(b_R >= 0))),)
+    if regime is ReferendumRegime.BINDING:
+        return ((None, None, PartyPositions(None, None)),)
+    return (
+        (None, -b_R, PartyPositions(0, 0)),
+        (-b_R, -b_L, PartyPositions(0, 1)),
+        (-b_L, None, PartyPositions(1, 1)),
+    )
+
+
+def moved_pieces(b_L: float, b_R: float, regime: ReferendumRegime) -> tuple:
+    """The pieces of shock_pieces where the regime changes whether the parties
+    split: the only shocks at which the referendum can move the election."""
+    split = shock_pieces(b_L, b_R, ReferendumRegime.NO_REFERENDUM)[0][2].diverged
+    return tuple(p for p in shock_pieces(b_L, b_R, regime) if p[2].diverged != split)

@@ -164,8 +164,9 @@ def _majority_yes(yes_count, n, continuum, support):
 
 def _position_cuts(params, regime):
     """(c_R, c_L): after the referendum stage party J holds y=1 exactly when
-    the tally share is at least c_J. The one statement of the position rule;
-    an infinite cut keeps a party at its initial position."""
+    the tally share is at least c_J; an infinite cut keeps a party at its
+    initial position. The oracle's own statement of the position rule, in
+    tally space, kept apart from model.shock_pieces so that validate checks it."""
     if regime is ReferendumRegime.NO_REFERENDUM:
         pos = initial_positions(params)
         return tuple(-math.inf if y else math.inf for y in (pos.y_right, pos.y_left))

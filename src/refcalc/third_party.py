@@ -22,8 +22,9 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec
 from .election import ClampDiagnostics, _clamp, lambda_win, win_given_diverged, win_given_shock
+from .election import _cdf_ends
 from .errors import InvalidParamsError, UsageError
-from .model import ElectorateParams, ReferendumRegime, require_regime
+from .model import ElectorateParams, ReferendumRegime, require_regime, shock_pieces
 from .model import validate as validate_base
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
 
@@ -92,26 +93,26 @@ def win_prob_third(
 ) -> float:
     """P(Right ahead of Left), without or with an advisory referendum.
 
-    No referendum: lambda_hat integrated over the shock. Non-binding: below
-    -b_R nothing moves (both majors hold y=0, spoiler intact); on
-    [-b_R, -b_L) Right repositions to y=1, absorbing the spoiler's base, and
-    the race is the standard diverged two-party one; above -b_L both majors
-    sit at y=1 and the race is single-issue at share r.
+    Sums over the regime's model.shock_pieces. While both majors hold y=0
+    the spoiler keeps its base and lambda_hat is integrated; where Right
+    alone moves to y=1 it absorbs that base and the race is the diverged
+    two-party one; where both sit at y=1 it is single-issue at share r.
     """
     require_valid_third(tp)
     require_regime(regime, "third_party")
     b = tp.base
-    if regime is ReferendumRegime.NO_REFERENDUM:
-        return integrate_shock(
-            lambda g: lambda_hat(tp, g, diagnostics), b.shock, None, None, config
-        )
-    G = b.shock.cdf
-    low = integrate_shock(
-        lambda g: lambda_hat(tp, g, diagnostics), b.shock, None, -b.b_R, config
-    )
-    mid = win_given_diverged(b, -b.b_R, -b.b_L, config, diagnostics)
-    top = (1.0 - G(-b.b_L)) * _clamp(lambda_win(b.r, b.mu), diagnostics)
-    return low + mid + top
+    total = 0.0
+    for lo, hi, positions in shock_pieces(b.b_L, b.b_R, regime):
+        if positions.diverged:
+            total = total + win_given_diverged(b, lo, hi, config, diagnostics)
+        elif positions.y_right == 0:
+            total = total + integrate_shock(
+                lambda g: lambda_hat(tp, g, diagnostics), b.shock, lo, hi, config
+            )
+        else:
+            g_lo, g_hi = _cdf_ends(b.shock.cdf, lo, hi)
+            total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu), diagnostics)
+    return total
 
 
 def net_benefit_third(
@@ -121,26 +122,25 @@ def net_benefit_third(
 ) -> float:
     """Right's gain, ahead-of-Left probability, from the advisory referendum.
 
-    Two pieces, matching where the reveal changes anything: the middle
-    interval where Right repositions, and the upper tail where both majors
-    do. Identical (up to quadrature) to the difference of the two
-    win_prob_third calls; kept in this form so the sign analysis stays
-    legible.
+    Integrated only over the non-binding model.shock_pieces where Right has
+    left y=0, the only shocks at which the reveal changes anything. Identical
+    (up to quadrature) to the difference of the two win_prob_third calls;
+    kept in this form so the sign analysis stays legible.
     """
     require_valid_third(tp)
     b = tp.base
     lam_r = _clamp(lambda_win(b.r, b.mu), diagnostics)
-    mid = integrate_shock(
-        lambda g: win_given_shock(b, g, diagnostics) - lambda_hat(tp, g, diagnostics),
-        b.shock,
-        -b.b_R,
-        -b.b_L,
-        config,
-    )
-    tail = integrate_shock(
-        lambda g: lam_r - lambda_hat(tp, g, diagnostics), b.shock, -b.b_L, None, config
-    )
-    return mid + tail
+    total = 0.0
+    for lo, hi, positions in shock_pieces(b.b_L, b.b_R, ReferendumRegime.NON_BINDING):
+        if positions.y_right == 0:
+            continue
+
+        def gain(g, diverged=positions.diverged):
+            after = win_given_shock(b, g, diagnostics) if diverged else lam_r
+            return after - lambda_hat(tp, g, diagnostics)
+
+        total = total + integrate_shock(gain, b.shock, lo, hi, config)
+    return total
 
 
 def worse_off_condition(

@@ -15,13 +15,14 @@ paying off for Right, under one of the regime/bias configurations:
 The three cohesion thresholds solve one condition affine in r with positive
 slope, (1-r) * L - r * R = 0, with L and R the shock integrals of
 B(-p + gamma + b_L) and B(-p - gamma - b_R) over the shock pieces where the
-referendum moves positions. Each root is the closed kernel ratio L/(L+R),
-reported with the residual of the condition. None depends on mu: the
-popularity channel scales the net benefit without moving its sign change (as
-long as the affine win map never saturates; see the election module).
-Neither does any kernel, so within one command (quadrature.memo) each kernel
-integral is computed once: a sweep over r or mu integrates them at its first
-point only, and r_bind's L, which does not involve b_R, once for all b_R.
+referendum moves positions (model.moved_pieces). Each root is the closed
+kernel ratio L/(L+R), reported with the residual of the condition. None
+depends on mu: the popularity channel scales the net benefit without moving
+its sign change (as long as the affine win map never saturates; see the
+election module). Neither does any kernel, so within one command
+(quadrature.memo) each kernel integral is computed once: a sweep over r or mu
+integrates them at its first point only, and r_bind's L, which does not
+involve b_R, once for all b_R.
 
 The roots that remain (gamma_star and the b_R scan) come from _brent, a port
 of scipy's brentq.c (Brent, "Algorithms for Minimization without
@@ -42,7 +43,14 @@ from dataclasses import dataclass
 
 from .distributions import DistributionSpec
 from .errors import RootFindError, UsageError
-from .model import ElectorateParams, referendum_support, require_valid
+from .model import (
+    ElectorateParams,
+    ReferendumRegime,
+    moved_pieces,
+    referendum_support,
+    require_valid,
+    shock_pieces,
+)
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock, recall
 
 ROOT_XTOL = 1e-12
@@ -162,13 +170,13 @@ def gamma_star(params: ElectorateParams) -> ThresholdReport:
 def _kernels(b_L, b_R, p, taste, shock, pieces, config):
     """Shock integrals L of B(-p + gamma + b_L) and R of B(-p - gamma - b_R).
 
-    Each is summed over pieces, a sequence of (lo, hi) shock intervals with
-    None for an infinite end. Within quadrature.memo() each piece's integral
-    is looked up before it is computed.
+    Each is summed over pieces, a sequence of model.shock_pieces entries.
+    Within quadrature.memo() each piece's integral is looked up before it is
+    computed.
     """
     B = taste.cdf
     L = R = 0.0
-    for lo, hi in pieces:
+    for lo, hi, _ in pieces:
         L += recall(
             lambda: integrate_shock(lambda g: B(-p + g + b_L), shock, lo, hi, config),
             "L", b_L, p, taste, shock, lo, hi, config,
@@ -185,72 +193,63 @@ def _ratio(name, L, R, bracket):
     return ThresholdReport(name, value, abs((1.0 - value) * L - value * R), bracket, 0)
 
 
-def r_bind(
-    b_L: float,
-    b_R: float,
-    p: float,
-    taste: DistributionSpec,
-    shock: DistributionSpec,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> ThresholdReport:
+def _cohesion(name, regime, diverged, bracket, doc):
+    """The cohesion threshold name: the kernel ratio L/(L+R) over the moved
+    pieces of regime, from a diverged (b_R >= 0) or an aligned start."""
+
+    def threshold(
+        b_L: float,
+        b_R: float,
+        p: float,
+        taste: DistributionSpec,
+        shock: DistributionSpec,
+        config: QuadratureConfig = DEFAULT_QUADRATURE,
+    ) -> ThresholdReport:
+        _check_biases(b_L, b_R, p)
+        if (b_R >= 0) != diverged:
+            start = "diverged" if diverged else "aligned"
+            sign = ">=" if diverged else "<"
+            raise UsageError(f"{name} needs initially {start} positions (b_R {sign} 0)")
+        if b_R == b_L:
+            # Only r_star gets here: its split piece is empty.
+            return ThresholdReport(name, 0.5, 0.0, bracket, 0, ("degenerate_equal_biases",))
+        pieces = moved_pieces(b_L, b_R, regime)
+        return _ratio(name, *_kernels(b_L, b_R, p, taste, shock, pieces, config), bracket)
+
+    threshold.__name__ = threshold.__qualname__ = name
+    threshold.__doc__ = doc
+    return threshold
+
+
+r_bind = _cohesion(
+    "r_bind", ReferendumRegime.BINDING, True, (0.0, 1.0),
     """Cohesion threshold for a binding referendum (diverged start, b_R >= 0).
 
     The net benefit is proportional to (1-r) * L - r * R with the kernels
     integrated over the whole shock line, so r_bind = L/(L+R).
-    """
-    _check_biases(b_L, b_R, p)
-    if b_R < 0:
-        raise UsageError("r_bind needs initially diverged positions (b_R >= 0)")
-    L, R = _kernels(b_L, b_R, p, taste, shock, ((None, None),), config)
-    return _ratio("r_bind", L, R, (0.0, 1.0))
+    """,
+)
 
-
-def r_star(
-    b_L: float,
-    b_R: float,
-    p: float,
-    taste: DistributionSpec,
-    shock: DistributionSpec,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> ThresholdReport:
+r_star = _cohesion(
+    "r_star", ReferendumRegime.NON_BINDING, False, (0.0, 0.5),
     """Cohesion threshold for a non-binding referendum from an aligned start.
 
     Requires b_L <= b_R < 0. The condition lives on the middle interval
     [-b_R, -b_L], where the parties split, so r_star = L/(L+R) over it;
     R >= L there, hence r_star <= 1/2. The equal-bias edge b_R = b_L
     collapses the interval; the limit is 1/2 and is returned exactly.
-    """
-    _check_biases(b_L, b_R, p)
-    if not b_R < 0:
-        raise UsageError("r_star needs initially aligned positions (b_R < 0)")
-    if b_R == b_L:
-        return ThresholdReport(
-            "r_star", 0.5, 0.0, (0.0, 0.5), 0, ("degenerate_equal_biases",)
-        )
-    L, R = _kernels(b_L, b_R, p, taste, shock, ((-b_R, -b_L),), config)
-    return _ratio("r_star", L, R, (0.0, 0.5))
+    """,
+)
 
-
-def r_star_star(
-    b_L: float,
-    b_R: float,
-    p: float,
-    taste: DistributionSpec,
-    shock: DistributionSpec,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> ThresholdReport:
+r_star_star = _cohesion(
+    "r_star_star", ReferendumRegime.NON_BINDING, True, (0.0, 1.0),
     """Cohesion threshold for a non-binding referendum from a diverged start.
 
     The net benefit restricted to the aligned tails (shock outside
     [-b_R, -b_L]) is proportional to r * R - (1-r) * L with the kernels
     integrated over both tails, so the unique root is L/(L+R).
-    """
-    _check_biases(b_L, b_R, p)
-    if b_R < 0:
-        raise UsageError("r_star_star needs initially diverged positions (b_R >= 0)")
-    tails = ((None, -b_R), (-b_L, None))
-    L, R = _kernels(b_L, b_R, p, taste, shock, tails, config)
-    return _ratio("r_star_star", L, R, (0.0, 1.0))
+    """,
+)
 
 
 def delta_at_rbind(
@@ -268,7 +267,8 @@ def delta_at_rbind(
     because the full-line condition vanishes there by construction.
     """
     rb = r_bind(b_L, b_R, p, taste, shock, config).value
-    L, R = _kernels(b_L, b_R, p, taste, shock, ((-b_R, -b_L),), config)
+    split = shock_pieces(b_L, b_R, ReferendumRegime.NON_BINDING)[1:2]
+    L, R = _kernels(b_L, b_R, p, taste, shock, split, config)
     return (1.0 - rb) * L - rb * R
 
 

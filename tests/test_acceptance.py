@@ -25,7 +25,7 @@ from refcalc.election import win_prob
 from refcalc.model import (
     ElectorateParams,
     ReferendumRegime,
-    post_referendum_positions,
+    shock_pieces,
     validate,
 )
 from refcalc.oracle import SimConfig, simulate
@@ -328,9 +328,11 @@ def test_criterion_6_pivotal_shock_property():
                 break
         pivot = gamma_star(params).value
         interior = -params.b_R < pivot < -params.b_L
-        positions = post_referendum_positions(
-            params, pivot, ReferendumRegime.NON_BINDING)
-        if not (interior and positions.diverged):
+        at_pivot = [
+            positions for lo, hi, positions in shock_pieces(
+                params.b_L, params.b_R, ReferendumRegime.NON_BINDING)
+            if (lo is None or lo <= pivot) and (hi is None or pivot < hi)]
+        if not (interior and len(at_pivot) == 1 and at_pivot[0].diverged):
             failures += 1
     assert failures == 0
     _report(6, "pivotal shock interior and divisive, 1000 draws", t0)

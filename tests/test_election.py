@@ -142,6 +142,28 @@ def test_net_benefit_binding_sign_flips_at_r_bind():
     assert nb(rb) == pytest.approx(0.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("mu", [0.5, 0.7])
+@pytest.mark.parametrize("b_R", [-0.1, 0.2])
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+def test_net_benefit_is_the_win_prob_difference(regime, b_R, mu):
+    # net_benefit integrates only where the referendum moves the parties; it
+    # must agree with the difference of the two win probabilities, also where
+    # the win map saturates (mu = 0.7 from a diverged start).
+    params = ElectorateParams(
+        r=0.45, mu=mu, p=0.3, b_L=-0.4, b_R=b_R,
+        taste=DistributionSpec("normal", 1.0),
+        shock=DistributionSpec("normal", 0.5),
+    )
+    nb_diag, wp_diag = ClampDiagnostics(), ClampDiagnostics()
+    gain = net_benefit(params, regime, diagnostics=nb_diag)
+    diff = win_prob(params, regime, diagnostics=wp_diag) - win_prob(
+        params, NO_REF, diagnostics=wp_diag
+    )
+    assert abs(gain - diff) <= 1e-10
+    saturates = mu > 0.5 and b_R >= 0
+    assert nb_diag.clamped == wp_diag.clamped == saturates
+
+
 def test_clamp_diagnostics_reports_saturation():
     # Policy voters dominant enough that lambda saturates for some shocks.
     params = ElectorateParams(

@@ -22,7 +22,7 @@ from refcalc import cli, quadrature, thresholds
 from refcalc.cli import main
 from refcalc.congruence import classify_congruence_region
 from refcalc.errors import QuadratureError, UsageError
-from refcalc.model import DistributionSpec, ReferendumRegime
+from refcalc.model import DistributionSpec, ReferendumRegime, moved_pieces
 from refcalc.quadrature import QuadratureConfig, memo
 from refcalc.scenario import load_scenario
 from refcalc.thresholds import r_bind, r_star, r_star_star
@@ -181,8 +181,9 @@ def test_both_zeros_share_one_key(monkeypatch, family):
         # r_bind's piece, then r_star_star's two.
         return [
             _bits(thresholds._kernels(args["b_L"], b_R, args["p"], args["taste"],
-                                      args["shock"], pieces, quadrature.DEFAULT_QUADRATURE))
-            for pieces in (((None, None),), ((None, -b_R), (-args["b_L"], None)))
+                                      args["shock"], moved_pieces(args["b_L"], b_R, regime),
+                                      quadrature.DEFAULT_QUADRATURE))
+            for regime in (ReferendumRegime.BINDING, ReferendumRegime.NON_BINDING)
         ]
 
     outside = thresholds_at(0.0)

@@ -7,16 +7,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from refcalc.errors import InvalidParamsError, UsageError
+from refcalc.errors import InvalidParamsError
 from refcalc.model import (
     DistributionSpec,
     ElectorateParams,
     PartyPositions,
     ReferendumRegime,
     initial_positions,
-    post_referendum_positions,
+    moved_pieces,
     referendum_support,
     require_valid,
+    shock_pieces,
     validate,
 )
 
@@ -94,28 +95,50 @@ def test_initial_positions_by_bias_sign(scenario_a):
     assert not pos2.diverged
 
 
-def test_post_referendum_positions_non_binding(scenario_a):
+def _positions_at(pieces, gamma):
+    # The positions on the piece that holds gamma; a piece holds its lo end.
+    (positions,) = [
+        pos for lo, hi, pos in pieces
+        if (lo is None or lo <= gamma) and (hi is None or gamma < hi)
+    ]
+    return positions
+
+
+def test_shock_pieces_non_binding(scenario_a):
     # Non-binding: party J adopts iff gamma >= -b_J.
-    assert post_referendum_positions(
-        scenario_a, -0.4, ReferendumRegime.NON_BINDING
-    ) == PartyPositions(0, 0)
-    assert post_referendum_positions(
-        scenario_a, 0.0, ReferendumRegime.NON_BINDING
-    ) == PartyPositions(0, 1)
-    assert post_referendum_positions(
-        scenario_a, 0.6, ReferendumRegime.NON_BINDING
-    ) == PartyPositions(1, 1)
+    pieces = shock_pieces(scenario_a.b_L, scenario_a.b_R, ReferendumRegime.NON_BINDING)
+    assert _positions_at(pieces, -0.4) == PartyPositions(0, 0)
+    assert _positions_at(pieces, 0.0) == PartyPositions(0, 1)
+    assert _positions_at(pieces, 0.6) == PartyPositions(1, 1)
 
 
-def test_post_referendum_positions_binding(scenario_a):
-    # Binding: both parties stand on the referendum majority.
-    low = post_referendum_positions(scenario_a, -2.0, ReferendumRegime.BINDING)
-    high = post_referendum_positions(scenario_a, 2.0, ReferendumRegime.BINDING)
-    assert low == PartyPositions(0, 0)
-    assert high == PartyPositions(1, 1)
-    assert not low.diverged and not high.diverged
+def test_shock_pieces_binding(scenario_a):
+    # Binding: both parties stand together on the whole line.
+    (piece,) = shock_pieces(scenario_a.b_L, scenario_a.b_R, ReferendumRegime.BINDING)
+    assert piece[:2] == (None, None)
+    assert not piece[2].diverged
 
 
-def test_post_referendum_positions_needs_regime(scenario_a):
-    with pytest.raises(UsageError):
-        post_referendum_positions(scenario_a, 0.0, ReferendumRegime.NO_REFERENDUM)
+@pytest.mark.parametrize("regime", list(ReferendumRegime))
+@pytest.mark.parametrize(
+    "b_L, b_R", [(-0.5, -0.2), (-0.5, 0.0), (-0.5, 0.3), (-0.1, 1.2), (-1.0, -0.99)]
+)
+def test_shock_pieces_tile_the_line(b_L, b_R, regime):
+    pieces = shock_pieces(b_L, b_R, regime)
+    assert pieces[0][0] is None and pieces[-1][1] is None
+    for (_, hi, _), (lo, _, _) in zip(pieces, pieces[1:]):
+        assert hi == lo
+    initial = PartyPositions(int(b_L >= 0), int(b_R >= 0))
+    for lo, hi, positions in pieces:
+        if lo is not None and hi is not None:
+            assert lo < hi
+        if regime is ReferendumRegime.NO_REFERENDUM:
+            assert positions == initial
+        elif regime is ReferendumRegime.BINDING:
+            assert not positions.diverged
+        else:
+            # Party J holds y=1 exactly when gamma >= -b_J.
+            gamma = hi - 1.0 if lo is None else lo + 1.0 if hi is None else (lo + hi) / 2
+            assert positions == PartyPositions(int(gamma >= -b_L), int(gamma >= -b_R))
+    moved = [piece for piece in pieces if piece[2].diverged != initial.diverged]
+    assert list(moved_pieces(b_L, b_R, regime)) == moved
