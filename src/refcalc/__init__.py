@@ -11,6 +11,7 @@ from .congruence import (
     RegionCell,
     classify_congruence_region,
     second_issue_congruence,
+    traditional_delta,
     traditional_issue_congruence,
 )
 from .distributions import (
@@ -22,6 +23,7 @@ from .distributions import (
 )
 from .election import (
     ClampDiagnostics,
+    lambda_margin,
     lambda_win,
     net_benefit,
     win_given_diverged,
@@ -41,6 +43,7 @@ from .model import (
     ElectorateParams,
     PartyPositions,
     ReferendumRegime,
+    competitive_band,
     initial_positions,
     referendum_support,
     require_regime,

@@ -7,10 +7,10 @@ blocks. Exit codes: 0 on success (a validate run that prints FAIL verdicts
 still succeeded at its job), 2 on scenario or usage errors (an --out path
 that cannot be opened among them, found before any computation), 3 on
 numerical failures. eval and sweep share one table of named quantities
-(_QUANTITIES); sweep rejects a quantity or --var (_VARS) whose regime,
-third_party or turnout block is missing, and where a present block fails its
-constraints at a grid point, the cell is empty. sweep starts at most one of
-its --threads (>= 1) workers per grid point.
+(_QUANTITIES); sweep rejects a non-finite grid and a quantity or --var
+(_VARS) whose regime, third_party or turnout block is missing, and where a
+present block fails its constraints at a grid point, the cell is empty. sweep
+starts at most one of its --threads (>= 1) workers per grid point.
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -30,9 +30,9 @@ from contextlib import nullcontext
 from dataclasses import replace
 
 from .congruence import (
-    KNIFE_EDGE_FLAG,
     classify_congruence_region,
     second_issue_congruence,
+    traditional_delta,
     traditional_issue_congruence,
 )
 from .distributions import DistributionSpec
@@ -51,6 +51,7 @@ from .scenario import Scenario, load_scenario
 from .third_party import (
     net_benefit_third,
     phi,
+    validate_third,
     win_prob_third,
     worse_off_condition,
 )
@@ -67,8 +68,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     return "%.12g" % value
 
 
@@ -114,11 +113,6 @@ def _threshold(fn, p: ElectorateParams, quad: QuadratureConfig):
         return None
 
 
-def _delta_traditional(scn: Scenario):
-    report = traditional_issue_congruence(scn.params, scn.regime, scn.quadrature)
-    return None if KNIFE_EDGE_FLAG in report.flags else report.delta
-
-
 # Every named scalar quantity, shared by eval and sweep: the scenario block it
 # needs (None, "regime", "third_party" or "turnout") and its value at a
 # Scenario. A sweep naming a quantity whose block is missing is rejected.
@@ -131,8 +125,9 @@ _QUANTITIES = {
     "r_star_star": (None, lambda s: _threshold(r_star_star, s.params, s.quadrature)),
     "delta_second": (
         "regime", lambda s: second_issue_congruence(s.params, s.regime, s.quadrature).delta),
-    "delta_traditional": ("regime", _delta_traditional),
-    "phi": ("third_party", lambda s: phi(s.params.b_L, s.params.b_R, s.params.shock)),
+    "delta_traditional": ("regime", lambda s: traditional_delta(s.params, s.regime, s.quadrature)),
+    "phi": ("third_party", lambda s: None if validate_third(s.third)
+            else phi(s.params.b_L, s.params.b_R, s.params.shock)),
     "net_benefit_third": ("third_party", lambda s: net_benefit_third(s.third, config=s.quadrature)),
     "r_T": ("turnout", lambda s: r_T(s.turnout, config=s.quadrature).value),
     "net_benefit_turnout": (
@@ -266,8 +261,9 @@ def _cmd_sweep(args, out) -> int:
         raise ScenarioError("no quantities requested")
     if args.steps < 2:
         raise ScenarioError(f"steps must be at least 2, got {args.steps}")
-    if not args.from_ < args.to:
-        raise ScenarioError(f"need from < to, got {args.from_} .. {args.to}")
+    step = (args.to - args.from_) / (args.steps - 1)
+    if not (args.from_ < args.to and math.isfinite(step)):
+        raise ScenarioError(f"need finite from < to, got {args.from_} .. {args.to}")
     if args.threads < 1:
         raise ScenarioError(f"threads must be at least 1, got {args.threads}")
     allowed = _GAMMA_QUANTITIES if args.var == "gamma" else tuple(_QUANTITIES)
@@ -293,7 +289,6 @@ def _cmd_sweep(args, out) -> int:
             )
             raise ScenarioError(f"{name} needs {what} in the scenario")
 
-    step = (args.to - args.from_) / (args.steps - 1)
     values = [args.from_ + i * step for i in range(args.steps)]
     jobs = [(scenario, args.var, v, quantities) for v in values]
     workers = min(args.threads, len(jobs))

@@ -9,19 +9,20 @@ direction; the region classifier maps out where it falls on each issue.
 Majority conventions. On the emerging issue the majority preference flips at
 the pivotal shock gamma_star; the zero-measure boundary point is counted on
 the y=1 side. On the traditional issue the majority party is Right when
-r > 1/2 and Left when r < 1/2; at exactly r = 1/2 there is no strict
-majority, so reports carry both conventions and a knife-edge flag instead of
-picking one.
+r > 1/2 and Left when r < 1/2; at exactly r = 1/2 (knife_edge) there is no
+strict majority, so the report is flagged and traditional_delta is None
+instead of picking a convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .election import _cdf_ends, win_given_diverged, win_prob
+from .election import win_given_diverged, win_prob
 from .model import (
     ElectorateParams,
     ReferendumRegime,
+    cdf_ends,
     require_regime,
     require_valid,
     shock_pieces,
@@ -39,9 +40,8 @@ KNIFE_EDGE_FLAG = "knife_edge_majority"
 class CongruenceReport:
     """Congruence probabilities for one issue, without and with a referendum.
 
-    delta = prob_with_ref - prob_no_ref. The alt_* fields are populated only
-    on the traditional issue at r = 1/2, where the main fields use the
-    Right-as-majority convention and the alternates the Left one.
+    delta = prob_with_ref - prob_no_ref. On the traditional issue at r = 1/2
+    the fields use the Right-as-majority convention and carry KNIFE_EDGE_FLAG.
     """
 
     issue: str
@@ -50,9 +50,11 @@ class CongruenceReport:
     prob_with_ref: float
     delta: float
     flags: tuple[str, ...] = ()
-    alt_prob_no_ref: float | None = None
-    alt_prob_with_ref: float | None = None
-    alt_delta: float | None = None
+
+
+def knife_edge(r: float) -> bool:
+    """True at r = 1/2, where neither party holds the traditional majority."""
+    return r == 0.5
 
 
 def _congruent(params, regime, gs, config):
@@ -64,7 +66,7 @@ def _congruent(params, regime, gs, config):
         if positions.diverged:
             # gamma_star lies inside the split piece: Left (y=0) must win
             # below it, Right (y=1) above it.
-            g_lo, g_gs = _cdf_ends(G, lo, gs)
+            g_lo, g_gs = cdf_ends(G, lo, gs)
             lose = g_gs - g_lo - win_given_diverged(params, lo, gs, config)
             total = total + lose + win_given_diverged(params, gs, hi, config)
             continue
@@ -74,7 +76,7 @@ def _congruent(params, regime, gs, config):
             hi = gs if hi is None else min(hi, gs)
         elif positions.y_left == 1:
             lo = gs if lo is None else max(lo, gs)
-        g_lo, g_hi = _cdf_ends(G, lo, hi)
+        g_lo, g_hi = cdf_ends(G, lo, hi)
         total = total + g_hi - g_lo
     return total
 
@@ -99,9 +101,7 @@ def second_issue_congruence(
     gs = gamma_star(params).value
     no_ref = _congruent(params, ReferendumRegime.NO_REFERENDUM, gs, config)
     with_ref = _congruent(params, regime, gs, config)
-    return CongruenceReport(
-        ISSUE_SECOND, regime, no_ref, with_ref, with_ref - no_ref
-    )
+    return CongruenceReport(ISSUE_SECOND, regime, no_ref, with_ref, with_ref - no_ref)
 
 
 def traditional_issue_congruence(
@@ -114,37 +114,33 @@ def traditional_issue_congruence(
     The referendum never moves any platform on the traditional issue; it
     matters here only through how realigned emerging-issue positions shift
     the win probability. With r > 1/2 the report tracks Right's win
-    probability, with r < 1/2 Left's; at r = 1/2 both conventions are
-    reported and flagged.
+    probability, with r < 1/2 Left's; at r = 1/2 Right's, flagged with
+    KNIFE_EDGE_FLAG.
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
     wp_no = win_prob(params, ReferendumRegime.NO_REFERENDUM, config)
     wp_with = win_prob(params, regime, config)
-
-    if params.r > 0.5:
-        return CongruenceReport(
-            ISSUE_TRADITIONAL, regime, wp_no, wp_with, wp_with - wp_no
-        )
     if params.r < 0.5:
         return CongruenceReport(
-            ISSUE_TRADITIONAL,
-            regime,
-            1.0 - wp_no,
-            1.0 - wp_with,
-            wp_no - wp_with,
+            ISSUE_TRADITIONAL, regime, 1.0 - wp_no, 1.0 - wp_with, wp_no - wp_with
         )
-    return CongruenceReport(
-        ISSUE_TRADITIONAL,
-        regime,
-        wp_no,
-        wp_with,
-        wp_with - wp_no,
-        flags=(KNIFE_EDGE_FLAG,),
-        alt_prob_no_ref=1.0 - wp_no,
-        alt_prob_with_ref=1.0 - wp_with,
-        alt_delta=wp_no - wp_with,
-    )
+    flags = (KNIFE_EDGE_FLAG,) if knife_edge(params.r) else ()
+    return CongruenceReport(ISSUE_TRADITIONAL, regime, wp_no, wp_with, wp_with - wp_no, flags)
+
+
+def traditional_delta(
+    params: ElectorateParams,
+    regime: ReferendumRegime,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> float | None:
+    """traditional_issue_congruence's delta, or None on the r = 1/2 knife
+    edge, which is validated but not integrated."""
+    if knife_edge(params.r):
+        require_valid(params)
+        require_regime(regime, "post_referendum")
+        return None
+    return traditional_issue_congruence(params, regime, config).delta
 
 
 @dataclass(frozen=True)
@@ -192,11 +188,6 @@ def classify_congruence_region(
         for r in r_values:
             cell_params = replace(params, b_R=float(b_R), r=float(r))
             d2 = second_issue_congruence(cell_params, regime, config).delta
-            if r == 0.5:
-                dt = None
-            else:
-                dt = traditional_issue_congruence(cell_params, regime, config).delta
-            cells.append(
-                RegionCell(float(b_R), float(r), d2, dt, _region_flag(d2, dt))
-            )
+            dt = traditional_delta(cell_params, regime, config)
+            cells.append(RegionCell(float(b_R), float(r), d2, dt, _region_flag(d2, dt)))
     return cells

@@ -2,16 +2,17 @@
 
 The election layer: policy voters split between the parties according to the
 positions on offer, noise voters split by a uniform popularity shock eta, and
-Right wins when its total vote share exceeds one half. Conditional on a policy
-voter share x going to Right, the win probability is affine in x,
+Right wins when its total vote share exceeds one half. Conditional on the
+policy-voter margin D (Right's share minus Left's), the win probability is
 
-    lambda(x) = 1/2 + mu/(1-mu) * (x - 1/2),
+    lambda_margin(D) = 1/2 + mu D / (2 (1-mu)),
 
-saturated into [0, 1] because eta is uniform on [0, 1]. Saturation is the
-exact probability, not an approximation; a diagnostic flag records whether it
-ever bound, since downstream closed-form thresholds are derived from the
-unsaturated affine map and only coincide exactly when it never does (mu <= 1/2
-guarantees that).
+saturated into [0, 1] because eta is uniform on [0, 1]. lambda_win and the
+spoiler race read this one statement; only turnout keeps an unclamped copy,
+until it gets its own clamp. Saturation is exact, not an approximation; a
+diagnostic flag records whether it ever bound, since downstream closed-form
+thresholds are derived from the unsaturated affine map and only coincide
+exactly when it never does (mu <= 1/2 guarantees that).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import UsageError
 from .model import (
     ElectorateParams,
     ReferendumRegime,
+    cdf_ends,
     moved_pieces,
     require_regime,
     require_valid,
@@ -50,23 +52,26 @@ def _clamp(value, diagnostics):
     return value
 
 
-def _cdf_ends(G, lo, hi):
-    """(G(lo), G(hi)) for a shock piece, 0 and 1 at its infinite ends."""
-    return (0.0 if lo is None else G(lo)), (1.0 if hi is None else G(hi))
+def lambda_margin(margin: float, mu: float) -> float:
+    """Right's win probability given the policy-voter margin D (unsaturated).
+
+    A NaN margin passes through as a NaN probability, so the quadrature
+    integrating it raises QuadratureError instead of reading as undefined.
+    """
+    if not 0 < mu < 1:
+        raise UsageError(f"mu must lie in (0, 1), got {mu}")
+    return 0.5 + mu / (2.0 * (1.0 - mu)) * margin
 
 
 def lambda_win(share: float, mu: float) -> float:
     """Right's win probability given the policy-voter share backing it (unsaturated).
 
-    A share outside [0, 1] is a usage error. A NaN share is not: it passes
-    through as a NaN probability, so the quadrature integrating it raises
-    QuadratureError instead of the point reading as undefined.
+    lambda_margin at the margin 2 share - 1. A share outside [0, 1] is a
+    usage error; a NaN share is not, and passes through as a NaN.
     """
     if share < 0.0 or share > 1.0:
         raise UsageError(f"share must lie in [0, 1], got {share}")
-    if not 0 < mu < 1:
-        raise UsageError(f"mu must lie in (0, 1), got {mu}")
-    return 0.5 + mu / (1.0 - mu) * (share - 0.5)
+    return lambda_margin(2.0 * share - 1.0, mu)
 
 
 def right_share_multi(params: ElectorateParams, gamma):
@@ -82,7 +87,7 @@ def right_share_multi(params: ElectorateParams, gamma):
 
 
 def _win_at_share(params, share, diag):
-    return _clamp(lambda_win(share, params.mu), diag)
+    return _clamp(lambda_margin(2.0 * share - 1.0, params.mu), diag)
 
 
 def win_given_shock(
@@ -128,7 +133,7 @@ def win_prob(
         if positions.diverged:
             diverged = diverged + win_given_diverged(params, lo, hi, config, diagnostics)
         else:
-            g_lo, g_hi = _cdf_ends(params.shock.cdf, lo, hi)
+            g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
             aligned = aligned + g_hi - g_lo
     return aligned * _win_at_share(params, params.r, diagnostics) + diverged
 

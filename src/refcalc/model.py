@@ -78,6 +78,13 @@ class ElectorateParams:
     shock: DistributionSpec
 
 
+def competitive_band(mu: float) -> tuple[float, float]:
+    """The open band (1 - 1/(2 mu), 1/(2 mu)) of r in which neither party's
+    single-issue win probability saturates; it contains (0, 1) for mu <= 1/2."""
+    hi = 1.0 / (2.0 * mu)
+    return 1.0 - hi, hi
+
+
 def _violations(params: ElectorateParams, bias_order: bool) -> list[str]:
     # Shared by validate and the turnout extension, which skips bias_order.
     v = []
@@ -95,8 +102,7 @@ def _violations(params: ElectorateParams, bias_order: bool) -> list[str]:
             f"bias ordering violated: need b_L < 0 and b_L < b_R, got b_L={params.b_L}, b_R={params.b_R}"
         )
     if 0 < params.mu < 1 and 0 < params.r < 1:
-        lo = 1.0 - 1.0 / (2.0 * params.mu)
-        hi = 1.0 / (2.0 * params.mu)
+        lo, hi = competitive_band(params.mu)
         if not lo < params.r < hi:
             v.append(
                 f"competitiveness violated: need {lo:.6g} < r < {hi:.6g}, got r={params.r}"
@@ -157,6 +163,11 @@ def shock_pieces(b_L: float, b_R: float, regime: ReferendumRegime) -> tuple:
         (-b_R, -b_L, PartyPositions(0, 1)),
         (-b_L, None, PartyPositions(1, 1)),
     )
+
+
+def cdf_ends(G, lo, hi):
+    """(G(lo), G(hi)) for a shock piece, 0 and 1 at its infinite (None) ends."""
+    return (0.0 if lo is None else G(lo)), (1.0 if hi is None else G(hi))
 
 
 def moved_pieces(b_L: float, b_R: float, regime: ReferendumRegime) -> tuple:

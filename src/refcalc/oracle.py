@@ -58,6 +58,7 @@ import numpy as np
 from .model import (
     ElectorateParams,
     ReferendumRegime,
+    competitive_band,
     initial_positions,
     referendum_support,
     require_regime,
@@ -673,8 +674,7 @@ def estimate_threshold(
         raise UsageError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
     mu = (target if isinstance(target, ElectorateParams) else target.base).mu
     if 0.0 < mu < 1.0:
-        # model's competitiveness constraint on r; wider than (0, 1) for mu <= 1/2.
-        band = (1.0 - 1.0 / (2.0 * mu), 1.0 / (2.0 * mu))
+        band = competitive_band(mu)
         if not (band[0] < lo and hi < band[1]):
             raise UsageError(
                 f"bracket {bracket} leaves the competitiveness band "

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import DistributionSpec
-from .election import ClampDiagnostics, _clamp, lambda_win, win_given_diverged, win_given_shock
-from .election import _cdf_ends
+from .congruence import knife_edge
+from .election import ClampDiagnostics, _clamp, lambda_margin, lambda_win
+from .election import win_given_diverged, win_given_shock
 from .errors import InvalidParamsError, UsageError
-from .model import ElectorateParams, ReferendumRegime, require_regime, shock_pieces
+from .model import ElectorateParams, ReferendumRegime, cdf_ends, require_regime, shock_pieces
 from .model import validate as validate_base
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
 
@@ -38,11 +39,6 @@ WIDE_DISPERSION_FACTOR = 50.0
 class ThirdPartyParams:
     base: ElectorateParams
     v: float = DEFAULT_VALENCE
-
-    @property
-    def sigma(self) -> float:
-        """Taste dispersion, the scale the wide-dispersion analysis varies."""
-        return self.base.taste.scale
 
 
 def validate_third(tp: ThirdPartyParams) -> list[str]:
@@ -72,17 +68,15 @@ def lambda_hat(
 
     Right keeps a conservative with probability B(-v - b_R - gamma), Left
     keeps a liberal with probability B(p - v - b_L - gamma); the noise split
-    turns the retained-share gap into this win probability, clamped to [0,1]
-    with the clamp recorded. Callers are expected to pass validated params;
-    this runs inside quadrature loops and does not re-check.
+    (election.lambda_margin) turns the retained-share margin into this win
+    probability, clamped to [0,1] with the clamp recorded. Callers are
+    expected to pass validated params; this runs inside quadrature loops and
+    does not re-check.
     """
     b = tp.base
     B = b.taste.cdf
-    raw = 0.5 - b.mu / (2.0 * (1.0 - b.mu)) * (
-        (1.0 - b.r) * B(b.p - tp.v - b.b_L - gamma)
-        - b.r * B(-tp.v - b.b_R - gamma)
-    )
-    return _clamp(raw, diagnostics)
+    margin = b.r * B(-tp.v - b.b_R - gamma) - (1.0 - b.r) * B(b.p - tp.v - b.b_L - gamma)
+    return _clamp(lambda_margin(margin, b.mu), diagnostics)
 
 
 def win_prob_third(
@@ -110,7 +104,7 @@ def win_prob_third(
                 lambda g: lambda_hat(tp, g, diagnostics), b.shock, lo, hi, config
             )
         else:
-            g_lo, g_hi = _cdf_ends(b.shock.cdf, lo, hi)
+            g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
             total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu), diagnostics)
     return total
 
@@ -231,19 +225,17 @@ def classify_referendum_preference(
     require_valid_third(tp)
     b = tp.base
     if not b.mu < 2.0 / 3.0:
-        raise UsageError(
-            f"classification requires mu < 2/3, got {b.mu}"
-        )
+        raise UsageError(f"classification requires mu < 2/3, got {b.mu}")
     floor = WIDE_DISPERSION_FACTOR * max(
         b.p, abs(b.b_L), abs(b.b_R), b.shock.scale, abs(tp.v)
     )
-    if tp.sigma < floor:
+    if b.taste.scale < floor:
         raise UsageError(
-            f"taste scale {tp.sigma} is below the wide-dispersion proxy "
+            f"taste scale {b.taste.scale} is below the wide-dispersion proxy "
             f"{floor:.6g} ({WIDE_DISPERSION_FACTOR:g}x the largest other "
             f"scale in play)"
         )
-    if b.r == 0.5:
+    if knife_edge(b.r):
         raise UsageError("r = 1/2: no strict majority, nothing to classify")
     ph = phi(b.b_L, b.b_R, b.shock)
     asym = (b.r - 0.5) * ph

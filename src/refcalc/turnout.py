@@ -113,9 +113,11 @@ def win_prob_turnout(
     voter's stake is p, so D = (mu p / c_bar)(2r - 1) and the probability is
     1/2 + (mu/(1-mu))(p/c_bar)(r - 1/2). A referendum raises voter i's stake
     to p + |b_i|, which adds (mu/c_bar)[r I(b_R) - (1-r) I(b_L)] to D and
-    therefore net_benefit_turnout to the win probability. The affine map is
-    exact only while 1/2 + D/(2(1-mu)) stays in [0, 1] for every shock; it is
-    not clamped, so with large mu the result can leave [0, 1].
+    therefore net_benefit_turnout to the win probability. This is the one
+    copy of election.lambda_margin's map outside election, left unclamped
+    until turnout gets its own clamp: exact only while 1/2 + D/(2(1-mu))
+    stays in [0, 1] for every shock, so with large mu the result can leave
+    [0, 1].
     """
     require_valid_turnout(tp)
     require_regime(regime, "turnout")

@@ -17,9 +17,12 @@ import math
 
 import pytest
 
+from scipy import optimize
+
 from refcalc.cli import main
 from refcalc.distributions import DistributionSpec
 from refcalc.model import ElectorateParams, referendum_support
+from refcalc.third_party import phi
 
 GAMMA_STAR_A = 0.2365713444530117      # FROZEN scipy brentq
 WIN_NO_REF_A = 0.4312868827503117      # FROZEN scipy quad
@@ -461,6 +464,97 @@ def test_sweep_turnout_cells_empty_where_constraints_fail(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(0.5346722369893764, abs=1e-7)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--var", "r", "--from", "0.4", "--to", "0.5", "--steps", "3", "--quantities", " , "],
+     "no quantities requested"),
+    (["--var", "r", "--from", "0.4", "--to", "0.5", "--steps", "1", "--quantities", "win_prob"],
+     "steps must be at least 2, got 1"),
+    (["--var", "r", "--from", "0.5", "--to", "0.4", "--steps", "3", "--quantities", "win_prob"],
+     "need finite from < to, got 0.5 .. 0.4"),
+], ids=["no_quantities", "one_step", "from_above_to"])
+def test_sweep_argument_errors_exit_2(tmp_path, capsys, argv, message):
+    scn = _dump(tmp_path, "a.json", _scenario_a())
+    assert main(["sweep", scn, *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _spoiler(**extra):
+    return _scenario_a(regime="non_binding", b_R=-0.1, third_party={"v": -0.01}, **extra)
+
+
+@pytest.mark.parametrize("scn, argv", [
+    (_spoiler(), ["--var", "v", "--from=-0.5", "--to=inf", "--quantities", "phi"]),
+    (_scenario_a(), ["--var", "r", "--from=0.3", "--to=inf", "--quantities", "win_prob"]),
+    (_scenario_a(), ["--var", "gamma", "--from=-1e308", "--to=1e308", "--quantities", "s"]),
+], ids=["v_to_inf", "r_to_inf", "gamma_step_overflows"])
+def test_sweep_rejects_a_non_finite_grid_before_computing(tmp_path, capsys, monkeypatch, scn, argv):
+    # An infinite end, or a span whose step overflows, used to print nan and
+    # inf rows or fail mid-grid with a message about some grid point.
+    def no_cell(job):
+        raise AssertionError("computed a cell of a non-finite grid")
+
+    monkeypatch.setattr("refcalc.cli._sweep_cell", no_cell)
+    path = _dump(tmp_path, "s.json", scn)
+    assert main(["sweep", path, "--steps", "3", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "need finite from < to" in err
+    lo, hi = (float(arg.split("=")[1]) for arg in argv[2:4])
+    assert f"got {lo} .. {hi}" in err
+
+
+def test_sweep_phi_is_empty_where_the_spoiler_block_fails(tmp_path, capsys):
+    # The spoiler block needs v < 0 and b_R < 0; phi's cell follows it like
+    # net_benefit_third's, where phi alone is still defined.
+    path = _dump(tmp_path, "s.json", _spoiler())
+    shock = DistributionSpec("normal", 0.25)
+    for var, grid, valid in (("v", ("-0.5", "0.5"), 1), ("b_R", ("-0.2", "0"), 2)):
+        out = tmp_path / f"{var}.csv"
+        assert main(["sweep", path, "--var", var, "--from", grid[0], "--to", grid[1],
+                     "--steps", "3", "--quantities", "phi,net_benefit_third",
+                     "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        for row in rows[:valid]:
+            b_R = float(row[0]) if var == "b_R" else -0.1
+            assert row[1] == "%.12g" % phi(-0.5, b_R, shock)
+            assert row[2] != ""
+        for row in rows[valid:]:
+            assert row[1:] == ["", ""], row
+
+
+def _phi_normal(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _gamma_star_normal(r, b_L, b_R, taste_scale):
+    # Support r Phi((g + b_R)/s) + (1 - r) Phi((g + b_L)/s) = 1/2, by erf.
+    def excess(g):
+        return (r * _phi_normal((g + b_R) / taste_scale)
+                + (1.0 - r) * _phi_normal((g + b_L) / taste_scale) - 0.5)
+    return optimize.brentq(excess, -5.0, 5.0, xtol=1e-15, rtol=4 * 2.0**-52)
+
+
+@pytest.mark.parametrize("var", ["taste_scale", "shock_scale"])
+def test_sweep_scale_vars(tmp_path, capsys, var):
+    # Both parties start at y = 0 (b_R < 0), so without a referendum the
+    # emerging policy is the majority's exactly when the shock is below
+    # gamma_star: a binding referendum raises that congruence by
+    # 1 - G(gamma_star), with G the N(0, shock_scale) cdf.
+    path = _dump(tmp_path, "a.json", _scenario_a(regime="binding", b_R=-0.1))
+    out = tmp_path / f"{var}.csv"
+    assert main(["sweep", path, "--var", var, "--from", "0.1", "--to", "0.5",
+                 "--steps", "3", "--quantities", "gamma_star,delta_second",
+                 "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == [var, "gamma_star", "delta_second"]
+    assert [row[0] for row in rows] == ["0.1", "0.3", "0.5"]
+    for row in rows:
+        scale = float(row[0])
+        taste, shock = (scale, 0.25) if var == "taste_scale" else (0.2, scale)
+        gs = _gamma_star_normal(0.45, -0.5, -0.1, taste)
+        assert float(row[1]) == pytest.approx(gs, abs=1e-9)
+        assert float(row[2]) == pytest.approx(1.0 - _phi_normal(gs / shock), abs=1e-9)
+
+
 # ---------------------------------------------------------------- figures
 
 def test_fig1_dataset(tmp_path, capsys):
@@ -475,6 +569,24 @@ def test_fig1_dataset(tmp_path, capsys):
     assert all(a < b for a, b in zip(support, support[1:]))
     density = {row[0]: row[1] for row in rows}
     assert density["-1"] == density["1"]
+
+
+def test_fig2_dataset(tmp_path, capsys):
+    # Support r Phi((g + b_R)/0.2) + (1 - r) Phi((g + b_L)/0.2) at r = 1/2,
+    # b_L = -0.5 and b_R in {-0.1, -0.01}, from math.erf.
+    out = tmp_path / "fig2.csv"
+    assert main(["figure", "fig2", "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == ["gamma", "s_bR_-0.1", "s_bR_-0.01"]
+    assert [row[0] for row in rows[:3]] == ["-1", "-0.99", "-0.98"]
+    assert len(rows) == 201 and rows[-1][0] == "1"
+    for row in rows:
+        g = float(row[0])
+        for cell, b_R in zip(row[1:], (-0.1, -0.01)):
+            expected = 0.5 * _phi_normal((g + b_R) / 0.2) + 0.5 * _phi_normal((g - 0.5) / 0.2)
+            assert float(cell) == pytest.approx(expected, rel=1e-11, abs=1e-15)
+        # A right bias closer to zero raises support at every shock.
+        assert float(row[2]) > float(row[1])
 
 
 def test_fig3_dataset(tmp_path, capsys):

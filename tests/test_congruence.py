@@ -9,10 +9,11 @@ from refcalc.congruence import (
     KNIFE_EDGE_FLAG,
     classify_congruence_region,
     second_issue_congruence,
+    traditional_delta,
     traditional_issue_congruence,
 )
 from refcalc.election import net_benefit, win_prob
-from refcalc.errors import UsageError
+from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 
 BINDING = ReferendumRegime.BINDING
@@ -28,7 +29,6 @@ def test_second_issue_frozen_non_binding(scenario_a):
     assert rep.prob_with_ref == pytest.approx(0.6084073802175197, abs=1e-8)
     assert rep.delta == pytest.approx(0.04200887637492701, abs=1e-8)
     assert rep.flags == ()
-    assert rep.alt_delta is None
 
 
 def test_second_issue_binding_is_perfect(scenario_a):
@@ -84,13 +84,34 @@ def test_traditional_saturated_figg_cell_frozen():
     assert abs(delta - frozen) <= 1e-10 + 1e-8 * max(abs(frozen), 1.0)
 
 
-def test_traditional_knife_edge_reports_both_conventions(scenario_a):
+def test_traditional_knife_edge_is_flagged_and_has_no_delta(scenario_a):
+    # At r = 1/2 neither party holds the majority: the report keeps the
+    # Right-as-majority convention under a flag, and traditional_delta is
+    # None instead of picking one.
     tied = replace(scenario_a, r=0.5)
     rep = traditional_issue_congruence(tied, NON_BINDING)
-    assert KNIFE_EDGE_FLAG in rep.flags
-    assert rep.alt_prob_no_ref == pytest.approx(1.0 - rep.prob_no_ref, abs=1e-12)
-    assert rep.alt_prob_with_ref == pytest.approx(1.0 - rep.prob_with_ref, abs=1e-12)
-    assert rep.alt_delta == pytest.approx(-rep.delta, abs=1e-12)
+    assert rep.flags == (KNIFE_EDGE_FLAG,)
+    assert rep.prob_no_ref == win_prob(tied, NO_REF)
+    assert rep.prob_with_ref == win_prob(tied, NON_BINDING)
+    assert traditional_delta(tied, NON_BINDING) is None
+
+
+@pytest.mark.parametrize("r", [0.45, 0.55])
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+def test_traditional_delta_is_the_report_delta_off_the_knife_edge(scenario_a, r, regime):
+    params = replace(scenario_a, r=r)
+    assert traditional_delta(params, regime) == (
+        traditional_issue_congruence(params, regime).delta
+    )
+
+
+def test_traditional_delta_validates_on_the_knife_edge(scenario_a):
+    # The knife edge skips the integrals, not the checks.
+    tied = replace(scenario_a, r=0.5)
+    with pytest.raises(UsageError, match="post_referendum"):
+        traditional_delta(tied, NO_REF)
+    with pytest.raises(InvalidParamsError, match="bias ordering"):
+        traditional_delta(replace(tied, b_L=0.1), NON_BINDING)
 
 
 def test_region_map_flags_match_deltas(scenario_a):

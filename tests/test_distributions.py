@@ -119,6 +119,36 @@ def test_float_path_rejects_non_finite_and_closed_unit_interval():
                 d.quantile(bad)
 
 
+def test_array_path_rejects_what_the_float_path_rejects():
+    for family in ("normal", "logistic"):
+        d = DistributionSpec(family, 1.0)
+        for method in (d.cdf, d.pdf, d.logcdf):
+            with pytest.raises(UsageError, match="non-finite point"):
+                method(np.array([0.0, math.inf]))
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(UsageError, match=r"strictly in \(0, 1\)"):
+                d.quantile(np.array([0.5, bad]))
+        with pytest.raises(UsageError, match="must not be NaN"):
+            d.partial_mean(np.array([0.0, math.nan]), 1.0)
+        with pytest.raises(UsageError, match="lo <= hi"):
+            d.partial_mean(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan])
+def test_truncation_needs_a_finite_positive_half_width(half_width):
+    with pytest.raises(UsageError, match="half_width must be finite and positive"):
+        TruncatedDistribution(DistributionSpec("normal", 1.0), half_width)
+
+
+def test_truncated_quantile_rejects_the_closed_unit_interval():
+    t = TruncatedDistribution(DistributionSpec("normal", 1.0), 2.0)
+    for bad in (0.0, 1.0, math.nan, -0.5):
+        with pytest.raises(UsageError, match=r"strictly in \(0, 1\)"):
+            t.quantile(np.array([0.5, bad]))
+        with pytest.raises(UsageError, match=r"strictly in \(0, 1\)"):
+            t.quantile(bad)
+
+
 def test_quantile_symmetry():
     d = DistributionSpec("normal", 0.5)
     # FROZEN scipy: norm.ppf(0.25, scale=0.5) = -0.33724487509804085.

@@ -9,6 +9,7 @@ import pytest
 from refcalc.election import (
     ClampDiagnostics,
     _clamp,
+    lambda_margin,
     lambda_win,
     net_benefit,
     right_share_multi,
@@ -18,6 +19,7 @@ from refcalc.election import (
 from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
+from refcalc.third_party import ThirdPartyParams, lambda_hat
 from refcalc.thresholds import r_bind
 
 from conftest import PRIM_WIDE
@@ -55,7 +57,62 @@ def test_lambda_win_passes_a_nan_share_through():
     # A NaN share is a numerical fault upstream, not a point where the win
     # probability is undefined: it must reach the quadrature, which raises.
     assert math.isnan(lambda_win(math.nan, 0.5))
+    assert math.isnan(lambda_margin(math.nan, 0.5))
     assert lambda_win(0.0, 0.5) == 0.0 and lambda_win(1.0, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_win_map_rejects_mu_outside_the_open_unit_interval(mu):
+    with pytest.raises(UsageError, match="mu must lie in"):
+        lambda_margin(0.1, mu)
+    with pytest.raises(UsageError, match="mu must lie in"):
+        lambda_win(0.5, mu)
+
+
+_MUS = (5e-324, 1e-300, 1e-12, 0.1, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0 - 1e-12,
+        math.nextafter(1.0, 0.0))
+_SHARES = (0.0, 5e-324, 1e-17, 0.25, math.nextafter(0.5, 0.0), 0.5,
+           math.nextafter(0.5, 1.0), 0.7, math.nextafter(1.0, 0.0), 1.0)
+
+
+def test_win_map_keeps_the_bits_of_its_share_form():
+    # The map is stated once on the margin D = 2x - 1. It must equal, bit for
+    # bit, the share form 1/2 + mu/(1-mu) (x - 1/2) written out here, from
+    # mu near 0 to mu near 1 and at shares 0, 1/2 and 1.
+    scenario = ElectorateParams(
+        r=0.5, mu=0.5, p=0.2, b_L=-0.5, b_R=0.3,
+        taste=DistributionSpec("normal", 0.2), shock=DistributionSpec("normal", 0.25),
+    )
+    for mu in _MUS:
+        for x in _SHARES:
+            share_form = 0.5 + mu / (1.0 - mu) * (x - 0.5)
+            assert lambda_win(x, mu) == share_form, (mu, x)
+            assert lambda_margin(2.0 * x - 1.0, mu) == share_form, (mu, x)
+        params = replace(scenario, mu=mu)
+        for g in (-1.0, -0.1, 0.0, 0.2, 1.0):
+            share = right_share_multi(params, g)
+            clamped = min(1.0, max(0.0, 0.5 + mu / (1.0 - mu) * (share - 0.5)))
+            assert win_given_shock(params, g) == clamped, (mu, g)
+
+
+def test_spoiler_map_keeps_the_bits_of_its_retention_form():
+    # lambda_hat reads the same map at the margin r B(-v-b_R-g) - (1-r)
+    # B(p-v-b_L-g); the retention form it replaced is written out here.
+    for mu in _MUS:
+        for r in (0.3, 0.5, 0.6):
+            base = ElectorateParams(
+                r=r, mu=mu, p=0.2, b_L=-0.5, b_R=-0.1,
+                taste=DistributionSpec("logistic", 0.6),
+                shock=DistributionSpec("normal", 0.25),
+            )
+            tp = ThirdPartyParams(base, v=-0.05)
+            B = base.taste.cdf
+            for g in (-2.0, -0.3, 0.0, 0.15, 2.0):
+                raw = 0.5 - mu / (2.0 * (1.0 - mu)) * (
+                    (1.0 - r) * B(base.p - tp.v - base.b_L - g)
+                    - r * B(-tp.v - base.b_R - g)
+                )
+                assert lambda_hat(tp, g) == min(1.0, max(0.0, raw)), (mu, r, g)
 
 
 def test_right_share_multi_monotone(scenario_a):

@@ -16,7 +16,7 @@ from refcalc.errors import UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
 from refcalc import oracle
-from refcalc.oracle import SimConfig, estimate_threshold, simulate
+from refcalc.oracle import SimConfig, estimate_threshold, simulate, simulate_runs
 from refcalc.third_party import ThirdPartyParams, win_prob_third
 from refcalc.turnout import TurnoutParams, validate_turnout, win_prob_turnout
 
@@ -448,6 +448,35 @@ def test_estimate_threshold_reports_missing_sign_change():
     assert est.flags == ("no_sign_change_in_bracket",)
     assert est.value == 0.6
     assert est.evaluations == 2
+
+
+def test_estimate_threshold_reports_a_bracket_wholly_below_the_threshold():
+    # Below r_bind (FROZEN 0.3582516326965752) a binding referendum costs
+    # Right, so the net benefit has one sign on (0.1, 0.2) and the estimate
+    # is the bracket's upper end, flagged.
+    target = ElectorateParams(
+        r=0.5, mu=0.5, p=0.05, b_L=-1.0, b_R=0.5,
+        taste=DistributionSpec("normal", 1.0),
+        shock=DistributionSpec("normal", 0.5),
+    )
+    cfg = SimConfig(n_policy_voters=5_000, n_replications=500, seed=0)
+    est = estimate_threshold(target, "r_bind", cfg, bracket=(0.1, 0.2))
+    assert est.flags == ("no_sign_change_in_bracket",)
+    assert est.value == 0.2
+    assert est.ci_low < 0.2 < est.ci_high
+    assert est.evaluations == 2
+
+
+def test_simulate_runs_rejects_a_target_it_cannot_simulate(monkeypatch):
+    # Every run is checked before the first draw.
+    def no_draws(*args):
+        raise AssertionError("drew before checking every target")
+
+    monkeypatch.setattr(oracle.np.random, "Philox", no_draws)
+    cfg = SimConfig(n_policy_voters=100, n_replications=10, seed=0)
+    for target in (SCENARIO_A.taste, "two_party"):
+        with pytest.raises(UsageError, match=f"^cannot simulate a {type(target).__name__}$"):
+            simulate_runs([(SCENARIO_A, NO_REF), (target, NO_REF)], cfg)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

@@ -129,6 +129,35 @@ def test_phi_closed_form_identities():
         )
 
 
+@pytest.mark.parametrize("b_L, b_R, match", [
+    (0.0, 0.0, "b_L must be negative"),
+    (math.nan, -0.1, "b_L must be negative"),
+    (-0.5, -0.6, "need b_L <= b_R <= 0"),
+    (-0.5, 0.1, "need b_L <= b_R <= 0"),
+])
+def test_phi_rejects_arguments_outside_its_domain(b_L, b_R, match):
+    with pytest.raises(UsageError, match=match):
+        phi(b_L, b_R, SHOCK_HALF)
+
+
+def test_phi_thresholds_rejects_a_nonnegative_b_L():
+    with pytest.raises(UsageError, match="b_L must be negative"):
+        phi_thresholds(0.0, SHOCK_HALF)
+
+
+def test_phi_thresholds_has_no_b_R_star_from_the_lower_quartile_up():
+    # Above the shock's lower quartile phi(b_L, 0) = 2 G(b_L) - 1/2 > 0 and
+    # phi falls in b_R, so it stays positive on [b_L, 0] and has no root.
+    quartile = SHOCK_HALF.quantile(0.25)
+    # FROZEN scipy: norm.ppf(0.25, scale=0.5) = -0.33724487509804085.
+    assert quartile == pytest.approx(-0.33724487509804085, abs=1e-12)
+    assert phi_thresholds(quartile, SHOCK_HALF) == (quartile, None)
+    for b_L in (-0.3, -0.2, -1e-9):
+        assert phi_thresholds(b_L, SHOCK_HALF) == (quartile, None)
+        for b_R in (b_L, b_L / 2, 0.0):
+            assert phi(b_L, b_R, SHOCK_HALF) > 0
+
+
 def test_phi_thresholds_frozen():
     th = phi_thresholds(-0.5, SHOCK_HALF)
     # FROZEN scipy: norm.ppf(1/4, scale=0.5) = -0.33724487509804085.

@@ -335,6 +335,31 @@ def test_dagger_scan_reports_no_crossing_at_wide_primitives():
     assert ddagger.value == 0.0
 
 
+def test_dagger_scan_refines_a_sign_change_it_finds(monkeypatch):
+    # A sign scan of delta_at_rbind (b_L -1 and -0.3, p 0.01 to 3, taste
+    # scales 0.02 to 10, shock scales 0.3 to 2, normal and logistic) found no
+    # second crossing above 1e-12, so the scan runs on a stand-in with the
+    # same signs around the pivot -b_L = 1 (negative just above, positive
+    # just below) and known roots at 1.7 above it and 0.4 below it.
+    b_L, p, taste, shock = WIDE
+    monkeypatch.setattr(
+        thresholds, "delta_at_rbind",
+        lambda b_L, b_R, *rest: (b_R + b_L) * (b_R - 1.7) * (b_R - 0.4),
+    )
+    delta = thresholds.delta_at_rbind
+    dagger, ddagger = br_dagger_ddagger(b_L, p, taste, shock)
+    for report, root, above in ((dagger, 1.7, 1), (ddagger, 0.4, -1)):
+        assert report.flags == ()
+        assert report.iterations > 0
+        lo, hi = report.bracket
+        assert lo < report.value < hi
+        assert report.value == pytest.approx(root, abs=1e-9)
+        # delta changes sign across the root, with the side the scan wanted
+        # away from the pivot.
+        assert above * delta(b_L, report.value + above * 1e-6) > 0
+        assert above * delta(b_L, report.value - above * 1e-6) < 0
+
+
 def test_dagger_scan_rejects_bad_primitives():
     _, p, taste, shock = WIDE
     with pytest.raises(UsageError):

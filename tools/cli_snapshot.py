@@ -53,6 +53,13 @@ def _commands():
         "spoiler", "r", "0.3", "0.6", 13, ("win_prob", "net_benefit", "phi", "net_benefit_third"))
     yield "sweep_turnout_r", _sweep(
         "turnout", "r", "0.4", "0.7", 7, ("win_prob", "r_T", "net_benefit_turnout"))
+    # mu across 1/2, where the win map starts to saturate.
+    yield "sweep_mu", _sweep(
+        "diverged", "mu", "0.3", "0.8", 11, ("win_prob", "net_benefit", "r_bind", "r_star_star"))
+    yield "sweep_taste_scale", _sweep("diverged", "taste_scale", "0.1", "0.5", 9, wl.SWEEP_QUANTITIES)
+    # v across 0, where the spoiler block stops being valid.
+    yield "sweep_spoiler_v", _sweep(
+        "spoiler", "v", "-0.5", "0.5", 5, ("phi", "net_benefit_third"))
     yield from ((f"figure_{name}", ["figure", name]) for name in ("fig1", "fig2", "fig3", "figg"))
     for name in SCENARIOS:
         for engine in ("counts", "agents"):
