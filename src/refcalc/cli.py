@@ -43,6 +43,7 @@ from .model import (
     ElectorateParams,
     ReferendumRegime,
     referendum_support,
+    shock_pieces,
     validate as validate_params,
 )
 from .oracle import simulate_runs
@@ -162,7 +163,7 @@ def _eval_rows(scenario: Scenario):
             ("congruence_second_delta", "ΔP", second.delta),
             ("congruence_traditional_no_ref", "P(x=maj)", trad.prob_no_ref),
             ("congruence_traditional_with_ref", "P(x=maj)", trad.prob_with_ref),
-            ("congruence_traditional_delta", "ΔP", trad.delta),
+            ("congruence_traditional_delta", "ΔP", _value(scenario, "delta_traditional")),
         ]
     for name, symbol in (("r_bind", "r_bind"), ("r_star_star", "r**"), ("r_star", "r*")):
         value = _value(scenario, name)
@@ -325,13 +326,14 @@ _FIG12_GAMMAS = [i / 100 for i in range(-100, 101)]
 
 def _figure_fig1(quad):
     header = ["gamma", "g", "s", "bold_segment"]
+    split_lo, split_hi, _ = shock_pieces(_FIG12_PARAMS.b_L, _FIG12_PARAMS.b_R, NON_BINDING)[1]
     rows = []
     for gamma in _FIG12_GAMMAS:
         rows.append([
             _fmt(gamma),
             _fmt(_FIG12_PARAMS.shock.pdf(gamma)),
             _fmt(float(referendum_support(_FIG12_PARAMS, gamma))),
-            "1" if 0.1 <= gamma <= 0.5 else "0",
+            "1" if split_lo <= gamma <= split_hi else "0",
         ])
     return header, rows
 

@@ -20,8 +20,9 @@ and the oracle's golden file. math.erfc and math.exp are not used: math.erfc
 differs from scipy's erfc in the last bits on about 40% of N(0, 4^2) points.
 
 A truncated variant restricts a family to a symmetric interval [-w, w] and
-renormalises; it additionally exposes partial first moments and E|u + a| in
-closed form, which the Monte Carlo oracle and the turnout intensity use.
+renormalises by its mass 1 - 2 cdf(-w), computed once, at construction. It
+additionally exposes partial first moments and E|u + a| in closed form,
+which the Monte Carlo oracle and the turnout intensity use.
 """
 
 from __future__ import annotations
@@ -172,15 +173,12 @@ class TruncatedDistribution:
             raise UsageError(
                 f"half_width must be finite and positive, got {self.half_width}"
             )
-
-    @property
-    def _mass(self):
-        return 1.0 - 2.0 * self.base.cdf(-self.half_width)
+        object.__setattr__(self, "_lowmass", self.base.cdf(-self.half_width))
+        object.__setattr__(self, "_mass", 1.0 - 2.0 * self._lowmass)
 
     def cdf(self, x):
         xa = _check_finite(x)
-        lowmass = self.base.cdf(-self.half_width)
-        out = np.clip((self.base.cdf(xa) - lowmass) / self._mass, 0.0, 1.0)
+        out = np.clip((self.base.cdf(xa) - self._lowmass) / self._mass, 0.0, 1.0)
         out = np.where(xa <= -self.half_width, 0.0, out)
         out = np.where(xa >= self.half_width, 1.0, out)
         return out if out.ndim else float(out)
@@ -195,8 +193,7 @@ class TruncatedDistribution:
         qa = np.asarray(q, dtype=float)
         if np.any((qa <= 0) | (qa >= 1) | ~np.isfinite(qa)):
             raise UsageError("quantile argument must lie strictly in (0, 1)")
-        lowmass = self.base.cdf(-self.half_width)
-        out = self.base.quantile(lowmass + qa * self._mass)
+        out = self.base.quantile(self._lowmass + qa * self._mass)
         out = np.clip(out, -self.half_width, self.half_width)
         return out if out.ndim else float(out)
 

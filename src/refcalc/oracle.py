@@ -18,7 +18,7 @@ engines share the downstream accounting:
   turnout on a shared 2-vCPU x86 host (Python 3.11, numpy 2.4, scipy 1.17).
   Nearly all of it is the per-voter draws: Philox at about 0.09 ms per
   10^4 doubles, drawn two or three times, and the erfcinv quantile at
-  about 0.21 ms (0.28 ms truncated).
+  about 0.2 ms (about 0.04 ms more truncated).
 
 Determinism contract. Every run draws from Philox streams seeded with
 config.seed alone. The counts engine uses a single stream per run; the draw

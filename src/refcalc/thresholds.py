@@ -16,7 +16,8 @@ The three cohesion thresholds solve one condition affine in r with positive
 slope, (1-r) * L - r * R = 0, with L and R the shock integrals of
 B(-p + gamma + b_L) and B(-p - gamma - b_R) over the shock pieces where the
 referendum moves positions (model.moved_pieces). Each root is the closed
-kernel ratio L/(L+R), reported with the residual of the condition. None
+kernel ratio L/(L+R), reported with the residual of the condition; where
+both kernels underflow to 0 every r solves it, and RootFindError says so. None
 depends on mu: the popularity channel scales the net benefit without moving
 its sign change (as long as the affine win map never saturates; see the
 election module). Neither does any kernel, so within one command
@@ -189,6 +190,8 @@ def _kernels(b_L, b_R, p, taste, shock, pieces, config):
 
 
 def _ratio(name, L, R, bracket):
+    if L + R == 0.0:
+        raise RootFindError(f"{name}: both kernels are 0, so the condition holds for every r")
     value = L / (L + R)
     return ThresholdReport(name, value, abs((1.0 - value) * L - value * R), bracket, 0)
 

@@ -19,7 +19,7 @@ import pytest
 
 from scipy import optimize
 
-from refcalc.cli import main
+from refcalc.cli import _FIG12_GAMMAS, _FIG12_PARAMS, main
 from refcalc.distributions import DistributionSpec
 from refcalc.model import ElectorateParams, referendum_support
 from refcalc.third_party import phi
@@ -124,6 +124,22 @@ def test_eval_negative_b_R_reports_r_star(tmp_path, capsys):
     assert "r_bind" not in names
 
 
+def test_eval_traditional_delta_is_empty_on_the_knife_edge(tmp_path, capsys):
+    # At r = 1/2 neither party holds the traditional majority: eval's delta
+    # cell is empty, like sweep's delta_traditional for the same scenario.
+    scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding", r=0.5))
+    ev, sw = tmp_path / "eval.csv", tmp_path / "sweep.csv"
+    assert main(["eval", scn, "--out", str(ev)]) == 0
+    evaluated = dict(_read_csv(ev)[1])
+    assert evaluated["congruence_traditional_delta"] == ""
+    assert evaluated["congruence_traditional_no_ref"] != ""
+    assert evaluated["congruence_traditional_with_ref"] != ""
+    assert main(["sweep", scn, "--var", "b_R", "--from", "0.1", "--to", "0.4",
+                 "--steps", "4", "--quantities", "delta_traditional",
+                 "--out", str(sw)]) == 0
+    assert [row[1] for row in _read_csv(sw)[1]] == ["", "", "", ""]
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -200,6 +216,22 @@ def test_root_finder_out_of_iterations_exits_3(tmp_path, capsys, monkeypatch):
     rc = main(["eval", scn])
     assert rc == 3
     assert "numerical failure: gamma_star: no convergence in 2 iterations" in capsys.readouterr().err
+
+
+def test_underflowed_cohesion_kernels_exit_3(tmp_path, capsys):
+    # Both of r_bind's kernels underflow to 0 here, so every r solves its
+    # condition. An exception escaping main would be a traceback and exit 1.
+    scn = _dump(tmp_path, "u.json", {
+        "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
+        "taste": {"family": "normal", "scale": 0.05},
+        "shock": {"family": "normal", "scale": 0.1},
+    })
+    assert main(["eval", scn]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: r_bind: both kernels are 0, so the condition holds for every r\n"
+    )
 
 
 def test_unknown_figure_name_is_an_argparse_error(capsys):
@@ -364,10 +396,15 @@ def test_sweep_threads_capped_at_grid_size(tmp_path, capsys, monkeypatch):
 # Quantities eval reports under the same name as sweep (win_prob under
 # win_prob_<regime>); a threshold eval omits is an empty sweep cell.
 _SHARED = ("win_prob", "net_benefit", "gamma_star", "r_bind", "r_star", "r_star_star")
+# The congruence deltas, which eval names after their issue.
+_CONGRUENCE = {
+    "delta_second": "congruence_second_delta",
+    "delta_traditional": "congruence_traditional_delta",
+}
 
 
 @pytest.mark.parametrize("scn, extra", [
-    (_scenario_a(regime="non_binding"), ()),
+    (_scenario_a(regime="non_binding"), tuple(_CONGRUENCE)),
     (_scenario_a(regime="non_binding", b_R=-0.1, third_party={"v": -0.01}),
      ("phi", "net_benefit_third")),
     (_scenario_turnout(), ("r_T", "net_benefit_turnout")),
@@ -386,7 +423,7 @@ def test_sweep_first_row_matches_eval(tmp_path, capsys, scn, extra):
     assert first["r"] == repr(scn["r"])
     assert first["win_prob"] == evaluated[f"win_prob_{scn['regime']}"]
     for name in quantities[1:]:
-        assert first[name] == evaluated.get(name, ""), name
+        assert first[name] == evaluated.get(_CONGRUENCE.get(name, name), ""), name
 
 
 def test_sweep_gamma_axis(tmp_path, capsys):
@@ -569,6 +606,16 @@ def test_fig1_dataset(tmp_path, capsys):
     assert all(a < b for a, b in zip(support, support[1:]))
     density = {row[0]: row[1] for row in rows}
     assert density["-1"] == density["1"]
+
+
+def test_fig1_bold_segment_is_the_split_piece(tmp_path, capsys):
+    # Bold exactly where a non-binding referendum splits the parties.
+    out = tmp_path / "fig1.csv"
+    assert main(["figure", "fig1", "--out", str(out)]) == 0
+    lo, hi = -_FIG12_PARAMS.b_R, -_FIG12_PARAMS.b_L
+    assert [row[3] for row in _read_csv(out)[1]] == [
+        "1" if lo <= gamma <= hi else "0" for gamma in _FIG12_GAMMAS
+    ]
 
 
 def test_fig2_dataset(tmp_path, capsys):

@@ -205,6 +205,102 @@ def test_truncated_partial_mean_vectorized():
     assert np.allclose(vec, scalar, atol=1e-12)
 
 
+# The truncation's methods as they read while each one evaluated the tail mass
+# base.cdf(-half_width) afresh; the stored mass must keep every bit of them.
+def _old_mass(t):
+    return 1.0 - 2.0 * t.base.cdf(-t.half_width)
+
+
+def _old_cdf(t, x):
+    xa = np.asarray(x, dtype=float)
+    lowmass = t.base.cdf(-t.half_width)
+    out = np.clip((t.base.cdf(xa) - lowmass) / _old_mass(t), 0.0, 1.0)
+    out = np.where(xa <= -t.half_width, 0.0, out)
+    return np.where(xa >= t.half_width, 1.0, out)
+
+
+def _old_pdf(t, x):
+    xa = np.asarray(x, dtype=float)
+    return np.where(np.abs(xa) <= t.half_width, t.base.pdf(xa) / _old_mass(t), 0.0)
+
+
+def _old_quantile(t, q):
+    lowmass = t.base.cdf(-t.half_width)
+    out = t.base.quantile(lowmass + np.asarray(q, dtype=float) * _old_mass(t))
+    return np.clip(out, -t.half_width, t.half_width)
+
+
+def _old_partial_mean(t, lo, hi):
+    lo_a = np.maximum(np.asarray(lo, dtype=float), -t.half_width)
+    hi_a = np.minimum(np.asarray(hi, dtype=float), t.half_width)
+    lo_c = np.minimum(lo_a, hi_a)
+    return np.where(hi_a > lo_a, t.base.partial_mean(lo_c, hi_a) / _old_mass(t), 0.0)
+
+
+def _old_abs_moment(t, shift):
+    w = t.half_width
+    a = np.asarray(shift, dtype=float)
+    kink = np.clip(-a, -w, w)
+
+    def mass(lo, hi):
+        return _old_cdf(t, hi) - _old_cdf(t, lo)
+
+    below = -(_old_partial_mean(t, -w, kink) + a * mass(-w, kink))
+    above = _old_partial_mean(t, kink, w) + a * mass(kink, w)
+    return below + above
+
+
+@pytest.mark.parametrize("family, scale, w", [
+    ("normal", 0.6, 2.0), ("normal", 1.2, 3.0), ("normal", 2.0, 0.5),
+    ("logistic", 0.7, 1.5), ("logistic", 0.3, 0.9), ("logistic", 1.2, 0.4),
+])
+def test_truncated_methods_keep_the_bits_of_their_old_formulas(family, scale, w):
+    t = TruncatedDistribution(DistributionSpec(family, scale), w)
+    inside = [math.nextafter(-w, 0.0), -0.37 * w, 0.0, 0.21 * w, math.nextafter(w, 0.0)]
+    xs = np.array([-10.0 * w, -2.0 * w, -w, *inside, w, 2.0 * w, 10.0 * w])
+    qs = np.array([1e-12, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0 - 1e-12])
+    los = np.array([-math.inf, -2.0 * w, -w, -0.5 * w, 0.0, 0.3 * w, w, 3.0 * w])
+    his = np.array([-3.0 * w, -w, 0.1 * w, 0.0, 0.8 * w, w, 2.0 * w, math.inf])
+    cases = [
+        (t.cdf, _old_cdf, (xs,)),
+        (t.pdf, _old_pdf, (xs,)),
+        (t.quantile, _old_quantile, (qs,)),
+        (t.partial_mean, _old_partial_mean, (los, his)),
+        (t.abs_moment, _old_abs_moment, (xs,)),
+    ]
+    for new, old, args in cases:
+        assert np.array_equal(new(*args), old(t, *args)), new.__name__
+        for point in zip(*args):
+            point = tuple(float(v) for v in point)
+            assert new(*point) == float(old(t, *point)), (new.__name__, point)
+
+
+def test_truncation_evaluates_its_tail_mass_once(monkeypatch):
+    # TruncatedDistribution hands the base cdf arrays only, so every call
+    # with a float argument is the tail mass.
+    base_cdf = DistributionSpec.cdf
+    float_calls = []
+
+    def spy(self, x):
+        if isinstance(x, float):
+            float_calls.append(x)
+        return base_cdf(self, x)
+
+    monkeypatch.setattr(DistributionSpec, "cdf", spy)
+    for family in ("normal", "logistic"):
+        float_calls.clear()
+        t = TruncatedDistribution(DistributionSpec(family, 0.6), 2.0)
+        for x in (0.3, -2.5, 2.0, np.array([-3.0, -2.0, -0.4, 0.0, 1.1, 2.0])):
+            t.cdf(x)
+            t.pdf(x)
+            t.partial_mean(-1.0, x)
+            t.mass(-1.0, x)
+            t.abs_moment(x)
+        t.quantile(0.25)
+        t.quantile(np.array([0.1, 0.9]))
+        assert float_calls == [-2.0]
+
+
 def test_validate_shape_passes_known_families():
     for family in ("normal", "logistic"):
         report = validate_shape(DistributionSpec(family, 0.7))

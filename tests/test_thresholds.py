@@ -295,6 +295,15 @@ def test_r_star_star_rejects_aligned_positions():
         r_star_star(*_wide(-0.1))
 
 
+@pytest.mark.parametrize("fn, b_R", [(r_bind, 1.2), (r_star_star, 1.2), (r_star, -0.9)])
+def test_cohesion_threshold_with_underflowed_kernels_raises(fn, b_R):
+    # With p = 3 and narrow tastes both kernels underflow to 0: every r solves
+    # (1-r) L - r R = 0, so there is no threshold to report.
+    taste, shock = DistributionSpec("normal", 0.05), DistributionSpec("normal", 0.1)
+    with pytest.raises(RootFindError, match=f"^{fn.__name__}: both kernels are 0"):
+        fn(-1.0, b_R, 3.0, taste, shock)
+
+
 # ----------------------------------------------------------- delta and scan
 
 
@@ -313,6 +322,12 @@ def test_delta_at_rbind_frozen_points():
     assert delta_at_rbind(b_L, 1.05, p, taste, shock) == pytest.approx(
         -0.0009593661724765149, abs=1e-9
     )
+
+
+def test_delta_at_rbind_raises_where_the_kernels_underflow():
+    taste, shock = DistributionSpec("normal", 0.05), DistributionSpec("normal", 0.1)
+    with pytest.raises(RootFindError, match="^r_bind: both kernels are 0"):
+        delta_at_rbind(-1.0, 1.2, 3.0, taste, shock)
 
 
 def test_delta_vanishes_at_bias_mirror_point():

@@ -4,10 +4,12 @@
 
 Writes the benchmark's diverged, spoiler and turnout scenarios, read from
 perfbench/workloads.py, into OUTDIR (also with the two oracle sizes as sim
-blocks), then runs every command in COMMANDS as `python -m refcalc.cli`
-with OUTDIR as its working directory. Paths are relative to OUTDIR, so what
-a command prints does not depend on where OUTDIR is. Command NAME leaves
-NAME.csv (its --out), NAME.stdout, NAME.stderr and NAME.exit (the exit code).
+blocks), and the EVAL_ONLY scenarios, then runs every command in COMMANDS as
+`python -m refcalc.cli` with OUTDIR as its working directory. Paths are
+relative to OUTDIR, so what a command prints does not depend on where OUTDIR
+is. Command NAME leaves NAME.csv (its --out), NAME.stdout, NAME.stderr and
+NAME.exit (the exit code). Every command should exit 0, except those
+EXPECTED_EXIT names.
 
 Two snapshots of the same code must be equal under `diff -r`: that checks
 that the outputs are deterministic. A snapshot of a parent commit and one of
@@ -36,6 +38,18 @@ AGENTS = {"n_policy_voters": 2_000, "n_replications": 200, "agent_level": True}
 SEED = "5"
 
 SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNOUT}
+# Evaluated only: the diverged scenario on the r = 1/2 knife edge, where the
+# traditional delta is empty, and one whose cohesion kernels both underflow
+# to 0, so r_bind has no root.
+EVAL_ONLY = {
+    "knife_edge": {**wl.DIVERGED, "r": 0.5},
+    "underflow": {
+        "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
+        "taste": {"family": "normal", "scale": 0.05},
+        "shock": {"family": "normal", "scale": 0.1},
+    },
+}
+EXPECTED_EXIT = {"eval_underflow": 3}
 
 
 def _sweep(scenario, var, lo, hi, steps, quantities, *extra):
@@ -44,7 +58,7 @@ def _sweep(scenario, var, lo, hi, steps, quantities, *extra):
 
 
 def _commands():
-    yield from ((f"eval_{name}", ["eval", f"{name}.json"]) for name in SCENARIOS)
+    yield from ((f"eval_{name}", ["eval", f"{name}.json"]) for name in (*SCENARIOS, *EVAL_ONLY))
     yield "sweep_r", _sweep("diverged", "r", "0.3", "0.6", 41, wl.SWEEP_QUANTITIES)
     b_R = ("diverged", "b_R", "-0.4", "0.4", 17, (*wl.SWEEP_QUANTITIES, "r_star"))
     yield "sweep_b_R", _sweep(*b_R)
@@ -70,10 +84,12 @@ COMMANDS = dict(_commands())
 
 
 def snapshot(outdir: Path, src: Path) -> int:
-    """Write the scenarios and every command's streams; return the failures."""
+    """Write the scenarios and every command's streams; return the commands
+    that did not exit as expected."""
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, spec in SCENARIOS.items():
+    for name, spec in {**SCENARIOS, **EVAL_ONLY}.items():
         (outdir / f"{name}.json").write_text(json.dumps(spec))
+    for name, spec in SCENARIOS.items():
         for engine, sim in (("counts", COUNTS), ("agents", AGENTS)):
             (outdir / f"{name}_{engine}.json").write_text(json.dumps({**spec, "sim": sim}))
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -87,7 +103,7 @@ def snapshot(outdir: Path, src: Path) -> int:
         (outdir / f"{name}.stderr").write_bytes(done.stderr)
         (outdir / f"{name}.exit").write_text(f"{done.returncode}\n")
         print(f"{name}: exit {done.returncode}")
-        failed += done.returncode != 0
+        failed += done.returncode != EXPECTED_EXIT.get(name, 0)
     return failed
 
 
@@ -98,7 +114,7 @@ def main(argv=None) -> int:
                         help="checkout whose src/refcalc runs (default: this one)")
     args = parser.parse_args(argv)
     failed = snapshot(args.outdir, args.root.resolve() / "src")
-    # Every command here should succeed; the snapshot is written either way.
+    # The snapshot is written either way.
     return 1 if failed else 0
 
 
