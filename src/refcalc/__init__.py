@@ -13,6 +13,7 @@ from .congruence import (
     second_issue_congruence,
     traditional_delta,
     traditional_issue_congruence,
+    traditional_report,
 )
 from .distributions import (
     FAMILIES,

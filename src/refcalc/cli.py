@@ -33,7 +33,7 @@ from .congruence import (
     classify_congruence_region,
     second_issue_congruence,
     traditional_delta,
-    traditional_issue_congruence,
+    traditional_report,
 )
 from .distributions import DistributionSpec
 from .election import net_benefit, win_prob
@@ -146,24 +146,26 @@ def _eval_rows(scenario: Scenario):
     """(code_name, symbol, value) triples for every applicable quantity."""
     p, quad = scenario.params, scenario.quadrature
     regime = scenario.regime
+    wp_no = win_prob(p, NO_REFERENDUM, quad)
     rows = [
         ("gamma_star", "γ*", _value(scenario, "gamma_star")),
-        ("win_prob_no_referendum", "λ", win_prob(p, NO_REFERENDUM, quad)),
+        ("win_prob_no_referendum", "λ", wp_no),
     ]
     if regime is not NO_REFERENDUM:
+        wp_with = _value(scenario, "win_prob")
         rows += [
-            (f"win_prob_{regime.value}", "λ", _value(scenario, "win_prob")),
+            (f"win_prob_{regime.value}", "λ", wp_with),
             ("net_benefit", "Δλ", _value(scenario, "net_benefit")),
         ]
         second = second_issue_congruence(p, regime, quad)
-        trad = traditional_issue_congruence(p, regime, quad)
+        trad = traditional_report(p.r, regime, wp_no, wp_with)
         rows += [
             ("congruence_second_no_ref", "P(y=maj)", second.prob_no_ref),
             ("congruence_second_with_ref", "P(y=maj)", second.prob_with_ref),
             ("congruence_second_delta", "ΔP", second.delta),
             ("congruence_traditional_no_ref", "P(x=maj)", trad.prob_no_ref),
             ("congruence_traditional_with_ref", "P(x=maj)", trad.prob_with_ref),
-            ("congruence_traditional_delta", "ΔP", _value(scenario, "delta_traditional")),
+            ("congruence_traditional_delta", "ΔP", trad.delta),
         ]
     for name, symbol in (("r_bind", "r_bind"), ("r_star_star", "r**"), ("r_star", "r*")):
         value = _value(scenario, name)

@@ -10,8 +10,8 @@ Majority conventions. On the emerging issue the majority preference flips at
 the pivotal shock gamma_star; the zero-measure boundary point is counted on
 the y=1 side. On the traditional issue the majority party is Right when
 r > 1/2 and Left when r < 1/2; at exactly r = 1/2 (knife_edge) there is no
-strict majority, so the report is flagged and traditional_delta is None
-instead of picking a convention.
+strict majority, so the report is flagged and its delta, like
+traditional_delta, is None instead of picking a convention.
 """
 
 from __future__ import annotations
@@ -41,14 +41,15 @@ class CongruenceReport:
     """Congruence probabilities for one issue, without and with a referendum.
 
     delta = prob_with_ref - prob_no_ref. On the traditional issue at r = 1/2
-    the fields use the Right-as-majority convention and carry KNIFE_EDGE_FLAG.
+    the probabilities use the Right-as-majority convention, the report
+    carries KNIFE_EDGE_FLAG, and delta is None.
     """
 
     issue: str
     regime: ReferendumRegime
     prob_no_ref: float
     prob_with_ref: float
-    delta: float
+    delta: float | None
     flags: tuple[str, ...] = ()
 
 
@@ -115,18 +116,29 @@ def traditional_issue_congruence(
     matters here only through how realigned emerging-issue positions shift
     the win probability. With r > 1/2 the report tracks Right's win
     probability, with r < 1/2 Left's; at r = 1/2 Right's, flagged with
-    KNIFE_EDGE_FLAG.
+    KNIFE_EDGE_FLAG and with delta None (see traditional_report).
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
     wp_no = win_prob(params, ReferendumRegime.NO_REFERENDUM, config)
-    wp_with = win_prob(params, regime, config)
-    if params.r < 0.5:
+    return traditional_report(params.r, regime, wp_no, win_prob(params, regime, config))
+
+
+def traditional_report(
+    r: float, regime: ReferendumRegime, wp_no: float, wp_with: float
+) -> CongruenceReport:
+    """The traditional-issue report from Right's win probabilities without
+    (wp_no) and with (wp_with) the referendum, for a caller that already
+    holds them. On the r = 1/2 knife edge delta is None."""
+    if r < 0.5:
         return CongruenceReport(
             ISSUE_TRADITIONAL, regime, 1.0 - wp_no, 1.0 - wp_with, wp_no - wp_with
         )
-    flags = (KNIFE_EDGE_FLAG,) if knife_edge(params.r) else ()
-    return CongruenceReport(ISSUE_TRADITIONAL, regime, wp_no, wp_with, wp_with - wp_no, flags)
+    if knife_edge(r):
+        return CongruenceReport(
+            ISSUE_TRADITIONAL, regime, wp_no, wp_with, None, (KNIFE_EDGE_FLAG,)
+        )
+    return CongruenceReport(ISSUE_TRADITIONAL, regime, wp_no, wp_with, wp_with - wp_no)
 
 
 def traditional_delta(

@@ -39,10 +39,13 @@ different cells. Agents engine: the two_party and third_party runs on one
 electorate (target or target.base, compared with ==) share one, as do the
 turnout runs of one TurnoutParams.
 
-Tie conventions: indifferent voters vote their own party; a spoiler loses
-exact vote ties to either major; an exactly tied two-way election falls to a
-fair coin from the stream; referendum tallies at exactly the threshold count
-as yes. The continuum_tally toggle replaces every referendum-derived
+Every election, in both engines and every mode, is decided by one race
+rule, _race: noise voters split eta : 1 - eta between the majors, an exact
+Right-Left tie falls to a fair coin from the stream, and a spoiler loses
+exact vote ties to either major. The two-party and turnout races are the
+spoiler race with no spoiler votes. Other tie conventions: indifferent
+voters vote their own party; referendum tallies at exactly the threshold
+count as yes. The continuum_tally toggle replaces every referendum-derived
 quantity (tally or cast share, inferred positions, outcome, latent
 majority) by its exact conditional-on-shock value, in both engines and every
 mode, isolating election noise from tally noise.
@@ -123,16 +126,17 @@ class SimResult:
 
 @dataclass
 class _RepArrays:
-    """Per-replication outcomes. Left wins whenever neither Right nor the
-    spoiler does; win_T None means no spoiler and ahead_R None means Right
-    is ahead exactly when it wins."""
+    """Per-replication outcomes, every race decided by _race: Left wins
+    whenever neither Right nor the spoiler does, and without a spoiler win_T
+    is all false and ahead_R is win_R. The turnout fields are None outside
+    turnout mode."""
 
     win_R: np.ndarray
+    win_T: np.ndarray
+    ahead_R: np.ndarray
     cong_y: np.ndarray
     cong_x: np.ndarray
     y1_share: np.ndarray | None
-    win_T: np.ndarray | None = None
-    ahead_R: np.ndarray | None = None
     turnout_R: np.ndarray | None = None
     turnout_L: np.ndarray | None = None
 
@@ -182,82 +186,67 @@ def _position_cuts(params, regime):
     )
 
 
-def _counts_two_party(params, regimes, config, rng):
-    """One _RepArrays per regime, all decided on one set of draws."""
-    n, n_reps = config.n_policy_voters, config.n_replications
-    B = params.taste.cdf
-    gamma, eta, n_right, n_left = _base_draws(rng, params.shock, params, config)
+def _race(mu, n, eta, coin, votes_right, votes_left, votes_third):
+    """The one race rule: (win_R, win_T, ahead_R) from each party's ballots.
 
-    # Conservative taste cells: below the election cut (vote Left when
-    # diverged), between election and referendum cuts (Right, no), above
-    # (Right, yes). Liberals mirror with the cuts on the other side of p.
-    q_elect = B(-params.p - params.b_R - gamma)
-    q_yes = B(-params.b_R - gamma)
-    cons = _cells(rng, n_right, q_elect, q_yes - q_elect, 1.0 - q_yes)
-    l_yes = B(-params.b_L - gamma)
-    l_elect = B(params.p - params.b_L - gamma)
-    libs = _cells(rng, n_left, l_yes, l_elect - l_yes, 1.0 - l_elect)
-    coin = rng.random(n_reps)
-
-    yes = cons[:, 2] + (n_left - libs[:, 0])
-    support = referendum_support(params, gamma)
-    tally = np.asarray(support if config.continuum_tally else yes / n)
-    votes_diverged = cons[:, 1] + cons[:, 2] + libs[:, 2]
-    maj_yes = _majority_yes(yes, n, config.continuum_tally, support)
-    maj_right = 2 * n_right >= n
-
-    def decide(regime):
-        cut_right, cut_left = _position_cuts(params, regime)
-        y_right, y_left = tally >= cut_right, tally >= cut_left
-        votes_right = np.where(y_right & ~y_left, votes_diverged, n_right)
-        share_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
-        win = (share_right > 0.5) | ((share_right == 0.5) & (coin < 0.5))
-        y_impl = np.where(win, y_right, y_left)
-        return _RepArrays(
-            win_R=win,
-            cong_y=y_impl == maj_yes,
-            cong_x=win == maj_right,
-            y1_share=None if regime is ReferendumRegime.NO_REFERENDUM else tally,
-        )
-
-    return [decide(regime) for regime in regimes]
+    Noise voters split eta : 1 - eta between the majors, an exact Right-Left
+    tie goes to the coin, and the spoiler loses exact ties to either major.
+    A race without a spoiler passes votes_third = 0. Scalars and arrays
+    alike give booleans: the logical ufunc keeps ~True from reading -2.
+    """
+    s_right = mu * (votes_right / n) + (1.0 - mu) * eta
+    s_left = mu * (votes_left / n) + (1.0 - mu) * (1.0 - eta)
+    s_third = mu * (votes_third / n)
+    ahead = (s_right > s_left) | ((s_right == s_left) & (coin < 0.5))
+    win_third = (s_third > s_right) & (s_third > s_left)
+    return ahead & np.logical_not(win_third), win_third, ahead
 
 
-def _counts_third_party(tp, regimes, config, rng):
-    """One _RepArrays per regime, all decided on one set of draws."""
-    params, v = tp.base, tp.v
-    n, n_reps = config.n_policy_voters, config.n_replications
+def _split(rng, counts, cuts):
+    """Multinomial counts over the taste intervals between increasing cdf cuts."""
+    return _cells(
+        rng, counts, cuts[0], *(hi - lo for lo, hi in zip(cuts, cuts[1:])), 1.0 - cuts[-1]
+    )
+
+
+def _counts_majors(target, regimes, config, rng):
+    """The two-party and the spoiler race, one _RepArrays per regime, all
+    decided on one set of draws. A two-party target is the spoiler race
+    without the spoiler's cells: it draws none and passes 0 spoiler votes."""
+    spoiler = isinstance(target, ThirdPartyParams)
+    params = target.base if spoiler else target
+    n = config.n_policy_voters
     B = params.taste.cdf
     gamma, eta, n_right, n_left = _base_draws(rng, params.shock, params, config)
 
     # Conservative cuts, in increasing order: election cut (Left vs Right
     # when majors diverge), referendum yes cut, spoiler defection cut.
-    qa = B(-params.p - params.b_R - gamma)
-    qb = B(-params.b_R - gamma)
-    qc = B(-v - params.b_R - gamma)
-    cons = _cells(rng, n_right, qa, qb - qa, qc - qb, 1.0 - qc)
     # Liberal cuts: referendum yes, election cut, spoiler defection.
-    la = B(-params.b_L - gamma)
-    lb = B(params.p - params.b_L - gamma)
-    lc = B(params.p - v - params.b_L - gamma)
-    libs = _cells(rng, n_left, la, lb - la, lc - lb, 1.0 - lc)
-    coin = rng.random(n_reps)
+    cons_cuts = [B(-params.p - params.b_R - gamma), B(-params.b_R - gamma)]
+    libs_cuts = [B(-params.b_L - gamma), B(params.p - params.b_L - gamma)]
+    if spoiler:
+        cons_cuts.append(B(-target.v - params.b_R - gamma))
+        libs_cuts.append(B(params.p - target.v - params.b_L - gamma))
+    cons = _split(rng, n_right, cons_cuts)
+    libs = _split(rng, n_left, libs_cuts)
+    coin = rng.random(config.n_replications)
+    # The spoiler's defectors from each party: column views, or a scalar 0.
+    third_cons, third_libs = (cons[:, 3], libs[:, 3]) if spoiler else (0, 0)
 
-    yes = (cons[:, 2] + cons[:, 3]) + (n_left - libs[:, 0])
+    yes = (cons[:, 2] + third_cons) + (n_left - libs[:, 0])
     support = referendum_support(params, gamma)
     tally = np.asarray(support if config.continuum_tally else yes / n)
     maj_yes = _majority_yes(yes, n, config.continuum_tally, support)
     maj_right = 2 * n_right >= n
 
-    # Vote totals by post-referendum configuration. Majors both at y=1:
-    # straight party-line voting, spoiler abandoned. Right alone at y=1: the
-    # spoiler's base merges into Right, Left keeps everyone below its
-    # election cut. Majors both at y=0: the pre-referendum three-way split.
-    vr_pre = n_right - cons[:, 3]
-    vl_pre = n_left - libs[:, 3]
-    vt_pre = cons[:, 3] + libs[:, 3]
-    vr_mid = (n_right - cons[:, 0]) + libs[:, 2] + libs[:, 3]
-    vl_mid = cons[:, 0] + libs[:, 0] + libs[:, 1]
+    # Right's and the spoiler's votes by post-referendum configuration; Left
+    # gets the rest. Majors both at y=1: straight party-line voting, spoiler
+    # abandoned. Right alone at y=1: the spoiler's base merges into Right,
+    # Left keeps everyone below its election cut. Majors both at y=0: the
+    # pre-referendum split.
+    vr_pre = n_right - third_cons
+    vt_pre = third_cons + third_libs
+    vr_mid = (n_right - cons[:, 0]) + libs[:, 2] + third_libs
 
     def decide(regime):
         cut_right, cut_left = _position_cuts(params, regime)
@@ -265,26 +254,19 @@ def _counts_third_party(tp, regimes, config, rng):
         both = y_left
         only_right = y_right & ~y_left
         votes_right = np.where(both, n_right, np.where(only_right, vr_mid, vr_pre))
-        votes_left = np.where(both, n_left, np.where(only_right, vl_mid, vl_pre))
-        votes_third = np.where(both | only_right, 0, vt_pre)
-
-        s_right = params.mu * votes_right / n + (1.0 - params.mu) * eta
-        s_left = params.mu * votes_left / n + (1.0 - params.mu) * (1.0 - eta)
-        s_third = params.mu * votes_third / n
-
-        ahead = (s_right > s_left) | ((s_right == s_left) & (coin < 0.5))
-        win_third = (s_third > s_right) & (s_third > s_left)
-        win_right = ~win_third & ahead
-
+        votes_third = np.where(both | only_right, 0, vt_pre) if spoiler else 0
+        win_right, win_third, ahead = _race(
+            params.mu, n, eta, coin, votes_right, n - votes_right - votes_third, votes_third
+        )
         y_impl = np.where(win_third, True, np.where(win_right, y_right, y_left))
         x_impl = win_right | win_third
         return _RepArrays(
             win_R=win_right,
+            win_T=win_third,
+            ahead_R=ahead,
             cong_y=y_impl == maj_yes,
             cong_x=x_impl == maj_right,
             y1_share=None if regime is ReferendumRegime.NO_REFERENDUM else tally,
-            win_T=win_third,
-            ahead_R=ahead,
         )
 
     return [decide(regime) for regime in regimes]
@@ -354,11 +336,7 @@ def _counts_turnout(tp, regimes, config, rng):
         yes_left = rng.binomial(n_left, 1.0 - taste_t.cdf(-params.b_L - gamma))
         yes_latent = yes_right + yes_left
     coin = rng.random(n_reps)
-
-    s_right = params.mu * part_right / n + (1.0 - params.mu) * eta
-    s_left = params.mu * part_left / n + (1.0 - params.mu) * (1.0 - eta)
-    margin = s_right - s_left
-    win = (margin > 0) | ((margin == 0) & (coin < 0.5))
+    win, win_third, ahead = _race(params.mu, n, eta, coin, part_right, part_left, 0)
 
     support = _turnout_support(tp, gamma)
     y_impl = np.zeros(n_reps, dtype=bool)
@@ -377,6 +355,8 @@ def _counts_turnout(tp, regimes, config, rng):
     maj_right = 2 * n_right >= n
     return [_RepArrays(
         win_R=win,
+        win_T=win_third,
+        ahead_R=ahead,
         cong_y=y_impl == maj_yes,
         cong_x=win == maj_right,
         y1_share=y1_share,
@@ -437,29 +417,27 @@ def _agents(runs, config, rng_for):
             p_cons, p_libs = params.p * is_cons, params.p * ~is_cons
             choices = {}  # (y_right, y_left): (prefers_right, util_right, util_left)
         for (held, cuts, v), out in zip(plans, rows):
-            win_third = False
             y1 = turnout_right = turnout_left = math.nan
+            votes_third = 0
             if turnout:
                 stake = params.p + np.abs(b_i) if held else params.p
                 votes = stake >= cost
                 n_votes = np.count_nonzero(votes)
-                part_right = np.count_nonzero(votes & is_cons)
-                part_left = n_votes - part_right
-                s_right = mu * (part_right / n) + (1.0 - mu) * eta
-                s_left = mu * (part_left / n) + (1.0 - mu) * (1.0 - eta)
-                win = ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
-                y_impl = False
+                votes_right = np.count_nonzero(votes & is_cons)
+                votes_left = n_votes - votes_right
+                # Whoever wins, a held measure implements its cast majority.
+                y_right = y_left = False
                 if held:
                     if continuum:
                         yes_cast, no_cast = _cast_rates(target, gamma)
                     else:
                         yes_cast = np.count_nonzero(votes & yes)
                         no_cast = n_votes - yes_cast
-                    y_impl = yes_cast >= no_cast
+                    y_right = y_left = yes_cast >= no_cast
                     total = yes_cast + no_cast
                     y1 = yes_cast / total if total else math.nan
-                turnout_right = part_right / n_cons if n_cons else math.nan
-                turnout_left = part_left / (n - n_cons) if n - n_cons else math.nan
+                turnout_right = votes_right / n_cons if n_cons else math.nan
+                turnout_left = votes_left / (n - n_cons) if n - n_cons else math.nan
             else:
                 if held:
                     y1 = tally
@@ -472,34 +450,27 @@ def _agents(runs, config, rng_for):
                     )
                     choices[y_right, y_left] = prefers_right, util_right, util_left
                 prefers_right, util_right, util_left = choices[y_right, y_left]
-                if v is None:
-                    share = mu * (np.count_nonzero(prefers_right) / n) + (1.0 - mu) * eta
-                    win = ahead = share > 0.5 or (share == 0.5 and coin < 0.5)
-                else:
-                    util_third = p_cons + b_i + v
-                    vote_third = util_third > np.maximum(util_right, util_left)
-                    # The three ballots partition the voters.
-                    n_third = np.count_nonzero(vote_third)
-                    n_right = np.count_nonzero(prefers_right & ~vote_third)
-                    n_left = n - n_third - n_right
-                    s_right = mu * (n_right / n) + (1.0 - mu) * eta
-                    s_left = mu * (n_left / n) + (1.0 - mu) * (1.0 - eta)
-                    s_third = mu * (n_third / n)
-                    ahead = s_right > s_left or (s_right == s_left and coin < 0.5)
-                    win_third = s_third > s_right and s_third > s_left
-                    win = not win_third and ahead
-                y_impl = win_third or (y_right if win else y_left)
-
+                if v is not None:
+                    vote_third = p_cons + b_i + v > np.maximum(util_right, util_left)
+                    votes_third = np.count_nonzero(vote_third)
+                    prefers_right = prefers_right & ~vote_third
+                # The ballots partition the voters.
+                votes_right = np.count_nonzero(prefers_right)
+                votes_left = n - votes_third - votes_right
+            win, win_third, ahead = _race(
+                mu, n, eta, coin, votes_right, votes_left, votes_third
+            )
+            y_impl = win_third or (y_right if win else y_left)
             out.append((  # in _RepArrays field order
-                win, y_impl == maj_yes, (win or win_third) == maj_right, y1,
-                win_third, ahead, turnout_right, turnout_left,
+                win, win_third, ahead, y_impl == maj_yes, (win or win_third) == maj_right,
+                y1, turnout_right, turnout_left,
             ))
     return [_RepArrays(*(np.array(col) for col in zip(*out))) for out in rows]
 
 
 _TARGETS = {  # target type: (mode, validator, counts kernel)
-    ElectorateParams: ("two_party", require_valid, _counts_two_party),
-    ThirdPartyParams: ("third_party", require_valid_third, _counts_third_party),
+    ElectorateParams: ("two_party", require_valid, _counts_majors),
+    ThirdPartyParams: ("third_party", require_valid_third, _counts_majors),
     TurnoutParams: ("turnout", require_valid_turnout, _counts_turnout),
 }
 
@@ -561,8 +532,6 @@ def _mean_se(values) -> tuple[float, float]:
 def _summary(target, regime, arrays: _RepArrays, config: SimConfig) -> SimResult:
     n_reps = config.n_replications
     win_R = float(arrays.win_R.mean())
-    win_T = arrays.win_T if arrays.win_T is not None else np.zeros_like(arrays.win_R)
-    ahead_R = arrays.ahead_R if arrays.ahead_R is not None else arrays.win_R
     cong_y = float(arrays.cong_y.mean())
     cong_x = float(arrays.cong_x.mean())
     y1_mean, y1_se = _mean_se(arrays.y1_share)
@@ -574,9 +543,9 @@ def _summary(target, regime, arrays: _RepArrays, config: SimConfig) -> SimResult
         n_policy_voters=config.n_policy_voters,
         n_replications=n_reps,
         win_freq_R=win_R,
-        win_freq_L=float((~arrays.win_R & ~win_T).mean()),
-        win_freq_T=float(win_T.mean()),
-        ahead_freq_R=float(ahead_R.mean()),
+        win_freq_L=float((~arrays.win_R & ~arrays.win_T).mean()),
+        win_freq_T=float(arrays.win_T.mean()),
+        ahead_freq_R=float(arrays.ahead_R.mean()),
         se_win_R=_binom_se(win_R, n_reps),
         congruence_y=cong_y,
         se_congruence_y=_binom_se(cong_y, n_reps),

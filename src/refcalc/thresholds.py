@@ -267,7 +267,10 @@ def delta_at_rbind(
 
     Sign tells whether r_star_star lies above (negative) or below (positive)
     r_bind: the tail condition at r_bind equals minus this middle integral,
-    because the full-line condition vanishes there by construction.
+    because the full-line condition vanishes there by construction. Both
+    thresholds are kernel ratios, which are the net benefit's sign changes
+    only for mu <= 1/2, where the win map never saturates; so only there does
+    this sign compare where the referendums stop paying off.
     """
     rb = r_bind(b_L, b_R, p, taste, shock, config).value
     split = shock_pieces(b_L, b_R, ReferendumRegime.NON_BINDING)[1:2]
@@ -290,7 +293,9 @@ def br_dagger_ddagger(
     expanding probes followed by Brent. The search window is
     [0, -b_L + 4 * shock scale]; hitting an edge without a sign change returns
     the edge with a not_found_in_window flag. A scan result, not a theorem:
-    only the crossover neighbourhood of -b_L is guaranteed.
+    only the crossover neighbourhood of -b_L is guaranteed. Built on
+    delta_at_rbind, the bounds hold as sign conditions of the net benefit
+    only for mu <= 1/2.
     """
     pivot = -b_L
     _check_biases(b_L, pivot, p)

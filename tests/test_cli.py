@@ -21,6 +21,7 @@ from scipy import optimize
 
 from refcalc.cli import _FIG12_GAMMAS, _FIG12_PARAMS, main
 from refcalc.distributions import DistributionSpec
+from refcalc.election import win_prob
 from refcalc.model import ElectorateParams, referendum_support
 from refcalc.third_party import phi
 
@@ -138,6 +139,26 @@ def test_eval_traditional_delta_is_empty_on_the_knife_edge(tmp_path, capsys):
                  "--steps", "4", "--quantities", "delta_traditional",
                  "--out", str(sw)]) == 0
     assert [row[1] for row in _read_csv(sw)[1]] == ["", "", "", ""]
+
+
+@pytest.mark.parametrize("r", [0.45, 0.5, 0.55])
+def test_eval_integrates_each_win_probability_once(tmp_path, capsys, monkeypatch, r):
+    # The traditional congruence rows reuse the two win probabilities eval
+    # prints instead of integrating them again.
+    import refcalc.cli as cli
+    import refcalc.congruence as congruence
+
+    calls = []
+
+    def spy(params, regime, *args):
+        calls.append(regime)
+        return win_prob(params, regime, *args)
+
+    monkeypatch.setattr(cli, "win_prob", spy)
+    monkeypatch.setattr(congruence, "win_prob", spy)
+    scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding", r=r))
+    assert main(["eval", scn]) == 0
+    assert sorted(regime.value for regime in calls) == ["no_referendum", "non_binding"]
 
 
 # ---------------------------------------------------------------- exit codes

@@ -11,6 +11,7 @@ from refcalc.congruence import (
     second_issue_congruence,
     traditional_delta,
     traditional_issue_congruence,
+    traditional_report,
 )
 from refcalc.election import net_benefit, win_prob
 from refcalc.errors import InvalidParamsError, UsageError
@@ -91,6 +92,7 @@ def test_traditional_knife_edge_is_flagged_and_has_no_delta(scenario_a):
     tied = replace(scenario_a, r=0.5)
     rep = traditional_issue_congruence(tied, NON_BINDING)
     assert rep.flags == (KNIFE_EDGE_FLAG,)
+    assert rep.delta is None
     assert rep.prob_no_ref == win_prob(tied, NO_REF)
     assert rep.prob_with_ref == win_prob(tied, NON_BINDING)
     assert traditional_delta(tied, NON_BINDING) is None
@@ -103,6 +105,29 @@ def test_traditional_delta_is_the_report_delta_off_the_knife_edge(scenario_a, r,
     assert traditional_delta(params, regime) == (
         traditional_issue_congruence(params, regime).delta
     )
+
+
+@pytest.mark.parametrize("r", [0.45, 0.5, 0.55])
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+def test_traditional_report_on_held_win_probabilities_is_the_integrated_one(
+    scenario_a, r, regime
+):
+    params = replace(scenario_a, r=r)
+    wp_no, wp_with = win_prob(params, NO_REF), win_prob(params, regime)
+    assert traditional_report(r, regime, wp_no, wp_with) == (
+        traditional_issue_congruence(params, regime)
+    )
+
+
+def test_traditional_report_tracks_the_majority_party():
+    left = traditional_report(0.4, BINDING, 0.25, 0.5)
+    assert (left.prob_no_ref, left.prob_with_ref, left.delta) == (0.75, 0.5, -0.25)
+    right = traditional_report(0.6, BINDING, 0.25, 0.5)
+    assert (right.prob_no_ref, right.prob_with_ref, right.delta) == (0.25, 0.5, 0.25)
+    assert left.flags == right.flags == ()
+    tied = traditional_report(0.5, BINDING, 0.25, 0.5)
+    assert (tied.prob_no_ref, tied.prob_with_ref, tied.delta) == (0.25, 0.5, None)
+    assert tied.flags == (KNIFE_EDGE_FLAG,)
 
 
 def test_traditional_delta_validates_on_the_knife_edge(scenario_a):

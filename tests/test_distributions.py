@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from refcalc.distributions import (
+    FAMILIES,
     DistributionSpec,
     TruncatedDistribution,
     validate_shape,
@@ -299,6 +300,42 @@ def test_truncation_evaluates_its_tail_mass_once(monkeypatch):
         t.quantile(0.25)
         t.quantile(np.array([0.1, 0.9]))
         assert float_calls == [-2.0]
+
+
+def _half_widths(base):
+    """Half-widths whose tail mass runs from about 0.4 down past 2^-53, where
+    1 - 2 * mass starts to round, to one that underflows to 0."""
+    masses = [0.4, 1e-3, 2.0**-30, *(2.0**-k for k in range(50, 60)), 2.0**-200]
+    widths = [-base.quantile(m) for m in masses]
+    widths += [w * f for w in widths[3:13] for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+    return [*widths, 40.0 * base.scale if base.family == "normal" else 800.0 * base.scale]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_truncated_quantile_maps_every_q_strictly_inside_the_base_interval(family):
+    # The truncated quantile checks q only, then applies the family formula
+    # to _lowmass + q * _mass. The old path checked that argument again; it
+    # must still pass that check at the extreme q, with the same bits.
+    base = DistributionSpec(family, 0.8)
+    one_below = math.nextafter(1.0, 0.0)
+    qs = np.array([5e-324, 1e-300, 1e-16, 0.5, math.nextafter(one_below, 0.0), one_below])
+    for w in _half_widths(base):
+        t = TruncatedDistribution(base, w)
+        assert t._lowmass >= 0.0
+        assert np.array_equal(t.quantile(qs), _old_quantile(t, qs)), w
+        assert all(t.quantile(float(q)) == float(_old_quantile(t, q)) for q in qs), w
+    assert TruncatedDistribution(base, _half_widths(base)[-1])._lowmass == 0.0
+
+
+def test_truncated_quantile_does_not_call_the_checked_base_quantile(monkeypatch):
+    def refuse(self, q):
+        raise AssertionError("the truncated quantile re-checks its argument")
+
+    monkeypatch.setattr(DistributionSpec, "quantile", refuse)
+    for family in FAMILIES:
+        t = TruncatedDistribution(DistributionSpec(family, 0.6), 2.0)
+        assert -2.0 < t.quantile(0.3) < 0.0
+        assert t.quantile(np.array([0.1, 0.9])).shape == (2,)
 
 
 def test_validate_shape_passes_known_families():

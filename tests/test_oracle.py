@@ -272,6 +272,73 @@ def test_runs_on_one_stream_are_drawn_once(agents, streams, monkeypatch):
     assert len(made) == streams
 
 
+# ---------------------------------------------------------- the race rule
+
+
+_TIE_COINS = (0.25, math.nextafter(0.5, 0.0), 0.5, 0.75)
+
+
+def _is_bool(value):
+    return type(value) in (bool, np.bool_)
+
+
+def test_race_gives_an_exact_right_left_tie_to_the_coin():
+    # Three votes each and an even noise split: the shares tie exactly.
+    coin = np.array(_TIE_COINS)
+    votes = np.full(4, 3)
+    win_R, win_T, ahead_R = oracle._race(0.5, 6, np.full(4, 0.5), coin, votes, votes, 0)
+    assert ahead_R.tolist() == win_R.tolist() == [True, True, False, False]
+    assert not win_T.any()
+    for c, expected in zip(_TIE_COINS, (True, True, False, False)):
+        assert oracle._race(0.5, 6, 0.5, c, 3, 3, 0) == (expected, False, expected)
+
+
+# (votes_right, votes_left, votes_third) with mu = 1, so shares are vote
+# shares: (win_R, win_T, ahead_R) at coin 0.25.
+_SPOILER_RACES = [
+    ((4, 1, 4), (True, False, True)),    # ties Right at the top
+    ((1, 4, 4), (False, False, False)),  # ties Left at the top
+    ((3, 3, 3), (True, False, True)),    # three-way tie: the coin picks Right
+    ((3, 2, 4), (False, True, True)),    # one vote more wins
+]
+
+
+def test_race_spoiler_loses_an_exact_tie_with_either_major():
+    votes = np.array([v for v, _ in _SPOILER_RACES]).T
+    coin = np.full(len(_SPOILER_RACES), 0.25)
+    arrays = oracle._race(1.0, 9, np.full(len(_SPOILER_RACES), 0.4), coin, *votes)
+    assert [tuple(col) for col in zip(*(a.tolist() for a in arrays))] == [
+        expected for _, expected in _SPOILER_RACES
+    ]
+    for v, expected in _SPOILER_RACES:
+        assert oracle._race(1.0, 9, 0.4, 0.25, *v) == expected
+
+
+def test_race_without_spoiler_votes_is_the_two_way_race():
+    rng = np.random.default_rng(3)
+    n = 10
+    votes_right = rng.integers(0, n + 1, 500)
+    eta = rng.choice([0.5, rng.random()], 500)
+    win_R, win_T, ahead_R = oracle._race(
+        0.5, n, eta, rng.random(500), votes_right, n - votes_right, 0
+    )
+    assert win_R.dtype == win_T.dtype == ahead_R.dtype == bool
+    assert not win_T.any()
+    assert np.array_equal(win_R, ahead_R)
+    assert 0 < win_R.sum() < 500
+
+
+@pytest.mark.parametrize("votes", [(4, 2, 0), (2, 4, 0), (3, 3, 0), (3, 2, 4), (1, 4, 4)])
+@pytest.mark.parametrize("eta", [0.5, np.float64(0.5)])
+def test_race_on_scalars_returns_booleans(votes, eta):
+    # The agents engine passes Python ints and floats; ~True would be -2.
+    for coin in _TIE_COINS:
+        race = oracle._race(0.5, 6, eta, coin, *votes)
+        assert all(_is_bool(value) for value in race), race
+        win_R, win_T, ahead_R = race
+        assert win_R == (ahead_R and not win_T)
+
+
 # ------------------------------------------- analytic vs simulated (3 SE)
 
 
@@ -280,9 +347,6 @@ def test_two_party_matches_analytic(regime):
     res = simulate(SCENARIO_A, regime, FULL)
     analytic = win_prob(SCENARIO_A, regime)
     assert _z(analytic, res) < 3.0
-    assert res.win_freq_L == pytest.approx(1.0 - res.win_freq_R, abs=1e-12)
-    assert res.win_freq_T == 0.0
-    assert res.ahead_freq_R == res.win_freq_R
 
 
 def test_two_party_congruence_matches_analytic():
@@ -290,6 +354,22 @@ def test_two_party_congruence_matches_analytic():
     rep = second_issue_congruence(SCENARIO_A, NON_BINDING)
     z = abs(res.congruence_y - rep.prob_with_ref) / max(res.se_congruence_y, 1e-12)
     assert z < 3.0
+
+
+@pytest.mark.parametrize("agents", [False, True], ids=["counts", "agents"])
+@pytest.mark.parametrize("target, regime", [
+    (SCENARIO_A, NO_REF), (SCENARIO_A, BINDING), (SCENARIO_A, NON_BINDING),
+    (TURNOUT, NO_REF), (TURNOUT, BINDING),
+], ids=["two_party-no_ref", "two_party-binding", "two_party-non_binding",
+        "turnout-no_ref", "turnout-binding"])
+def test_races_without_a_spoiler_keep_the_no_spoiler_invariants(target, regime, agents):
+    # _race with 0 spoiler votes: nobody but the majors wins, and Right wins
+    # exactly when it is ahead of Left.
+    cfg = SimConfig(n_policy_voters=2_000, n_replications=200, seed=7, agent_level=agents)
+    (res,) = simulate_runs([(target, regime)], cfg)
+    assert res.win_freq_T == 0.0
+    assert res.ahead_freq_R == res.win_freq_R
+    assert res.win_freq_L == pytest.approx(1.0 - res.win_freq_R, abs=1e-12)
 
 
 @pytest.mark.parametrize("held, regime", [(False, NO_REF), (True, NON_BINDING)])

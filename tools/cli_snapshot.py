@@ -4,7 +4,8 @@
 
 Writes the benchmark's diverged, spoiler and turnout scenarios, read from
 perfbench/workloads.py, into OUTDIR (also with the two oracle sizes as sim
-blocks), and the EVAL_ONLY scenarios, then runs every command in COMMANDS as
+blocks, each validated at SEED and SECOND_SEED), and the EVAL_ONLY
+scenarios, then runs every command in COMMANDS as
 `python -m refcalc.cli` with OUTDIR as its working directory. Paths are
 relative to OUTDIR, so what a command prints does not depend on where OUTDIR
 is. Command NAME leaves NAME.csv (its --out), NAME.stdout, NAME.stderr and
@@ -36,6 +37,8 @@ import workloads as wl  # noqa: E402
 COUNTS = {"n_policy_voters": 20_000, "n_replications": 2_000, "agent_level": False}
 AGENTS = {"n_policy_voters": 2_000, "n_replications": 200, "agent_level": True}
 SEED = "5"
+# validate also runs at a second seed, so twelve oracle outputs are compared.
+SECOND_SEED = "6"
 
 SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNOUT}
 # Evaluated only: the diverged scenario on the r = 1/2 knife edge, where the
@@ -77,7 +80,9 @@ def _commands():
     yield from ((f"figure_{name}", ["figure", name]) for name in ("fig1", "fig2", "fig3", "figg"))
     for name in SCENARIOS:
         for engine in ("counts", "agents"):
-            yield f"validate_{name}_{engine}", ["validate", f"{name}_{engine}.json", "--seed", SEED]
+            argv = ["validate", f"{name}_{engine}.json", "--seed"]
+            yield f"validate_{name}_{engine}", [*argv, SEED]
+            yield f"validate_{name}_{engine}_seed{SECOND_SEED}", [*argv, SECOND_SEED]
 
 
 COMMANDS = dict(_commands())
