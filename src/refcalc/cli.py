@@ -10,7 +10,9 @@ numerical failures. eval and sweep share one table of named quantities
 (_QUANTITIES); sweep rejects a non-finite grid and a quantity or --var
 (_VARS) whose regime, third_party or turnout block is missing, and where a
 present block fails its constraints at a grid point, the cell is empty. sweep
-starts at most one of its --threads (>= 1) workers per grid point.
+starts at most one of its --threads (>= 1) workers per grid point. figure's
+fig1, fig2 and fig3 are sweeps of baked-in electorates: they and sweep take
+every cell from one grid path (_grid).
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -46,7 +48,7 @@ from .model import (
     shock_pieces,
     validate as validate_params,
 )
-from .oracle import simulate_runs
+from .oracle import SimConfig, simulate_runs
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, memo
 from .scenario import Scenario, load_scenario
 from .third_party import (
@@ -213,7 +215,11 @@ _VARS = {
     "taste_scale": None, "shock_scale": None,
     "v": "third_party", "c_bar": "turnout", "sigma": "turnout", "kappa": "turnout",
 }
-_GAMMA_QUANTITIES = ("s", "g")
+# A gamma sweep's quantities at (electorate, shock): support and shock density.
+_GAMMA_QUANTITIES = {
+    "s": lambda p, gamma: float(referendum_support(p, gamma)),
+    "g": lambda p, gamma: p.shock.pdf(gamma),
+}
 
 
 def _rebuild(scenario: Scenario, var: str, value: float) -> Scenario:
@@ -240,13 +246,9 @@ def _rebuild(scenario: Scenario, var: str, value: float) -> Scenario:
 def _sweep_cell(job):
     scenario, var, value, quantities = job
     if var == "gamma":
-        cells = []
-        for q in quantities:
-            if q == "s":
-                cells.append(_fmt(float(referendum_support(scenario.params, value))))
-            else:
-                cells.append(_fmt(scenario.params.shock.pdf(value)))
-        return [_fmt(value)] + cells
+        return [_fmt(value)] + [
+            _fmt(_GAMMA_QUANTITIES[q](scenario.params, value)) for q in quantities
+        ]
     point = _rebuild(scenario, var, value)
     cells = []
     for q in quantities:
@@ -255,6 +257,17 @@ def _sweep_cell(job):
         except UsageError:
             cells.append("")
     return [_fmt(value)] + cells
+
+
+def _grid(scenario: Scenario, var: str, values, quantities, threads: int = 1):
+    """One CSV row per value: the value, then each quantity's _sweep_cell.
+    With threads > 1, at most one worker process per value."""
+    jobs = [(scenario, var, v, quantities) for v in values]
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_sweep_cell, jobs))
+    return [_sweep_cell(job) for job in jobs]
 
 
 def _cmd_sweep(args, out) -> int:
@@ -293,13 +306,7 @@ def _cmd_sweep(args, out) -> int:
             raise ScenarioError(f"{name} needs {what} in the scenario")
 
     values = [args.from_ + i * step for i in range(args.steps)]
-    jobs = [(scenario, args.var, v, quantities) for v in values]
-    workers = min(args.threads, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
-    else:
-        rows = [_sweep_cell(job) for job in jobs]
+    rows = _grid(scenario, args.var, values, quantities, args.threads)
     _write_csv(out, [args.var, *quantities], rows)
     return 0
 
@@ -326,42 +333,35 @@ _FIGG_PARAMS = ElectorateParams(
 _FIG12_GAMMAS = [i / 100 for i in range(-100, 101)]
 
 
+def _electorate(params: ElectorateParams, quad: QuadratureConfig) -> Scenario:
+    """A scenario holding only params: no referendum and no extension blocks."""
+    return Scenario(params, NO_REFERENDUM, None, None, quad, SimConfig())
+
+
 def _figure_fig1(quad):
-    header = ["gamma", "g", "s", "bold_segment"]
     split_lo, split_hi, _ = shock_pieces(_FIG12_PARAMS.b_L, _FIG12_PARAMS.b_R, NON_BINDING)[1]
-    rows = []
-    for gamma in _FIG12_GAMMAS:
-        rows.append([
-            _fmt(gamma),
-            _fmt(_FIG12_PARAMS.shock.pdf(gamma)),
-            _fmt(float(referendum_support(_FIG12_PARAMS, gamma))),
-            "1" if split_lo <= gamma <= split_hi else "0",
-        ])
-    return header, rows
+    rows = _grid(_electorate(_FIG12_PARAMS, quad), "gamma", _FIG12_GAMMAS, ("g", "s"))
+    return ["gamma", "g", "s", "bold_segment"], [
+        [*row, "1" if split_lo <= gamma <= split_hi else "0"]
+        for gamma, row in zip(_FIG12_GAMMAS, rows)
+    ]
 
 
 def _figure_fig2(quad):
-    alt = replace(_FIG12_PARAMS, b_R=-0.01)
-    header = ["gamma", "s_bR_-0.1", "s_bR_-0.01"]
-    rows = []
-    for gamma in _FIG12_GAMMAS:
-        rows.append([
-            _fmt(gamma),
-            _fmt(float(referendum_support(_FIG12_PARAMS, gamma))),
-            _fmt(float(referendum_support(alt, gamma))),
-        ])
-    return header, rows
+    b_Rs = (_FIG12_PARAMS.b_R, -0.01)
+    grids = [
+        _grid(_electorate(replace(_FIG12_PARAMS, b_R=b_R), quad), "gamma", _FIG12_GAMMAS, ("s",))
+        for b_R in b_Rs
+    ]
+    return ["gamma", *(f"s_bR_{b_R:g}" for b_R in b_Rs)], [
+        left + right[1:] for left, right in zip(*grids)
+    ]
 
 
 def _figure_fig3(quad):
-    header = ["b_R", "r_bind", "r_star", "r_star_star"]
-    rows = []
-    for i in range(-19, 51):
-        p = replace(_FIG3_PARAMS, b_R=i / 20)
-        rows.append([_fmt(p.b_R)] + [
-            _fmt(_threshold(fn, p, quad)) for fn in (r_bind, r_star, r_star_star)
-        ])
-    return header, rows
+    quantities = ("r_bind", "r_star", "r_star_star")
+    b_Rs = [i / 20 for i in range(-19, 51)]
+    return ["b_R", *quantities], _grid(_electorate(_FIG3_PARAMS, quad), "b_R", b_Rs, quantities)
 
 
 def _figure_figg(quad):
@@ -508,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--quantities", required=True,
         help="comma-separated list; scalar vars: " + ", ".join(_QUANTITIES)
-             + "; gamma: s, g",
+             + "; gamma: " + ", ".join(_GAMMA_QUANTITIES),
     )
     p_sweep.add_argument("--threads", type=int, default=1,
                          help="parallel workers for the grid")

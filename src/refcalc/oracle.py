@@ -18,7 +18,7 @@ engines share the downstream accounting:
   turnout on a shared 2-vCPU x86 host (Python 3.11, numpy 2.4, scipy 1.17).
   Nearly all of it is the per-voter draws: Philox at about 0.09 ms per
   10^4 doubles, drawn two or three times, and the erfcinv quantile at
-  about 0.2 ms (about 0.04 ms more truncated).
+  about 0.2 ms (at most about 0.01 ms more truncated).
 
 Determinism contract. Every run draws from Philox streams seeded with
 config.seed alone. The counts engine uses a single stream per run; the draw
@@ -161,12 +161,6 @@ def _base_draws(rng, shock, params, config):
     return gamma, eta, n_right, n - n_right
 
 
-def _majority_yes(yes_count, n, continuum, support):
-    if continuum:
-        return support >= 0.5
-    return 2 * yes_count >= n
-
-
 def _position_cuts(params, regime):
     """(c_R, c_L): after the referendum stage party J holds y=1 exactly when
     the tally share is at least c_J; an infinite cut keeps a party at its
@@ -233,10 +227,12 @@ def _counts_majors(target, regimes, config, rng):
     # The spoiler's defectors from each party: column views, or a scalar 0.
     third_cons, third_libs = (cons[:, 3], libs[:, 3]) if spoiler else (0, 0)
 
-    yes = (cons[:, 2] + third_cons) + (n_left - libs[:, 0])
-    support = referendum_support(params, gamma)
-    tally = np.asarray(support if config.continuum_tally else yes / n)
-    maj_yes = _majority_yes(yes, n, config.continuum_tally, support)
+    if config.continuum_tally:
+        tally = np.asarray(referendum_support(params, gamma))
+        maj_yes = tally >= 0.5
+    else:
+        yes = (cons[:, 2] + third_cons) + (n_left - libs[:, 0])
+        tally, maj_yes = yes / n, 2 * yes >= n
     maj_right = 2 * n_right >= n
 
     # Right's and the spoiler's votes by post-referendum configuration; Left
@@ -338,7 +334,6 @@ def _counts_turnout(tp, regimes, config, rng):
     coin = rng.random(n_reps)
     win, win_third, ahead = _race(params.mu, n, eta, coin, part_right, part_left, 0)
 
-    support = _turnout_support(tp, gamma)
     y_impl = np.zeros(n_reps, dtype=bool)
     y1_share = None
     # 0/0 (no ballots cast, or no voter in a party) yields NaN.
@@ -351,7 +346,10 @@ def _counts_turnout(tp, regimes, config, rng):
         turnout_right = part_right / n_right
         turnout_left = part_left / n_left
 
-    maj_yes = _majority_yes(yes_latent, n, config.continuum_tally, support)
+    if config.continuum_tally:
+        maj_yes = _turnout_support(tp, gamma) >= 0.5
+    else:
+        maj_yes = 2 * yes_latent >= n
     maj_right = 2 * n_right >= n
     return [_RepArrays(
         win_R=win,
@@ -405,15 +403,15 @@ def _agents(runs, config, rng_for):
         yes = b_i >= 0
         n_yes, n_cons = np.count_nonzero(yes), np.count_nonzero(is_cons)
         maj_right = 2 * n_cons >= n
-        support = None
         if continuum:
-            support = (
+            tally = (
                 _turnout_support(target, gamma) if turnout
                 else referendum_support(params, gamma)
             )
-        maj_yes = _majority_yes(n_yes, n, continuum, support)
+            maj_yes = tally >= 0.5
+        else:
+            tally, maj_yes = n_yes / n, 2 * n_yes >= n
         if not turnout:
-            tally = support if continuum else n_yes / n
             p_cons, p_libs = params.p * is_cons, params.p * ~is_cons
             choices = {}  # (y_right, y_left): (prefers_right, util_right, util_left)
         for (held, cuts, v), out in zip(plans, rows):

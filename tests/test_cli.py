@@ -161,12 +161,42 @@ def test_eval_integrates_each_win_probability_once(tmp_path, capsys, monkeypatch
     assert sorted(regime.value for regime in calls) == ["no_referendum", "non_binding"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="r_bind is the kernel ratio, not the sign change of net_benefit, "
+           "where the win map saturates (mu > 1/2)",
+)
+def test_eval_r_bind_is_the_clamped_root_when_the_win_map_saturates(tmp_path, capsys):
+    # At mu = 0.7 the ratio reads 0.447945237483; there net_benefit(BINDING)
+    # is -0.0180 and the win map clamps. The binding net benefit changes
+    # sign at r = 0.459697 (scipy brentq on net_benefit).
+    scn = _dump(tmp_path, "sat.json", _scenario_a(
+        regime="binding", mu=0.7, p=0.3, b_L=-0.4, b_R=0.2,
+        taste={"family": "normal", "scale": 1.0},
+        shock={"family": "normal", "scale": 0.5},
+    ))
+    out = tmp_path / "eval.csv"
+    assert main(["eval", scn, "--out", str(out)]) == 0
+    values = dict(_read_csv(out)[1])
+    assert float(values["r_bind"]) == pytest.approx(0.459697, abs=1e-5)
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
     rc = main(["eval", str(tmp_path / "nope.json")])
     assert rc == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_scenario_without_a_shock_exits_2(tmp_path, capsys):
+    scn = _scenario_a()
+    del scn["shock"]
+    path = _dump(tmp_path, "no_shock.json", scn)
+    assert main(["eval", path]) == 2
+    assert capsys.readouterr().err == (
+        f'scenario error: missing required key "shock" at {path}\n'
+    )
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):
@@ -679,6 +709,31 @@ def test_fig3_dataset(tmp_path, capsys):
     assert float(star2) == pytest.approx(0.5, abs=1e-6)
     binds = [float(row[1]) for row in rows if row[1] != ""]
     assert all(a < b for a, b in zip(binds, binds[1:]))
+
+
+@pytest.mark.parametrize("name, var", [("fig1", "gamma"), ("fig2", "gamma"), ("fig3", "b_R")])
+def test_fig1_to_fig3_cells_are_sweep_cells(tmp_path, capsys, monkeypatch, name, var):
+    # Each of these figures is a sweep of its baked-in electorate: every
+    # cell it prints, bar fig1's bold flag, is a cell sweep computes.
+    import refcalc.cli as cli
+
+    cell, made = cli._sweep_cell, []
+
+    def spy(job):
+        assert job[1] == var
+        made.append(cell(job))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_sweep_cell", spy)
+    out = tmp_path / f"{name}.csv"
+    assert main(["figure", name, "--out", str(out)]) == 0
+    rows = _read_csv(out)[1]
+    if name == "fig1":
+        rows = [row[:3] for row in rows]
+    elif name == "fig2":
+        assert len(made) == 2 * len(rows)
+        made = [a + b[1:] for a, b in zip(made[:len(rows)], made[len(rows):])]
+    assert rows == made
 
 
 def test_figg_region_tally(tmp_path, capsys):

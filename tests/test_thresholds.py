@@ -183,6 +183,12 @@ def test_brent_names_the_point_of_a_nan_value():
         _brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, "nan")
 
 
+def test_brent_rejects_a_root_whose_residual_stays_large():
+    # A step converges onto its jump, where |f| stays 1.
+    with pytest.raises(RootFindError, match="^step: residual 1.000e\\+00 above 1e-09$"):
+        _brent(lambda x: 1.0 if x >= 0.3 else -1.0, 0.0, 1.0, "step")
+
+
 def test_brent_raises_when_it_runs_out_of_iterations(monkeypatch):
     monkeypatch.setattr(thresholds, "ROOT_MAXITER", 2)
     with pytest.raises(RootFindError, match="demo: no convergence in 2 iterations"):

@@ -77,6 +77,8 @@ def _commands():
     # v across 0, where the spoiler block stops being valid.
     yield "sweep_spoiler_v", _sweep(
         "spoiler", "v", "-0.5", "0.5", 5, ("phi", "net_benefit_third"))
+    # The shock axis, the grid path that fig1 and fig2 take.
+    yield "sweep_gamma", _sweep("diverged", "gamma", "-1", "1", 21, ("s", "g"))
     yield from ((f"figure_{name}", ["figure", name]) for name in ("fig1", "fig2", "fig3", "figg"))
     for name in SCENARIOS:
         for engine in ("counts", "agents"):
