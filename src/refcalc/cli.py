@@ -535,8 +535,8 @@ def main(argv=None) -> int:
     exits 2 at once; a later failure leaves the file empty. The command runs
     inside quadrature.memo(), so each cohesion kernel integral is computed
     once per command, and none is kept once main returns. Only the kernels
-    are reused: they involve neither r nor mu, while every other integral
-    depends on the whole electorate and rarely repeats.
+    are kept: they involve neither r nor mu, and the thresholds and the
+    two-party win integrals read them alike.
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -17,8 +17,9 @@ traditional_delta, is None instead of picking a convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
-from .election import win_given_diverged, win_prob
+from .election import _gap, lambda_win, win_given_diverged, win_prob
 from .model import (
     ElectorateParams,
     ReferendumRegime,
@@ -28,7 +29,7 @@ from .model import (
     shock_pieces,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .thresholds import gamma_star
+from .thresholds import _fresh_kernels, _kernels, gamma_star
 
 ISSUE_TRADITIONAL = "traditional"
 ISSUE_SECOND = "second"
@@ -58,18 +59,30 @@ def knife_edge(r: float) -> bool:
     return r == 0.5
 
 
-def _congruent(params, regime, gs, config):
+def _congruent(params, regime, gs, fresh, config):
     # P(the implemented emerging policy is the majority's, y=1 iff the shock
-    # is at least gs), summed over the regime's shock pieces.
+    # is at least gs), summed over the regime's shock pieces. fresh() gives
+    # the kernels L and R over [-b_R, gs].
     G = params.shock.cdf
     total = 0.0
     for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
         if positions.diverged:
             # gamma_star lies inside the split piece: Left (y=0) must win
-            # below it, Right (y=1) above it.
+            # below it, Right (y=1) above it. With W the win integral over a
+            # piece, that is mass[lo, gs] - W[lo, gs] + W[gs, hi], where
+            # W[gs, hi] = W[lo, hi] - W[lo, gs]. The piece starts at -b_R or
+            # at -inf; there the kernels over [lo, gs] add the left tail's.
+            tail = shock_pieces(params.b_L, params.b_R, ReferendumRegime.NON_BINDING)[:1]
+            L, R = _kernels(
+                params.b_L, params.b_R, params.p, params.taste, params.shock,
+                tail if lo is None else (), config,
+            )
+            fresh_L, fresh_R = fresh()
             g_lo, g_gs = cdf_ends(G, lo, gs)
-            lose = g_gs - g_lo - win_given_diverged(params, lo, gs, config)
-            total = total + lose + win_given_diverged(params, gs, hi, config)
+            below = (g_gs - g_lo) * lambda_win(params.r, params.mu) - _gap(
+                params, lo, gs, config, None, (L + fresh_L, R + fresh_R)
+            )
+            total = total + g_gs - g_lo - 2.0 * below + win_given_diverged(params, lo, hi, config)
             continue
         # Aligned at y: congruent where the majority wants y; a binding
         # majority is always wanted.
@@ -100,8 +113,13 @@ def second_issue_congruence(
     require_valid(params)
     require_regime(regime, "post_referendum")
     gs = gamma_star(params).value
-    no_ref = _congruent(params, ReferendumRegime.NO_REFERENDUM, gs, config)
-    with_ref = _congruent(params, regime, gs, config)
+    # The one kernel pair whose piece moves with r: integrated at most once,
+    # and only where a regime splits the parties.
+    fresh = cache(lambda: _fresh_kernels(
+        params.b_L, params.b_R, params.p, params.taste, params.shock, -params.b_R, gs, config
+    ))
+    no_ref = _congruent(params, ReferendumRegime.NO_REFERENDUM, gs, fresh, config)
+    with_ref = _congruent(params, regime, gs, fresh, config)
     return CongruenceReport(ISSUE_SECOND, regime, no_ref, with_ref, with_ref - no_ref)
 
 

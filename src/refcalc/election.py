@@ -13,6 +13,14 @@ until it gets its own clamp. Saturation is exact, not an approximation; a
 diagnostic flag records whether it ever bound, since downstream closed-form
 thresholds are derived from the unsaturated affine map and only coincide
 exactly when it never does (mu <= 1/2 guarantees that).
+
+No two-party win integral integrates the map itself. Over a shock piece
+where the parties split, the gap lambda(r) - lambda(share) is affine in the
+cohesion kernels L and R of the thresholds module (_gap), so win_prob,
+net_benefit and the congruence deltas read the kernels the thresholds
+integrate, once per command within quadrature.memo(). Where the map
+saturates, the piece is split at its kinks: the saturated sub-pieces are
+shock masses, and only the one between them takes fresh kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from .model import (
     require_valid,
     shock_pieces,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, shock_bounds
+from .thresholds import _brent, _fresh_kernels, _kernels
 
 
 @dataclass
@@ -97,6 +106,70 @@ def win_given_shock(
     return _win_at_share(params, right_share_multi(params, gamma), diagnostics)
 
 
+def _gap(params, lo, hi, config, diagnostics, kernels=None):
+    """Integral of lambda(r) - lambda(share(gamma)), saturated into [0, 1],
+    against the shock over the diverged piece [lo, hi].
+
+    Where the map stays inside [0, 1] the gap is affine in the cohesion
+    kernels over the piece: the taste family is symmetric, so
+    r - share = r B(-p - gamma - b_R) - (1-r) B(-p + gamma + b_L), and the
+    gap is mu/(1-mu) (r R - (1-r) L). kernels, if given, are L and R over
+    [lo, hi]; otherwise they are thresholds._kernels of the piece, which
+    quadrature.memo() keeps.
+
+    For mu > 1/2 the map saturates where the share, strictly increasing in
+    gamma, leaves 1/2 -+ (1-mu)/(2 mu). The share is read at the piece's
+    truncated ends (quadrature.shock_bounds) and each crossing between them
+    is found by Brent. A saturated sub-piece adds its shock mass times
+    lambda(r), or lambda(r) - 1, and sets diagnostics.clamped; the kernels
+    are then integrated afresh over the sub-piece in between.
+    """
+    r, mu = params.r, params.mu
+    gap = 0.0
+    if mu > 0.5:
+        band = (1.0 - mu) / (2.0 * mu)
+        floor, ceiling = 0.5 - band, 0.5 + band
+        a, b = shock_bounds(params.shock, lo, hi)
+        share_a, share_b = right_share_multi(params, a), right_share_multi(params, b)
+        if share_a < floor or share_b > ceiling:
+            if diagnostics is not None:
+                diagnostics.clamped = True
+
+            def crossing(level):
+                # Where the share passes level; lo or hi where it does not.
+                if share_a >= level:
+                    return lo
+                if share_b <= level:
+                    return hi
+                return _brent(
+                    lambda g: right_share_multi(params, g) - level, a, b, "win map kink"
+                )[0]
+
+            def mass(x, y):
+                g_x, g_y = cdf_ends(params.shock.cdf, x, y)
+                return g_y - g_x
+
+            c, d = crossing(floor), crossing(ceiling)
+            lam_r = lambda_win(r, mu)
+            if share_a < floor:
+                gap += lam_r * mass(lo, c)
+            if share_b > ceiling:
+                gap += (lam_r - 1.0) * mass(d, hi)
+            if share_b <= floor or share_a >= ceiling:
+                return gap
+            lo, hi = c, d
+            kernels = _fresh_kernels(
+                params.b_L, params.b_R, params.p, params.taste, params.shock, lo, hi, config
+            )
+    if kernels is None:
+        kernels = _kernels(
+            params.b_L, params.b_R, params.p, params.taste, params.shock,
+            ((lo, hi, None),), config,
+        )
+    L, R = kernels
+    return gap + mu / (1.0 - mu) * (r * R - (1.0 - r) * L)
+
+
 def win_given_diverged(
     params: ElectorateParams,
     lo=None,
@@ -106,12 +179,13 @@ def win_given_diverged(
 ) -> float:
     """P(Right wins and the shock lies in [lo, hi]), positions diverged there.
 
-    Computed afresh on every call, also within quadrature.memo(): the
-    integral depends on every electorate parameter, so a command almost
-    never asks for the same one twice.
+    The piece's shock mass times lambda(r), less the gap _gap reads off the
+    cohesion kernels. Within quadrature.memo() the kernels of a piece where
+    the map stays inside [0, 1] are integrated once per command.
     """
-    return integrate_shock(
-        lambda g: win_given_shock(params, g, diagnostics), params.shock, lo, hi, config
+    g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
+    return (g_hi - g_lo) * lambda_win(params.r, params.mu) - _gap(
+        params, lo, hi, config, diagnostics
     )
 
 
@@ -154,14 +228,8 @@ def net_benefit(
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
-
-    def gap(g):
-        return _win_at_share(params, params.r, diagnostics) - _win_at_share(
-            params, right_share_multi(params, g), diagnostics
-        )
-
     total = 0.0
     for lo, hi, positions in moved_pieces(params.b_L, params.b_R, regime):
-        piece = integrate_shock(gap, params.shock, lo, hi, config)
+        piece = _gap(params, lo, hi, config, diagnostics)
         total = total - piece if positions.diverged else total + piece
     return total

@@ -128,11 +128,11 @@ class SimResult:
 class _RepArrays:
     """Per-replication outcomes, every race decided by _race: Left wins
     whenever neither Right nor the spoiler does, and without a spoiler win_T
-    is all false and ahead_R is win_R. The turnout fields are None outside
+    is np.False_ and ahead_R is win_R. The turnout fields are None outside
     turnout mode."""
 
     win_R: np.ndarray
-    win_T: np.ndarray
+    win_T: np.ndarray | np.bool_
     ahead_R: np.ndarray
     cong_y: np.ndarray
     cong_x: np.ndarray
@@ -185,13 +185,18 @@ def _race(mu, n, eta, coin, votes_right, votes_left, votes_third):
 
     Noise voters split eta : 1 - eta between the majors, an exact Right-Left
     tie goes to the coin, and the spoiler loses exact ties to either major.
-    A race without a spoiler passes votes_third = 0. Scalars and arrays
-    alike give booleans: the logical ufunc keeps ~True from reading -2.
+    A race without a spoiler passes votes_third = 0: the noise share keeps
+    Right's share positive, so a spoiler without votes never finishes first,
+    and the race returns np.False_ as win_T and its ahead_R as win_R. Scalars
+    and arrays alike give booleans: the logical ufunc keeps ~True from
+    reading -2.
     """
     s_right = mu * (votes_right / n) + (1.0 - mu) * eta
     s_left = mu * (votes_left / n) + (1.0 - mu) * (1.0 - eta)
-    s_third = mu * (votes_third / n)
     ahead = (s_right > s_left) | ((s_right == s_left) & (coin < 0.5))
+    if np.ndim(votes_third) == 0 and votes_third == 0:
+        return ahead, np.False_, ahead
+    s_third = mu * (votes_third / n)
     win_third = (s_third > s_right) & (s_third > s_left)
     return ahead & np.logical_not(win_third), win_third, ahead
 
@@ -213,16 +218,17 @@ def _counts_majors(target, regimes, config, rng):
     B = params.taste.cdf
     gamma, eta, n_right, n_left = _base_draws(rng, params.shock, params, config)
 
-    # Conservative cuts, in increasing order: election cut (Left vs Right
-    # when majors diverge), referendum yes cut, spoiler defection cut.
-    # Liberal cuts: referendum yes, election cut, spoiler defection.
-    cons_cuts = [B(-params.p - params.b_R - gamma), B(-params.b_R - gamma)]
-    libs_cuts = [B(-params.b_L - gamma), B(params.p - params.b_L - gamma)]
+    # Each cut is B(shift - gamma). Conservative cuts, in increasing order:
+    # election cut (Left vs Right when majors diverge), referendum yes cut,
+    # spoiler defection cut. Liberal cuts: referendum yes, election cut,
+    # spoiler defection. A party's cut arrays live only through its split.
+    cons_shifts = [-params.p - params.b_R, -params.b_R]
+    libs_shifts = [-params.b_L, params.p - params.b_L]
     if spoiler:
-        cons_cuts.append(B(-target.v - params.b_R - gamma))
-        libs_cuts.append(B(params.p - target.v - params.b_L - gamma))
-    cons = _split(rng, n_right, cons_cuts)
-    libs = _split(rng, n_left, libs_cuts)
+        cons_shifts.append(-target.v - params.b_R)
+        libs_shifts.append(params.p - target.v - params.b_L)
+    cons = _split(rng, n_right, [B(shift - gamma) for shift in cons_shifts])
+    libs = _split(rng, n_left, [B(shift - gamma) for shift in libs_shifts])
     coin = rng.random(config.n_replications)
     # The spoiler's defectors from each party: column views, or a scalar 0.
     third_cons, third_libs = (cons[:, 3], libs[:, 3]) if spoiler else (0, 0)
@@ -240,7 +246,7 @@ def _counts_majors(target, regimes, config, rng):
     # abandoned. Right alone at y=1: the spoiler's base merges into Right,
     # Left keeps everyone below its election cut. Majors both at y=0: the
     # pre-referendum split.
-    vr_pre = n_right - third_cons
+    vr_pre = n_right - third_cons if spoiler else n_right
     vt_pre = third_cons + third_libs
     vr_mid = (n_right - cons[:, 0]) + libs[:, 2] + third_libs
 
@@ -250,9 +256,13 @@ def _counts_majors(target, regimes, config, rng):
         both = y_left
         only_right = y_right & ~y_left
         votes_right = np.where(both, n_right, np.where(only_right, vr_mid, vr_pre))
-        votes_third = np.where(both | only_right, 0, vt_pre) if spoiler else 0
+        votes_left = n - votes_right
+        votes_third = 0
+        if spoiler:
+            votes_third = np.where(both | only_right, 0, vt_pre)
+            votes_left -= votes_third
         win_right, win_third, ahead = _race(
-            params.mu, n, eta, coin, votes_right, n - votes_right - votes_third, votes_third
+            params.mu, n, eta, coin, votes_right, votes_left, votes_third
         )
         y_impl = np.where(win_third, True, np.where(win_right, y_right, y_left))
         x_impl = win_right | win_third

@@ -20,7 +20,9 @@ QuadratureError at once, with achieved tolerance inf.
 
 Within memo(), the cohesion kernels look each integral up by its key before
 computing it (recall), so a command integrates each distinct kernel once.
-Outside it nothing is kept.
+The thresholds and the two-party win integrals both read these kernels; a
+kernel over a piece whose end moves with r or mu is never looked up. Outside
+memo() nothing is kept.
 """
 
 from __future__ import annotations

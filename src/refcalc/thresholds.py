@@ -23,7 +23,10 @@ its sign change (as long as the affine win map never saturates; see the
 election module). Neither does any kernel, so within one command
 (quadrature.memo) each kernel integral is computed once: a sweep over r or mu
 integrates them at its first point only, and r_bind's L, which does not
-involve b_R, once for all b_R.
+involve b_R, once for all b_R. The two-party win integrals read the same
+kernels (election._gap). A kernel over a piece whose end moves with r or mu
+(gamma_star, a kink of the saturated win map) is integrated afresh by
+_fresh_kernels and never kept.
 
 The roots that remain (gamma_star and the b_R scan) come from _brent, a port
 of scipy's brentq.c (Brent, "Algorithms for Minimization without
@@ -168,6 +171,11 @@ def gamma_star(params: ElectorateParams) -> ThresholdReport:
     return ThresholdReport("gamma_star", root, residual, (lo, hi), iters)
 
 
+def _integrands(b_L, b_R, p, taste):
+    B = taste.cdf
+    return (lambda g: B(-p + g + b_L)), (lambda g: B(-p - g - b_R))
+
+
 def _kernels(b_L, b_R, p, taste, shock, pieces, config):
     """Shock integrals L of B(-p + gamma + b_L) and R of B(-p - gamma - b_R).
 
@@ -175,18 +183,25 @@ def _kernels(b_L, b_R, p, taste, shock, pieces, config):
     Within quadrature.memo() each piece's integral is looked up before it is
     computed.
     """
-    B = taste.cdf
+    fL, fR = _integrands(b_L, b_R, p, taste)
     L = R = 0.0
     for lo, hi, _ in pieces:
         L += recall(
-            lambda: integrate_shock(lambda g: B(-p + g + b_L), shock, lo, hi, config),
+            lambda: integrate_shock(fL, shock, lo, hi, config),
             "L", b_L, p, taste, shock, lo, hi, config,
         )
         R += recall(
-            lambda: integrate_shock(lambda g: B(-p - g - b_R), shock, lo, hi, config),
+            lambda: integrate_shock(fR, shock, lo, hi, config),
             "R", b_R, p, taste, shock, lo, hi, config,
         )
     return L, R
+
+
+def _fresh_kernels(b_L, b_R, p, taste, shock, lo, hi, config):
+    """L and R over the one piece [lo, hi], integrated without the memo:
+    for a piece with an end that moves with r or mu, which a command rarely
+    asks for twice."""
+    return tuple(integrate_shock(f, shock, lo, hi, config) for f in _integrands(b_L, b_R, p, taste))
 
 
 def _ratio(name, L, R, bracket):

@@ -2,8 +2,9 @@
 
 The model's formulas are written out again here from their definitions, with
 their own normal and logistic cdf and pdf, and integrated by mpmath.quad split
-at the piece ends and at 0. At mpmath's default 15 digits they agree with 40
-digits to 1e-16 at the points the tests use.
+at the piece ends, at 0 and, where the win map saturates, at its kinks. At
+mpmath's default 15 digits they agree with 40 digits to 1e-16 at the points
+the tests use.
 
 An electorate is a plain dict with the keys of a scenario file: r, mu, p,
 b_L, b_R, and taste and shock as (family, scale) pairs.
@@ -34,16 +35,57 @@ def pdf(family, scale):
     return lambda x: mp.exp(-abs(x) / scale) / (scale * (1 + mp.exp(-abs(x) / scale)) ** 2)
 
 
-def shock_integral(f, shock, lo, hi, **quad_options):
-    """Integral of f(x) times the shock density over [lo, hi]."""
+def shock_integral(f, shock, lo, hi, kinks=(), **quad_options):
+    """Integral of f(x) times the shock density over [lo, hi], split at 0
+    and at those kinks of f that lie inside."""
     g = pdf(*shock)
-    points = [lo, 0, hi] if lo < 0 < hi else [lo, hi]
-    return mp.quad(lambda x: f(x) * g(x), points, **quad_options)
+    inner = sorted(x for x in (0, *kinks) if lo < x < hi)
+    return mp.quad(lambda x: f(x) * g(x), [lo, *inner, hi], **quad_options)
 
 
 def lam(e, share):
     """Right's win probability at policy-voter share `share` (unsaturated)."""
     return HALF + e["mu"] / (1 - e["mu"]) * (share - HALF)
+
+
+def win(e, x):
+    """Right's win probability at shock x with positions diverged: the win
+    map at the share, saturated into [0, 1]."""
+    return min(mp.mpf(1), max(mp.mpf(0), lam(e, right_share(e, x))))
+
+
+# Shock scales beyond which saturation is ignored: the shock mass out there
+# is below 1e-17 for both families.
+KINK_WINDOW = 40
+
+
+def _window(e, lo, hi):
+    width = KINK_WINDOW * e["shock"][1]
+    return max(lo, -width), min(hi, width)
+
+
+def saturates(e, lo, hi):
+    """Whether the unsaturated win map leaves [0, 1] on [lo, hi]; the share
+    is increasing in x, so it suffices to look at the ends."""
+    a, b = _window(e, lo, hi)
+    return lam(e, right_share(e, a)) < 0 or lam(e, right_share(e, b)) > 1
+
+
+def kinks(e, lo, hi):
+    """Shocks inside (lo, hi) where the unsaturated win map crosses 0 or 1.
+
+    The share is increasing in x, so each level is crossed at most once; a
+    crossing is bracketed within KINK_WINDOW shock scales of 0 and found by
+    mp.findroot.
+    """
+    a, b = _window(e, lo, hi)
+    found = []
+    for level in (0, 1):
+        def f(x, level=level):
+            return lam(e, right_share(e, x)) - level
+        if f(a) < 0 < f(b):
+            found.append(mp.findroot(f, (a, b), solver="anderson"))
+    return found
 
 
 def right_share(e, x):
@@ -61,7 +103,7 @@ def win_diverged(e, lo, hi):
 def _win_diverged(items, lo, hi):
     # Kept, since win_prob asks for the same integral under every regime.
     e = dict(items)
-    return shock_integral(lambda x: lam(e, right_share(e, x)), e["shock"], lo, hi)
+    return shock_integral(lambda x: win(e, x), e["shock"], lo, hi, kinks(e, lo, hi))
 
 
 def win_prob(e, regime):

@@ -16,6 +16,7 @@ from refcalc.election import (
     win_given_shock,
     win_prob,
 )
+from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
@@ -181,7 +182,9 @@ def test_net_benefit_binding_aligned_is_exactly_zero(scenario_a):
 
 def test_net_benefit_binding_sign_flips_at_r_bind():
     # At mu = 1/2 the binding net benefit is r - baseline win probability,
-    # which changes sign exactly at r_bind.
+    # which changes sign exactly at r_bind. Both read the same two kernels
+    # over the whole line, so at r_bind the net benefit is the threshold's
+    # own residual, not a difference of two quadratures.
     taste = DistributionSpec("normal", 1.0)
     shock = DistributionSpec("normal", 0.5)
     rb = r_bind(-1.0, 0.5, 0.05, taste, shock).value
@@ -196,7 +199,7 @@ def test_net_benefit_binding_sign_flips_at_r_bind():
 
     assert nb(rb - 0.05) < 0
     assert nb(rb + 0.05) > 0
-    assert nb(rb) == pytest.approx(0.0, abs=1e-7)
+    assert nb(rb) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.7])
@@ -235,6 +238,27 @@ def test_clamp_diagnostics_reports_saturation():
     diag = ClampDiagnostics()
     win_prob(params, NO_REF, diagnostics=diag)
     assert diag.clamped
+
+
+def test_a_piece_saturated_throughout_is_its_shock_mass(monkeypatch):
+    # Right's policy share stays above 1/2 + (1-mu)/(2 mu) over the whole
+    # truncated shock range, so the map is 1 on the whole line: the win
+    # probability is the line's shock mass, exactly 1, and nothing is
+    # integrated.
+    params = ElectorateParams(
+        r=0.55, mu=0.9, p=0.001, b_L=-0.001, b_R=0.5,
+        taste=DistributionSpec("normal", 0.05),
+        shock=DistributionSpec("normal", 0.01),
+    )
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a saturated piece was integrated")
+
+    monkeypatch.setattr(quadrature, "integrate", no_quadrature)
+    diag = ClampDiagnostics()
+    assert win_prob(params, NO_REF, diagnostics=diag) == 1.0
+    assert diag.clamped
+    assert net_benefit(params, BINDING) == lambda_win(0.55, 0.9) - 1.0
 
 
 def test_quadrature_config_threading(scenario_a):

@@ -1,7 +1,8 @@
 """The per-command integral memo (quadrature.memo / quadrature.recall).
 
 The CLI runs every command inside quadrature.memo(), where the cohesion
-kernels, and only they, are looked up before they are integrated. Keys
+kernels, and only they, are looked up before they are integrated; the
+thresholds and the two-party win integrals read them alike. Keys
 compare by ==, so 0.0 and -0.0 share one. These tests pin what that may and
 may not change: each distinct kernel is integrated once per command, the
 memo stores nothing else, every value is the very double computed outside
@@ -106,17 +107,21 @@ def test_each_distinct_integral_is_integrated_once_per_command(
     # One integrate call per key, and only its first lookup pays for it.
     assert tally.integrals_in_compute == len(tally.looked_up)
     assert sum(tally.looked_up.values()) > len(tally.looked_up)
-    # The memo holds the kernels and nothing else: a win integral or a net
-    # benefit is integrated afresh wherever it is asked for.
+    # The memo holds the kernels and nothing else.
     (table,) = tally.tables
     assert set(table) == set(tally.computed)
     assert {key[0] for key in table} <= {"L", "R"}
     if command == "sweep_r":
-        # Neither kernel depends on r: r_bind's two and r_star_star's four
-        # integrals are computed at the first grid point only, while the
-        # win integrals are integrated at every point.
-        assert len(table) == 6
-        assert tally.integrals - tally.integrals_in_compute >= 41 * 2
+        # No kernel depends on r. L and R over the whole line (r_bind's),
+        # over both tails (r_star_star's) and over the split piece
+        # [-b_R, -b_L] are computed at the first grid point only; win_prob,
+        # net_benefit and delta_traditional read nothing else. Only
+        # delta_second's pair over [-b_R, gamma_star], which moves with r,
+        # is integrated at every point, outside the memo.
+        pieces = {key[5:7] for key in table}
+        assert pieces == {(None, None), (None, -0.3), (-0.3, 0.5), (0.5, None)}
+        assert len(table) == 8
+        assert tally.integrals - tally.integrals_in_compute == 41 * 2
     else:
         # r_bind's L does not involve b_R: one for all 50 diverged rows.
         assert sum(key[0] == "L" and key[5:7] == (None, None) for key in table) == 1

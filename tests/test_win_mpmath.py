@@ -4,9 +4,11 @@ election.win_given_diverged and election.net_benefit are checked at the
 benchmark's diverged (b_R = 0.3) and spoiler (b_R = -0.1) electorates, with
 normal and logistic taste, against tests/reference_mp.py, which shares no
 code with refcalc. The net benefit's reference is the difference of the two
-win probabilities, so it also checks the piecewise form refcalc integrates.
-mu stays at or below 1/2, where the win map never saturates, and the clamp
-flag must stay down.
+win probabilities, so it also checks the piecewise form refcalc computes.
+At mu <= 1/2 the win map never saturates. The diverged electorate also runs
+at mu = 0.7 and 0.9, where it saturates: the reference clamps the map and
+splits its integrals at the kinks it finds with mp.findroot. The clamp flag
+must be up exactly where the reference's map leaves [0, 1].
 
 Each integrate call may miss by the tolerance it declares: abs_tol, plus
 rel_tol times the integral of |f| over its piece (the panel acceptance test
@@ -36,6 +38,9 @@ CASES = [
     {**e, "mu": mu, "taste": (family, 0.2)}
     for e in (DIVERGED, SPOILER)
     for family, mu in (("normal", 0.5), ("logistic", 0.3))
+] + [
+    {**DIVERGED, "mu": mu, "taste": (family, 0.2)}
+    for family, mu in (("normal", 0.7), ("logistic", 0.9))
 ]
 
 
@@ -61,7 +66,7 @@ def test_win_given_diverged_matches_mpmath(e):
         diag = ClampDiagnostics()
         finite = [None if abs(end) == mp.inf else end for end in (lo, hi)]
         value = win_given_diverged(params, *finite, diagnostics=diag)
-        assert not diag.clamped
+        assert diag.clamped == ref.saturates(e, lo, hi)
         expected = ref.win_diverged(e, lo, hi)
         # The integrand is a probability, so its integral is its |f| integral.
         assert abs(value - expected) <= _call_tol(expected, lo, hi)
@@ -82,9 +87,9 @@ def _net_benefit_pieces(e, regime):
 def test_net_benefit_matches_mpmath(e, regime):
     diag = ClampDiagnostics()
     value = net_benefit(_params(e), ReferendumRegime(regime), diagnostics=diag)
-    assert not diag.clamped
     expected = ref.win_prob(e, regime) - ref.win_prob(e, "no_referendum")
     pieces = _net_benefit_pieces(e, regime)
+    assert diag.clamped == any(ref.saturates(e, lo, hi) for lo, hi in pieces)
     if not pieces:
         # Binding from an aligned start changes nothing.
         assert value == 0.0 and expected == 0
@@ -92,11 +97,14 @@ def test_net_benefit_matches_mpmath(e, regime):
     lam_r = ref.lam(e, e["r"])
 
     def gap(x):
-        return abs(lam_r - ref.lam(e, ref.right_share(e, x)))
+        return abs(lam_r - ref.win(e, x))
 
     # A tolerance needs only a few digits of the integral of |gap|.
     tol = sum(
-        _call_tol(ref.shock_integral(gap, e["shock"], lo, hi, maxdegree=3), lo, hi)
+        _call_tol(
+            ref.shock_integral(gap, e["shock"], lo, hi, ref.kinks(e, lo, hi), maxdegree=3),
+            lo, hi,
+        )
         for lo, hi in pieces
     )
     assert abs(value - expected) <= tol
