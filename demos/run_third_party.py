@@ -25,13 +25,14 @@ from refcalc import (
     ThirdPartyParams,
     classify_referendum_preference,
     lambda_hat,
+    lambda_win,
     net_benefit_third,
     phi,
     phi_thresholds,
-    win_given_shock,
     win_prob_third,
     worse_off_condition,
 )
+from refcalc.election import right_share_multi
 
 BASE = ElectorateParams(
     r=0.55,
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
     print()
     print(f"{'shock':>8} {'two-party':>12} {'with entrant':>13}")
     for g in (-0.4, 0.0, 0.4):
-        two = float(win_given_shock(b, g))
+        two = float(lambda_win(right_share_multi(b, g), b.mu))
         three = float(lambda_hat(TP, g))
         print(f"{g:>8.2f} {two:>12.6f} {three:>13.6f}")
     print("The two-party column imagines the majors diverged (Right at y = 1);")

@@ -23,12 +23,10 @@ from .distributions import (
     validate_shape,
 )
 from .election import (
-    ClampDiagnostics,
     lambda_margin,
     lambda_win,
     net_benefit,
     win_given_diverged,
-    win_given_shock,
     win_prob,
 )
 from .errors import (

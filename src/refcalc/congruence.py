@@ -80,7 +80,7 @@ def _congruent(params, regime, gs, fresh, config):
             fresh_L, fresh_R = fresh()
             g_lo, g_gs = cdf_ends(G, lo, gs)
             below = (g_gs - g_lo) * lambda_win(params.r, params.mu) - _gap(
-                params, lo, gs, config, None, (L + fresh_L, R + fresh_R)
+                params, lo, gs, config, (L + fresh_L, R + fresh_R)
             )
             total = total + g_gs - g_lo - 2.0 * below + win_given_diverged(params, lo, hi, config)
             continue

@@ -9,23 +9,22 @@ policy-voter margin D (Right's share minus Left's), the win probability is
 
 saturated into [0, 1] because eta is uniform on [0, 1]. lambda_win and the
 spoiler race read this one statement; only turnout keeps an unclamped copy,
-until it gets its own clamp. Saturation is exact, not an approximation; a
-diagnostic flag records whether it ever bound, since downstream closed-form
-thresholds are derived from the unsaturated affine map and only coincide
-exactly when it never does (mu <= 1/2 guarantees that).
+until it gets its own clamp. Saturation is exact, not an approximation. The
+closed-form thresholds are derived from the unsaturated affine map and only
+coincide exactly where it never binds (mu <= 1/2 guarantees that);
+split_at_kinks says where it does.
 
 No two-party win integral integrates the map itself. Over a shock piece
 where the parties split, the gap lambda(r) - lambda(share) is affine in the
 cohesion kernels L and R of the thresholds module (_gap), so win_prob,
-net_benefit and the congruence deltas read the kernels the thresholds
-integrate, once per command within quadrature.memo(). Where the map
-saturates, the piece is split at its kinks: the saturated sub-pieces are
-shock masses, and only the one between them takes fresh kernels.
+net_benefit, the congruence deltas and the spoiler race's net benefit read
+the kernels the thresholds integrate, once per command within
+quadrature.memo(). Where the map saturates, the piece is split at its kinks
+(split_at_kinks): the saturated sub-pieces are shock masses, and only the
+one between them takes fresh kernels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import UsageError
 from .model import (
@@ -41,24 +40,14 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, shock_bounds
 from .thresholds import _brent, _fresh_kernels, _kernels
 
 
-@dataclass
-class ClampDiagnostics:
-    """Mutable flag threaded through integrations to record saturation."""
+def _clamp(value):
+    """value saturated into [0, 1].
 
-    clamped: bool = False
-
-
-def _clamp(value, diagnostics):
-    """value saturated into [0, 1], setting diagnostics.clamped if it was outside.
-
-    diagnostics may be None. A NaN is returned unchanged, so the quadrature
-    that integrates it raises rather than counting it as a probability.
+    A NaN is returned unchanged, so the quadrature that integrates it raises
+    rather than counting it as a probability: max and min keep their first
+    argument when the comparison is false, so the NaN must come first.
     """
-    if value < 0.0 or value > 1.0:
-        if diagnostics is not None:
-            diagnostics.clamped = True
-        return 0.0 if value < 0.0 else 1.0
-    return value
+    return min(max(value, 0.0), 1.0)
 
 
 def lambda_margin(margin: float, mu: float) -> float:
@@ -95,18 +84,48 @@ def right_share_multi(params: ElectorateParams, gamma):
     )
 
 
-def _win_at_share(params, share, diag):
-    return _clamp(lambda_margin(2.0 * share - 1.0, params.mu), diag)
+def split_at_kinks(params: ElectorateParams, lo, hi) -> tuple:
+    """The diverged piece [lo, hi] split where the win map saturates.
+
+    Empty where the map stays inside [0, 1] throughout, which mu <= 1/2
+    guarantees. Otherwise the sub-pieces (x, y, level) in shock order: level
+    is 0.0 or 1.0 where the map sits at that value, None on the sub-piece
+    between them, which is left out where one saturated sub-piece covers the
+    piece.
+
+    For mu > 1/2 the map saturates where the share, strictly increasing in
+    gamma, leaves 1/2 -+ (1-mu)/(2 mu). The share is read at the piece's
+    truncated ends (quadrature.shock_bounds) and each crossing between them
+    is found by Brent.
+    """
+    mu = params.mu
+    if mu <= 0.5:
+        return ()
+    band = (1.0 - mu) / (2.0 * mu)
+    floor, ceiling = 0.5 - band, 0.5 + band
+    a, b = shock_bounds(params.shock, lo, hi)
+    share_a, share_b = right_share_multi(params, a), right_share_multi(params, b)
+    if not (share_a < floor or share_b > ceiling):
+        return ()
+
+    def crossing(level):
+        # Where the share passes level; lo or hi where it does not.
+        if share_a >= level:
+            return lo
+        if share_b <= level:
+            return hi
+        return _brent(
+            lambda g: right_share_multi(params, g) - level, a, b, "win map kink"
+        )[0]
+
+    c, d = crossing(floor), crossing(ceiling)
+    low = ((lo, c, 0.0),) if share_a < floor else ()
+    inside = () if share_b <= floor or share_a >= ceiling else ((c, d, None),)
+    high = ((d, hi, 1.0),) if share_b > ceiling else ()
+    return low + inside + high
 
 
-def win_given_shock(
-    params: ElectorateParams, gamma, diagnostics: ClampDiagnostics | None = None
-):
-    """Right's win probability conditional on the shock, positions diverged."""
-    return _win_at_share(params, right_share_multi(params, gamma), diagnostics)
-
-
-def _gap(params, lo, hi, config, diagnostics, kernels=None):
+def _gap(params, lo, hi, config, kernels=None):
     """Integral of lambda(r) - lambda(share(gamma)), saturated into [0, 1],
     against the shock over the diverged piece [lo, hi].
 
@@ -117,50 +136,28 @@ def _gap(params, lo, hi, config, diagnostics, kernels=None):
     [lo, hi]; otherwise they are thresholds._kernels of the piece, which
     quadrature.memo() keeps.
 
-    For mu > 1/2 the map saturates where the share, strictly increasing in
-    gamma, leaves 1/2 -+ (1-mu)/(2 mu). The share is read at the piece's
-    truncated ends (quadrature.shock_bounds) and each crossing between them
-    is found by Brent. A saturated sub-piece adds its shock mass times
-    lambda(r), or lambda(r) - 1, and sets diagnostics.clamped; the kernels
-    are then integrated afresh over the sub-piece in between.
+    Where it saturates, the piece is split by split_at_kinks. A saturated
+    sub-piece adds its shock mass times lambda(r) - level; the kernels are
+    then integrated afresh over the sub-piece in between, if there is one.
     """
     r, mu = params.r, params.mu
     gap = 0.0
-    if mu > 0.5:
-        band = (1.0 - mu) / (2.0 * mu)
-        floor, ceiling = 0.5 - band, 0.5 + band
-        a, b = shock_bounds(params.shock, lo, hi)
-        share_a, share_b = right_share_multi(params, a), right_share_multi(params, b)
-        if share_a < floor or share_b > ceiling:
-            if diagnostics is not None:
-                diagnostics.clamped = True
-
-            def crossing(level):
-                # Where the share passes level; lo or hi where it does not.
-                if share_a >= level:
-                    return lo
-                if share_b <= level:
-                    return hi
-                return _brent(
-                    lambda g: right_share_multi(params, g) - level, a, b, "win map kink"
-                )[0]
-
-            def mass(x, y):
+    pieces = split_at_kinks(params, lo, hi)
+    if pieces:
+        lam_r = lambda_win(r, mu)
+        inside = None
+        for x, y, level in pieces:
+            if level is None:
+                inside = x, y
+            else:
                 g_x, g_y = cdf_ends(params.shock.cdf, x, y)
-                return g_y - g_x
-
-            c, d = crossing(floor), crossing(ceiling)
-            lam_r = lambda_win(r, mu)
-            if share_a < floor:
-                gap += lam_r * mass(lo, c)
-            if share_b > ceiling:
-                gap += (lam_r - 1.0) * mass(d, hi)
-            if share_b <= floor or share_a >= ceiling:
-                return gap
-            lo, hi = c, d
-            kernels = _fresh_kernels(
-                params.b_L, params.b_R, params.p, params.taste, params.shock, lo, hi, config
-            )
+                gap += (lam_r - level) * (g_y - g_x)
+        if inside is None:
+            return gap
+        lo, hi = inside
+        kernels = _fresh_kernels(
+            params.b_L, params.b_R, params.p, params.taste, params.shock, lo, hi, config
+        )
     if kernels is None:
         kernels = _kernels(
             params.b_L, params.b_R, params.p, params.taste, params.shock,
@@ -175,7 +172,6 @@ def win_given_diverged(
     lo=None,
     hi=None,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
-    diagnostics: ClampDiagnostics | None = None,
 ) -> float:
     """P(Right wins and the shock lies in [lo, hi]), positions diverged there.
 
@@ -184,16 +180,13 @@ def win_given_diverged(
     the map stays inside [0, 1] are integrated once per command.
     """
     g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
-    return (g_hi - g_lo) * lambda_win(params.r, params.mu) - _gap(
-        params, lo, hi, config, diagnostics
-    )
+    return (g_hi - g_lo) * lambda_win(params.r, params.mu) - _gap(params, lo, hi, config)
 
 
 def win_prob(
     params: ElectorateParams,
     regime: ReferendumRegime,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
-    diagnostics: ClampDiagnostics | None = None,
 ) -> float:
     """Probability that Right wins the election under the given regime.
 
@@ -205,18 +198,17 @@ def win_prob(
     aligned = diverged = 0.0
     for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
         if positions.diverged:
-            diverged = diverged + win_given_diverged(params, lo, hi, config, diagnostics)
+            diverged = diverged + win_given_diverged(params, lo, hi, config)
         else:
             g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
             aligned = aligned + g_hi - g_lo
-    return aligned * _win_at_share(params, params.r, diagnostics) + diverged
+    return aligned * _clamp(lambda_win(params.r, params.mu)) + diverged
 
 
 def net_benefit(
     params: ElectorateParams,
     regime: ReferendumRegime,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
-    diagnostics: ClampDiagnostics | None = None,
 ) -> float:
     """Right's gain in win probability from the referendum being held.
 
@@ -230,6 +222,6 @@ def net_benefit(
     require_regime(regime, "post_referendum")
     total = 0.0
     for lo, hi, positions in moved_pieces(params.b_L, params.b_R, regime):
-        piece = _gap(params, lo, hi, config, diagnostics)
+        piece = _gap(params, lo, hi, config)
         total = total - piece if positions.diverged else total + piece
     return total

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec
 from .congruence import knife_edge
-from .election import ClampDiagnostics, _clamp, lambda_margin, lambda_win
-from .election import win_given_diverged, win_given_shock
+from .election import _clamp, _gap, lambda_margin, lambda_win, win_given_diverged
 from .errors import InvalidParamsError, UsageError
 from .model import ElectorateParams, ReferendumRegime, cdf_ends, require_regime, shock_pieces
 from .model import validate as validate_base
@@ -59,31 +58,26 @@ def require_valid_third(tp: ThirdPartyParams) -> None:
         raise InvalidParamsError(violations)
 
 
-def lambda_hat(
-    tp: ThirdPartyParams,
-    gamma,
-    diagnostics: ClampDiagnostics | None = None,
-) -> float:
+def lambda_hat(tp: ThirdPartyParams, gamma) -> float:
     """P(Right ahead of Left | shock) in the three-way race, majors at y=0.
 
     Right keeps a conservative with probability B(-v - b_R - gamma), Left
     keeps a liberal with probability B(p - v - b_L - gamma); the noise split
     (election.lambda_margin) turns the retained-share margin into this win
-    probability, clamped to [0,1] with the clamp recorded. Callers are
+    probability, clamped to [0,1]; a NaN margin stays NaN. Callers are
     expected to pass validated params; this runs inside quadrature loops and
     does not re-check.
     """
     b = tp.base
     B = b.taste.cdf
     margin = b.r * B(-tp.v - b.b_R - gamma) - (1.0 - b.r) * B(b.p - tp.v - b.b_L - gamma)
-    return _clamp(lambda_margin(margin, b.mu), diagnostics)
+    return _clamp(lambda_margin(margin, b.mu))
 
 
 def win_prob_third(
     tp: ThirdPartyParams,
     regime: ReferendumRegime,
     config: QuadratureConfig = DEFAULT_QUADRATURE,
-    diagnostics: ClampDiagnostics | None = None,
 ) -> float:
     """P(Right ahead of Left), without or with an advisory referendum.
 
@@ -98,42 +92,43 @@ def win_prob_third(
     total = 0.0
     for lo, hi, positions in shock_pieces(b.b_L, b.b_R, regime):
         if positions.diverged:
-            total = total + win_given_diverged(b, lo, hi, config, diagnostics)
+            total = total + win_given_diverged(b, lo, hi, config)
         elif positions.y_right == 0:
             total = total + integrate_shock(
-                lambda g: lambda_hat(tp, g, diagnostics), b.shock, lo, hi, config
+                lambda g: lambda_hat(tp, g), b.shock, lo, hi, config
             )
         else:
             g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
-            total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu), diagnostics)
+            total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu))
     return total
 
 
 def net_benefit_third(
-    tp: ThirdPartyParams,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-    diagnostics: ClampDiagnostics | None = None,
+    tp: ThirdPartyParams, config: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Right's gain, ahead-of-Left probability, from the advisory referendum.
 
-    Integrated only over the non-binding model.shock_pieces where Right has
-    left y=0, the only shocks at which the reveal changes anything. Identical
-    (up to quadrature) to the difference of the two win_prob_third calls;
-    kept in this form so the sign analysis stays legible.
+    Summed only over the non-binding model.shock_pieces where Right has left
+    y=0, the only shocks at which the reveal changes anything. On each, the
+    integral of lambda(r) - lambda_hat, less, where the majors split, the
+    two-party gap election._gap: the same cohesion kernels and the same split
+    at the win map's kinks as the two-party race. Identical (up to
+    quadrature) to the difference of the two win_prob_third calls where both
+    meet their tolerance; kept in this form so the sign analysis stays
+    legible.
     """
     require_valid_third(tp)
     b = tp.base
-    lam_r = _clamp(lambda_win(b.r, b.mu), diagnostics)
+    lam_r = _clamp(lambda_win(b.r, b.mu))
     total = 0.0
     for lo, hi, positions in shock_pieces(b.b_L, b.b_R, ReferendumRegime.NON_BINDING):
         if positions.y_right == 0:
             continue
-
-        def gain(g, diverged=positions.diverged):
-            after = win_given_shock(b, g, diagnostics) if diverged else lam_r
-            return after - lambda_hat(tp, g, diagnostics)
-
-        total = total + integrate_shock(gain, b.shock, lo, hi, config)
+        total = total + integrate_shock(
+            lambda g: lam_r - lambda_hat(tp, g), b.shock, lo, hi, config
+        )
+        if positions.diverged:
+            total = total - _gap(b, lo, hi, config)
     return total
 
 

@@ -7,7 +7,8 @@ mpmath's default 15 digits they agree with 40 digits to 1e-16 at the points
 the tests use.
 
 An electorate is a plain dict with the keys of a scenario file: r, mu, p,
-b_L, b_R, and taste and shock as (family, scale) pairs.
+b_L, b_R, and taste and shock as (family, scale) pairs; a spoiler electorate
+also has the entrant's valence v.
 """
 
 from __future__ import annotations
@@ -121,3 +122,66 @@ def win_prob(e, regime):
     G = cdf(*e["shock"])
     aligned = G(-e["b_R"]) + 1 - G(-e["b_L"])
     return aligned * lam(e, e["r"]) + win_diverged(e, -e["b_R"], -e["b_L"])
+
+
+def lam_hat(e, x):
+    """P(Right ahead of Left) at shock x in the spoiler race, both majors at
+    y=0: the win map at the retained-share margin, saturated into [0, 1]."""
+    return min(mp.mpf(1), max(mp.mpf(0), _lam_hat_raw(e, x)))
+
+
+def _lam_hat_raw(e, x):
+    # Right keeps a conservative unless the taste draw beats -v - b_R - x,
+    # Left a liberal unless it beats p - v - b_L - x; the margin D of the
+    # kept shares is the share (1 + D)/2 of the two-party map.
+    B = cdf(*e["taste"])
+    margin = e["r"] * B(-e["v"] - e["b_R"] - x) - (1 - e["r"]) * B(e["p"] - e["v"] - e["b_L"] - x)
+    return lam(e, (1 + margin) / 2)
+
+
+# Steps across the kink window on which spoiler_kinks looks for crossings.
+KINK_GRID = 400
+
+
+def spoiler_kinks(e, lo, hi):
+    """Shocks inside (lo, hi) where the unsaturated lam_hat crosses 0 or 1.
+
+    Its margin need not be monotone in x, so every sign change of
+    lam_hat - level on KINK_GRID equal steps across the window is found by
+    mp.findroot; two crossings within one step are missed.
+    """
+    a, b = _window(e, lo, hi)
+    xs = [a + (b - a) * i / KINK_GRID for i in range(KINK_GRID + 1)]
+    values = [_lam_hat_raw(e, x) for x in xs]
+    found = []
+    for level in (0, 1):
+        for x, y, fx, fy in zip(xs, xs[1:], values, values[1:]):
+            if (fx - level) * (fy - level) < 0:
+                found.append(mp.findroot(
+                    lambda z, level=level: _lam_hat_raw(e, z) - level, (x, y), solver="anderson"
+                ))
+    return found
+
+
+def ahead_third(e, regime):
+    """P(Right ahead of Left) in the spoiler race under a regime, b_R < 0.
+
+    Without a referendum both majors stay at y=0 on the whole line. The
+    advisory one keeps them there below -b_R, splits them on [-b_R, -b_L],
+    where the entrant's base joins Right and the race is the diverged
+    two-party one, and puts both at y=1 above -b_L, a single-issue race at
+    share r.
+    """
+    return _ahead_third(tuple(sorted(e.items())), regime)
+
+
+@lru_cache(maxsize=None)
+def _ahead_third(items, regime):
+    # Kept, since the net benefit asks for both regimes again.
+    e = dict(items)
+    lo, hi = -mp.inf, (mp.inf if regime == "no_referendum" else -e["b_R"])
+    total = shock_integral(lambda x: lam_hat(e, x), e["shock"], lo, hi, spoiler_kinks(e, lo, hi))
+    if regime == "no_referendum":
+        return total
+    G = cdf(*e["shock"])
+    return total + win_diverged(e, -e["b_R"], -e["b_L"]) + (1 - G(-e["b_L"])) * lam(e, e["r"])

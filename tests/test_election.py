@@ -7,20 +7,19 @@ from dataclasses import replace
 import pytest
 
 from refcalc.election import (
-    ClampDiagnostics,
     _clamp,
     lambda_margin,
     lambda_win,
     net_benefit,
     right_share_multi,
-    win_given_shock,
+    split_at_kinks,
     win_prob,
 )
 from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, UsageError
-from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
+from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, shock_pieces
 from refcalc.quadrature import QuadratureConfig
-from refcalc.third_party import ThirdPartyParams, lambda_hat
+from refcalc.third_party import ThirdPartyParams, lambda_hat, win_prob_third
 from refcalc.thresholds import r_bind
 
 from conftest import PRIM_WIDE
@@ -35,17 +34,15 @@ def test_lambda_win_shape():
     # mu = 0.5 makes the map the identity on [0, 1].
     assert lambda_win(0.3, 0.5) == pytest.approx(0.3, abs=1e-15)
     assert lambda_win(0.6, 0.75) == pytest.approx(0.8, abs=1e-12)
-    # The raw map is affine and unsaturated; saturation happens at the
-    # integration site and is recorded in ClampDiagnostics.
+    # The raw map is affine and unsaturated; saturation happens where it is
+    # read, by _clamp, or by splitting the shock line at its kinks.
     assert lambda_win(0.75, 0.8) > 1.0
-    diag = ClampDiagnostics()
-    assert _clamp(lambda_win(0.6, 0.75), diag) == lambda_win(0.6, 0.75)
-    assert not diag.clamped
-    assert _clamp(lambda_win(0.75, 0.8), diag) == 1.0
-    assert _clamp(lambda_win(0.25, 0.8), diag) == 0.0
-    assert diag.clamped
-    # Without diagnostics the value is still saturated.
-    assert _clamp(lambda_win(0.75, 0.8), None) == 1.0
+    assert _clamp(lambda_win(0.6, 0.75)) == lambda_win(0.6, 0.75)
+    assert _clamp(lambda_win(0.75, 0.8)) == 1.0
+    assert _clamp(lambda_win(0.25, 0.8)) == 0.0
+    # A NaN is not saturated: it must reach the quadrature, which raises.
+    # min(1.0, max(0.0, nan)) would turn it into 0.0.
+    assert math.isnan(_clamp(math.nan))
 
 
 @pytest.mark.parametrize("share", [-1e-12, 1.0 + 1e-12, -math.inf, math.inf])
@@ -93,7 +90,7 @@ def test_win_map_keeps_the_bits_of_its_share_form():
         for g in (-1.0, -0.1, 0.0, 0.2, 1.0):
             share = right_share_multi(params, g)
             clamped = min(1.0, max(0.0, 0.5 + mu / (1.0 - mu) * (share - 0.5)))
-            assert win_given_shock(params, g) == clamped, (mu, g)
+            assert _clamp(lambda_win(share, mu)) == clamped, (mu, g)
 
 
 def test_spoiler_map_keeps_the_bits_of_its_retention_form():
@@ -127,13 +124,6 @@ def test_right_share_multi_monotone(scenario_a):
     assert mid == pytest.approx(expect, abs=1e-12)
 
 
-def test_win_given_shock_matches_share_map(scenario_a):
-    g = 0.2
-    assert win_given_shock(scenario_a, g) == pytest.approx(
-        lambda_win(right_share_multi(scenario_a, g), scenario_a.mu), abs=1e-12
-    )
-
-
 def test_win_prob_baseline_frozen(scenario_a):
     # FROZEN scipy quad: integral of lambda(share(gamma)) g(gamma) dgamma
     # for the diverged baseline = 0.4312868827503117.
@@ -159,6 +149,20 @@ def test_win_prob_binding_is_single_issue(scenario_a):
 def test_win_prob_aligned_baseline_is_lambda_r(scenario_a):
     aligned = replace(scenario_a, b_R=-0.1)
     assert win_prob(aligned, NO_REF) == pytest.approx(0.45, abs=1e-12)
+
+
+def test_the_clip_holds_lambda_r_at_a_band_edge():
+    # competitive_band leaves r = 0.09090909090909095 valid at mu = 0.55,
+    # where lambda(r) rounds to -1.1e-16. Aligned majors race at lambda(r),
+    # so without the clip the win probability would be negative.
+    params = ElectorateParams(
+        r=0.09090909090909095, mu=0.55, p=0.2, b_L=-0.5, b_R=-0.1,
+        taste=DistributionSpec("normal", 0.2), shock=DistributionSpec("normal", 0.25),
+    )
+    assert lambda_win(params.r, params.mu) < 0.0
+    assert win_prob(params, NO_REF) == 0.0
+    ahead = win_prob_third(ThirdPartyParams(params, v=-0.01), NON_BINDING)
+    assert 0.0 <= ahead <= 1.0
 
 
 def test_win_prob_rejects_invalid_params(scenario_a):
@@ -214,17 +218,19 @@ def test_net_benefit_is_the_win_prob_difference(regime, b_R, mu):
         taste=DistributionSpec("normal", 1.0),
         shock=DistributionSpec("normal", 0.5),
     )
-    nb_diag, wp_diag = ClampDiagnostics(), ClampDiagnostics()
-    gain = net_benefit(params, regime, diagnostics=nb_diag)
-    diff = win_prob(params, regime, diagnostics=wp_diag) - win_prob(
-        params, NO_REF, diagnostics=wp_diag
-    )
+    gain = net_benefit(params, regime)
+    diff = win_prob(params, regime) - win_prob(params, NO_REF)
     assert abs(gain - diff) <= 1e-10
+    diverged = [
+        (lo, hi) for reg in (regime, NO_REF)
+        for lo, hi, positions in shock_pieces(params.b_L, params.b_R, reg)
+        if positions.diverged
+    ]
     saturates = mu > 0.5 and b_R >= 0
-    assert nb_diag.clamped == wp_diag.clamped == saturates
+    assert any(split_at_kinks(params, lo, hi) for lo, hi in diverged) == saturates
 
 
-def test_clamp_diagnostics_reports_saturation():
+def test_split_at_kinks_reports_saturation():
     # Policy voters dominant enough that lambda saturates for some shocks.
     params = ElectorateParams(
         r=0.5,
@@ -235,9 +241,14 @@ def test_clamp_diagnostics_reports_saturation():
         taste=DistributionSpec("normal", 0.2),
         shock=DistributionSpec("normal", 0.5),
     )
-    diag = ClampDiagnostics()
-    win_prob(params, NO_REF, diagnostics=diag)
-    assert diag.clamped
+    (_, c, low), (c_in, d_in, inside), (d, _, high) = split_at_kinks(params, None, None)
+    assert (low, inside, high) == (0.0, None, 1.0)
+    assert (c, d) == (c_in, d_in) and c < d
+    # The kinks are where the map reaches 0 and 1.
+    assert lambda_win(right_share_multi(params, c), params.mu) == pytest.approx(0.0, abs=1e-10)
+    assert lambda_win(right_share_multi(params, d), params.mu) == pytest.approx(1.0, abs=1e-10)
+    # At mu = 1/2 the map is the identity and never leaves [0, 1].
+    assert split_at_kinks(replace(params, mu=0.5), None, None) == ()
 
 
 def test_a_piece_saturated_throughout_is_its_shock_mass(monkeypatch):
@@ -255,9 +266,8 @@ def test_a_piece_saturated_throughout_is_its_shock_mass(monkeypatch):
         raise AssertionError("a saturated piece was integrated")
 
     monkeypatch.setattr(quadrature, "integrate", no_quadrature)
-    diag = ClampDiagnostics()
-    assert win_prob(params, NO_REF, diagnostics=diag) == 1.0
-    assert diag.clamped
+    assert split_at_kinks(params, None, None) == ((None, None, 1.0),)
+    assert win_prob(params, NO_REF) == 1.0
     assert net_benefit(params, BINDING) == lambda_win(0.55, 0.9) - 1.0
 
 

@@ -1,0 +1,120 @@
+"""The spoiler race against mpmath.
+
+third_party.win_prob_third and third_party.net_benefit_third are checked at
+the benchmark's spoiler electorate, with normal and logistic taste, and at
+three points where the win map saturates, against tests/reference_mp.py,
+which shares no code with refcalc. The reference clamps lambda_hat and
+splits its integral at the kinks it finds with mp.findroot; the net
+benefit's reference is the difference of the two win probabilities.
+
+Each integrate call may miss by the tolerance it declares: abs_tol, plus
+rel_tol times the integral of |f| over its piece, plus the 1e-12 of shock
+mass it drops at each infinite end. Every integrand here lies in [-1, 1], so
+the integral of |f| is at most the piece's shock mass. The two-party gap
+reads two kernels scaled by mu/(1-mu), and where it splits at a kink, Brent
+may misplace the kink by about ROOT_XTOL.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from refcalc.distributions import DistributionSpec
+from refcalc.model import ElectorateParams, ReferendumRegime
+from refcalc.quadrature import DEFAULT_QUADRATURE
+from refcalc.third_party import ThirdPartyParams, net_benefit_third, win_prob_third
+
+mp = pytest.importorskip("mpmath")
+import reference_mp as ref  # noqa: E402  (needs mpmath)
+
+ABS, REL = DEFAULT_QUADRATURE.abs_tol, DEFAULT_QUADRATURE.rel_tol
+# Shock mass within a misplaced kink: 2 ROOT_XTOL at a density below 2.
+KINK = 4e-12
+
+SPOILER = dict(
+    r=0.45, mu=0.5, p=0.2, b_L=-0.5, b_R=-0.1, v=-0.01,
+    taste=("normal", 0.2), shock=("normal", 0.25),
+)
+# (mu, r) where the map saturates, and the net benefit the reference gives.
+SATURATED = {
+    (0.9, 0.52): 0.17041500589599388,
+    (0.7, 0.45): 0.10768129036676959,
+    (0.95, 0.5): 0.10888183727266472,
+}
+# The benchmark's mu = 1/2 makes the win map the identity, so the logistic
+# case takes mu = 0.3 to check its slope as well.
+CASES = [
+    SPOILER,
+    {**SPOILER, "mu": 0.3, "taste": ("logistic", 0.2)},
+    *({**SPOILER, "mu": mu, "r": r} for mu, r in SATURATED),
+]
+
+
+def _ids(e):
+    return f"mu={e['mu']}-r={e['r']}-{e['taste'][0]}"
+
+
+def _tp(e):
+    return ThirdPartyParams(
+        ElectorateParams(
+            r=e["r"], mu=e["mu"], p=e["p"], b_L=e["b_L"], b_R=e["b_R"],
+            taste=DistributionSpec(*e["taste"]), shock=DistributionSpec(*e["shock"]),
+        ),
+        e["v"],
+    )
+
+
+def _call_tol(e, lo, hi):
+    G = ref.cdf(*e["shock"])
+    return ABS + REL * (G(hi) - G(lo)) + ref.TAIL * ((lo == -mp.inf) + (hi == mp.inf))
+
+
+def _gap_tol(e):
+    """Tolerance of election._gap over the split piece [-b_R, -b_L]."""
+    k = e["mu"] / (1 - e["mu"])
+    return k * _call_tol(e, -e["b_R"], -e["b_L"]) + (1 + k) * 2 * KINK
+
+
+# lambda_hat's kink at -0.000224 lies inside an accepted panel whose K15 and
+# G7 agree within rel_tol, so the miss of 1.6e-7 raises nothing.
+_MISSED = pytest.mark.xfail(
+    strict=True, reason="win_prob_third does not split lambda_hat at its kinks (ROADMAP)"
+)
+
+
+@pytest.mark.parametrize("e, regime", [
+    pytest.param(
+        e, regime, id=f"{_ids(e)}-{regime}",
+        marks=_MISSED if (e["mu"], e["r"], regime) == (0.9, 0.52, "no_referendum") else (),
+    )
+    for e in CASES for regime in ("no_referendum", "non_binding")
+])
+def test_win_prob_third_matches_mpmath(e, regime):
+    value = win_prob_third(_tp(e), ReferendumRegime(regime))
+    expected = ref.ahead_third(e, regime)
+    if regime == "no_referendum":
+        tol = _call_tol(e, -mp.inf, mp.inf)
+    else:
+        tol = _call_tol(e, -mp.inf, -e["b_R"]) + _gap_tol(e)
+    assert abs(value - expected) <= tol
+
+
+@pytest.mark.parametrize("e", CASES, ids=_ids)
+def test_net_benefit_third_matches_mpmath(e):
+    value = net_benefit_third(_tp(e))
+    expected = ref.ahead_third(e, "non_binding") - ref.ahead_third(e, "no_referendum")
+    tol = _call_tol(e, -e["b_R"], -e["b_L"]) + _call_tol(e, -e["b_L"], mp.inf) + _gap_tol(e)
+    assert abs(value - expected) <= tol
+
+
+@pytest.mark.parametrize("point", SATURATED, ids=str)
+def test_the_saturated_reference_is_frozen(point):
+    # lambda_hat's margin is quasi-convex in the shock for log-concave taste,
+    # so lambda_hat <= max(lambda(r), 1/2) < 1: it can only cross 0, twice.
+    mu, r = point
+    e = {**SPOILER, "mu": mu, "r": r}
+    kinks = ref.spoiler_kinks(e, -mp.inf, mp.inf)
+    assert len(kinks) == 2
+    assert all(abs(ref._lam_hat_raw(e, x)) < 1e-12 for x in kinks)
+    expected = ref.ahead_third(e, "non_binding") - ref.ahead_third(e, "no_referendum")
+    assert abs(expected - SATURATED[point]) < 1e-15

@@ -98,6 +98,15 @@ def test_a_nan_in_the_spoiler_integrand_raises(monkeypatch):
     for regime in (NO_REF, NON_BINDING):
         with pytest.raises(QuadratureError, match="non-finite integrand"):
             win_prob_third(tp, regime)
+    with pytest.raises(QuadratureError, match="non-finite integrand"):
+        net_benefit_third(tp)
+
+
+def test_lambda_hat_keeps_a_nan_margin(monkeypatch):
+    # The clamp must not turn a NaN margin into a probability: the NaN has
+    # to reach the quadrature, which raises.
+    monkeypatch.setattr(DistributionSpec, "cdf", lambda self, x: math.nan)
+    assert math.isnan(lambda_hat(SPOILER, 0.0))
 
 
 def test_lambda_hat_approaches_two_party_limit():

@@ -7,8 +7,8 @@ code with refcalc. The net benefit's reference is the difference of the two
 win probabilities, so it also checks the piecewise form refcalc computes.
 At mu <= 1/2 the win map never saturates. The diverged electorate also runs
 at mu = 0.7 and 0.9, where it saturates: the reference clamps the map and
-splits its integrals at the kinks it finds with mp.findroot. The clamp flag
-must be up exactly where the reference's map leaves [0, 1].
+splits its integrals at the kinks it finds with mp.findroot. refcalc must
+split a piece at its kinks exactly where the reference's map leaves [0, 1].
 
 Each integrate call may miss by the tolerance it declares: abs_tol, plus
 rel_tol times the integral of |f| over its piece (the panel acceptance test
@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from refcalc.distributions import DistributionSpec
-from refcalc.election import ClampDiagnostics, net_benefit, win_given_diverged
+from refcalc.election import net_benefit, split_at_kinks, win_given_diverged
 from refcalc.model import ElectorateParams, ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE
 
@@ -55,6 +55,11 @@ def _params(e):
     )
 
 
+def _finite(lo, hi):
+    """A piece's ends as refcalc takes them: None where infinite."""
+    return [None if abs(end) == mp.inf else end for end in (lo, hi)]
+
+
 def _call_tol(integral_of_abs, lo, hi):
     return ABS + REL * integral_of_abs + ref.TAIL * ((lo == -mp.inf) + (hi == mp.inf))
 
@@ -63,10 +68,8 @@ def _call_tol(integral_of_abs, lo, hi):
 def test_win_given_diverged_matches_mpmath(e):
     params = _params(e)
     for lo, hi in ((-mp.inf, mp.inf), (-e["b_R"], -e["b_L"])):
-        diag = ClampDiagnostics()
-        finite = [None if abs(end) == mp.inf else end for end in (lo, hi)]
-        value = win_given_diverged(params, *finite, diagnostics=diag)
-        assert diag.clamped == ref.saturates(e, lo, hi)
+        value = win_given_diverged(params, *_finite(lo, hi))
+        assert bool(split_at_kinks(params, *_finite(lo, hi))) == ref.saturates(e, lo, hi)
         expected = ref.win_diverged(e, lo, hi)
         # The integrand is a probability, so its integral is its |f| integral.
         assert abs(value - expected) <= _call_tol(expected, lo, hi)
@@ -85,11 +88,12 @@ def _net_benefit_pieces(e, regime):
 @pytest.mark.parametrize("regime", ["binding", "non_binding"])
 @pytest.mark.parametrize("e", CASES, ids=_ids)
 def test_net_benefit_matches_mpmath(e, regime):
-    diag = ClampDiagnostics()
-    value = net_benefit(_params(e), ReferendumRegime(regime), diagnostics=diag)
+    params = _params(e)
+    value = net_benefit(params, ReferendumRegime(regime))
     expected = ref.win_prob(e, regime) - ref.win_prob(e, "no_referendum")
     pieces = _net_benefit_pieces(e, regime)
-    assert diag.clamped == any(ref.saturates(e, lo, hi) for lo, hi in pieces)
+    for lo, hi in pieces:
+        assert bool(split_at_kinks(params, *_finite(lo, hi))) == ref.saturates(e, lo, hi)
     if not pieces:
         # Binding from an aligned start changes nothing.
         assert value == 0.0 and expected == 0

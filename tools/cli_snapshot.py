@@ -43,11 +43,13 @@ SECOND_SEED = "6"
 SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNOUT}
 # Evaluated only: the diverged scenario on the r = 1/2 knife edge, where the
 # traditional delta is empty; the diverged scenario at mu = 0.9, where the
-# win map saturates and the win integrals split at its kinks; and one whose
-# cohesion kernels both underflow to 0, so r_bind has no root.
+# win map saturates and the win integrals split at its kinks; the spoiler
+# scenario there, whose net benefit subtracts the split two-party gap; and
+# one whose cohesion kernels both underflow to 0, so r_bind has no root.
 EVAL_ONLY = {
     "knife_edge": {**wl.DIVERGED, "r": 0.5},
     "saturated": {**wl.DIVERGED, "mu": 0.9, "r": 0.52},
+    "spoiler_saturated": {**wl.SPOILER, "mu": 0.9, "r": 0.52},
     "underflow": {
         "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
         "taste": {"family": "normal", "scale": 0.05},
