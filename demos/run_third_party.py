@@ -24,7 +24,7 @@ from refcalc import (
     ReferendumRegime,
     ThirdPartyParams,
     classify_referendum_preference,
-    lambda_hat,
+    lambda_margin,
     lambda_win,
     net_benefit_third,
     phi,
@@ -32,7 +32,6 @@ from refcalc import (
     win_prob_third,
     worse_off_condition,
 )
-from refcalc.election import right_share_multi
 
 BASE = ElectorateParams(
     r=0.55,
@@ -65,9 +64,14 @@ def main(argv=None) -> int:
     print(f"entrant: position y = 1, valence v = {TP.v}")
     print()
     print(f"{'shock':>8} {'two-party':>12} {'with entrant':>13}")
+    B = b.taste.cdf
     for g in (-0.4, 0.0, 0.4):
-        two = float(lambda_win(right_share_multi(b, g), b.mu))
-        three = float(lambda_hat(TP, g))
+        # Right's policy share with the majors diverged, and the margin of
+        # the shares each major keeps against the entrant.
+        share = b.r * B(g + b.b_R + b.p) + (1.0 - b.r) * B(g + b.b_L - b.p)
+        margin = b.r * B(-TP.v - b.b_R - g) - (1.0 - b.r) * B(b.p - TP.v - b.b_L - g)
+        two = float(lambda_win(share, b.mu))
+        three = float(min(max(lambda_margin(margin, b.mu), 0.0), 1.0))
         print(f"{g:>8.2f} {two:>12.6f} {three:>13.6f}")
     print("The two-party column imagines the majors diverged (Right at y = 1);")
     print("the entrant column keeps both majors at y = 0 and lets the entrant")

@@ -71,7 +71,6 @@ from .third_party import (
     ReferendumPreference,
     ThirdPartyParams,
     classify_referendum_preference,
-    lambda_hat,
     net_benefit_third,
     phi,
     phi_thresholds,

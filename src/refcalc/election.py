@@ -14,14 +14,15 @@ closed-form thresholds are derived from the unsaturated affine map and only
 coincide exactly where it never binds (mu <= 1/2 guarantees that);
 split_at_kinks says where it does.
 
-No two-party win integral integrates the map itself. Over a shock piece
-where the parties split, the gap lambda(r) - lambda(share) is affine in the
-cohesion kernels L and R of the thresholds module (_gap), so win_prob,
-net_benefit, the congruence deltas and the spoiler race's net benefit read
-the kernels the thresholds integrate, once per command within
-quadrature.memo(). Where the map saturates, the piece is split at its kinks
-(split_at_kinks): the saturated sub-pieces are shock masses, and only the
-one between them takes fresh kernels.
+No win integral integrates the map itself. _race states each race, the
+two-party one where the parties split and the spoiler race while both majors
+hold y=0, as a coefficient and two cohesion kernels of the thresholds
+module: over a shock piece the gap lambda(r) - lambda is affine in them
+(_gap). So win_prob, net_benefit, the congruence deltas and both spoiler
+quantities read the kernels the thresholds integrate, once per command
+within quadrature.memo(). Where the map saturates, the piece is split at its
+kinks (split_at_kinks): the saturated sub-pieces are shock masses, and only
+those between kinks take fresh kernels.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .model import (
     shock_pieces,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, shock_bounds
-from .thresholds import _brent, _fresh_kernels, _kernels
+from .thresholds import _brent, _integrand, _kernel
 
 
 def _clamp(value):
@@ -72,99 +73,116 @@ def lambda_win(share: float, mu: float) -> float:
     return lambda_margin(2.0 * share - 1.0, mu)
 
 
-def right_share_multi(params: ElectorateParams, gamma):
-    """Right's policy-voter share when positions diverge on both dimensions.
+def _race(params: ElectorateParams, v=None) -> tuple:
+    """(c, kL, kR): Right's unclamped win map at shock gamma in the race is
+    lambda(r) - c (r KR(gamma) - (1-r) KL(gamma)), with KL and KR the
+    thresholds._integrand of each (form, b, p), as the taste is symmetric.
 
-    Conservatives stick with Right unless the emerging-policy draw outweighs
-    the traditional advantage p; liberals mirror. Strictly increasing in gamma.
-    """
-    B = params.taste.cdf
-    return params.r * B(gamma + params.b_R + params.p) + (1.0 - params.r) * B(
-        gamma + params.b_L - params.p
-    )
-
-
-def split_at_kinks(params: ElectorateParams, lo, hi) -> tuple:
-    """The diverged piece [lo, hi] split where the win map saturates.
-
-    Empty where the map stays inside [0, 1] throughout, which mu <= 1/2
-    guarantees. Otherwise the sub-pieces (x, y, level) in shock order: level
-    is 0.0 or 1.0 where the map sits at that value, None on the sub-piece
-    between them, which is left out where one saturated sub-piece covers the
-    piece.
-
-    For mu > 1/2 the map saturates where the share, strictly increasing in
-    gamma, leaves 1/2 -+ (1-mu)/(2 mu). The share is read at the piece's
-    truncated ends (quadrature.shock_bounds) and each crossing between them
-    is found by Brent.
+    Two-party (v None), parties split: r - share = r B(-p - gamma - b_R)
+    - (1-r) B(-p + gamma + b_L), so c = mu/(1-mu) with L(b_L, p) and R(b_R, p).
+    Spoiler race, both majors at y=0: the map is lambda_margin at the margin
+    r B(-v - b_R - gamma) - (1-r) B(p - v - b_L - gamma) of the shares the
+    majors keep, so c = mu/(2(1-mu)) with L-form kernels at (b_L, p - v) and
+    (b_R, -v).
     """
     mu = params.mu
-    if mu <= 0.5:
-        return ()
-    band = (1.0 - mu) / (2.0 * mu)
-    floor, ceiling = 0.5 - band, 0.5 + band
-    a, b = shock_bounds(params.shock, lo, hi)
-    share_a, share_b = right_share_multi(params, a), right_share_multi(params, b)
-    if not (share_a < floor or share_b > ceiling):
-        return ()
-
-    def crossing(level):
-        # Where the share passes level; lo or hi where it does not.
-        if share_a >= level:
-            return lo
-        if share_b <= level:
-            return hi
-        return _brent(
-            lambda g: right_share_multi(params, g) - level, a, b, "win map kink"
-        )[0]
-
-    c, d = crossing(floor), crossing(ceiling)
-    low = ((lo, c, 0.0),) if share_a < floor else ()
-    inside = () if share_b <= floor or share_a >= ceiling else ((c, d, None),)
-    high = ((d, hi, 1.0),) if share_b > ceiling else ()
-    return low + inside + high
+    if v is None:
+        return mu / (1.0 - mu), ("L", params.b_L, params.p), ("R", params.b_R, params.p)
+    return mu / (2.0 * (1.0 - mu)), ("L", params.b_L, params.p - v), ("L", params.b_R, -v)
 
 
-def _gap(params, lo, hi, config, kernels=None):
-    """Integral of lambda(r) - lambda(share(gamma)), saturated into [0, 1],
-    against the shock over the diverged piece [lo, hi].
+# Taste scales around the spoiler kernels' centres within which their peak is
+# sought: there the nearer taste density is still a normal double.
+_PEAK_WINDOW = 30.0
 
-    Where the map stays inside [0, 1] the gap is affine in the cohesion
-    kernels over the piece: the taste family is symmetric, so
-    r - share = r B(-p - gamma - b_R) - (1-r) B(-p + gamma + b_L), and the
-    gap is mu/(1-mu) (r R - (1-r) L). kernels, if given, are L and R over
-    [lo, hi]; otherwise they are thresholds._kernels of the piece, which
-    quadrature.memo() keeps.
 
-    Where it saturates, the piece is split by split_at_kinks. A saturated
-    sub-piece adds its shock mass times lambda(r) - level; the kernels are
-    then integrated afresh over the sub-piece in between, if there is one.
+def split_at_kinks(params: ElectorateParams, lo, hi, v=None) -> tuple:
+    """The piece [lo, hi] of the race _race(params, v), split where its win
+    map saturates.
+
+    Empty where the map stays inside [0, 1], which mu <= 1/2 guarantees.
+    Otherwise the sub-pieces (x, y, level) in shock order: level is 0.0 or 1.0
+    where the map sits at that value, None between kinks.
+
+    The map is 0 where the excess e = c (r KR - (1-r) KL) - lambda(r) is at
+    least 0 and 1 where it is at most -1. e is read at the piece's truncated
+    ends (quadrature.shock_bounds); Brent finds each level it crosses between
+    reads. In the two-party race e falls, so the two end reads are the whole
+    gate. In the spoiler race, for log-concave taste, e rises, then falls: its
+    peak, a root of the slope r b(gamma - cR) - (1-r) b(gamma - cL), with b
+    the taste density and cL, cR the kernels' centres, is found by Brent
+    within _PEAK_WINDOW taste scales of the centres and read too.
     """
-    r, mu = params.r, params.mu
+    if params.mu <= 0.5:
+        return ()
+    r = params.r
+    c, kL, kR = _race(params, v)
+    fL, fR = _integrand(*kL, params.taste), _integrand(*kR, params.taste)
+    lam_r = lambda_win(r, params.mu)
+
+    def excess(g):
+        return c * (r * fR(g) - (1.0 - r) * fL(g)) - lam_r
+
+    a, b = shock_bounds(params.shock, lo, hi)
+    reads = [(lo, a, excess(a)), (hi, b, excess(b))]
+    if v is None and not (reads[0][2] > 0.0 or reads[1][2] < -1.0):
+        return ()
+    if v is not None:
+        (_, bL, pL), (_, bR, pR), pdf = kL, kR, params.taste.pdf
+
+        def slope(g):
+            return r * pdf(-pR + g + bR) - (1.0 - r) * pdf(-pL + g + bL)
+
+        reach = _PEAK_WINDOW * params.taste.scale
+        w_lo = min(max(a, min(pL - bL, pR - bR) - reach), b)
+        w_hi = max(min(b, max(pL - bL, pR - bR) + reach), w_lo)
+        if slope(w_lo) > 0.0 > slope(w_hi):
+            peak = _brent(slope, w_lo, w_hi, "spoiler win map peak")[0]
+            reads.insert(1, (peak, peak, excess(peak)))
+    cuts = [(lo, reads[0][2])]
+    for (_, x, ex), (y, yb, ey) in zip(reads, reads[1:]):
+        for level in ((0.0, -1.0) if ex > ey else (-1.0, 0.0)):
+            if min(ex, ey) < level < max(ex, ey):
+                cuts.append((_brent(lambda g: excess(g) - level, x, yb, "win map kink")[0], level))
+        cuts.append((y, ey))
+    pieces = []
+    for (x, ex), (y, ey) in zip(cuts, cuts[1:]):
+        level = 0.0 if min(ex, ey) >= 0.0 else 1.0 if max(ex, ey) <= -1.0 else None
+        if pieces and pieces[-1][2] == level:
+            x = pieces.pop()[0]
+        pieces.append((x, y, level))
+    return () if pieces == [(lo, hi, None)] else tuple(pieces)
+
+
+def _gap(params, lo, hi, config, kernels=None, v=None):
+    """Integral of lambda(r) less the race's win map, saturated into [0, 1],
+    against the shock over the piece [lo, hi].
+
+    Where the map stays inside [0, 1] it is c (r R - (1-r) L), with L and R
+    the kernels of _race(params, v) over the piece: kernels if given, else
+    read through thresholds._kernel, which quadrature.memo() keeps. Otherwise
+    it is summed over split_at_kinks's sub-pieces in shock order: a saturated
+    one adds its shock mass times lambda(r) - level, one between kinks its
+    kernels, integrated afresh.
+    """
+    r, taste, shock = params.r, params.taste, params.shock
+    c, kL, kR = _race(params, v)
+    pieces = split_at_kinks(params, lo, hi, v)
+    if not pieces:
+        L, R = kernels or (
+            _kernel(*kL, taste, shock, lo, hi, config), _kernel(*kR, taste, shock, lo, hi, config)
+        )
+        return c * (r * R - (1.0 - r) * L)
+    lam_r = lambda_win(r, params.mu)
     gap = 0.0
-    pieces = split_at_kinks(params, lo, hi)
-    if pieces:
-        lam_r = lambda_win(r, mu)
-        inside = None
-        for x, y, level in pieces:
-            if level is None:
-                inside = x, y
-            else:
-                g_x, g_y = cdf_ends(params.shock.cdf, x, y)
-                gap += (lam_r - level) * (g_y - g_x)
-        if inside is None:
-            return gap
-        lo, hi = inside
-        kernels = _fresh_kernels(
-            params.b_L, params.b_R, params.p, params.taste, params.shock, lo, hi, config
-        )
-    if kernels is None:
-        kernels = _kernels(
-            params.b_L, params.b_R, params.p, params.taste, params.shock,
-            ((lo, hi, None),), config,
-        )
-    L, R = kernels
-    return gap + mu / (1.0 - mu) * (r * R - (1.0 - r) * L)
+    for x, y, level in pieces:
+        if level is None:
+            L, R = (_kernel(*k, taste, shock, x, y, config, keep=False) for k in (kL, kR))
+            gap += c * (r * R - (1.0 - r) * L)
+        else:
+            g_x, g_y = cdf_ends(shock.cdf, x, y)
+            gap += (lam_r - level) * (g_y - g_x)
+    return gap
 
 
 def win_given_diverged(

@@ -174,7 +174,7 @@ def recall(compute, *key):
     """compute(), or inside memo() what it returned before for an equal key.
 
     Key parts compare by ==, so 0.0 and -0.0 share a key. That is exact for
-    the one caller, the cohesion kernels (thresholds._kernels): a piece end at
+    the one caller, the cohesion kernels (thresholds._kernel): a piece end at
     either zero gives the same G7-K15 nodes, and the taste cdf at x - 0.0 and
     x + 0.0 is the same double, so a hit returns the very double that
     recomputing would. A DistributionSpec or QuadratureConfig part compares

@@ -8,10 +8,11 @@ that by revealing the shock and letting the majors reposition; once either
 major matches the spoiler's emerging position the spoiler's support
 collapses and the race reverts to the two-party formulas.
 
-lambda_hat tracks the probability Right finishes ahead of Left, the margin
-the analytic results are stated in; whether the spoiler itself can win is a
-question for the finite-agent simulator, and the wide-dispersion classifier
-below presumes dispersion large enough that it cannot.
+The spoiler race (election._race, v) tracks the probability Right finishes
+ahead of Left, the margin the analytic results are stated in; whether the
+spoiler itself can win is a question for the finite-agent simulator, and the
+wide-dispersion classifier below presumes dispersion large enough that it
+cannot.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec
 from .congruence import knife_edge
-from .election import _clamp, _gap, lambda_margin, lambda_win, win_given_diverged
+from .election import _clamp, _gap, _race, lambda_win, win_given_diverged
 from .errors import InvalidParamsError, UsageError
 from .model import ElectorateParams, ReferendumRegime, cdf_ends, require_regime, shock_pieces
 from .model import validate as validate_base
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .thresholds import _kernel
 
 DEFAULT_VALENCE = -0.01
 
@@ -58,22 +60,6 @@ def require_valid_third(tp: ThirdPartyParams) -> None:
         raise InvalidParamsError(violations)
 
 
-def lambda_hat(tp: ThirdPartyParams, gamma) -> float:
-    """P(Right ahead of Left | shock) in the three-way race, majors at y=0.
-
-    Right keeps a conservative with probability B(-v - b_R - gamma), Left
-    keeps a liberal with probability B(p - v - b_L - gamma); the noise split
-    (election.lambda_margin) turns the retained-share margin into this win
-    probability, clamped to [0,1]; a NaN margin stays NaN. Callers are
-    expected to pass validated params; this runs inside quadrature loops and
-    does not re-check.
-    """
-    b = tp.base
-    B = b.taste.cdf
-    margin = b.r * B(-tp.v - b.b_R - gamma) - (1.0 - b.r) * B(b.p - tp.v - b.b_L - gamma)
-    return _clamp(lambda_margin(margin, b.mu))
-
-
 def win_prob_third(
     tp: ThirdPartyParams,
     regime: ReferendumRegime,
@@ -82,9 +68,10 @@ def win_prob_third(
     """P(Right ahead of Left), without or with an advisory referendum.
 
     Sums over the regime's model.shock_pieces. While both majors hold y=0
-    the spoiler keeps its base and lambda_hat is integrated; where Right
-    alone moves to y=1 it absorbs that base and the race is the diverged
-    two-party one; where both sit at y=1 it is single-issue at share r.
+    the spoiler keeps its base: the piece's shock mass times lambda(r), less
+    the spoiler race's gap election._gap(..., v). Where Right alone moves to
+    y=1 it absorbs that base and the race is the diverged two-party one;
+    where both sit at y=1 it is single-issue at share r.
     """
     require_valid_third(tp)
     require_regime(regime, "third_party")
@@ -93,12 +80,11 @@ def win_prob_third(
     for lo, hi, positions in shock_pieces(b.b_L, b.b_R, regime):
         if positions.diverged:
             total = total + win_given_diverged(b, lo, hi, config)
-        elif positions.y_right == 0:
-            total = total + integrate_shock(
-                lambda g: lambda_hat(tp, g), b.shock, lo, hi, config
-            )
+            continue
+        g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
+        if positions.y_right == 0:
+            total = total + (g_hi - g_lo) * lambda_win(b.r, b.mu) - _gap(b, lo, hi, config, v=tp.v)
         else:
-            g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
             total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu))
     return total
 
@@ -110,23 +96,20 @@ def net_benefit_third(
 
     Summed only over the non-binding model.shock_pieces where Right has left
     y=0, the only shocks at which the reveal changes anything. On each, the
-    integral of lambda(r) - lambda_hat, less, where the majors split, the
-    two-party gap election._gap: the same cohesion kernels and the same split
-    at the win map's kinks as the two-party race. Identical (up to
-    quadrature) to the difference of the two win_prob_third calls where both
-    meet their tolerance; kept in this form so the sign analysis stays
+    spoiler race's gap election._gap(..., v), the integral of lambda(r) less
+    the spoiler map, less, where the majors split, the two-party gap: both
+    read cohesion kernels and split at their win map's kinks. Identical (up
+    to quadrature) to the difference of the two win_prob_third calls where
+    both meet their tolerance; kept in this form so the sign analysis stays
     legible.
     """
     require_valid_third(tp)
     b = tp.base
-    lam_r = _clamp(lambda_win(b.r, b.mu))
     total = 0.0
     for lo, hi, positions in shock_pieces(b.b_L, b.b_R, ReferendumRegime.NON_BINDING):
         if positions.y_right == 0:
             continue
-        total = total + integrate_shock(
-            lambda g: lam_r - lambda_hat(tp, g), b.shock, lo, hi, config
-        )
+        total = total + _gap(b, lo, hi, config, v=tp.v)
         if positions.diverged:
             total = total - _gap(b, lo, hi, config)
     return total
@@ -137,20 +120,16 @@ def worse_off_condition(
 ) -> bool:
     """True when the spoiler's presence lowers Right's chance of beating Left.
 
-    Compares the expected defection damage on each side; holds whenever
-    r >= 1/2, and more broadly whenever Right has more to lose from the
-    spoiler than Left does.
+    Compares the expected defection damage on each side, (1-r) KL with r KR,
+    the spoiler race's kernels over the whole line; holds whenever r >= 1/2,
+    and more broadly whenever Right has more to lose from it than Left.
     """
     require_valid_third(tp)
     b = tp.base
-    B = b.taste.cdf
-    left = (1.0 - b.r) * integrate_shock(
-        lambda g: B(-b.p + tp.v + b.b_L + g), b.shock, None, None, config
-    )
-    right = b.r * integrate_shock(
-        lambda g: B(tp.v + b.b_R + g), b.shock, None, None, config
-    )
-    return left < right
+    _, kL, kR = _race(b, tp.v)
+    KL = _kernel(*kL, b.taste, b.shock, None, None, config)
+    KR = _kernel(*kR, b.taste, b.shock, None, None, config)
+    return (1.0 - b.r) * KL < b.r * KR
 
 
 def phi(b_L: float, b_R: float, shock: DistributionSpec) -> float:

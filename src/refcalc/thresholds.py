@@ -23,10 +23,10 @@ its sign change (as long as the affine win map never saturates; see the
 election module). Neither does any kernel, so within one command
 (quadrature.memo) each kernel integral is computed once: a sweep over r or mu
 integrates them at its first point only, and r_bind's L, which does not
-involve b_R, once for all b_R. The two-party win integrals read the same
-kernels (election._gap). A kernel over a piece whose end moves with r or mu
-(gamma_star, a kink of the saturated win map) is integrated afresh by
-_fresh_kernels and never kept.
+involve b_R, once for all b_R. The win integrals read the same kernels
+(election._gap), the spoiler race two more L-form ones (election._race). A
+kernel over a piece whose end moves with r or mu (gamma_star, a kink of the
+saturated win map) is integrated afresh and never kept.
 
 The roots that remain (gamma_star and the b_R scan) come from _brent, a port
 of scipy's brentq.c (Brent, "Algorithms for Minimization without
@@ -171,37 +171,35 @@ def gamma_star(params: ElectorateParams) -> ThresholdReport:
     return ThresholdReport("gamma_star", root, residual, (lo, hi), iters)
 
 
-def _integrands(b_L, b_R, p, taste):
+def _integrand(form, b, p, taste):
+    """Kernel integrand of form "L", B(-p + gamma + b), or "R", B(-p - gamma - b)."""
     B = taste.cdf
-    return (lambda g: B(-p + g + b_L)), (lambda g: B(-p - g - b_R))
+    return (lambda g: B(-p + g + b)) if form == "L" else (lambda g: B(-p - g - b))
+
+
+def _kernel(form, b, p, taste, shock, lo, hi, config, keep=True):
+    """Shock integral of _integrand(form, b, p, taste) over [lo, hi]. Within
+    quadrature.memo() it is looked up before it is computed, unless keep is
+    false: for a piece end that moves with r or mu, rarely asked for twice."""
+    def compute():
+        return integrate_shock(_integrand(form, b, p, taste), shock, lo, hi, config)
+
+    return recall(compute, form, b, p, taste, shock, lo, hi, config) if keep else compute()
 
 
 def _kernels(b_L, b_R, p, taste, shock, pieces, config):
-    """Shock integrals L of B(-p + gamma + b_L) and R of B(-p - gamma - b_R).
-
-    Each is summed over pieces, a sequence of model.shock_pieces entries.
-    Within quadrature.memo() each piece's integral is looked up before it is
-    computed.
-    """
-    fL, fR = _integrands(b_L, b_R, p, taste)
+    """Shock integrals L of B(-p + gamma + b_L) and R of B(-p - gamma - b_R),
+    each summed over pieces, a sequence of model.shock_pieces entries."""
     L = R = 0.0
     for lo, hi, _ in pieces:
-        L += recall(
-            lambda: integrate_shock(fL, shock, lo, hi, config),
-            "L", b_L, p, taste, shock, lo, hi, config,
-        )
-        R += recall(
-            lambda: integrate_shock(fR, shock, lo, hi, config),
-            "R", b_R, p, taste, shock, lo, hi, config,
-        )
+        L += _kernel("L", b_L, p, taste, shock, lo, hi, config)
+        R += _kernel("R", b_R, p, taste, shock, lo, hi, config)
     return L, R
 
 
 def _fresh_kernels(b_L, b_R, p, taste, shock, lo, hi, config):
-    """L and R over the one piece [lo, hi], integrated without the memo:
-    for a piece with an end that moves with r or mu, which a command rarely
-    asks for twice."""
-    return tuple(integrate_shock(f, shock, lo, hi, config) for f in _integrands(b_L, b_R, p, taste))
+    """L and R over the one piece [lo, hi], integrated without the memo."""
+    return tuple(_kernel(f, b, p, taste, shock, lo, hi, config, False) for f, b in (("L", b_L), ("R", b_R)))
 
 
 def _ratio(name, L, R, bracket):

@@ -862,8 +862,8 @@ _COMBINED_VALIDATE = {
             'congruence_y_no_referendum,0.9733645854,0.975,0.0110397010829,0.148139391454,PASS\r\n'
             'win_prob_non_binding,0.56702250159,0.58,0.0348998567332,0.371849618444,PASS\r\n'
             'congruence_y_non_binding,0.959930615436,0.935,0.0174320107848,1.43016291944,PASS\r\n'
-            'ahead_third_no_referendum,0.49414074641,0.505,0.0353535712482,0.30716143254,PASS\r\n'
-            'ahead_third_non_binding,0.495741885843,0.5,0.0353553390593,0.120437655818,PASS\r\n'
+            'ahead_third_no_referendum,0.494140746411,0.505,0.0353535712482,0.307161432507,PASS\r\n'
+            'ahead_third_non_binding,0.495741885844,0.5,0.0353553390593,0.120437655802,PASS\r\n'
             'win_prob_turnout_no_referendum,0.5025,0.515,0.0353394255754,0.353712597091,PASS\r\n'
             'win_prob_turnout_binding,0.506651508461,0.52,0.0353270434653,0.377854760243,PASS\r\n'
         ),
@@ -890,8 +890,8 @@ _COMBINED_VALIDATE = {
             'congruence_y_no_referendum,0.9733645854,0.98,0.00989949493661,0.670278094261,PASS\r\n'
             'win_prob_non_binding,0.56702250159,0.61,0.034489128722,1.24611725499,PASS\r\n'
             'congruence_y_non_binding,0.959930615436,0.95,0.0154110350074,0.644383419465,PASS\r\n'
-            'ahead_third_no_referendum,0.49414074641,0.5,0.0353553390593,0.165724717847,PASS\r\n'
-            'ahead_third_non_binding,0.495741885843,0.51,0.0353482672843,0.403361048571,PASS\r\n'
+            'ahead_third_no_referendum,0.494140746411,0.5,0.0353553390593,0.165724717814,PASS\r\n'
+            'ahead_third_non_binding,0.495741885844,0.51,0.0353482672843,0.403361048555,PASS\r\n'
             'win_prob_turnout_no_referendum,0.5025,0.495,0.0353535712482,0.212142641753,PASS\r\n'
             'win_prob_turnout_binding,0.506651508461,0.515,0.0353394255754,0.236237329915,PASS\r\n'
         ),

@@ -11,7 +11,6 @@ from refcalc.election import (
     lambda_margin,
     lambda_win,
     net_benefit,
-    right_share_multi,
     split_at_kinks,
     win_prob,
 )
@@ -19,7 +18,7 @@ from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, shock_pieces
 from refcalc.quadrature import QuadratureConfig
-from refcalc.third_party import ThirdPartyParams, lambda_hat, win_prob_third
+from refcalc.third_party import ThirdPartyParams, win_prob_third
 from refcalc.thresholds import r_bind
 
 from conftest import PRIM_WIDE
@@ -77,51 +76,46 @@ def test_win_map_keeps_the_bits_of_its_share_form():
     # The map is stated once on the margin D = 2x - 1. It must equal, bit for
     # bit, the share form 1/2 + mu/(1-mu) (x - 1/2) written out here, from
     # mu near 0 to mu near 1 and at shares 0, 1/2 and 1.
-    scenario = ElectorateParams(
-        r=0.5, mu=0.5, p=0.2, b_L=-0.5, b_R=0.3,
-        taste=DistributionSpec("normal", 0.2), shock=DistributionSpec("normal", 0.25),
-    )
     for mu in _MUS:
         for x in _SHARES:
             share_form = 0.5 + mu / (1.0 - mu) * (x - 0.5)
             assert lambda_win(x, mu) == share_form, (mu, x)
             assert lambda_margin(2.0 * x - 1.0, mu) == share_form, (mu, x)
-        params = replace(scenario, mu=mu)
-        for g in (-1.0, -0.1, 0.0, 0.2, 1.0):
-            share = right_share_multi(params, g)
-            clamped = min(1.0, max(0.0, 0.5 + mu / (1.0 - mu) * (share - 0.5)))
-            assert _clamp(lambda_win(share, mu)) == clamped, (mu, g)
 
 
-def test_spoiler_map_keeps_the_bits_of_its_retention_form():
-    # lambda_hat reads the same map at the margin r B(-v-b_R-g) - (1-r)
-    # B(p-v-b_L-g); the retention form it replaced is written out here.
-    for mu in _MUS:
-        for r in (0.3, 0.5, 0.6):
-            base = ElectorateParams(
-                r=r, mu=mu, p=0.2, b_L=-0.5, b_R=-0.1,
-                taste=DistributionSpec("logistic", 0.6),
-                shock=DistributionSpec("normal", 0.25),
-            )
-            tp = ThirdPartyParams(base, v=-0.05)
-            B = base.taste.cdf
-            for g in (-2.0, -0.3, 0.0, 0.15, 2.0):
-                raw = 0.5 - mu / (2.0 * (1.0 - mu)) * (
-                    (1.0 - r) * B(base.p - tp.v - base.b_L - g)
-                    - r * B(-tp.v - base.b_R - g)
-                )
-                assert lambda_hat(tp, g) == min(1.0, max(0.0, raw)), (mu, r, g)
+@pytest.mark.parametrize("mu, r, levels", [
+    (0.9, 0.52, (None, 0.0, None)),
+    (0.7, 0.45, (None, 0.0, None)),
+    (0.5, 0.45, ()),
+])
+def test_spoiler_split_finds_the_kinks_of_its_retention_form(mu, r, levels):
+    # The spoiler map, the win map at the margin r B(-v-b_R-g) - (1-r)
+    # B(p-v-b_L-g) of the kept shares, is written out here. For log-concave
+    # taste it falls from lambda(r), then rises to 1/2, so where it dips
+    # below 0 it is 0 between two kinks, one on each side of its minimum.
+    params = ElectorateParams(
+        r=r, mu=mu, p=0.2, b_L=-0.5, b_R=-0.1,
+        taste=DistributionSpec("normal", 0.2), shock=DistributionSpec("normal", 0.25),
+    )
+    v = -0.01
+    B = params.taste.cdf
 
+    def spoiler_map(g):
+        return 0.5 - mu / (2.0 * (1.0 - mu)) * (
+            (1.0 - r) * B(params.p - v - params.b_L - g) - r * B(-v - params.b_R - g)
+        )
 
-def test_right_share_multi_monotone(scenario_a):
-    lo = right_share_multi(scenario_a, -1.0)
-    mid = right_share_multi(scenario_a, 0.0)
-    hi = right_share_multi(scenario_a, 1.0)
-    assert lo < mid < hi
-    # Diverged-race share at gamma: r B(gamma + b_R + p) + (1-r) B(gamma + b_L - p).
-    tB = scenario_a.taste.cdf
-    expect = 0.45 * tB(0.3 + 0.2) + 0.55 * tB(-0.5 - 0.2)
-    assert mid == pytest.approx(expect, abs=1e-12)
+    pieces = split_at_kinks(params, None, None, v)
+    assert tuple(level for *_, level in pieces) == levels
+    for (_, kink, before), (start, _, after) in zip(pieces, pieces[1:]):
+        assert start == kink
+        assert spoiler_map(kink) == pytest.approx(after if before is None else before, abs=1e-10)
+    for x, y, level in pieces:
+        inside = spoiler_map(((x if x is not None else y - 1.0) + (y if y is not None else x + 1.0)) / 2)
+        if level is None:
+            assert 0.0 < inside < 1.0
+        else:
+            assert (inside >= 1.0) if level else (inside <= 0.0)
 
 
 def test_win_prob_baseline_frozen(scenario_a):
@@ -245,8 +239,13 @@ def test_split_at_kinks_reports_saturation():
     assert (low, inside, high) == (0.0, None, 1.0)
     assert (c, d) == (c_in, d_in) and c < d
     # The kinks are where the map reaches 0 and 1.
-    assert lambda_win(right_share_multi(params, c), params.mu) == pytest.approx(0.0, abs=1e-10)
-    assert lambda_win(right_share_multi(params, d), params.mu) == pytest.approx(1.0, abs=1e-10)
+    B = params.taste.cdf
+
+    def share(g):
+        return params.r * B(g + params.b_R + params.p) + (1.0 - params.r) * B(g + params.b_L - params.p)
+
+    assert lambda_win(share(c), params.mu) == pytest.approx(0.0, abs=1e-10)
+    assert lambda_win(share(d), params.mu) == pytest.approx(1.0, abs=1e-10)
     # At mu = 1/2 the map is the identity and never leaves [0, 1].
     assert split_at_kinks(replace(params, mu=0.5), None, None) == ()
 

@@ -14,7 +14,6 @@ from refcalc.third_party import (
     DEFAULT_VALENCE,
     ThirdPartyParams,
     classify_referendum_preference,
-    lambda_hat,
     net_benefit_third,
     phi,
     phi_thresholds,
@@ -93,7 +92,7 @@ def test_a_nan_in_the_spoiler_integrand_raises(monkeypatch):
     cdf = DistributionSpec.cdf
     monkeypatch.setattr(
         DistributionSpec, "cdf",
-        lambda self, x: math.nan if type(x) is float and 0.30 < x < 0.50 else cdf(self, x),
+        lambda self, x: math.nan if type(x) is float and -0.50 < x < -0.30 else cdf(self, x),
     )
     for regime in (NO_REF, NON_BINDING):
         with pytest.raises(QuadratureError, match="non-finite integrand"):
@@ -102,29 +101,13 @@ def test_a_nan_in_the_spoiler_integrand_raises(monkeypatch):
         net_benefit_third(tp)
 
 
-def test_lambda_hat_keeps_a_nan_margin(monkeypatch):
-    # The clamp must not turn a NaN margin into a probability: the NaN has
-    # to reach the quadrature, which raises.
-    monkeypatch.setattr(DistributionSpec, "cdf", lambda self, x: math.nan)
-    assert math.isnan(lambda_hat(SPOILER, 0.0))
-
-
-def test_lambda_hat_approaches_two_party_limit():
+def test_a_hopeless_spoiler_leaves_the_single_issue_race():
     # As the spoiler becomes arbitrarily unattractive no voter leaves a major
-    # party and the three-way margin collapses to the single-issue race.
+    # party and the three-way race collapses to the single-issue one.
     hopeless = ThirdPartyParams(base=BASE_B, v=-50.0)
-    for g in (-0.4, 0.0, 0.4):
-        assert lambda_hat(hopeless, g) == pytest.approx(
-            lambda_win(BASE_B.r, BASE_B.mu), abs=1e-9
-        )
-
-
-def test_lambda_hat_decreasing_in_shock():
-    # A larger shock pushes conservatives toward the spoiler faster than
-    # liberals (the traditional advantage p shields Left), so Right's edge
-    # falls with gamma.
-    vals = [lambda_hat(SPOILER, g) for g in (-0.5, 0.0, 0.5)]
-    assert vals[0] > vals[1] > vals[2]
+    assert win_prob_third(hopeless, NO_REF) == pytest.approx(
+        lambda_win(BASE_B.r, BASE_B.mu), abs=1e-9
+    )
 
 
 def test_phi_closed_form_identities():

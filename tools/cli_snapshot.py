@@ -44,12 +44,27 @@ SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNO
 # Evaluated only: the diverged scenario on the r = 1/2 knife edge, where the
 # traditional delta is empty; the diverged scenario at mu = 0.9, where the
 # win map saturates and the win integrals split at its kinks; the spoiler
-# scenario there, whose net benefit subtracts the split two-party gap; and
-# one whose cohesion kernels both underflow to 0, so r_bind has no root.
+# scenario there, whose net benefit subtracts the split two-party gap; two
+# saturating spoiler electorates, one whose kinks a clipped-map quadrature
+# missed by 4.8e-7 and one with a narrow taste under a wide shock, where the
+# spoiler map's slope underflows away from its kernels' centres; and one
+# whose cohesion kernels both underflow to 0, so r_bind has no root.
 EVAL_ONLY = {
     "knife_edge": {**wl.DIVERGED, "r": 0.5},
     "saturated": {**wl.DIVERGED, "mu": 0.9, "r": 0.52},
     "spoiler_saturated": {**wl.SPOILER, "mu": 0.9, "r": 0.52},
+    "spoiler_missed": {
+        **wl.SPOILER, "r": 0.44, "mu": 0.79, "p": 0.44, "b_L": -0.32, "b_R": -0.1,
+        "taste": {"family": "normal", "scale": 0.47},
+        "shock": {"family": "normal", "scale": 0.21},
+        "third_party": {"v": -0.03},
+    },
+    "spoiler_plateau": {
+        **wl.SPOILER, "r": 0.416, "mu": 0.806, "p": 0.186, "b_L": -0.767, "b_R": -0.562,
+        "taste": {"family": "normal", "scale": 0.051},
+        "shock": {"family": "normal", "scale": 0.619},
+        "third_party": {"v": -0.155},
+    },
     "underflow": {
         "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
         "taste": {"family": "normal", "scale": 0.05},
@@ -77,6 +92,8 @@ def _commands():
     # mu across 1/2, where the win map starts to saturate.
     yield "sweep_mu", _sweep(
         "diverged", "mu", "0.3", "0.8", 11, ("win_prob", "net_benefit", "r_bind", "r_star_star"))
+    # The spoiler race's mu axis, where its win map starts to saturate.
+    yield "sweep_spoiler_mu", _sweep("spoiler", "mu", "0.3", "0.9", 13, ("net_benefit_third",))
     yield "sweep_taste_scale", _sweep("diverged", "taste_scale", "0.1", "0.5", 9, wl.SWEEP_QUANTITIES)
     # v across 0, where the spoiler block stops being valid.
     yield "sweep_spoiler_v", _sweep(
