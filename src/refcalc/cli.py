@@ -10,9 +10,11 @@ numerical failures. eval and sweep share one table of named quantities
 (_QUANTITIES); sweep rejects a non-finite grid and a quantity or --var
 (_VARS) whose regime, third_party or turnout block is missing, and where a
 present block fails its constraints at a grid point, the cell is empty. sweep
-starts at most one of its --threads (>= 1) workers per grid point. figure's
-fig1, fig2 and fig3 are sweeps of baked-in electorates: they and sweep take
-every cell from one grid path (_grid).
+cuts its grid into at most --threads (>= 1) contiguous blocks, one per worker
+process, each sent and returned in one round trip; the output and the first
+error are the serial run's. figure's fig1, fig2 and fig3 are sweeps of
+baked-in electorates: they and sweep take every cell from one grid path
+(_grid).
 
 CSV output is RFC-4180 (the csv module's default quoting and CRLF line
 endings), '.' decimal point, 12 significant digits. Undefined cells (a
@@ -261,12 +263,18 @@ def _sweep_cell(job):
 
 def _grid(scenario: Scenario, var: str, values, quantities, threads: int = 1):
     """One CSV row per value: the value, then each quantity's _sweep_cell.
-    With threads > 1, at most one worker process per value."""
+
+    With threads > 1 the grid is cut into at most threads contiguous blocks
+    of size points (the last may be shorter), one worker process per block:
+    each worker takes its points in one message and returns its rows in one.
+    map yields the blocks in grid order and a block stops at its first
+    failing point, so the rows and the first error are the serial run's."""
     jobs = [(scenario, var, v, quantities) for v in values]
     workers = min(threads, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, jobs))
+        size = math.ceil(len(jobs) / workers)
+        with ProcessPoolExecutor(max_workers=math.ceil(len(jobs) / size)) as pool:
+            return list(pool.map(_sweep_cell, jobs, chunksize=size))
     return [_sweep_cell(job) for job in jobs]
 
 

@@ -64,6 +64,17 @@ def _scenario_turnout(**turnout):
     }
 
 
+# r_bind's kernels both underflow to 0 at p >= 2 (r_bind is 1 at p <= 1.5).
+_UNDERFLOW = {
+    "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
+    "taste": {"family": "normal", "scale": 0.05},
+    "shock": {"family": "normal", "scale": 0.1},
+}
+UNDERFLOW_ERR = (
+    "numerical failure: r_bind: both kernels are 0, so the condition holds for every r\n"
+)
+
+
 def _dump(tmp_path, name, scn):
     path = tmp_path / name
     path.write_text(json.dumps(scn))
@@ -272,17 +283,11 @@ def test_root_finder_out_of_iterations_exits_3(tmp_path, capsys, monkeypatch):
 def test_underflowed_cohesion_kernels_exit_3(tmp_path, capsys):
     # Both of r_bind's kernels underflow to 0 here, so every r solves its
     # condition. An exception escaping main would be a traceback and exit 1.
-    scn = _dump(tmp_path, "u.json", {
-        "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
-        "taste": {"family": "normal", "scale": 0.05},
-        "shock": {"family": "normal", "scale": 0.1},
-    })
+    scn = _dump(tmp_path, "u.json", _UNDERFLOW)
     assert main(["eval", scn]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "numerical failure: r_bind: both kernels are 0, so the condition holds for every r\n"
-    )
+    assert captured.err == UNDERFLOW_ERR
 
 
 def test_unknown_figure_name_is_an_argparse_error(capsys):
@@ -401,23 +406,45 @@ def test_sweep_threshold_grid(tmp_path, capsys):
     assert all(a < b for a, b in zip(binds, binds[1:]))
 
 
-def test_sweep_threads_byte_identical(tmp_path, capsys):
-    scn = _dump(tmp_path, "wide.json", _scenario_wide())
-    argv = ["sweep", scn, "--var", "b_R", "--from", "0.0", "--to", "1.0",
-            "--steps", "5", "--quantities", "r_bind,r_star_star"]
-    one, two = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(argv + ["--out", str(one)]) == 0
-    assert main(argv + ["--out", str(two), "--threads", "2"]) == 0
-    assert one.read_bytes() == two.read_bytes()
+@pytest.mark.parametrize("scn, var, lo, hi, steps, quantities, rc, err", [
+    (_scenario_wide(), "b_R", "0.0", "1.0", "5", "r_bind,r_star_star", 0, ""),
+    # mu across 1/2, where the win map saturates from 0.6 on: blocks of 4
+    # and 3 points.
+    (_scenario_a(regime="non_binding"), "mu", "0.3", "0.9", "7",
+     "win_prob,net_benefit,delta_second", 0, ""),
+    # Blocks p 0.5-1.5 and p 2.0-3.0: the second worker fails at its first
+    # point, the serial run's first error.
+    (_UNDERFLOW, "p", "0.5", "3.0", "6", "win_prob,r_bind", 3, UNDERFLOW_ERR),
+    # b_L 0.1, 0.3 and 0.5 are invalid, and the error names the point: the
+    # serial run's first, not the first of a block that interleaves the grid.
+    (_scenario_a(regime="non_binding"), "b_L", "-0.5", "0.5", "6", "win_prob", 2,
+     "scenario error: grid point b_L=0.1 leaves the electorate invalid"),
+], ids=["b_R", "mu_saturated", "underflow", "invalid_b_L"])
+def test_sweep_threads_byte_identical(tmp_path, capsys, scn, var, lo, hi, steps,
+                                      quantities, rc, err):
+    path = _dump(tmp_path, "s.json", scn)
+    argv = ["sweep", path, "--var", var, "--from", lo, "--to", hi, "--steps", steps,
+            "--quantities", quantities]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        assert main(argv + ["--out", str(out), "--threads", threads]) == rc
+        captured = capsys.readouterr()
+        runs.append((out.read_bytes(), captured.out, captured.err))
+    assert runs[0] == runs[1]
+    assert runs[0][2].startswith(err)
+    if rc:
+        assert runs[0][:2] == (b"", "")
 
 
 def test_sweep_threads_capped_at_grid_size(tmp_path, capsys, monkeypatch):
     pools = []
 
     class SerialPool:
-        # Stands in for the process pool: records max_workers, maps in-process.
+        # Stands in for the process pool: records (max_workers, chunksize),
+        # maps in-process.
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -425,23 +452,28 @@ def test_sweep_threads_capped_at_grid_size(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=1):
+            pools.append((self.max_workers, chunksize))
             return map(fn, jobs)
 
     monkeypatch.setattr("refcalc.cli.ProcessPoolExecutor", SerialPool)
     scn = _dump(tmp_path, "wide.json", _scenario_wide())
     argv = ["sweep", scn, "--var", "b_R", "--from", "0.0", "--to", "1.0",
             "--steps", "5", "--quantities", "r_bind"]
-    one, many = tmp_path / "serial.csv", tmp_path / "many.csv"
+    one = tmp_path / "serial.csv"
     assert main(argv + ["--out", str(one)]) == 0
     assert pools == []
-    assert main(argv + ["--out", str(many), "--threads", "5000"]) == 0
-    assert pools == [5]
-    assert one.read_bytes() == many.read_bytes()
+    # One contiguous block per worker, and no worker without a block: 5
+    # points over 4 threads are 3 blocks of 2, 2 and 1.
+    for threads, pool in (("5000", (5, 1)), ("2", (2, 3)), ("4", (3, 2))):
+        many = tmp_path / f"threads{threads}.csv"
+        assert main(argv + ["--out", str(many), "--threads", threads]) == 0
+        assert pools.pop() == pool
+        assert one.read_bytes() == many.read_bytes()
     for bad in ("0", "-3"):
         assert main(argv + ["--threads", bad]) == 2
         assert "threads must be at least 1" in capsys.readouterr().err
-    assert pools == [5]
+    assert pools == []
 
 
 # Quantities eval reports under the same name as sweep (win_prob under

@@ -10,7 +10,8 @@ scenarios, then runs every command in COMMANDS as
 relative to OUTDIR, so what a command prints does not depend on where OUTDIR
 is. Command NAME leaves NAME.csv (its --out), NAME.stdout, NAME.stderr and
 NAME.exit (the exit code). Every command should exit 0, except those
-EXPECTED_EXIT names.
+EXPECTED_EXIT names. Each NAME_threads2 sweep should leave the same bytes
+as its serial twin NAME.
 
 Two snapshots of the same code must be equal under `diff -r`: that checks
 that the outputs are deterministic. A snapshot of a parent commit and one of
@@ -71,7 +72,7 @@ EVAL_ONLY = {
         "shock": {"family": "normal", "scale": 0.1},
     },
 }
-EXPECTED_EXIT = {"eval_underflow": 3}
+EXPECTED_EXIT = {"eval_underflow": 3, "sweep_underflow_p": 3, "sweep_underflow_p_threads2": 3}
 
 
 def _sweep(scenario, var, lo, hi, steps, quantities, *extra):
@@ -90,14 +91,20 @@ def _commands():
     yield "sweep_turnout_r", _sweep(
         "turnout", "r", "0.4", "0.7", 7, ("win_prob", "r_T", "net_benefit_turnout"))
     # mu across 1/2, where the win map starts to saturate.
-    yield "sweep_mu", _sweep(
-        "diverged", "mu", "0.3", "0.8", 11, ("win_prob", "net_benefit", "r_bind", "r_star_star"))
+    mu = ("diverged", "mu", "0.3", "0.8", 11, ("win_prob", "net_benefit", "r_bind", "r_star_star"))
+    yield "sweep_mu", _sweep(*mu)
+    yield "sweep_mu_threads2", _sweep(*mu, "--threads", "2")
     # The spoiler race's mu axis, where its win map starts to saturate.
     yield "sweep_spoiler_mu", _sweep("spoiler", "mu", "0.3", "0.9", 13, ("net_benefit_third",))
     yield "sweep_taste_scale", _sweep("diverged", "taste_scale", "0.1", "0.5", 9, wl.SWEEP_QUANTITIES)
     # v across 0, where the spoiler block stops being valid.
     yield "sweep_spoiler_v", _sweep(
         "spoiler", "v", "-0.5", "0.5", 5, ("phi", "net_benefit_third"))
+    # p up to where r_bind's kernels underflow: the first failing point is
+    # the second worker's first.
+    underflow = ("underflow", "p", "0.5", "3.0", 6, ("win_prob", "r_bind"))
+    yield "sweep_underflow_p", _sweep(*underflow)
+    yield "sweep_underflow_p_threads2", _sweep(*underflow, "--threads", "2")
     # The shock axis, the grid path that fig1 and fig2 take.
     yield "sweep_gamma", _sweep("diverged", "gamma", "-1", "1", 21, ("s", "g"))
     yield from ((f"figure_{name}", ["figure", name]) for name in ("fig1", "fig2", "fig3", "figg"))
@@ -112,8 +119,9 @@ COMMANDS = dict(_commands())
 
 
 def snapshot(outdir: Path, src: Path) -> int:
-    """Write the scenarios and every command's streams; return the commands
-    that did not exit as expected."""
+    """Write the scenarios and every command's streams; return the number of
+    commands that did not exit as expected plus the number of NAME_threads2
+    streams that differ from NAME's."""
     outdir.mkdir(parents=True, exist_ok=True)
     for name, spec in {**SCENARIOS, **EVAL_ONLY}.items():
         (outdir / f"{name}.json").write_text(json.dumps(spec))
@@ -132,6 +140,13 @@ def snapshot(outdir: Path, src: Path) -> int:
         (outdir / f"{name}.exit").write_text(f"{done.returncode}\n")
         print(f"{name}: exit {done.returncode}")
         failed += done.returncode != EXPECTED_EXIT.get(name, 0)
+    for name in COMMANDS:
+        twin = name.removesuffix("_threads2")
+        if twin != name:
+            for ext in ("csv", "stdout", "stderr", "exit"):
+                if (outdir / f"{name}.{ext}").read_bytes() != (outdir / f"{twin}.{ext}").read_bytes():
+                    print(f"{name}.{ext} differs from {twin}.{ext}")
+                    failed += 1
     return failed
 
 
