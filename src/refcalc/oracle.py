@@ -45,10 +45,10 @@ Right-Left tie falls to a fair coin from the stream, and a spoiler loses
 exact vote ties to either major. The two-party and turnout races are the
 spoiler race with no spoiler votes. Other tie conventions: indifferent
 voters vote their own party; referendum tallies at exactly the threshold
-count as yes. The continuum_tally toggle replaces every referendum-derived
-quantity (tally or cast share, inferred positions, outcome, latent
-majority) by its exact conditional-on-shock value, in both engines and every
-mode, isolating election noise from tally noise.
+count as yes. Every referendum-derived quantity (tally or cast share,
+inferred positions, outcome, latent majority) is read off the sampled
+ballots, in both engines and every mode: the oracle shares no support curve
+with the analytic modules it checks.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class SimConfig:
     seed: int = 0
     mode: str = "two_party"
     agent_level: bool = False
-    continuum_tally: bool = False
 
     def __post_init__(self):
         # type() rather than isinstance(): bool is an int subclass.
@@ -91,6 +90,8 @@ class SimConfig:
                 raise UsageError(f"{name} must be a positive integer, got {value!r}")
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise UsageError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if type(self.agent_level) is not bool:
+            raise UsageError(f"agent_level must be true or false, got {self.agent_level!r}")
 
 
 @dataclass(frozen=True)
@@ -233,12 +234,8 @@ def _counts_majors(target, regimes, config, rng):
     # The spoiler's defectors from each party: column views, or a scalar 0.
     third_cons, third_libs = (cons[:, 3], libs[:, 3]) if spoiler else (0, 0)
 
-    if config.continuum_tally:
-        tally = np.asarray(referendum_support(params, gamma))
-        maj_yes = tally >= 0.5
-    else:
-        yes = (cons[:, 2] + third_cons) + (n_left - libs[:, 0])
-        tally, maj_yes = yes / n, 2 * yes >= n
+    yes = (cons[:, 2] + third_cons) + (n_left - libs[:, 0])
+    tally, maj_yes = yes / n, 2 * yes >= n
     maj_right = 2 * n_right >= n
 
     # Right's and the spoiler's votes by post-referendum configuration; Left
@@ -297,24 +294,6 @@ def _participation_cells(tp, b_J, gamma):
     return p_yes, p_no, (1.0 - f0) - p_yes, f0 - p_no
 
 
-def _cast_rates(tp, gamma):
-    """Yes and no ballots cast per policy voter at shock gamma, measure held."""
-    params = tp.base
-    py_r, pn_r, *_ = _participation_cells(tp, params.b_R, gamma)
-    py_l, pn_l, *_ = _participation_cells(tp, params.b_L, gamma)
-    cast_yes_rate = params.r * py_r + (1.0 - params.r) * py_l
-    cast_no_rate = params.r * pn_r + (1.0 - params.r) * pn_l
-    return cast_yes_rate, cast_no_rate
-
-
-def _turnout_support(tp, gamma):
-    """Continuum yes share at shock gamma, over the truncated taste."""
-    params, cdf = tp.base, tp.taste_t.cdf
-    return params.r * (1.0 - cdf(-params.b_R - gamma)) + (1.0 - params.r) * (
-        1.0 - cdf(-params.b_L - gamma)
-    )
-
-
 def _counts_turnout(tp, regimes, config, rng):
     """A held measure draws different cells, so regimes holds one regime."""
     (regime,) = regimes
@@ -349,17 +328,12 @@ def _counts_turnout(tp, regimes, config, rng):
     # 0/0 (no ballots cast, or no voter in a party) yields NaN.
     with np.errstate(invalid="ignore"):
         if held:
-            if config.continuum_tally:
-                yes_cast, no_cast = _cast_rates(tp, gamma)
             y_impl = yes_cast >= no_cast
             y1_share = yes_cast / (yes_cast + no_cast)
         turnout_right = part_right / n_right
         turnout_left = part_left / n_left
 
-    if config.continuum_tally:
-        maj_yes = _turnout_support(tp, gamma) >= 0.5
-    else:
-        maj_yes = 2 * yes_latent >= n
+    maj_yes = 2 * yes_latent >= n
     maj_right = 2 * n_right >= n
     return [_RepArrays(
         win_R=win,
@@ -389,7 +363,7 @@ def _agents(runs, config, rng_for):
         (target.taste_t, target.shock_t) if turnout else (params.taste, params.shock)
     )
     n, n_reps = config.n_policy_voters, config.n_replications
-    mu, continuum = params.mu, config.continuum_tally
+    mu = params.mu
     plans = [  # held, position cuts, spoiler appeal v (None: no spoiler)
         (
             regime is not ReferendumRegime.NO_REFERENDUM,
@@ -413,14 +387,7 @@ def _agents(runs, config, rng_for):
         yes = b_i >= 0
         n_yes, n_cons = np.count_nonzero(yes), np.count_nonzero(is_cons)
         maj_right = 2 * n_cons >= n
-        if continuum:
-            tally = (
-                _turnout_support(target, gamma) if turnout
-                else referendum_support(params, gamma)
-            )
-            maj_yes = tally >= 0.5
-        else:
-            tally, maj_yes = n_yes / n, 2 * n_yes >= n
+        tally, maj_yes = n_yes / n, 2 * n_yes >= n
         if not turnout:
             p_cons, p_libs = params.p * is_cons, params.p * ~is_cons
             choices = {}  # (y_right, y_left): (prefers_right, util_right, util_left)
@@ -436,11 +403,8 @@ def _agents(runs, config, rng_for):
                 # Whoever wins, a held measure implements its cast majority.
                 y_right = y_left = False
                 if held:
-                    if continuum:
-                        yes_cast, no_cast = _cast_rates(target, gamma)
-                    else:
-                        yes_cast = np.count_nonzero(votes & yes)
-                        no_cast = n_votes - yes_cast
+                    yes_cast = np.count_nonzero(votes & yes)
+                    no_cast = n_votes - yes_cast
                     y_right = y_left = yes_cast >= no_cast
                     total = yes_cast + no_cast
                     y1 = yes_cast / total if total else math.nan

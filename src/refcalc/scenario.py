@@ -17,8 +17,7 @@ Schema (all numbers JSON numbers, booleans JSON booleans):
       "quadrature": {"abs_tol": ..., "rel_tol": ...,
                      "max_subdivisions": ...},                 # optional
       "sim": {"n_policy_voters": ..., "n_replications": ...,
-              "seed": ..., "agent_level": ...,
-              "continuum_tally": ...}                          # optional
+              "seed": ..., "agent_level": ...}                 # optional
     }
 
 The sim block carries no "mode": the tools pick the oracle mode from which
@@ -73,20 +72,6 @@ def _real(obj: dict, key: str, path: str) -> float:
     return float(value)
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(obj: dict, key: str, path: str) -> bool:
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key} must be true or false, got {value!r}")
-    return value
-
-
 def _distribution(obj: dict, key: str, path: str) -> DistributionSpec:
     if key not in obj:
         raise ScenarioError(f'missing required key "{key}" at {path}')
@@ -103,8 +88,9 @@ def _distribution(obj: dict, key: str, path: str) -> DistributionSpec:
 def _fields(obj: dict, key: str, source: str, parsers: dict, required=()) -> dict:
     """Keyword arguments from the optional block obj[key]; {} when it is absent.
 
-    parsers maps each allowed key to its _real/_integer/_boolean parser; keys
-    in required must be present, the others fall back to the target's defaults.
+    parsers maps each allowed key to its parser, or to None to pass the JSON
+    value on for the target's own check; keys in required must be present,
+    the others fall back to the target's defaults.
     """
     if key not in obj:
         return {}
@@ -112,7 +98,7 @@ def _fields(obj: dict, key: str, source: str, parsers: dict, required=()) -> dic
     block = _require_object(obj[key], path)
     _reject_unknown(block, path, parsers)
     return {
-        name: parse(block, name, path)
+        name: parse(block, name, path) if parse else block[name]
         for name, parse in parsers.items()
         if name in block or name in required
     }
@@ -168,16 +154,15 @@ def parse_scenario(data, source: str = "scenario") -> Scenario:
         require_valid_turnout(turnout)
 
     tolerances = _fields(obj, "quadrature", source, {
-        "abs_tol": _real, "rel_tol": _real, "max_subdivisions": _integer,
+        "abs_tol": _real, "rel_tol": _real, "max_subdivisions": None,
     })
     try:
         quadrature = QuadratureConfig(**tolerances)
     except UsageError as exc:
         raise ScenarioError(f"{source}.quadrature: {exc}") from None
-    settings = _fields(obj, "sim", source, {
-        "n_policy_voters": _integer, "n_replications": _integer, "seed": _integer,
-        "agent_level": _boolean, "continuum_tally": _boolean,
-    })
+    settings = _fields(obj, "sim", source, dict.fromkeys(
+        ("n_policy_voters", "n_replications", "seed", "agent_level")
+    ))
     try:
         sim = SimConfig(**settings)
     except UsageError as exc:

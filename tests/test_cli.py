@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -941,3 +942,31 @@ def test_validate_third_party_and_turnout_rows_are_pinned(tmp_path, capsys, engi
     assert captured.out == f"scenario: {scn}\n" + report
     assert captured.err == ""
     assert out.read_bytes() == expected_csv.encode()
+
+
+README_PATH = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_lines(text, after):
+    """The README lines from the first one after the line ``after`` up to the
+    end of its code block."""
+    start = text.index(after + "\n") + len(after) + 1
+    return text[start:text.index("```", start)].splitlines()
+
+
+def test_readme_samples_come_from_its_scenario_file(tmp_path, capsys, monkeypatch):
+    # The README's scenario file must load, and its eval and validate
+    # samples must be rows the commands print on that file.
+    text = README_PATH.read_text(encoding="utf-8")
+    scenario = _readme_lines(text[text.index("## Scenario files"):], "```json")
+    (tmp_path / "scenario.json").write_text("\n".join(scenario))
+    monkeypatch.chdir(tmp_path)
+    for command, shown in (
+        ("eval", lambda line: line != "..."),
+        ("validate", lambda line: line.endswith(("PASS", "FAIL"))),
+    ):
+        sample = _readme_lines(text, f"$ refcalc {command} scenario.json")
+        assert main([command, "scenario.json"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line for line in sample if shown(line)]
+        assert rows and [line for line in rows if line not in printed] == []

@@ -101,9 +101,10 @@ def _golden_results(
     paired=False, n=400, n_reps=50, seeds=(1, 2**40 + 3), engines=(False, True)
 ):
     """repr of the SimResult tuple over mode x allowed regime x engine x
-    continuum_tally x seed, keyed by configuration. With paired, one
-    simulate_runs call per target x engine x tally x seed covers all of the
-    target's regimes on shared draws.
+    seed, keyed by configuration. With paired, one simulate_runs call per
+    target x engine x seed covers all of the target's regimes on shared
+    draws. The "sampled" key segment names the tally every run counts: the
+    sampled ballots.
 
     Re-record after an intended change with
     ``json.dump(_golden_results(), open(GOLDEN_PATH, "w"), indent=1)``.
@@ -111,23 +112,21 @@ def _golden_results(
     out = {}
     for mode, name, target, regimes in GOLDEN_TARGETS:
         for agents in engines:
-            for continuum in (False, True):
-                for seed in seeds:
-                    cfg = SimConfig(
-                        n_policy_voters=n, n_replications=n_reps, seed=seed,
-                        mode=mode, agent_level=agents, continuum_tally=continuum,
-                    )
-                    if paired:
-                        results = oracle.simulate_runs([(target, r) for r in regimes], cfg)
-                    else:
-                        results = [simulate(target, r, cfg) for r in regimes]
-                    for regime, res in zip(regimes, results, strict=True):
-                        key = "/".join([
-                            mode, name, regime.value,
-                            "agents" if agents else "counts",
-                            "continuum" if continuum else "sampled", str(seed),
-                        ])
-                        out[key] = repr(astuple(res))
+            for seed in seeds:
+                cfg = SimConfig(
+                    n_policy_voters=n, n_replications=n_reps, seed=seed,
+                    mode=mode, agent_level=agents,
+                )
+                if paired:
+                    results = oracle.simulate_runs([(target, r) for r in regimes], cfg)
+                else:
+                    results = [simulate(target, r, cfg) for r in regimes]
+                for regime, res in zip(regimes, results, strict=True):
+                    key = "/".join([
+                        mode, name, regime.value,
+                        "agents" if agents else "counts", "sampled", str(seed),
+                    ])
+                    out[key] = repr(astuple(res))
     return out
 
 
@@ -136,7 +135,7 @@ def test_golden_results_are_frozen():
     # changed float comparison shows up as a changed field.
     golden = json.loads(GOLDEN_PATH.read_text())
     actual = _golden_results()
-    assert len(actual) == 80
+    assert len(actual) == 40
     assert actual.keys() == golden.keys()
     changed = {k: (golden[k], v) for k, v in actual.items() if golden[k] != v}
     assert not changed, changed
@@ -177,7 +176,7 @@ def test_agents_engine_is_frozen_on_tiny_electorates(paired):
     # NaN replications, so a changed branch shows as a changed mean.
     golden = json.loads(AGENTS_GOLDEN_PATH.read_text())
     actual = _agents_golden_results(paired)
-    assert len(actual) == 4 * 40 + 20
+    assert len(actual) == 4 * 20 + 10
     assert actual.keys() == golden.keys()
     changed = {k: (golden[k], v) for k, v in actual.items() if golden[k] != v}
     assert not changed, changed
@@ -223,8 +222,7 @@ def test_paired_results_come_back_in_input_order(agents):
     assert _paired(runs, cfg) == _separately(runs, cfg)
 
 
-@pytest.mark.parametrize("continuum", [False, True], ids=["sampled", "continuum"])
-def test_runs_at_the_same_positions_match_separate_calls(continuum):
+def test_runs_at_the_same_positions_match_separate_calls():
     # With a near-degenerate shock every non-binding tally of the spoiler
     # electorate (about 0.33) stays below both cuts (about 0.39 and 0.64),
     # so all four runs leave the majors at their initial positions (0, 0)
@@ -233,10 +231,7 @@ def test_runs_at_the_same_positions_match_separate_calls(continuum):
     quiet = replace(SPOILER, base=replace(SPOILER.base, shock=DistributionSpec("normal", 1e-4)))
     runs = [("two_party", quiet.base, r) for r in (NO_REF, NON_BINDING)]
     runs += [("third_party", quiet, r) for r in (NO_REF, NON_BINDING)]
-    cfg = SimConfig(
-        n_policy_voters=2_000, n_replications=40, seed=4, agent_level=True,
-        continuum_tally=continuum,
-    )
+    cfg = SimConfig(n_policy_voters=2_000, n_replications=40, seed=4, agent_level=True)
     assert _paired(runs, cfg) == _separately(runs, cfg)
     two_no, two_nb, third_no, third_nb = oracle.simulate_runs(
         [(target, regime) for _, target, regime in runs], cfg
@@ -406,43 +401,10 @@ def test_turnout_participation_levels():
 
 def test_binding_congruence_is_exactly_one():
     # Whatever the tally, a binding vote implements the tally's majority.
-    for continuum in (False, True):
-        cfg = SimConfig(
-            n_policy_voters=2_000,
-            n_replications=300,
-            seed=5,
-            continuum_tally=continuum,
-        )
-        res = simulate(SCENARIO_A, BINDING, cfg)
-        assert res.congruence_y == 1.0
-        assert res.se_congruence_y == 0.0
-
-
-# With a near-degenerate shock the continuum share is almost constant, so
-# nearly all of the sampled share's spread is tally noise.
-QUIET_TURNOUT = replace(
-    TURNOUT, base=replace(TURNOUT.base, shock=DistributionSpec("normal", 1e-4))
-)
-
-
-def test_continuum_tally_removes_tally_noise():
-    cases = [
-        (SCENARIO_A, SimConfig(n_policy_voters=500, n_replications=2_000, seed=3), 1.0),
-        # Agents engine, turnout mode: the cast share must come from the
-        # continuum as well, not from the sampled ballots.
-        (
-            QUIET_TURNOUT,
-            SimConfig(
-                n_policy_voters=2_000, n_replications=300, seed=3,
-                mode="turnout", agent_level=True,
-            ),
-            0.01,
-        ),
-    ]
-    for target, cfg, ratio in cases:
-        noisy = simulate(target, BINDING, cfg)
-        smooth = simulate(target, BINDING, replace(cfg, continuum_tally=True))
-        assert smooth.se_referendum_y1_share < ratio * noisy.se_referendum_y1_share
+    cfg = SimConfig(n_policy_voters=2_000, n_replications=300, seed=5)
+    res = simulate(SCENARIO_A, BINDING, cfg)
+    assert res.congruence_y == 1.0
+    assert res.se_congruence_y == 0.0
 
 
 # ------------------------------------------------- engine cross-validation
@@ -604,6 +566,12 @@ def test_sim_config_rejects_a_bool_for_a_size_or_seed(field):
     # as a replication count failed in numpy with a bare TypeError.
     with pytest.raises(UsageError, match=field):
         SimConfig(**{field: True})
+
+
+def test_sim_config_rejects_a_non_bool_engine_switch():
+    # "no" is truthy: unchecked, it would run the agents engine.
+    with pytest.raises(UsageError, match="agent_level must be true or false, got 'no'"):
+        SimConfig(agent_level="no")
 
 
 def test_estimate_threshold_stops_at_adjacent_floats():

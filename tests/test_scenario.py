@@ -59,12 +59,14 @@ def test_unknown_top_level_key_rejected_with_path():
     assert "bL" in msg and "scn" in msg
 
 
-def test_unknown_nested_key_rejected_with_path():
-    data = _minimal()
-    data["taste"] = {"family": "normal", "scale": 0.2, "mean": 0.0}
+@pytest.mark.parametrize("block, path", [
+    ({"taste": {"family": "normal", "scale": 0.2, "mean": 0.0}}, "scn.taste"),
+    ({"sim": {"continuum_tally": False}}, "scn.sim"),
+])
+def test_unknown_nested_key_rejected_with_path(block, path):
     with pytest.raises(ScenarioError) as exc:
-        parse_scenario(data, source="scn")
-    assert "scn.taste" in str(exc.value)
+        parse_scenario({**_minimal(), **block}, source="scn")
+    assert path in str(exc.value)
 
 
 def test_missing_required_key():
@@ -141,6 +143,7 @@ def test_quadrature_and_sim_overrides():
     ({"rel_tol": math.nan}, "rel_tol must be finite and non-negative, got nan"),
     ({"abs_tol": 0.0}, "abs_tol must be finite and positive, got 0.0"),
     ({"max_subdivisions": 0}, "max_subdivisions must be at least 1"),
+    ({"max_subdivisions": 1.5}, "max_subdivisions must be an integer, got 1.5"),
 ])
 def test_quadrature_block_errors_name_their_path(block, message):
     with pytest.raises(ScenarioError) as exc:
@@ -152,6 +155,8 @@ def test_quadrature_block_errors_name_their_path(block, message):
     ({"n_replications": 0}, "n_replications must be a positive integer, got 0"),
     ({"n_policy_voters": 0}, "n_policy_voters must be a positive integer, got 0"),
     ({"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
+    ({"seed": 1.5}, "seed must be an integer in [0, 2^64), got 1.5"),
+    ({"agent_level": 1}, "agent_level must be true or false, got 1"),
 ])
 def test_sim_block_errors_name_their_path(block, message):
     with pytest.raises(ScenarioError) as exc:
@@ -163,13 +168,6 @@ def test_quadrature_type_error_names_its_field_once():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario({**_minimal(), "quadrature": {"rel_tol": "x"}}, source="scn.json")
     assert str(exc.value) == "scn.json.quadrature.rel_tol must be a number, got 'x'"
-
-
-def test_sim_integer_fields_reject_floats_and_bools():
-    with pytest.raises(ScenarioError):
-        parse_scenario({**_minimal(), "sim": {"seed": 1.5}})
-    with pytest.raises(ScenarioError):
-        parse_scenario({**_minimal(), "sim": {"agent_level": 1}})
 
 
 def test_top_level_must_be_object():

@@ -48,8 +48,10 @@ SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNO
 # scenario there, whose net benefit subtracts the split two-party gap; two
 # saturating spoiler electorates, one whose kinks a clipped-map quadrature
 # missed by 4.8e-7 and one with a narrow taste under a wide shock, where the
-# spoiler map's slope underflows away from its kernels' centres; and one
-# whose cohesion kernels both underflow to 0, so r_bind has no root.
+# spoiler map's slope underflows away from its kernels' centres; one whose
+# cohesion kernels both underflow to 0, so r_bind has no root; and two sim
+# blocks the loader rejects with exit 2, one with a non-boolean agent_level
+# and one with the unknown key continuum_tally.
 EVAL_ONLY = {
     "knife_edge": {**wl.DIVERGED, "r": 0.5},
     "saturated": {**wl.DIVERGED, "mu": 0.9, "r": 0.52},
@@ -71,8 +73,13 @@ EVAL_ONLY = {
         "taste": {"family": "normal", "scale": 0.05},
         "shock": {"family": "normal", "scale": 0.1},
     },
+    "sim_agent_level_int": {**wl.DIVERGED, "sim": {"agent_level": 1}},
+    "sim_continuum_tally": {**wl.DIVERGED, "sim": {"continuum_tally": False}},
 }
-EXPECTED_EXIT = {"eval_underflow": 3, "sweep_underflow_p": 3, "sweep_underflow_p_threads2": 3}
+EXPECTED_EXIT = {
+    "eval_underflow": 3, "sweep_underflow_p": 3, "sweep_underflow_p_threads2": 3,
+    "eval_sim_agent_level_int": 2, "eval_sim_continuum_tally": 2,
+}
 
 
 def _sweep(scenario, var, lo, hi, steps, quantities, *extra):
