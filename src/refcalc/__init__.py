@@ -10,6 +10,7 @@ from .congruence import (
     CongruenceReport,
     RegionCell,
     classify_congruence_region,
+    second_delta,
     second_issue_congruence,
     traditional_delta,
     traditional_issue_congruence,

@@ -35,6 +35,7 @@ from dataclasses import replace
 
 from .congruence import (
     classify_congruence_region,
+    second_delta,
     second_issue_congruence,
     traditional_delta,
     traditional_report,
@@ -128,8 +129,7 @@ _QUANTITIES = {
     "r_bind": (None, lambda s: _threshold(r_bind, s.params, s.quadrature)),
     "r_star": (None, lambda s: _threshold(r_star, s.params, s.quadrature)),
     "r_star_star": (None, lambda s: _threshold(r_star_star, s.params, s.quadrature)),
-    "delta_second": (
-        "regime", lambda s: second_issue_congruence(s.params, s.regime, s.quadrature).delta),
+    "delta_second": ("regime", lambda s: second_delta(s.params, s.regime, s.quadrature)),
     "delta_traditional": ("regime", lambda s: traditional_delta(s.params, s.regime, s.quadrature)),
     "phi": ("third_party", lambda s: None if validate_third(s.third)
             else phi(s.params.b_L, s.params.b_R, s.params.shock)),
@@ -157,12 +157,13 @@ def _eval_rows(scenario: Scenario):
     ]
     if regime is not NO_REFERENDUM:
         wp_with = _value(scenario, "win_prob")
+        gain = _value(scenario, "net_benefit")
         rows += [
             (f"win_prob_{regime.value}", "λ", wp_with),
-            ("net_benefit", "Δλ", _value(scenario, "net_benefit")),
+            ("net_benefit", "Δλ", gain),
         ]
         second = second_issue_congruence(p, regime, quad)
-        trad = traditional_report(p.r, regime, wp_no, wp_with)
+        trad = traditional_report(p.r, regime, wp_no, wp_with, gain)
         rows += [
             ("congruence_second_no_ref", "P(y=maj)", second.prob_no_ref),
             ("congruence_second_with_ref", "P(y=maj)", second.prob_with_ref),

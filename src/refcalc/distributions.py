@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -40,6 +41,10 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 FAMILIES = ("normal", "logistic")
+
+# Tail mass discarded on each side when an improper shock integral is
+# truncated to quantiles (DistributionSpec.truncation_window).
+TRUNCATION_TAIL = 1e-12
 
 
 def _check_finite_float(x):
@@ -110,6 +115,14 @@ class DistributionSpec:
             raise UsageError("quantile argument must lie strictly in (0, 1)")
         out = self._quantile_formula(qa)
         return out if out.ndim else float(out)
+
+    @cached_property
+    def truncation_window(self) -> tuple[float, float]:
+        """The TRUNCATION_TAIL and 1 - TRUNCATION_TAIL quantiles, to which
+        quadrature.shock_bounds truncates an improper shock integral.
+        Computed at the first read and kept on the instance, which is not a
+        field: equality, hashing and repr ignore it."""
+        return self.quantile(TRUNCATION_TAIL), self.quantile(1.0 - TRUNCATION_TAIL)
 
     def _quantile_formula(self, qa):
         """The family's quantile at qa, an array strictly inside (0, 1); unchecked."""

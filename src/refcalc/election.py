@@ -21,8 +21,11 @@ module: over a shock piece the gap lambda(r) - lambda is affine in them
 (_gap). So win_prob, net_benefit, the congruence deltas and both spoiler
 quantities read the kernels the thresholds integrate, once per command
 within quadrature.memo(). Where the map saturates, the piece is split at its
-kinks (split_at_kinks): the saturated sub-pieces are shock masses, and only
-those between kinks take fresh kernels.
+kinks (split_at_kinks, _stretches): the saturated sub-pieces are shock
+masses, and only those between kinks take fresh kernels. _wins, which the
+emerging-issue congruence delta reads, gives each side's win over a
+saturated sub-piece as its mass times the level or one less it, exactly, so
+a tail where one side always wins adds exactly 0 to that delta.
 """
 
 from __future__ import annotations
@@ -154,35 +157,70 @@ def split_at_kinks(params: ElectorateParams, lo, hi, v=None) -> tuple:
     return () if pieces == [(lo, hi, None)] else tuple(pieces)
 
 
-def _gap(params, lo, hi, config, kernels=None, v=None):
-    """Integral of lambda(r) less the race's win map, saturated into [0, 1],
-    against the shock over the piece [lo, hi].
-
-    Where the map stays inside [0, 1] it is c (r R - (1-r) L), with L and R
-    the kernels of _race(params, v) over the piece: kernels if given, else
-    read through thresholds._kernel, which quadrature.memo() keeps. Otherwise
-    it is summed over split_at_kinks's sub-pieces in shock order: a saturated
-    one adds its shock mass times lambda(r) - level, one between kinks its
-    kernels, integrated afresh.
+def _stretches(params, lo, hi, config, kernels=None, v=None):
+    """[lo, hi] in the race _race(params, v), cut by split_at_kinks (uncut
+    where the win map stays inside [0, 1]), as (x, y, level, gap) in shock
+    order. Where the map sits at level 0.0 or 1.0, gap is None. Elsewhere
+    level is None and gap, the integral of lambda(r) less the map against
+    the shock, is c (r R - (1-r) L), with L and R the race's kernels over the
+    stretch: for an uncut piece kernels if given, else read through
+    thresholds._kernel, which quadrature.memo() keeps; between kinks
+    integrated afresh.
     """
     r, taste, shock = params.r, params.taste, params.shock
     c, kL, kR = _race(params, v)
     pieces = split_at_kinks(params, lo, hi, v)
-    if not pieces:
-        L, R = kernels or (
-            _kernel(*kL, taste, shock, lo, hi, config), _kernel(*kR, taste, shock, lo, hi, config)
-        )
-        return c * (r * R - (1.0 - r) * L)
-    lam_r = lambda_win(r, params.mu)
-    gap = 0.0
-    for x, y, level in pieces:
+    stretches = []
+    for x, y, level in pieces or ((lo, hi, None),):
+        gap = None
         if level is None:
-            L, R = (_kernel(*k, taste, shock, x, y, config, keep=False) for k in (kL, kR))
-            gap += c * (r * R - (1.0 - r) * L)
+            L, R = (kernels if kernels and not pieces else
+                    [_kernel(*k, taste, shock, x, y, config, keep=not pieces) for k in (kL, kR)])
+            gap = c * (r * R - (1.0 - r) * L)
+        stretches.append((x, y, level, gap))
+    return stretches
+
+
+def _gap(params, lo, hi, config, kernels=None, v=None):
+    """Integral of lambda(r) less the race's win map, saturated into [0, 1],
+    against the shock over the piece [lo, hi].
+
+    The gaps of its _stretches, summed in shock order; a saturated stretch
+    adds its shock mass times lambda(r) - level.
+    """
+    lam_r = lambda_win(params.r, params.mu)
+    gap = 0.0
+    for x, y, level, stretch_gap in _stretches(params, lo, hi, config, kernels, v):
+        if level is None:
+            gap += stretch_gap
         else:
-            g_x, g_y = cdf_ends(shock.cdf, x, y)
+            g_x, g_y = cdf_ends(params.shock.cdf, x, y)
             gap += (lam_r - level) * (g_y - g_x)
     return gap
+
+
+def _wins(params, lo, hi, config):
+    """(Right's, Left's) probability of winning with the shock in [lo, hi],
+    positions diverged there.
+
+    Summed over the piece's _stretches: one with a gap gives Right its shock
+    mass times lambda(r) less the gap, and Left the mass times 1 - lambda(r)
+    plus it; one saturated at level gives them mass * level and
+    mass * (1 - level), exactly, so a piece wholly saturated at 0 gives Right
+    0.0 and Left its mass. Right's sum is win_given_diverged's up to rounding.
+    """
+    lam_r = lambda_win(params.r, params.mu)
+    right = left = 0.0
+    for x, y, level, gap in _stretches(params, lo, hi, config):
+        g_x, g_y = cdf_ends(params.shock.cdf, x, y)
+        mass = g_y - g_x
+        if level is None:
+            right += mass * lam_r - gap
+            left += mass * (1.0 - lam_r) + gap
+        else:
+            right += mass * level
+            left += mass * (1.0 - level)
+    return right, left
 
 
 def win_given_diverged(

@@ -56,9 +56,6 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-# Tail mass discarded when an improper integral is truncated to quantiles.
-TRUNCATION_TAIL = 1e-12
-
 # QUADPACK dqk15 on [-1, 1], one row per Kronrod abscissa x >= 0 (x > 0
 # stands for the pair +-x): (x, K15 weight, G7 weight), the G7 weight being 0
 # where x is not also a Gauss abscissa.
@@ -134,11 +131,11 @@ def integrate(f, a, b, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
 def shock_bounds(shock, lo=None, hi=None):
     """Truncation bounds for integrals weighted by the shock density.
 
-    Improper limits are replaced by the 1e-12 / 1 - 1e-12 quantiles; finite
-    piece boundaries are clipped into that window.
+    Improper limits are replaced by the 1e-12 / 1 - 1e-12 quantiles, the
+    shock's truncation_window, computed once per shock; finite piece
+    boundaries are clipped into that window.
     """
-    qlo = shock.quantile(TRUNCATION_TAIL)
-    qhi = shock.quantile(1.0 - TRUNCATION_TAIL)
+    qlo, qhi = shock.truncation_window
     a = qlo if lo is None else min(max(float(lo), qlo), qhi)
     b = qhi if hi is None else min(max(float(hi), qlo), qhi)
     return a, b

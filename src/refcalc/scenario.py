@@ -69,7 +69,11 @@ def _real(obj: dict, key: str, path: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # JSON integers have no size limit; float() overflows past its range.
+        raise ScenarioError(f"{path}.{key} must be a finite number, got {value!r}") from None
 
 
 def _distribution(obj: dict, key: str, path: str) -> DistributionSpec:

@@ -173,6 +173,17 @@ def test_eval_integrates_each_win_probability_once(tmp_path, capsys, monkeypatch
     assert sorted(regime.value for regime in calls) == ["no_referendum", "non_binding"]
 
 
+def test_eval_second_delta_is_exactly_zero_where_both_tails_saturate(tmp_path, capsys):
+    # The snapshot's eval_saturated: a non-binding referendum changes only
+    # the two tails, where the win map sits at 0 and at 1, so the delta is
+    # 0, whatever the rounding of the two printed levels.
+    scn = _dump(tmp_path, "sat.json", _scenario_a(regime="non_binding", mu=0.9, r=0.52))
+    out = tmp_path / "eval.csv"
+    assert main(["eval", scn, "--out", str(out)]) == 0
+    assert dict(_read_csv(out)[1])["congruence_second_delta"] == "0"
+    assert "congruence_second_delta            ΔP         0\n" in capsys.readouterr().out
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="r_bind is the kernel ratio, not the sign change of net_benefit, "
@@ -208,6 +219,14 @@ def test_scenario_without_a_shock_exits_2(tmp_path, capsys):
     assert main(["eval", path]) == 2
     assert capsys.readouterr().err == (
         f'scenario error: missing required key "shock" at {path}\n'
+    )
+
+
+def test_a_json_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    scn = _dump(tmp_path, "huge.json", _scenario_a(r=10**400))
+    assert main(["eval", scn]) == 2
+    assert capsys.readouterr().err == (
+        f"scenario error: {scn}.r must be a finite number, got {10**400}\n"
     )
 
 

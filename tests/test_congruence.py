@@ -1,6 +1,7 @@
 """Congruence between implemented policy and the policy-voter majority."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,14 +9,16 @@ import pytest
 from refcalc.congruence import (
     KNIFE_EDGE_FLAG,
     classify_congruence_region,
+    second_delta,
     second_issue_congruence,
     traditional_delta,
     traditional_issue_congruence,
     traditional_report,
 )
-from refcalc.election import net_benefit, win_prob
+from refcalc.election import net_benefit, split_at_kinks, win_prob
 from refcalc.errors import InvalidParamsError, UsageError
-from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
+from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, competitive_band
+from refcalc.quadrature import DEFAULT_QUADRATURE, memo
 
 BINDING = ReferendumRegime.BINDING
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -114,20 +117,24 @@ def test_traditional_report_on_held_win_probabilities_is_the_integrated_one(
 ):
     params = replace(scenario_a, r=r)
     wp_no, wp_with = win_prob(params, NO_REF), win_prob(params, regime)
-    assert traditional_report(r, regime, wp_no, wp_with) == (
+    gain = net_benefit(params, regime)
+    assert traditional_report(r, regime, wp_no, wp_with, gain) == (
         traditional_issue_congruence(params, regime)
     )
 
 
 def test_traditional_report_tracks_the_majority_party():
-    left = traditional_report(0.4, BINDING, 0.25, 0.5)
-    assert (left.prob_no_ref, left.prob_with_ref, left.delta) == (0.75, 0.5, -0.25)
-    right = traditional_report(0.6, BINDING, 0.25, 0.5)
-    assert (right.prob_no_ref, right.prob_with_ref, right.delta) == (0.25, 0.5, 0.25)
+    # The delta is the gain, signed by the majority, not wp_with - wp_no.
+    left = traditional_report(0.4, BINDING, 0.25, 0.5, 0.125)
+    assert (left.prob_no_ref, left.prob_with_ref, left.delta) == (0.75, 0.5, -0.125)
+    right = traditional_report(0.6, BINDING, 0.25, 0.5, 0.125)
+    assert (right.prob_no_ref, right.prob_with_ref, right.delta) == (0.25, 0.5, 0.125)
     assert left.flags == right.flags == ()
-    tied = traditional_report(0.5, BINDING, 0.25, 0.5)
+    tied = traditional_report(0.5, BINDING, 0.25, 0.5, 0.125)
     assert (tied.prob_no_ref, tied.prob_with_ref, tied.delta) == (0.25, 0.5, None)
     assert tied.flags == (KNIFE_EDGE_FLAG,)
+    # Left's delta of a zero gain is +0.0, which prints as 0, not -0.
+    assert str(traditional_report(0.4, BINDING, 0.25, 0.25, 0.0).delta) == "0.0"
 
 
 def test_traditional_delta_validates_on_the_knife_edge(scenario_a):
@@ -165,3 +172,80 @@ def test_region_map_flags_match_deltas(scenario_a):
     match = [c for c in cells if c.b_R == 0.2 and c.r == 0.55][0]
     assert match.delta_second == pytest.approx(direct2, abs=1e-12)
     assert match.delta_traditional == pytest.approx(directt, abs=1e-12)
+
+
+# Both congruence deltas are sums of a handful of integrals, each accepted
+# within the declared absolute tolerance at scale 1, so an identity that is
+# exact in exact arithmetic holds within a small multiple of it.
+DELTA_BOUND = 10 * DEFAULT_QUADRATURE.abs_tol
+
+
+def _mirror(params):
+    """The party mirror: r -> 1 - r and (b_L, b_R) -> (-b_R, -b_L). With a
+    symmetric shock and taste it swaps the parties, y=0 with y=1 and the
+    shock with its negative, so neither issue's congruence moves."""
+    return replace(params, r=1.0 - params.r, b_L=-params.b_R, b_R=-params.b_L)
+
+
+def _diverged_draws(n, seed=26):
+    # Diverged starts (b_L < 0 < b_R, so the mirror is one too), with normal
+    # and logistic taste and mu up to 0.9, where the win map saturates.
+    rng = random.Random(seed)
+    draws = []
+    for i in range(n):
+        mu = rng.uniform(0.2, 0.9)
+        lo, hi = competitive_band(mu)
+        draws.append(ElectorateParams(
+            r=rng.uniform(max(lo, 0.05), min(hi, 0.95)), mu=mu, p=rng.uniform(0.05, 1.0),
+            b_L=-rng.uniform(0.05, 1.0), b_R=rng.uniform(0.05, 1.0),
+            taste=DistributionSpec(("normal", "logistic")[i % 2], rng.uniform(0.1, 1.0)),
+            shock=DistributionSpec("normal", rng.uniform(0.1, 0.8)),
+        ))
+    return draws
+
+
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+@pytest.mark.parametrize("params", _diverged_draws(16))
+def test_both_deltas_are_invariant_under_the_party_mirror(params, regime):
+    deltas = []
+    for electorate in (params, _mirror(params)):
+        with memo():
+            deltas.append((
+                second_delta(electorate, regime), traditional_delta(electorate, regime)))
+    (second, trad), (second_m, trad_m) = deltas
+    assert abs(second - second_m) <= DELTA_BOUND
+    assert abs(trad - trad_m) <= DELTA_BOUND
+
+
+def test_the_mirror_draws_reach_the_saturated_win_map():
+    # The draws above would not test the kinks' mirror if none saturated.
+    saturated = [p for p in _diverged_draws(16) if split_at_kinks(p, None, None)]
+    assert len(saturated) >= 5
+
+
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+@pytest.mark.parametrize("b_R", [0.3, -0.1], ids=["diverged", "aligned"])
+@pytest.mark.parametrize("mu, r", [(0.5, 0.45), (0.9, 0.52)], ids=["interior", "saturated"])
+def test_each_delta_is_the_difference_of_its_report_levels(scenario_a, regime, b_R, mu, r):
+    # One point per (regime, start) branch of the changed pieces, each also
+    # where the win map saturates.
+    params = replace(scenario_a, b_R=b_R, mu=mu, r=r)
+    second = second_issue_congruence(params, regime)
+    trad = traditional_issue_congruence(params, regime)
+    assert second.delta == second_delta(params, regime)
+    assert trad.delta == traditional_delta(params, regime)
+    assert abs(second.delta - (second.prob_with_ref - second.prob_no_ref)) <= DELTA_BOUND
+    assert abs(trad.delta - (trad.prob_with_ref - trad.prob_no_ref)) <= DELTA_BOUND
+
+
+def test_second_delta_is_exactly_zero_where_both_tails_saturate(scenario_a):
+    # A non-binding referendum changes only the tails of this diverged start.
+    # At mu = 0.9 the win map sits at 0 on the whole left tail and at 1 on
+    # the whole right one, so the majority's party wins there with the
+    # referendum or without it: the delta is 0.0, not rounding noise whose
+    # sign the region flag would read.
+    params = replace(scenario_a, mu=0.9, r=0.52)
+    assert split_at_kinks(params, None, -0.3) == ((None, -0.3, 0.0),)
+    assert split_at_kinks(params, 0.5, None) == ((0.5, None, 1.0),)
+    assert second_issue_congruence(params, NON_BINDING).delta == 0.0
+    assert second_delta(params, NON_BINDING) == 0.0

@@ -2,12 +2,12 @@
 
 The CLI runs every command inside quadrature.memo(), where the cohesion
 kernels, and only they, are looked up before they are integrated; the
-thresholds and the two-party win integrals read them alike. Keys
-compare by ==, so 0.0 and -0.0 share one. These tests pin what that may and
-may not change: each distinct kernel is integrated once per command, the
-memo stores nothing else, every value is the very double computed outside
-the memo (at either zero), nothing survives the command, and a failure is
-never stored.
+thresholds, the two-party win integrals and the congruence deltas read them
+alike. Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what
+that may and may not change: each distinct kernel is integrated once per
+command, the memo stores nothing else, every value is the very double
+computed outside the memo (at either zero), nothing survives the command,
+and a failure is never stored.
 """
 
 from __future__ import annotations
@@ -114,14 +114,14 @@ def test_each_distinct_integral_is_integrated_once_per_command(
     if command == "sweep_r":
         # No kernel depends on r. L and R over the whole line (r_bind's),
         # over both tails (r_star_star's) and over the split piece
-        # [-b_R, -b_L] are computed at the first grid point only; win_prob,
-        # net_benefit and delta_traditional read nothing else. Only
-        # delta_second's pair over [-b_R, gamma_star], which moves with r,
-        # is integrated at every point, outside the memo.
+        # [-b_R, -b_L] are computed at the first grid point only, and every
+        # quantity reads nothing else: delta_second sums over the two tails,
+        # which lie on either side of gamma_star, so no kernel pair over
+        # [-b_R, gamma_star] is integrated outside the memo.
         pieces = {key[5:7] for key in table}
         assert pieces == {(None, None), (None, -0.3), (-0.3, 0.5), (0.5, None)}
         assert len(table) == 8
-        assert tally.integrals - tally.integrals_in_compute == 41 * 2
+        assert tally.integrals - tally.integrals_in_compute == 0
     else:
         # r_bind's L does not involve b_R: one for all 50 diverged rows.
         assert sum(key[0] == "L" and key[5:7] == (None, None) for key in table) == 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +116,30 @@ def test_shock_bounds_clip():
     a, b = shock_bounds(shock, -100.0, 0.2)
     assert a == lo
     assert b == 0.2
+
+
+def test_shock_bounds_reads_each_shocks_window_once(monkeypatch):
+    # The window is the two tail quantiles, computed at the first call and
+    # kept on the spec; a spec with another scale computes its own, and
+    # equality and hashing ignore the kept window.
+    calls = []
+    quantile = DistributionSpec.quantile
+
+    def counted(self, q):
+        calls.append(q)
+        return quantile(self, q)
+
+    monkeypatch.setattr(DistributionSpec, "quantile", counted)
+    shock = DistributionSpec("normal", 0.5)
+    window = shock_bounds(shock)
+    assert window == (quantile(shock, 1e-12), quantile(shock, 1.0 - 1e-12))
+    assert shock_bounds(shock, -100.0, 0.2) == (window[0], 0.2)
+    assert len(calls) == 2
+    wider = replace(shock, scale=1.0)
+    assert shock_bounds(wider) == (quantile(wider, 1e-12), quantile(wider, 1.0 - 1e-12))
+    assert len(calls) == 4
+    assert shock == DistributionSpec("normal", 0.5)
+    assert hash(shock) == hash(DistributionSpec("normal", 0.5))
 
 
 def test_integrate_shock_total_mass():

@@ -92,6 +92,21 @@ def test_type_errors_are_scenario_errors():
         parse_scenario(data)
 
 
+# JSON integers have no size limit; float() of this one overflows.
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("path, extra", [
+    ("r", {"r": _HUGE}),
+    ("shock.scale", {"shock": {"family": "normal", "scale": _HUGE}}),
+    ("quadrature.abs_tol", {"quadrature": {"abs_tol": _HUGE}}),
+])
+def test_a_json_integer_beyond_the_float_range_is_a_scenario_error(path, extra):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({**_minimal(), **extra}, source="scn.json")
+    assert str(exc.value) == f"scn.json.{path} must be a finite number, got {_HUGE}"
+
+
 def test_invalid_params_surface_as_invalid_params_error():
     with pytest.raises(InvalidParamsError):
         parse_scenario({**_minimal(), "b_L": 0.5})

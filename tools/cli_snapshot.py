@@ -4,7 +4,7 @@
 
 Writes the benchmark's diverged, spoiler and turnout scenarios, read from
 perfbench/workloads.py, into OUTDIR (also with the two oracle sizes as sim
-blocks, each validated at SEED and SECOND_SEED), and the EVAL_ONLY
+blocks, each validated at SEED and SECOND_SEED), and the EVALUATED
 scenarios, then runs every command in COMMANDS as
 `python -m refcalc.cli` with OUTDIR as its working directory. Paths are
 relative to OUTDIR, so what a command prints does not depend on where OUTDIR
@@ -42,17 +42,22 @@ SEED = "5"
 SECOND_SEED = "6"
 
 SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNOUT}
-# Evaluated only: the diverged scenario on the r = 1/2 knife edge, where the
-# traditional delta is empty; the diverged scenario at mu = 0.9, where the
-# win map saturates and the win integrals split at its kinks; the spoiler
-# scenario there, whose net benefit subtracts the split two-party gap; two
-# saturating spoiler electorates, one whose kinks a clipped-map quadrature
-# missed by 4.8e-7 and one with a narrow taste under a wide shock, where the
-# spoiler map's slope underflows away from its kernels' centres; one whose
-# cohesion kernels both underflow to 0, so r_bind has no root; and two sim
-# blocks the loader rejects with exit 2, one with a non-boolean agent_level
-# and one with the unknown key continuum_tally.
-EVAL_ONLY = {
+# Evaluated, and the first two also swept: the diverged scenario under a
+# binding referendum and at b_R = -0.1 (an aligned start), whose congruence
+# deltas take the pieces around gamma_star; the diverged scenario on the
+# r = 1/2 knife edge, where the traditional delta is empty; the diverged
+# scenario at mu = 0.9, where the win map saturates and the win integrals
+# split at its kinks; the spoiler scenario there, whose net benefit
+# subtracts the split two-party gap; two saturating spoiler electorates, one
+# whose kinks a clipped-map quadrature missed by 4.8e-7 and one with a narrow
+# taste under a wide shock, where the spoiler map's slope underflows away
+# from its kernels' centres; one whose cohesion kernels both underflow to 0,
+# so r_bind has no root; and two sim blocks the loader rejects with exit 2,
+# one with a non-boolean agent_level and one with the unknown key
+# continuum_tally.
+EVALUATED = {
+    "binding": {**wl.DIVERGED, "regime": "binding"},
+    "aligned": {**wl.DIVERGED, "b_R": -0.1},
     "knife_edge": {**wl.DIVERGED, "r": 0.5},
     "saturated": {**wl.DIVERGED, "mu": 0.9, "r": 0.52},
     "spoiler_saturated": {**wl.SPOILER, "mu": 0.9, "r": 0.52},
@@ -88,11 +93,18 @@ def _sweep(scenario, var, lo, hi, steps, quantities, *extra):
 
 
 def _commands():
-    yield from ((f"eval_{name}", ["eval", f"{name}.json"]) for name in (*SCENARIOS, *EVAL_ONLY))
+    yield from ((f"eval_{name}", ["eval", f"{name}.json"]) for name in (*SCENARIOS, *EVALUATED))
     yield "sweep_r", _sweep("diverged", "r", "0.3", "0.6", 41, wl.SWEEP_QUANTITIES)
     b_R = ("diverged", "b_R", "-0.4", "0.4", 17, (*wl.SWEEP_QUANTITIES, "r_star"))
     yield "sweep_b_R", _sweep(*b_R)
     yield "sweep_b_R_threads2", _sweep(*b_R, "--threads", "2")
+    # Both congruence deltas where the referendum moves the pieces around
+    # gamma_star: a binding referendum, and an aligned start up to mu = 0.9,
+    # where the win map saturates.
+    yield "sweep_r_binding", _sweep(
+        "binding", "r", "0.3", "0.6", 13, ("delta_second", "delta_traditional", "net_benefit"))
+    yield "sweep_aligned_mu", _sweep(
+        "aligned", "mu", "0.3", "0.9", 13, ("delta_second", "delta_traditional"))
     yield "sweep_spoiler_r", _sweep(
         "spoiler", "r", "0.3", "0.6", 13, ("win_prob", "net_benefit", "phi", "net_benefit_third"))
     yield "sweep_turnout_r", _sweep(
@@ -130,7 +142,7 @@ def snapshot(outdir: Path, src: Path) -> int:
     commands that did not exit as expected plus the number of NAME_threads2
     streams that differ from NAME's."""
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, spec in {**SCENARIOS, **EVAL_ONLY}.items():
+    for name, spec in {**SCENARIOS, **EVALUATED}.items():
         (outdir / f"{name}.json").write_text(json.dumps(spec))
     for name, spec in SCENARIOS.items():
         for engine, sim in (("counts", COUNTS), ("agents", AGENTS)):
