@@ -12,6 +12,7 @@ from .congruence import (
     classify_congruence_region,
     second_delta,
     second_issue_congruence,
+    second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
     traditional_report,

@@ -37,6 +37,7 @@ from .congruence import (
     classify_congruence_region,
     second_delta,
     second_issue_congruence,
+    second_issue_levels,
     traditional_delta,
     traditional_report,
 )
@@ -410,9 +411,9 @@ def _validate_checks(scenario: Scenario):
     p, quad, sim_cfg = scenario.params, scenario.quadrature, scenario.sim
     regime = scenario.regime
     held = regime is not NO_REFERENDUM
-    # Without a referendum only prob_no_ref is used, and it is the same
-    # under either held regime.
-    second = second_issue_congruence(p, regime if held else BINDING, quad)
+    # Without a referendum only the level without it is used, and it is the
+    # same under either held regime.
+    second_no_ref, second_with_ref = second_issue_levels(p, regime if held else BINDING, quad)
     runs = [(p, reg) for reg in ((NO_REFERENDUM, regime) if held else (NO_REFERENDUM,))]
     if scenario.third is not None:
         runs += [(scenario.third, reg) for reg in REGIMES["third_party"]]
@@ -425,7 +426,7 @@ def _validate_checks(scenario: Scenario):
             checks.append((
                 f"win_prob_{reg.value}", win_prob(p, reg, quad), res.win_freq_R, res.se_win_R,
             ))
-            cong = second.prob_no_ref if reg is NO_REFERENDUM else second.prob_with_ref
+            cong = second_no_ref if reg is NO_REFERENDUM else second_with_ref
             checks.append((
                 f"congruence_y_{reg.value}", cong, res.congruence_y, res.se_congruence_y,
             ))

@@ -6,11 +6,26 @@ majority of policy voters prefers, with and without a referendum, and the
 delta between the two. Holding a referendum can move congruence in either
 direction; the region classifier maps out where it falls on each issue.
 
-Each delta comes from what the referendum changes, so it may differ from
-the difference of the two levels in the last digit: second_delta sums the
-congruence with the referendum less without it over the shock pieces whose
-positions the regime changes, and traditional_delta is Right's net
-benefit, signed by the traditional majority.
+Both deltas come from one core, _deltas, which reads the race once on each
+shock piece whose positions the regime changes (election._wins) and takes
+both deltas from those reads, so each may differ from the difference of the
+two levels in the last digit. With W Right's win integral over a piece, G the
+shock cdf and gamma* the pivotal shock, each (regime, start) branch reads:
+
+* non-binding, diverged start (b_R >= 0): the two tails, where the parties
+  move to the majority's side; delta_second is W below -b_R plus the mass
+  less W above -b_L, with neither gamma* nor a fresh kernel;
+* non-binding, aligned start: the split piece [-b_R, -b_L] and
+  [-b_R, gamma*], over the fresh kernel pair; delta_second is
+  1 - G(-b_L) + W[-b_R, -b_L] - 2 W[-b_R, gamma*];
+* binding, diverged start: the whole line and (-inf, gamma*]; delta_second
+  is 1 - (G(gamma*) - 2 W(-inf, gamma*] + W);
+* binding, aligned start: nothing; delta_second is 1 - G(gamma*).
+
+delta_traditional is Right's net benefit, signed by the traditional
+majority: the gaps of the same reads, the doubles net_benefit sums, in its
+order. traditional_delta computes it from net_benefit alone, so a caller that
+wants only it pays no gamma*.
 
 Majority conventions. On the emerging issue the majority preference flips at
 the pivotal shock gamma_star; the zero-measure boundary point is counted on
@@ -23,14 +38,12 @@ traditional_delta, is None instead of picking a convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 
-from .election import _gap, _wins, lambda_win, net_benefit, win_given_diverged, win_prob
+from .election import _wins, net_benefit, win_given_diverged, win_prob
 from .model import (
     ElectorateParams,
     ReferendumRegime,
     cdf_ends,
-    initial_positions,
     require_regime,
     require_valid,
     shock_pieces,
@@ -68,54 +81,60 @@ def knife_edge(r: float) -> bool:
     return r == 0.5
 
 
+def _once(compute):
+    # compute(), called at the first call only; every call returns its value.
+    kept = []
+
+    def value():
+        if not kept:
+            kept.append(compute())
+        return kept[0]
+
+    return value
+
+
 def _pivot(params, config):
     """(gs, fresh): gs() is gamma_star and fresh() the kernels L and R over
     [-b_R, gamma_star], the one pair whose piece moves with r; each is
     computed when first called, and once."""
-    gs = cache(lambda: gamma_star(params).value)
-    fresh = cache(lambda: _fresh_kernels(
+    gs = _once(lambda: gamma_star(params).value)
+    fresh = _once(lambda: _fresh_kernels(
         params.b_L, params.b_R, params.p, params.taste, params.shock, -params.b_R, gs(), config
     ))
     return gs, fresh
 
 
+def _win_below(params, lo, gs, fresh, config):
+    # Right's win over [lo, gamma_star], lo -b_R or -inf: the fresh kernel
+    # pair over [-b_R, gamma_star], plus the left tail's kept pair from -inf.
+    fresh_L, fresh_R = fresh()
+    if lo is None:
+        tail = shock_pieces(params.b_L, params.b_R, ReferendumRegime.NON_BINDING)[:1]
+        L, R = _kernels(params.b_L, params.b_R, params.p, params.taste, params.shock, tail, config)
+        fresh_L, fresh_R = L + fresh_L, R + fresh_R
+    return _wins(params, lo, gs(), config, (fresh_L, fresh_R))[0]
+
+
 def _congruent(params, pieces, gs, fresh, config):
     # P(the implemented emerging policy is the majority's, y=1 iff the shock
-    # is at least gamma_star, and the shock lies in one of pieces), entries
-    # (lo, hi, positions) of model.shock_pieces. gamma_star lies strictly
-    # inside (-b_R, -b_L), so a piece that ends by -b_R lies below it and one
-    # that starts at -b_L above it; only a piece across that interval calls
-    # gs() and fresh() (_pivot).
+    # is at least gamma_star), summed over pieces, one regime's
+    # model.shock_pieces. gamma_star lies strictly inside (-b_R, -b_L), so a
+    # piece that ends by -b_R lies below it and one that starts at -b_L
+    # above it; the parties split only across it.
     G = params.shock.cdf
     total = 0.0
     for lo, hi, positions in pieces:
-        below = hi is not None and hi <= -params.b_R
-        above = lo is not None and lo >= -params.b_L
-        if positions.diverged and (below or above):
-            # Left (y=0) must win below gamma_star, Right (y=1) above it.
-            right, left = _wins(params, lo, hi, config)
-            total = total + (left if below else right)
-            continue
         if positions.diverged:
-            # gamma_star lies inside the split piece: Left must win below
-            # it, Right above it. With W the win integral over a piece, that
-            # is mass[lo, gs] - W[lo, gs] + W[gs, hi], where
-            # W[gs, hi] = W[lo, hi] - W[lo, gs]. The piece starts at -b_R or
-            # at -inf; there the kernels over [lo, gs] add the left tail's.
-            tail = shock_pieces(params.b_L, params.b_R, ReferendumRegime.NON_BINDING)[:1]
-            L, R = _kernels(
-                params.b_L, params.b_R, params.p, params.taste, params.shock,
-                tail if lo is None else (), config,
-            )
-            fresh_L, fresh_R = fresh()
+            # Left must win below gamma_star, Right above it: with W the win
+            # integral over a piece, mass[lo, gs] - 2 W[lo, gs] + W[lo, hi].
             g_lo, g_gs = cdf_ends(G, lo, gs())
-            w_below = (g_gs - g_lo) * lambda_win(params.r, params.mu) - _gap(
-                params, lo, gs(), config, (L + fresh_L, R + fresh_R)
-            )
+            w_below = _win_below(params, lo, gs, fresh, config)
             total = total + g_gs - g_lo - 2.0 * w_below + win_given_diverged(params, lo, hi, config)
             continue
         # Aligned at y: congruent where the majority wants y; a binding
         # majority is always wanted.
+        below = hi is not None and hi <= -params.b_R
+        above = lo is not None and lo >= -params.b_L
         y = positions.y_left
         if below or above:
             if y != (1 if above else 0):
@@ -129,19 +148,41 @@ def _congruent(params, pieces, gs, fresh, config):
     return total
 
 
-def _second_delta(params, regime, gs, fresh, config):
-    # The congruence with the referendum less without it, summed piece by
-    # piece over the regime's shock pieces whose positions differ from the
-    # initial ones. Per piece, so a piece whose two terms are the same
-    # double, such as a tail where the win map is saturated, adds 0.0.
-    initial = initial_positions(params)
-    delta = 0.0
-    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
-        if positions != initial:
-            delta += _congruent(params, ((lo, hi, positions),), gs, fresh, config) - _congruent(
-                params, ((lo, hi, initial),), gs, fresh, config
-            )
-    return delta
+def _levels(params, regime, gs, fresh, config):
+    # (prob_no_ref, prob_with_ref) of the emerging issue.
+    return tuple(
+        _congruent(params, shock_pieces(params.b_L, params.b_R, reg), gs, fresh, config)
+        for reg in (ReferendumRegime.NO_REFERENDUM, regime)
+    )
+
+
+def _deltas(params, regime, gs, fresh, config):
+    # (delta_second, delta_traditional), validated once, from one _wins read
+    # of each piece whose positions the regime changes; the module docstring
+    # lists each branch's pieces. Only the branches that split the parties
+    # across gamma_star call fresh(), and only they and an aligned start
+    # under binding call gs() (_pivot). The traditional gain is summed as
+    # net_benefit sums its moved pieces, from 0.0, so it is net_benefit's
+    # double.
+    require_valid(params)
+    require_regime(regime, "post_referendum")
+    b_L, b_R, G = params.b_L, params.b_R, params.shock.cdf
+    if regime is ReferendumRegime.NON_BINDING and b_R >= 0:
+        w_left, gap_left = _wins(params, None, -b_R, config)
+        w_right, gap_right = _wins(params, -b_L, None, config)
+        second = w_left + (1.0 - G(-b_L) - w_right)
+        gain = 0.0 + gap_left + gap_right
+    elif regime is ReferendumRegime.NON_BINDING:
+        w_split, gap_split = _wins(params, -b_R, -b_L, config)
+        second = 1.0 - G(-b_L) + w_split - 2.0 * _win_below(params, -b_R, gs, fresh, config)
+        gain = 0.0 - gap_split
+    elif b_R >= 0:
+        w_line, gap_line = _wins(params, None, None, config)
+        second = 1.0 - (G(gs()) - 2.0 * _win_below(params, None, gs, fresh, config) + w_line)
+        gain = 0.0 + gap_line
+    else:
+        second, gain = 1.0 - G(gs()), 0.0
+    return second, _majority_delta(params.r, gain)
 
 
 def second_delta(
@@ -151,16 +192,27 @@ def second_delta(
 ) -> float:
     """second_issue_congruence's delta, without its levels.
 
-    From a diverged start (b_R >= 0) a non-binding referendum changes only
-    the tails: the delta is Right's win below -b_R plus Left's win above
-    -b_L, with neither gamma_star nor a kernel quadrature.memo() does not
-    keep. Only a regime that splits the parties across gamma_star (binding
-    from a diverged start, non-binding from an aligned one) needs the fresh
-    kernel pair over [-b_R, gamma_star].
+    The first half of _deltas: it reads the race once on each piece whose
+    positions the regime changes (the module docstring lists them per
+    regime and start). From a diverged start (b_R >= 0) a non-binding
+    referendum changes only the tails, so it needs neither gamma_star nor a
+    kernel quadrature.memo() does not keep. Only a regime that splits the
+    parties across gamma_star (binding from a diverged start, non-binding
+    from an aligned one) needs the fresh kernel pair over [-b_R, gamma_star].
     """
+    return _deltas(params, regime, *_pivot(params, config), config)[0]
+
+
+def second_issue_levels(
+    params: ElectorateParams,
+    regime: ReferendumRegime,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> tuple[float, float]:
+    """second_issue_congruence's prob_no_ref and prob_with_ref, without its
+    delta, for a caller that prints only the levels."""
     require_valid(params)
     require_regime(regime, "post_referendum")
-    return _second_delta(params, regime, *_pivot(params, config), config)
+    return _levels(params, regime, *_pivot(params, config), config)
 
 
 def second_issue_congruence(
@@ -177,18 +229,12 @@ def second_issue_congruence(
     non-binding one realigns positions with the shock, which helps in the
     tails (both parties end up on the majority side) but still leaves the
     middle interval to the election, now with gamma_star interior to it.
-    The delta is second_delta's.
+    The delta is second_delta's; it and the levels share gamma_star and the
+    fresh kernel pair.
     """
-    require_valid(params)
-    require_regime(regime, "post_referendum")
     gs, fresh = _pivot(params, config)
-    no_ref = _congruent(
-        params, shock_pieces(params.b_L, params.b_R, ReferendumRegime.NO_REFERENDUM),
-        gs, fresh, config,
-    )
-    with_ref = _congruent(params, shock_pieces(params.b_L, params.b_R, regime), gs, fresh, config)
-    delta = _second_delta(params, regime, gs, fresh, config)
-    return CongruenceReport(ISSUE_SECOND, regime, no_ref, with_ref, delta)
+    delta = _deltas(params, regime, gs, fresh, config)[0]
+    return CongruenceReport(ISSUE_SECOND, regime, *_levels(params, regime, gs, fresh, config), delta)
 
 
 def traditional_issue_congruence(
@@ -288,13 +334,14 @@ def classify_congruence_region(
     Remaining primitives are taken from params. Cells are emitted row-major,
     b_R outer, r inner. Cells at exactly r = 1/2 get the knife_edge flag and
     an empty traditional delta rather than an arbitrary majority convention.
+    Both deltas of a cell come from one read of each moved piece (_deltas):
+    delta_second is second_delta's and delta_traditional traditional_delta's.
     """
     require_regime(regime, "post_referendum")
     cells = []
     for b_R in b_R_values:
         for r in r_values:
             cell_params = replace(params, b_R=float(b_R), r=float(r))
-            d2 = second_delta(cell_params, regime, config)
-            dt = traditional_delta(cell_params, regime, config)
+            d2, dt = _deltas(cell_params, regime, *_pivot(cell_params, config), config)
             cells.append(RegionCell(float(b_R), float(r), d2, dt, _region_flag(d2, dt)))
     return cells

@@ -22,10 +22,11 @@ module: over a shock piece the gap lambda(r) - lambda is affine in them
 quantities read the kernels the thresholds integrate, once per command
 within quadrature.memo(). Where the map saturates, the piece is split at its
 kinks (split_at_kinks, _stretches): the saturated sub-pieces are shock
-masses, and only those between kinks take fresh kernels. _wins, which the
-emerging-issue congruence delta reads, gives each side's win over a
-saturated sub-piece as its mass times the level or one less it, exactly, so
-a tail where one side always wins adds exactly 0 to that delta.
+masses, and only those between kinks take fresh kernels. _wins, which both
+congruence deltas read, gives Right's win and _gap's gap over a piece from
+one read of its stretches; Right's win over a saturated sub-piece is its
+mass times the level, exactly, so a tail where one side always wins adds
+exactly 0 to the emerging-issue delta.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _stretches(params, lo, hi, config, kernels=None, v=None):
     return stretches
 
 
-def _gap(params, lo, hi, config, kernels=None, v=None):
+def _gap(params, lo, hi, config, v=None):
     """Integral of lambda(r) less the race's win map, saturated into [0, 1],
     against the shock over the piece [lo, hi].
 
@@ -190,7 +191,7 @@ def _gap(params, lo, hi, config, kernels=None, v=None):
     """
     lam_r = lambda_win(params.r, params.mu)
     gap = 0.0
-    for x, y, level, stretch_gap in _stretches(params, lo, hi, config, kernels, v):
+    for x, y, level, stretch_gap in _stretches(params, lo, hi, config, v=v):
         if level is None:
             gap += stretch_gap
         else:
@@ -199,28 +200,29 @@ def _gap(params, lo, hi, config, kernels=None, v=None):
     return gap
 
 
-def _wins(params, lo, hi, config):
-    """(Right's, Left's) probability of winning with the shock in [lo, hi],
-    positions diverged there.
+def _wins(params, lo, hi, config, kernels=None):
+    """(W, gap): Right's probability of winning with the shock in [lo, hi],
+    positions diverged there, and _gap's gap over the piece, from one read
+    of its _stretches (kernels as there).
 
-    Summed over the piece's _stretches: one with a gap gives Right its shock
-    mass times lambda(r) less the gap, and Left the mass times 1 - lambda(r)
-    plus it; one saturated at level gives them mass * level and
-    mass * (1 - level), exactly, so a piece wholly saturated at 0 gives Right
-    0.0 and Left its mass. Right's sum is win_given_diverged's up to rounding.
+    A stretch with a gap gives Right its shock mass times lambda(r) less the
+    gap; one saturated at level gives Right mass * level, exactly, so a piece
+    wholly saturated at 0 gives 0.0 and one at 1 its mass. W is
+    win_given_diverged's up to rounding; gap is _gap's double, the same terms
+    summed in the same order.
     """
     lam_r = lambda_win(params.r, params.mu)
-    right = left = 0.0
-    for x, y, level, gap in _stretches(params, lo, hi, config):
+    right = gap = 0.0
+    for x, y, level, stretch_gap in _stretches(params, lo, hi, config, kernels):
         g_x, g_y = cdf_ends(params.shock.cdf, x, y)
         mass = g_y - g_x
         if level is None:
-            right += mass * lam_r - gap
-            left += mass * (1.0 - lam_r) + gap
+            right += mass * lam_r - stretch_gap
+            gap += stretch_gap
         else:
             right += mass * level
-            left += mass * (1.0 - level)
-    return right, left
+            gap += (lam_r - level) * mass
+    return right, gap
 
 
 def win_given_diverged(

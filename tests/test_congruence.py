@@ -8,9 +8,11 @@ import pytest
 
 from refcalc.congruence import (
     KNIFE_EDGE_FLAG,
+    _region_flag,
     classify_congruence_region,
     second_delta,
     second_issue_congruence,
+    second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
     traditional_report,
@@ -249,3 +251,47 @@ def test_second_delta_is_exactly_zero_where_both_tails_saturate(scenario_a):
     assert split_at_kinks(params, 0.5, None) == ((0.5, None, 1.0),)
     assert second_issue_congruence(params, NON_BINDING).delta == 0.0
     assert second_delta(params, NON_BINDING) == 0.0
+
+
+# The region grid of the next two tests: b_R -0.1 is an aligned start and 0.3
+# a diverged one, and r lies below, at and above 1/2, so with both regimes
+# every (regime, start) branch of congruence._deltas is read.
+CORE_B_R, CORE_R = (-0.1, 0.3), (0.46, 0.5, 0.54)
+
+
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+@pytest.mark.parametrize("family", ["normal", "logistic"])
+@pytest.mark.parametrize("mu", [0.5, 0.7, 0.9], ids=["interior", "saturated_0.7", "saturated_0.9"])
+def test_each_region_cell_holds_its_reports_deltas(scenario_a, regime, family, mu):
+    params = replace(scenario_a, mu=mu, taste=DistributionSpec(family, 0.2))
+    cells = classify_congruence_region(params, CORE_B_R, CORE_R, regime)
+    assert [(c.b_R, c.r) for c in cells] == [(b_R, r) for b_R in CORE_B_R for r in CORE_R]
+    for cell in cells:
+        electorate = replace(params, b_R=cell.b_R, r=cell.r)
+        second = second_issue_congruence(electorate, regime)
+        assert abs(cell.delta_second - (second.prob_with_ref - second.prob_no_ref)) <= DELTA_BOUND
+        assert cell.delta_second == second.delta == second_delta(electorate, regime)
+        assert (second.prob_no_ref, second.prob_with_ref) == second_issue_levels(electorate, regime)
+        # The core's traditional half is traditional_delta's double.
+        assert (cell.delta_traditional is None) == (cell.r == 0.5)
+        assert cell.delta_traditional == traditional_delta(electorate, regime)
+        assert cell.region_flag == _region_flag(cell.delta_second, cell.delta_traditional)
+
+
+def test_the_region_cells_reach_the_saturated_win_map(scenario_a):
+    # Above mu = 1/2 the whole line and both tails of every cell above
+    # saturate; at 0.9 the aligned start's split piece [0.1, 0.5] does too.
+    for family in ("normal", "logistic"):
+        for mu in (0.5, 0.7, 0.9):
+            for b_R in CORE_B_R:
+                for r in CORE_R:
+                    params = replace(
+                        scenario_a, mu=mu, b_R=b_R, r=r, taste=DistributionSpec(family, 0.2))
+                    assert (
+                        bool(split_at_kinks(params, None, None))
+                        == bool(split_at_kinks(params, None, -b_R))
+                        == bool(split_at_kinks(params, 0.5, None))
+                        == (mu > 0.5)
+                    )
+                    if b_R < 0:
+                        assert bool(split_at_kinks(params, -b_R, 0.5)) == (mu == 0.9)

@@ -7,7 +7,9 @@ alike. Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what
 that may and may not change: each distinct kernel is integrated once per
 command, the memo stores nothing else, every value is the very double
 computed outside the memo (at either zero), nothing survives the command,
-and a failure is never stored.
+and a failure is never stored. Two counts pin what a command reads: figg
+reads each moved piece of a cell once, and validate integrates no delta it
+does not print.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import replace
 
 import pytest
 
-from refcalc import cli, quadrature, thresholds
+from refcalc import cli, congruence, election, quadrature, thresholds
 from refcalc.cli import main
-from refcalc.congruence import classify_congruence_region
+from refcalc.congruence import classify_congruence_region, second_delta, second_issue_levels
+from refcalc.election import win_prob
 from refcalc.errors import QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ReferendumRegime, moved_pieces
 from refcalc.quadrature import QuadratureConfig, memo
@@ -139,6 +142,48 @@ def test_consecutive_commands_do_the_same_work(tmp_path, capsys, monkeypatch):
         counts.append(tally.integrals - before)
     assert counts[0] == counts[1] > 0
     assert quadrature._memo.get() is None
+
+
+def test_figg_reads_each_moved_piece_once(tmp_path, monkeypatch):
+    # Every figg cell is an aligned start under non_binding: one read of the
+    # split piece [-b_R, -b_L] gives both deltas, and one of
+    # [-b_R, gamma_star] the rest of delta_second. net_benefit is not called.
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(election, "split_at_kinks")
+    counted(election, "net_benefit")
+    counted(congruence, "net_benefit")
+    assert main(["figure", "figg", "--out", str(tmp_path / "figg.csv")]) == 0
+    assert calls == {"split_at_kinks": 2 * 24 * 21}
+
+
+def test_validate_integrates_no_congruence_delta(tmp_path, monkeypatch):
+    # validate prints the emerging issue's congruence levels, not its delta.
+    # From this diverged start the delta reads the right tail's kernel pair,
+    # which neither level nor either win probability reads.
+    sim = {"n_policy_voters": 200, "n_replications": 20, "agent_level": False}
+    path = _dump(tmp_path, {**DIVERGED, "sim": sim})
+    scenario = load_scenario(path)
+    p, nb, quad = scenario.params, ReferendumRegime.NON_BINDING, scenario.quadrature
+    tally = _Tally(monkeypatch)
+    assert main(["validate", path, "--out", str(tmp_path / "validate.csv")]) == 0
+    printed = tally.integrals
+    with memo():
+        win_prob(p, ReferendumRegime.NO_REFERENDUM, quad)
+        win_prob(p, nb, quad)
+        second_issue_levels(p, nb, quad)
+        assert tally.integrals - printed == printed == 8
+        second_delta(p, nb, quad)
+        assert tally.integrals - printed == 8 + 2
 
 
 def _bits(values):
