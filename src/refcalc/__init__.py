@@ -28,7 +28,6 @@ from .election import (
     lambda_margin,
     lambda_win,
     net_benefit,
-    win_given_diverged,
     win_prob,
 )
 from .errors import (

@@ -545,8 +545,10 @@ def main(argv=None) -> int:
     exits 2 at once; a later failure leaves the file empty. The command runs
     inside quadrature.memo(), so each cohesion kernel integral is computed
     once per command, and none is kept once main returns. Only the kernels
-    are kept: they involve neither r nor mu, and the thresholds and the
-    two-party win integrals read them alike.
+    are kept; the thresholds and every win integral read them alike. Most
+    involve neither r nor mu, so a sweep over either reuses them. One over a
+    piece that ends at gamma_star or at a kink of the saturated win map is
+    kept too: the congruence levels and delta read it alike.
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -14,18 +14,21 @@ shock cdf and gamma* the pivotal shock, each (regime, start) branch reads:
 
 * non-binding, diverged start (b_R >= 0): the two tails, where the parties
   move to the majority's side; delta_second is W below -b_R plus the mass
-  less W above -b_L, with neither gamma* nor a fresh kernel;
+  less W above -b_L, without gamma*;
 * non-binding, aligned start: the split piece [-b_R, -b_L] and
-  [-b_R, gamma*], over the fresh kernel pair; delta_second is
+  [-b_R, gamma*]; delta_second is
   1 - G(-b_L) + W[-b_R, -b_L] - 2 W[-b_R, gamma*];
-* binding, diverged start: the whole line and (-inf, gamma*]; delta_second
-  is 1 - (G(gamma*) - 2 W(-inf, gamma*] + W);
+* binding, diverged start: the whole line and (-inf, gamma*], read as
+  (-inf, -b_R] and [-b_R, gamma*]; delta_second is
+  1 - (G(gamma*) - 2 W(-inf, gamma*] + W);
 * binding, aligned start: nothing; delta_second is 1 - G(gamma*).
 
 delta_traditional is Right's net benefit, signed by the traditional
 majority: the gaps of the same reads, the doubles net_benefit sums, in its
 order. traditional_delta computes it from net_benefit alone, so a caller that
-wants only it pays no gamma*.
+wants only it pays no gamma*. Every read goes through the kernels
+quadrature.memo() keeps, so within one command the levels and the delta
+integrate the [-b_R, gamma*] pair once.
 
 Majority conventions. On the emerging issue the majority preference flips at
 the pivotal shock gamma_star; the zero-measure boundary point is counted on
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .election import _wins, net_benefit, win_given_diverged, win_prob
+from .election import _wins, net_benefit, win_prob
 from .model import (
     ElectorateParams,
     ReferendumRegime,
@@ -49,7 +52,7 @@ from .model import (
     shock_pieces,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .thresholds import _fresh_kernels, _kernels, gamma_star
+from .thresholds import gamma_star
 
 ISSUE_TRADITIONAL = "traditional"
 ISSUE_SECOND = "second"
@@ -81,41 +84,16 @@ def knife_edge(r: float) -> bool:
     return r == 0.5
 
 
-def _once(compute):
-    # compute(), called at the first call only; every call returns its value.
-    kept = []
-
-    def value():
-        if not kept:
-            kept.append(compute())
-        return kept[0]
-
-    return value
-
-
-def _pivot(params, config):
-    """(gs, fresh): gs() is gamma_star and fresh() the kernels L and R over
-    [-b_R, gamma_star], the one pair whose piece moves with r; each is
-    computed when first called, and once."""
-    gs = _once(lambda: gamma_star(params).value)
-    fresh = _once(lambda: _fresh_kernels(
-        params.b_L, params.b_R, params.p, params.taste, params.shock, -params.b_R, gs(), config
-    ))
-    return gs, fresh
-
-
-def _win_below(params, lo, gs, fresh, config):
-    # Right's win over [lo, gamma_star], lo -b_R or -inf: the fresh kernel
-    # pair over [-b_R, gamma_star], plus the left tail's kept pair from -inf.
-    fresh_L, fresh_R = fresh()
+def _win_below(params, lo, gs, config):
+    # Right's win over [lo, gamma_star], lo -b_R or -inf: the read of
+    # [-b_R, gamma_star], plus from -inf the left tail's read.
+    w = _wins(params, -params.b_R, gs, config)[0]
     if lo is None:
-        tail = shock_pieces(params.b_L, params.b_R, ReferendumRegime.NON_BINDING)[:1]
-        L, R = _kernels(params.b_L, params.b_R, params.p, params.taste, params.shock, tail, config)
-        fresh_L, fresh_R = L + fresh_L, R + fresh_R
-    return _wins(params, lo, gs(), config, (fresh_L, fresh_R))[0]
+        w = _wins(params, None, -params.b_R, config)[0] + w
+    return w
 
 
-def _congruent(params, pieces, gs, fresh, config):
+def _congruent(params, pieces, gs, config):
     # P(the implemented emerging policy is the majority's, y=1 iff the shock
     # is at least gamma_star), summed over pieces, one regime's
     # model.shock_pieces. gamma_star lies strictly inside (-b_R, -b_L), so a
@@ -127,9 +105,9 @@ def _congruent(params, pieces, gs, fresh, config):
         if positions.diverged:
             # Left must win below gamma_star, Right above it: with W the win
             # integral over a piece, mass[lo, gs] - 2 W[lo, gs] + W[lo, hi].
-            g_lo, g_gs = cdf_ends(G, lo, gs())
-            w_below = _win_below(params, lo, gs, fresh, config)
-            total = total + g_gs - g_lo - 2.0 * w_below + win_given_diverged(params, lo, hi, config)
+            g_lo, g_gs = cdf_ends(G, lo, gs)
+            w_below = _win_below(params, lo, gs, config)
+            total = total + g_gs - g_lo - 2.0 * w_below + _wins(params, lo, hi, config)[0]
             continue
         # Aligned at y: congruent where the majority wants y; a binding
         # majority is always wanted.
@@ -140,28 +118,29 @@ def _congruent(params, pieces, gs, fresh, config):
             if y != (1 if above else 0):
                 continue
         elif y == 0:
-            hi = gs() if hi is None else min(hi, gs())
+            hi = gs if hi is None else min(hi, gs)
         elif y == 1:
-            lo = gs() if lo is None else max(lo, gs())
+            lo = gs if lo is None else max(lo, gs)
         g_lo, g_hi = cdf_ends(G, lo, hi)
         total = total + g_hi - g_lo
     return total
 
 
-def _levels(params, regime, gs, fresh, config):
-    # (prob_no_ref, prob_with_ref) of the emerging issue.
+def _levels(params, regime, config):
+    # (prob_no_ref, prob_with_ref) of the emerging issue; both read
+    # gamma_star, computed once.
+    gs = gamma_star(params).value
     return tuple(
-        _congruent(params, shock_pieces(params.b_L, params.b_R, reg), gs, fresh, config)
+        _congruent(params, shock_pieces(params.b_L, params.b_R, reg), gs, config)
         for reg in (ReferendumRegime.NO_REFERENDUM, regime)
     )
 
 
-def _deltas(params, regime, gs, fresh, config):
+def _deltas(params, regime, config):
     # (delta_second, delta_traditional), validated once, from one _wins read
     # of each piece whose positions the regime changes; the module docstring
-    # lists each branch's pieces. Only the branches that split the parties
-    # across gamma_star call fresh(), and only they and an aligned start
-    # under binding call gs() (_pivot). The traditional gain is summed as
+    # lists each branch's pieces. Every branch but a diverged start under
+    # non_binding computes gamma_star. The traditional gain is summed as
     # net_benefit sums its moved pieces, from 0.0, so it is net_benefit's
     # double.
     require_valid(params)
@@ -174,14 +153,16 @@ def _deltas(params, regime, gs, fresh, config):
         gain = 0.0 + gap_left + gap_right
     elif regime is ReferendumRegime.NON_BINDING:
         w_split, gap_split = _wins(params, -b_R, -b_L, config)
-        second = 1.0 - G(-b_L) + w_split - 2.0 * _win_below(params, -b_R, gs, fresh, config)
+        gs = gamma_star(params).value
+        second = 1.0 - G(-b_L) + w_split - 2.0 * _win_below(params, -b_R, gs, config)
         gain = 0.0 - gap_split
     elif b_R >= 0:
         w_line, gap_line = _wins(params, None, None, config)
-        second = 1.0 - (G(gs()) - 2.0 * _win_below(params, None, gs, fresh, config) + w_line)
+        gs = gamma_star(params).value
+        second = 1.0 - (G(gs) - 2.0 * _win_below(params, None, gs, config) + w_line)
         gain = 0.0 + gap_line
     else:
-        second, gain = 1.0 - G(gs()), 0.0
+        second, gain = 1.0 - G(gamma_star(params).value), 0.0
     return second, _majority_delta(params.r, gain)
 
 
@@ -195,12 +176,12 @@ def second_delta(
     The first half of _deltas: it reads the race once on each piece whose
     positions the regime changes (the module docstring lists them per
     regime and start). From a diverged start (b_R >= 0) a non-binding
-    referendum changes only the tails, so it needs neither gamma_star nor a
-    kernel quadrature.memo() does not keep. Only a regime that splits the
-    parties across gamma_star (binding from a diverged start, non-binding
-    from an aligned one) needs the fresh kernel pair over [-b_R, gamma_star].
+    referendum changes only the tails, so it needs no gamma_star, and its
+    kernels do not move with r. Only a regime that splits the parties across
+    gamma_star (binding from a diverged start, non-binding from an aligned
+    one) reads the piece [-b_R, gamma_star].
     """
-    return _deltas(params, regime, *_pivot(params, config), config)[0]
+    return _deltas(params, regime, config)[0]
 
 
 def second_issue_levels(
@@ -212,7 +193,7 @@ def second_issue_levels(
     delta, for a caller that prints only the levels."""
     require_valid(params)
     require_regime(regime, "post_referendum")
-    return _levels(params, regime, *_pivot(params, config), config)
+    return _levels(params, regime, config)
 
 
 def second_issue_congruence(
@@ -229,12 +210,11 @@ def second_issue_congruence(
     non-binding one realigns positions with the shock, which helps in the
     tails (both parties end up on the majority side) but still leaves the
     middle interval to the election, now with gamma_star interior to it.
-    The delta is second_delta's; it and the levels share gamma_star and the
-    fresh kernel pair.
+    The delta is second_delta's. Each computes gamma_star; within
+    quadrature.memo() they share the kernels over [-b_R, gamma_star].
     """
-    gs, fresh = _pivot(params, config)
-    delta = _deltas(params, regime, gs, fresh, config)[0]
-    return CongruenceReport(ISSUE_SECOND, regime, *_levels(params, regime, gs, fresh, config), delta)
+    delta = _deltas(params, regime, config)[0]
+    return CongruenceReport(ISSUE_SECOND, regime, *_levels(params, regime, config), delta)
 
 
 def traditional_issue_congruence(
@@ -342,6 +322,6 @@ def classify_congruence_region(
     for b_R in b_R_values:
         for r in r_values:
             cell_params = replace(params, b_R=float(b_R), r=float(r))
-            d2, dt = _deltas(cell_params, regime, *_pivot(cell_params, config), config)
+            d2, dt = _deltas(cell_params, regime, config)
             cells.append(RegionCell(float(b_R), float(r), d2, dt, _region_flag(d2, dt)))
     return cells

@@ -17,14 +17,14 @@ split_at_kinks says where it does.
 No win integral integrates the map itself. _race states each race, the
 two-party one where the parties split and the spoiler race while both majors
 hold y=0, as a coefficient and two cohesion kernels of the thresholds
-module: over a shock piece the gap lambda(r) - lambda is affine in them
-(_gap). So win_prob, net_benefit, the congruence deltas and both spoiler
-quantities read the kernels the thresholds integrate, once per command
-within quadrature.memo(). Where the map saturates, the piece is split at its
-kinks (split_at_kinks, _stretches): the saturated sub-pieces are shock
-masses, and only those between kinks take fresh kernels. _wins, which both
-congruence deltas read, gives Right's win and _gap's gap over a piece from
-one read of its stretches; Right's win over a saturated sub-piece is its
+module: over a shock piece the gap lambda(r) - lambda is affine in them.
+_wins is the one reader of a race piece: it gives Right's win and that gap
+together, and win_prob, net_benefit, the congruence deltas and both spoiler
+quantities each read one of them. Where the map saturates, the piece is cut
+at its kinks (split_at_kinks): the saturated sub-pieces are shock masses,
+and the stretches between kinks read kernels like any other piece. Every
+kernel goes through thresholds._kernel, so within quadrature.memo() each is
+integrated once per command. Right's win over a saturated sub-piece is its
 mass times the level, exactly, so a tail where one side always wins adds
 exactly 0 to the emerging-issue delta.
 """
@@ -158,87 +158,38 @@ def split_at_kinks(params: ElectorateParams, lo, hi, v=None) -> tuple:
     return () if pieces == [(lo, hi, None)] else tuple(pieces)
 
 
-def _stretches(params, lo, hi, config, kernels=None, v=None):
-    """[lo, hi] in the race _race(params, v), cut by split_at_kinks (uncut
-    where the win map stays inside [0, 1]), as (x, y, level, gap) in shock
-    order. Where the map sits at level 0.0 or 1.0, gap is None. Elsewhere
-    level is None and gap, the integral of lambda(r) less the map against
-    the shock, is c (r R - (1-r) L), with L and R the race's kernels over the
-    stretch: for an uncut piece kernels if given, else read through
-    thresholds._kernel, which quadrature.memo() keeps; between kinks
-    integrated afresh.
+def _wins(params, lo, hi, config, v=None):
+    """(W, gap) over the piece [lo, hi] of the race _race(params, v): W is
+    Right's probability of winning the race (in the spoiler race, of
+    finishing ahead of Left) with the shock in the piece, and gap the
+    integral of lambda(r) less the win map, saturated into [0, 1], against
+    the shock.
+
+    The piece is cut by split_at_kinks (uncut where the map stays inside
+    [0, 1]) and its stretches summed in shock order. Between kinks the gap
+    is c (r R - (1-r) L), with L and R the race's kernels over the stretch
+    (thresholds._kernel, kept within quadrature.memo()), and Right gets the
+    stretch's shock mass times lambda(r) less it. Where the map sits at a
+    level, Right gets mass * level, exactly, so a piece wholly saturated at
+    0 gives 0.0 and one at 1 its mass, and the gap gets mass times
+    lambda(r) - level.
     """
     r, taste, shock = params.r, params.taste, params.shock
+    lam_r = lambda_win(r, params.mu)
     c, kL, kR = _race(params, v)
-    pieces = split_at_kinks(params, lo, hi, v)
-    stretches = []
-    for x, y, level in pieces or ((lo, hi, None),):
-        gap = None
-        if level is None:
-            L, R = (kernels if kernels and not pieces else
-                    [_kernel(*k, taste, shock, x, y, config, keep=not pieces) for k in (kL, kR)])
-            gap = c * (r * R - (1.0 - r) * L)
-        stretches.append((x, y, level, gap))
-    return stretches
-
-
-def _gap(params, lo, hi, config, v=None):
-    """Integral of lambda(r) less the race's win map, saturated into [0, 1],
-    against the shock over the piece [lo, hi].
-
-    The gaps of its _stretches, summed in shock order; a saturated stretch
-    adds its shock mass times lambda(r) - level.
-    """
-    lam_r = lambda_win(params.r, params.mu)
-    gap = 0.0
-    for x, y, level, stretch_gap in _stretches(params, lo, hi, config, v=v):
-        if level is None:
-            gap += stretch_gap
-        else:
-            g_x, g_y = cdf_ends(params.shock.cdf, x, y)
-            gap += (lam_r - level) * (g_y - g_x)
-    return gap
-
-
-def _wins(params, lo, hi, config, kernels=None):
-    """(W, gap): Right's probability of winning with the shock in [lo, hi],
-    positions diverged there, and _gap's gap over the piece, from one read
-    of its _stretches (kernels as there).
-
-    A stretch with a gap gives Right its shock mass times lambda(r) less the
-    gap; one saturated at level gives Right mass * level, exactly, so a piece
-    wholly saturated at 0 gives 0.0 and one at 1 its mass. W is
-    win_given_diverged's up to rounding; gap is _gap's double, the same terms
-    summed in the same order.
-    """
-    lam_r = lambda_win(params.r, params.mu)
     right = gap = 0.0
-    for x, y, level, stretch_gap in _stretches(params, lo, hi, config, kernels):
-        g_x, g_y = cdf_ends(params.shock.cdf, x, y)
+    for x, y, level in split_at_kinks(params, lo, hi, v) or ((lo, hi, None),):
+        g_x, g_y = cdf_ends(shock.cdf, x, y)
         mass = g_y - g_x
         if level is None:
-            right += mass * lam_r - stretch_gap
-            gap += stretch_gap
+            L, R = (_kernel(*k, taste, shock, x, y, config) for k in (kL, kR))
+            stretch = c * (r * R - (1.0 - r) * L)
+            right += mass * lam_r - stretch
+            gap += stretch
         else:
             right += mass * level
             gap += (lam_r - level) * mass
     return right, gap
-
-
-def win_given_diverged(
-    params: ElectorateParams,
-    lo=None,
-    hi=None,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """P(Right wins and the shock lies in [lo, hi]), positions diverged there.
-
-    The piece's shock mass times lambda(r), less the gap _gap reads off the
-    cohesion kernels. Within quadrature.memo() the kernels of a piece where
-    the map stays inside [0, 1] are integrated once per command.
-    """
-    g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
-    return (g_hi - g_lo) * lambda_win(params.r, params.mu) - _gap(params, lo, hi, config)
 
 
 def win_prob(
@@ -256,7 +207,7 @@ def win_prob(
     aligned = diverged = 0.0
     for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
         if positions.diverged:
-            diverged = diverged + win_given_diverged(params, lo, hi, config)
+            diverged = diverged + _wins(params, lo, hi, config)[0]
         else:
             g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
             aligned = aligned + g_hi - g_lo
@@ -280,6 +231,6 @@ def net_benefit(
     require_regime(regime, "post_referendum")
     total = 0.0
     for lo, hi, positions in moved_pieces(params.b_L, params.b_R, regime):
-        piece = _gap(params, lo, hi, config)
+        piece = _wins(params, lo, hi, config)[1]
         total = total - piece if positions.diverged else total + piece
     return total

@@ -20,9 +20,10 @@ QuadratureError at once, with achieved tolerance inf.
 
 Within memo(), the cohesion kernels look each integral up by its key before
 computing it (recall), so a command integrates each distinct kernel once.
-The thresholds and the two-party win integrals both read these kernels; a
-kernel over a piece whose end moves with r or mu is never looked up. Outside
-memo() nothing is kept.
+The thresholds and every win integral read these kernels, also over a piece
+whose end moves with r or mu (gamma_star, a kink of the saturated win map),
+so they are the only integrals a two-party or spoiler command computes.
+Outside memo() nothing is kept.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec
 from .congruence import knife_edge
-from .election import _clamp, _gap, _race, lambda_win, win_given_diverged
+from .election import _clamp, _race, _wins, lambda_win
 from .errors import InvalidParamsError, UsageError
 from .model import ElectorateParams, ReferendumRegime, cdf_ends, require_regime, shock_pieces
 from .model import validate as validate_base
@@ -68,10 +68,10 @@ def win_prob_third(
     """P(Right ahead of Left), without or with an advisory referendum.
 
     Sums over the regime's model.shock_pieces. While both majors hold y=0
-    the spoiler keeps its base: the piece's shock mass times lambda(r), less
-    the spoiler race's gap election._gap(..., v). Where Right alone moves to
-    y=1 it absorbs that base and the race is the diverged two-party one;
-    where both sit at y=1 it is single-issue at share r.
+    the spoiler keeps its base: the race is the spoiler race, read by
+    election._wins(..., v). Where Right alone moves to y=1 it absorbs that
+    base and the race is the diverged two-party one; where both sit at y=1
+    it is single-issue at share r.
     """
     require_valid_third(tp)
     require_regime(regime, "third_party")
@@ -79,12 +79,11 @@ def win_prob_third(
     total = 0.0
     for lo, hi, positions in shock_pieces(b.b_L, b.b_R, regime):
         if positions.diverged:
-            total = total + win_given_diverged(b, lo, hi, config)
-            continue
-        g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
-        if positions.y_right == 0:
-            total = total + (g_hi - g_lo) * lambda_win(b.r, b.mu) - _gap(b, lo, hi, config, v=tp.v)
+            total = total + _wins(b, lo, hi, config)[0]
+        elif positions.y_right == 0:
+            total = total + _wins(b, lo, hi, config, tp.v)[0]
         else:
+            g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
             total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu))
     return total
 
@@ -96,12 +95,12 @@ def net_benefit_third(
 
     Summed only over the non-binding model.shock_pieces where Right has left
     y=0, the only shocks at which the reveal changes anything. On each, the
-    spoiler race's gap election._gap(..., v), the integral of lambda(r) less
-    the spoiler map, less, where the majors split, the two-party gap: both
-    read cohesion kernels and split at their win map's kinks. Identical (up
-    to quadrature) to the difference of the two win_prob_third calls where
-    both meet their tolerance; kept in this form so the sign analysis stays
-    legible.
+    spoiler race's gap (election._wins(..., v)), the integral of lambda(r)
+    less the spoiler map, less, where the majors split, the two-party gap:
+    both read cohesion kernels and split at their win map's kinks.
+    Identical (up to quadrature) to the difference of the two win_prob_third
+    calls where both meet their tolerance; kept in this form so the sign
+    analysis stays legible.
     """
     require_valid_third(tp)
     b = tp.base
@@ -109,9 +108,9 @@ def net_benefit_third(
     for lo, hi, positions in shock_pieces(b.b_L, b.b_R, ReferendumRegime.NON_BINDING):
         if positions.y_right == 0:
             continue
-        total = total + _gap(b, lo, hi, config, v=tp.v)
+        total = total + _wins(b, lo, hi, config, tp.v)[1]
         if positions.diverged:
-            total = total - _gap(b, lo, hi, config)
+            total = total - _wins(b, lo, hi, config)[1]
     return total
 
 

@@ -24,9 +24,10 @@ election module). Neither does any kernel, so within one command
 (quadrature.memo) each kernel integral is computed once: a sweep over r or mu
 integrates them at its first point only, and r_bind's L, which does not
 involve b_R, once for all b_R. The win integrals read the same kernels
-(election._gap), the spoiler race two more L-form ones (election._race). A
+(election._wins), the spoiler race two more L-form ones (election._race). A
 kernel over a piece whose end moves with r or mu (gamma_star, a kink of the
-saturated win map) is integrated afresh and never kept.
+saturated win map) is kept like any other, so a command that reads it twice,
+as the congruence levels and delta do, integrates it once.
 
 The roots that remain (gamma_star and the b_R scan) come from _brent, a port
 of scipy's brentq.c (Brent, "Algorithms for Minimization without
@@ -177,14 +178,13 @@ def _integrand(form, b, p, taste):
     return (lambda g: B(-p + g + b)) if form == "L" else (lambda g: B(-p - g - b))
 
 
-def _kernel(form, b, p, taste, shock, lo, hi, config, keep=True):
-    """Shock integral of _integrand(form, b, p, taste) over [lo, hi]. Within
-    quadrature.memo() it is looked up before it is computed, unless keep is
-    false: for a piece end that moves with r or mu, rarely asked for twice."""
+def _kernel(form, b, p, taste, shock, lo, hi, config):
+    """Shock integral of _integrand(form, b, p, taste) over [lo, hi], looked
+    up before it is computed within quadrature.memo()."""
     def compute():
         return integrate_shock(_integrand(form, b, p, taste), shock, lo, hi, config)
 
-    return recall(compute, form, b, p, taste, shock, lo, hi, config) if keep else compute()
+    return recall(compute, form, b, p, taste, shock, lo, hi, config)
 
 
 def _kernels(b_L, b_R, p, taste, shock, pieces, config):
@@ -195,11 +195,6 @@ def _kernels(b_L, b_R, p, taste, shock, pieces, config):
         L += _kernel("L", b_L, p, taste, shock, lo, hi, config)
         R += _kernel("R", b_R, p, taste, shock, lo, hi, config)
     return L, R
-
-
-def _fresh_kernels(b_L, b_R, p, taste, shock, lo, hi, config):
-    """L and R over the one piece [lo, hi], integrated without the memo."""
-    return tuple(_kernel(f, b, p, taste, shock, lo, hi, config, False) for f, b in (("L", b_L), ("R", b_R)))
 
 
 def _ratio(name, L, R, bracket):

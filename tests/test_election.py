@@ -8,6 +8,7 @@ import pytest
 
 from refcalc.election import (
     _clamp,
+    _wins,
     lambda_margin,
     lambda_win,
     net_benefit,
@@ -17,9 +18,9 @@ from refcalc.election import (
 from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, shock_pieces
-from refcalc.quadrature import QuadratureConfig
+from refcalc.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from refcalc.third_party import ThirdPartyParams, win_prob_third
-from refcalc.thresholds import r_bind
+from refcalc.thresholds import gamma_star, r_bind
 
 from conftest import PRIM_WIDE
 
@@ -268,6 +269,23 @@ def test_a_piece_saturated_throughout_is_its_shock_mass(monkeypatch):
     assert split_at_kinks(params, None, None) == ((None, None, 1.0),)
     assert win_prob(params, NO_REF) == 1.0
     assert net_benefit(params, BINDING) == lambda_win(0.55, 0.9) - 1.0
+
+
+@pytest.mark.parametrize("mu, r", [(0.5, 0.45), (0.9, 0.52)])
+def test_reads_of_adjacent_pieces_add_up(scenario_a, mu, r):
+    # The congruence levels and delta read Right's win over
+    # (-inf, gamma_star] as the reads of (-inf, -b_R] and [-b_R, gamma_star].
+    # At mu 0.9 the map sits at 0 on the left tail and has a kink inside
+    # [-b_R, gamma_star], which each read finds on its own.
+    params = replace(scenario_a, mu=mu, r=r)
+    gs = gamma_star(params).value
+    quad = DEFAULT_QUADRATURE
+    whole = _wins(params, None, gs, quad)
+    left = _wins(params, None, -params.b_R, quad)
+    right = _wins(params, -params.b_R, gs, quad)
+    assert bool(split_at_kinks(params, None, gs)) == (mu > 0.5)
+    for value, a, b in zip(whole, left, right):
+        assert abs(value - (a + b)) <= 10 * quad.abs_tol
 
 
 def test_quadrature_config_threading(scenario_a):

@@ -2,14 +2,15 @@
 
 The CLI runs every command inside quadrature.memo(), where the cohesion
 kernels, and only they, are looked up before they are integrated; the
-thresholds, the two-party win integrals and the congruence deltas read them
-alike. Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what
-that may and may not change: each distinct kernel is integrated once per
-command, the memo stores nothing else, every value is the very double
-computed outside the memo (at either zero), nothing survives the command,
-and a failure is never stored. Two counts pin what a command reads: figg
-reads each moved piece of a cell once, and validate integrates no delta it
-does not print.
+thresholds, the win integrals and the congruence deltas read them alike.
+Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what that may
+and may not change: each distinct kernel is integrated once per command, no
+integral is computed outside recall, the memo stores nothing else, every
+value is the very double computed outside the memo (at either zero), nothing
+survives the command, and a failure is never stored. Three counts pin what
+is read: figg reads each moved piece of a cell once, second_delta integrates
+no kernel pair it does not use, and validate integrates no delta it does not
+print.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ DIVERGED = {
     "regime": "non_binding",
     "quadrature": {"abs_tol": 1e-10, "rel_tol": 1e-8},
 }
+# The diverged scenario where the win map saturates at mu 0.9 and r 0.52.
+SATURATED = {**DIVERGED, "mu": 0.9, "r": 0.52}
 SWEEP_QUANTITIES = (
     "win_prob", "net_benefit", "gamma_star", "r_bind", "r_star_star",
     "delta_second", "delta_traditional",
@@ -98,17 +101,26 @@ class _Tally:
         monkeypatch.setattr(cli, "memo", kept_memo)
 
 
-@pytest.mark.parametrize("command", ["sweep_r", "fig3"])
+def _argv(tmp_path, command):
+    if command == "sweep_r":
+        return _sweep_r(_dump(tmp_path, DIVERGED))
+    if command == "eval_saturated":
+        return ["eval", _dump(tmp_path, SATURATED)]
+    return ["figure", command]
+
+
+@pytest.mark.parametrize("command", ["sweep_r", "fig3", "figg", "eval_saturated"])
 def test_each_distinct_integral_is_integrated_once_per_command(
     tmp_path, capsys, monkeypatch, command
 ):
-    argv = _sweep_r(_dump(tmp_path, DIVERGED)) if command == "sweep_r" else ["figure", "fig3"]
     tally = _Tally(monkeypatch)
-    assert main(argv) == 0
+    assert main(_argv(tmp_path, command)) == 0
     assert set(tally.computed) == set(tally.looked_up)
     assert max(tally.computed.values()) == 1
     # One integrate call per key, and only its first lookup pays for it.
-    assert tally.integrals_in_compute == len(tally.looked_up)
+    # Every integral goes through recall: a kernel over a piece that ends at
+    # gamma_star or at a kink of the saturated win map is kept like any other.
+    assert tally.integrals == tally.integrals_in_compute == len(tally.looked_up)
     assert sum(tally.looked_up.values()) > len(tally.looked_up)
     # The memo holds the kernels and nothing else.
     (table,) = tally.tables
@@ -124,8 +136,7 @@ def test_each_distinct_integral_is_integrated_once_per_command(
         pieces = {key[5:7] for key in table}
         assert pieces == {(None, None), (None, -0.3), (-0.3, 0.5), (0.5, None)}
         assert len(table) == 8
-        assert tally.integrals - tally.integrals_in_compute == 0
-    else:
+    elif command == "fig3":
         # r_bind's L does not involve b_R: one for all 50 diverged rows.
         assert sum(key[0] == "L" and key[5:7] == (None, None) for key in table) == 1
 
@@ -164,6 +175,19 @@ def test_figg_reads_each_moved_piece_once(tmp_path, monkeypatch):
     counted(congruence, "net_benefit")
     assert main(["figure", "figg", "--out", str(tmp_path / "figg.csv")]) == 0
     assert calls == {"split_at_kinks": 2 * 24 * 21}
+
+
+@pytest.mark.parametrize("b_R, regime", [(-0.1, "non_binding"), (0.3, "binding")])
+def test_second_delta_integrates_only_the_kernels_it_reads(monkeypatch, b_R, regime):
+    # Outside the memo. At mu 0.9 the win map saturates: each piece the delta
+    # reads is cut at its kinks, and only the stretch between them takes a
+    # kernel pair. From the aligned start those are the split piece
+    # [-b_R, -b_L] and [-b_R, gamma_star]; from the diverged one the whole
+    # line and [-b_R, gamma_star], as the left tail sits at 0 throughout.
+    params = replace(SCENARIO_A, mu=0.9, r=0.52, b_R=b_R)
+    tally = _Tally(monkeypatch)
+    second_delta(params, ReferendumRegime(regime))
+    assert tally.integrals == tally.integrals_in_compute == 4
 
 
 def test_validate_integrates_no_congruence_delta(tmp_path, monkeypatch):

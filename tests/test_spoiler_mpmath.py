@@ -96,7 +96,9 @@ def _call_tol(e, lo, hi):
 
 
 def _gap_tol(e):
-    """Tolerance of election._gap over the split piece [-b_R, -b_L]."""
+    """Tolerance of the spoiler race's read over the split piece [-b_R, -b_L]
+    (election._wins(..., v)): its gap, or Right's win less the piece's mass
+    times lambda(r)."""
     k = e["mu"] / (1 - e["mu"])
     return k * _call_tol(e, -e["b_R"], -e["b_L"]) + (1 + k) * 2 * KINK
 

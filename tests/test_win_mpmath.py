@@ -1,10 +1,11 @@
 """The win integrals and the net benefit against mpmath.
 
-election.win_given_diverged and election.net_benefit are checked at the
-benchmark's diverged (b_R = 0.3) and spoiler (b_R = -0.1) electorates, with
-normal and logistic taste, against tests/reference_mp.py, which shares no
-code with refcalc. The net benefit's reference is the difference of the two
-win probabilities, so it also checks the piecewise form refcalc computes.
+Right's win as election._wins reads it, and election.net_benefit, are
+checked at the benchmark's diverged (b_R = 0.3) and spoiler (b_R = -0.1)
+electorates, with normal and logistic taste, against tests/reference_mp.py,
+which shares no code with refcalc. The net benefit's reference is the
+difference of the two win probabilities, so it also checks the piecewise
+form refcalc computes.
 At mu <= 1/2 the win map never saturates. The diverged electorate also runs
 at mu = 0.7 and 0.9, where it saturates: the reference clamps the map and
 splits its integrals at the kinks it finds with mp.findroot. refcalc must
@@ -21,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from refcalc.distributions import DistributionSpec
-from refcalc.election import net_benefit, split_at_kinks, win_given_diverged
+from refcalc.election import _wins, net_benefit, split_at_kinks
 from refcalc.model import ElectorateParams, ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE
 
@@ -65,10 +66,10 @@ def _call_tol(integral_of_abs, lo, hi):
 
 
 @pytest.mark.parametrize("e", CASES, ids=_ids)
-def test_win_given_diverged_matches_mpmath(e):
+def test_wins_matches_mpmath(e):
     params = _params(e)
     for lo, hi in ((-mp.inf, mp.inf), (-e["b_R"], -e["b_L"])):
-        value = win_given_diverged(params, *_finite(lo, hi))
+        value = _wins(params, *_finite(lo, hi), DEFAULT_QUADRATURE)[0]
         assert bool(split_at_kinks(params, *_finite(lo, hi))) == ref.saturates(e, lo, hi)
         expected = ref.win_diverged(e, lo, hi)
         # The integrand is a probability, so its integral is its |f| integral.
