@@ -6,22 +6,28 @@ majority of policy voters prefers, with and without a referendum, and the
 delta between the two. Holding a referendum can move congruence in either
 direction; the region classifier maps out where it falls on each issue.
 
-Both deltas come from one core, _deltas, which reads the race once on each
-shock piece whose positions the regime changes (election._wins) and takes
-both deltas from those reads, so each may differ from the difference of the
-two levels in the last digit. With W Right's win integral over a piece, G the
-shock cdf and gamma* the pivotal shock, each (regime, start) branch reads:
+The levels come from _levels and both deltas from _deltas. Each states the
+four (regime, start) branches once, from one gamma* and from election._wins,
+the one reader of a race piece. _deltas reads the race only on the shock
+pieces whose positions the regime changes, so a delta may differ from the
+difference of the two levels in the last digit. With W Right's win integral
+over a piece (over the whole line where no piece is named), G the shock cdf
+and gamma* the pivotal shock, the levels without and with the referendum,
+and the delta, are:
 
-* non-binding, diverged start (b_R >= 0): the two tails, where the parties
-  move to the majority's side; delta_second is W below -b_R plus the mass
-  less W above -b_L, without gamma*;
-* non-binding, aligned start: the split piece [-b_R, -b_L] and
-  [-b_R, gamma*]; delta_second is
-  1 - G(-b_L) + W[-b_R, -b_L] - 2 W[-b_R, gamma*];
-* binding, diverged start: the whole line and (-inf, gamma*], read as
-  (-inf, -b_R] and [-b_R, gamma*]; delta_second is
-  1 - (G(gamma*) - 2 W(-inf, gamma*] + W);
-* binding, aligned start: nothing; delta_second is 1 - G(gamma*).
+* non-binding, diverged start (b_R >= 0): G(gamma*) - 2 W(-inf, gamma*] + W
+  and G(gamma*) - 2 W[-b_R, gamma*] + W[-b_R, -b_L] + 1 - G(-b_L), as both
+  tails are congruent and the split piece is left to the election; the
+  delta reads only the two tails, where the parties move to the majority's
+  side: W below -b_R plus the mass less W above -b_L, without gamma*;
+* non-binding, aligned start: G(gamma*) and the same level with the
+  referendum; the delta reads the split piece [-b_R, -b_L] and
+  [-b_R, gamma*]: 1 - G(-b_L) + W[-b_R, -b_L] - 2 W[-b_R, gamma*];
+* binding, diverged start: G(gamma*) - 2 W(-inf, gamma*] + W and 1; the
+  delta reads the whole line and (-inf, gamma*], as (-inf, -b_R] and
+  [-b_R, gamma*]: 1 - (G(gamma*) - 2 W(-inf, gamma*] + W);
+* binding, aligned start: G(gamma*) and 1; the delta reads nothing:
+  1 - G(gamma*).
 
 delta_traditional is Right's net benefit, signed by the traditional
 majority: the gaps of the same reads, the doubles net_benefit sums, in its
@@ -43,14 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .election import _wins, net_benefit, win_prob
-from .model import (
-    ElectorateParams,
-    ReferendumRegime,
-    cdf_ends,
-    require_regime,
-    require_valid,
-    shock_pieces,
-)
+from .model import ElectorateParams, ReferendumRegime, require_regime, require_valid
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .thresholds import gamma_star
 
@@ -93,47 +92,24 @@ def _win_below(params, lo, gs, config):
     return w
 
 
-def _congruent(params, pieces, gs, config):
-    # P(the implemented emerging policy is the majority's, y=1 iff the shock
-    # is at least gamma_star), summed over pieces, one regime's
-    # model.shock_pieces. gamma_star lies strictly inside (-b_R, -b_L), so a
-    # piece that ends by -b_R lies below it and one that starts at -b_L
-    # above it; the parties split only across it.
-    G = params.shock.cdf
-    total = 0.0
-    for lo, hi, positions in pieces:
-        if positions.diverged:
-            # Left must win below gamma_star, Right above it: with W the win
-            # integral over a piece, mass[lo, gs] - 2 W[lo, gs] + W[lo, hi].
-            g_lo, g_gs = cdf_ends(G, lo, gs)
-            w_below = _win_below(params, lo, gs, config)
-            total = total + g_gs - g_lo - 2.0 * w_below + _wins(params, lo, hi, config)[0]
-            continue
-        # Aligned at y: congruent where the majority wants y; a binding
-        # majority is always wanted.
-        below = hi is not None and hi <= -params.b_R
-        above = lo is not None and lo >= -params.b_L
-        y = positions.y_left
-        if below or above:
-            if y != (1 if above else 0):
-                continue
-        elif y == 0:
-            hi = gs if hi is None else min(hi, gs)
-        elif y == 1:
-            lo = gs if lo is None else max(lo, gs)
-        g_lo, g_hi = cdf_ends(G, lo, hi)
-        total = total + g_hi - g_lo
-    return total
-
-
 def _levels(params, regime, config):
-    # (prob_no_ref, prob_with_ref) of the emerging issue; both read
-    # gamma_star, computed once.
+    # (prob_no_ref, prob_with_ref) of the emerging issue, from one
+    # gamma_star; the module docstring lists each branch's reads.
+    b_L, b_R, G = params.b_L, params.b_R, params.shock.cdf
     gs = gamma_star(params).value
-    return tuple(
-        _congruent(params, shock_pieces(params.b_L, params.b_R, reg), gs, config)
-        for reg in (ReferendumRegime.NO_REFERENDUM, regime)
-    )
+    no_ref = g_gs = G(gs)
+    if b_R >= 0:
+        w_below = _win_below(params, None, gs, config)
+        no_ref = g_gs - 2.0 * w_below + _wins(params, None, None, config)[0]
+    if regime is ReferendumRegime.BINDING:
+        return no_ref, 1.0
+    # Summed piece by piece in shock order: the left tail's mass g_R, the
+    # split piece's g_gs - g_R - 2 W[-b_R, gamma_star] + W[-b_R, -b_L], and
+    # the right tail's 1 - G(-b_L). Cancelling g_R would move the level by
+    # a few ulps.
+    g_R, w_below = G(-b_R), _win_below(params, -b_R, gs, config)
+    w_split = _wins(params, -b_R, -b_L, config)[0]
+    return no_ref, g_R + g_gs - g_R - 2.0 * w_below + w_split + 1.0 - G(-b_L)
 
 
 def _deltas(params, regime, config):
@@ -203,7 +179,8 @@ def second_issue_congruence(
 ) -> CongruenceReport:
     """Probability the implemented emerging policy matches the majority.
 
-    Summed over model.shock_pieces. Where the parties agree on y=0 the
+    Stated per (regime, start) branch, as the module docstring lists them,
+    from one gamma_star (_levels). Where the parties agree on y=0 the
     outcome is congruent exactly when the shock stays below gamma_star; where
     they diverge, congruence requires the right-sided party to win on the
     right side of gamma_star. A binding referendum makes the match certain. A

@@ -19,14 +19,15 @@ two-party one where the parties split and the spoiler race while both majors
 hold y=0, as a coefficient and two cohesion kernels of the thresholds
 module: over a shock piece the gap lambda(r) - lambda is affine in them.
 _wins is the one reader of a race piece: it gives Right's win and that gap
-together, and win_prob, net_benefit, the congruence deltas and both spoiler
-quantities each read one of them. Where the map saturates, the piece is cut
-at its kinks (split_at_kinks): the saturated sub-pieces are shock masses,
-and the stretches between kinks read kernels like any other piece. Every
-kernel goes through thresholds._kernel, so within quadrature.memo() each is
-integrated once per command. Right's win over a saturated sub-piece is its
-mass times the level, exactly, so a tail where one side always wins adds
-exactly 0 to the emerging-issue delta.
+together. win_prob, net_benefit, the congruence levels and deltas, and the
+spoiler quantities (win_prob_third, net_benefit_third, worse_off_condition)
+each read one of them; no other module reads a race's kernels. Where the
+map saturates, the piece is cut at its kinks (split_at_kinks): the saturated
+sub-pieces are shock masses, and the stretches between kinks read kernels
+like any other piece. Every kernel goes through thresholds._kernel, so
+within quadrature.memo() each is integrated once per command. Right's win
+over a saturated sub-piece is its mass times the level, exactly, so a tail
+where one side always wins adds exactly 0 to the emerging-issue delta.
 """
 
 from __future__ import annotations

@@ -23,12 +23,11 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec
 from .congruence import knife_edge
-from .election import _clamp, _race, _wins, lambda_win
+from .election import _clamp, _wins, lambda_win
 from .errors import InvalidParamsError, UsageError
 from .model import ElectorateParams, ReferendumRegime, cdf_ends, require_regime, shock_pieces
 from .model import validate as validate_base
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .thresholds import _kernel
 
 DEFAULT_VALENCE = -0.01
 
@@ -119,16 +118,17 @@ def worse_off_condition(
 ) -> bool:
     """True when the spoiler's presence lowers Right's chance of beating Left.
 
-    Compares the expected defection damage on each side, (1-r) KL with r KR,
-    the spoiler race's kernels over the whole line; holds whenever r >= 1/2,
-    and more broadly whenever Right has more to lose from it than Left.
+    That is, when the spoiler race's gap over the whole line
+    (election._wins(..., v)), lambda(r) less P(Right ahead of Left), is
+    positive. Where the spoiler map stays inside [0, 1], which mu <= 1/2
+    guarantees, the gap is c (r KR - (1-r) KL) with KL and KR the race's
+    kernels, so this compares the expected defection damage on each side,
+    (1-r) KL with r KR; where the map saturates it is exact, as that
+    comparison is not. Holds whenever r >= 1/2, and more broadly whenever
+    Right has more to lose from the spoiler than Left.
     """
     require_valid_third(tp)
-    b = tp.base
-    _, kL, kR = _race(b, tp.v)
-    KL = _kernel(*kL, b.taste, b.shock, None, None, config)
-    KR = _kernel(*kR, b.taste, b.shock, None, None, config)
-    return (1.0 - b.r) * KL < b.r * KR
+    return _wins(tp.base, None, None, config, tp.v)[1] > 0.0
 
 
 def phi(b_L: float, b_R: float, shock: DistributionSpec) -> float:

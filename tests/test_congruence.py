@@ -1,7 +1,6 @@
 """Congruence between implemented policy and the policy-voter majority."""
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -19,8 +18,10 @@ from refcalc.congruence import (
 )
 from refcalc.election import net_benefit, split_at_kinks, win_prob
 from refcalc.errors import InvalidParamsError, UsageError
-from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, competitive_band
+from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE, memo
+
+from conftest import diverged_draws, mirror
 
 BINDING = ReferendumRegime.BINDING
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -182,35 +183,11 @@ def test_region_map_flags_match_deltas(scenario_a):
 DELTA_BOUND = 10 * DEFAULT_QUADRATURE.abs_tol
 
 
-def _mirror(params):
-    """The party mirror: r -> 1 - r and (b_L, b_R) -> (-b_R, -b_L). With a
-    symmetric shock and taste it swaps the parties, y=0 with y=1 and the
-    shock with its negative, so neither issue's congruence moves."""
-    return replace(params, r=1.0 - params.r, b_L=-params.b_R, b_R=-params.b_L)
-
-
-def _diverged_draws(n, seed=26):
-    # Diverged starts (b_L < 0 < b_R, so the mirror is one too), with normal
-    # and logistic taste and mu up to 0.9, where the win map saturates.
-    rng = random.Random(seed)
-    draws = []
-    for i in range(n):
-        mu = rng.uniform(0.2, 0.9)
-        lo, hi = competitive_band(mu)
-        draws.append(ElectorateParams(
-            r=rng.uniform(max(lo, 0.05), min(hi, 0.95)), mu=mu, p=rng.uniform(0.05, 1.0),
-            b_L=-rng.uniform(0.05, 1.0), b_R=rng.uniform(0.05, 1.0),
-            taste=DistributionSpec(("normal", "logistic")[i % 2], rng.uniform(0.1, 1.0)),
-            shock=DistributionSpec("normal", rng.uniform(0.1, 0.8)),
-        ))
-    return draws
-
-
 @pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
-@pytest.mark.parametrize("params", _diverged_draws(16))
+@pytest.mark.parametrize("params", diverged_draws(16, seed=26))
 def test_both_deltas_are_invariant_under_the_party_mirror(params, regime):
     deltas = []
-    for electorate in (params, _mirror(params)):
+    for electorate in (params, mirror(params)):
         with memo():
             deltas.append((
                 second_delta(electorate, regime), traditional_delta(electorate, regime)))
@@ -221,7 +198,7 @@ def test_both_deltas_are_invariant_under_the_party_mirror(params, regime):
 
 def test_the_mirror_draws_reach_the_saturated_win_map():
     # The draws above would not test the kinks' mirror if none saturated.
-    saturated = [p for p in _diverged_draws(16) if split_at_kinks(p, None, None)]
+    saturated = [p for p in diverged_draws(16, seed=26) if split_at_kinks(p, None, None)]
     assert len(saturated) >= 5
 
 

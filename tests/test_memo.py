@@ -7,10 +7,10 @@ Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what that may
 and may not change: each distinct kernel is integrated once per command, no
 integral is computed outside recall, the memo stores nothing else, every
 value is the very double computed outside the memo (at either zero), nothing
-survives the command, and a failure is never stored. Three counts pin what
+survives the command, and a failure is never stored. Four counts pin what
 is read: figg reads each moved piece of a cell once, second_delta integrates
-no kernel pair it does not use, and validate integrates no delta it does not
-print.
+no kernel pair it does not use, validate integrates no delta it does not
+print, and a saturated spoiler eval reads the spoiler race's whole line once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ DIVERGED = {
     "regime": "non_binding",
     "quadrature": {"abs_tol": 1e-10, "rel_tol": 1e-8},
 }
-# The diverged scenario where the win map saturates at mu 0.9 and r 0.52.
+# The diverged scenario where the win map saturates at mu 0.9 and r 0.52,
+# and the benchmark's spoiler scenario there.
 SATURATED = {**DIVERGED, "mu": 0.9, "r": 0.52}
+SPOILER_SATURATED = {**SATURATED, "b_R": -0.1, "third_party": {"v": -0.01}}
 SWEEP_QUANTITIES = (
     "win_prob", "net_benefit", "gamma_star", "r_bind", "r_star_star",
     "delta_second", "delta_traditional",
@@ -106,10 +108,13 @@ def _argv(tmp_path, command):
         return _sweep_r(_dump(tmp_path, DIVERGED))
     if command == "eval_saturated":
         return ["eval", _dump(tmp_path, SATURATED)]
+    if command == "eval_spoiler_saturated":
+        return ["eval", _dump(tmp_path, SPOILER_SATURATED)]
     return ["figure", command]
 
 
-@pytest.mark.parametrize("command", ["sweep_r", "fig3", "figg", "eval_saturated"])
+@pytest.mark.parametrize(
+    "command", ["sweep_r", "fig3", "figg", "eval_saturated", "eval_spoiler_saturated"])
 def test_each_distinct_integral_is_integrated_once_per_command(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -136,6 +141,12 @@ def test_each_distinct_integral_is_integrated_once_per_command(
         pieces = {key[5:7] for key in table}
         assert pieces == {(None, None), (None, -0.3), (-0.3, 0.5), (0.5, None)}
         assert len(table) == 8
+    elif command == "eval_spoiler_saturated":
+        # worse_off_condition reads the spoiler race's gap over the whole
+        # line, the read win_prob_third makes without a referendum, so the
+        # whole line's spoiler kernel pair is not integrated beside its
+        # stretches.
+        assert len(table) == 14
     elif command == "fig3":
         # r_bind's L does not involve b_R: one for all 50 diverged rows.
         assert sum(key[0] == "L" and key[5:7] == (None, None) for key in table) == 1

@@ -6,7 +6,9 @@ points where the win map saturates, and at three more saturating electorates
 found by a random scan, against tests/reference_mp.py, which shares no code
 with refcalc. The reference clamps the spoiler map and splits its integral
 at the kinks it finds with mp.findroot; the net benefit's reference is the
-difference of the two win probabilities.
+difference of the two win probabilities. At three more saturating
+electorates, where the spoiler raises Right's chance of finishing ahead of
+Left, worse_off_condition must say that Right is not worse off.
 
 Each integrate call may miss by the tolerance it declares: abs_tol, plus
 rel_tol times the integral of |f| over its piece, plus the 1e-12 of shock
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import pytest
 
-from refcalc.distributions import DistributionSpec
-from refcalc.model import ElectorateParams, ReferendumRegime
+from refcalc.model import ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE
-from refcalc.third_party import ThirdPartyParams, net_benefit_third, win_prob_third
+from refcalc.third_party import net_benefit_third, win_prob_third, worse_off_condition
+
+from conftest import SPOILER_HELPS, spoiler
 
 mp = pytest.importorskip("mpmath")
 import reference_mp as ref  # noqa: E402  (needs mpmath)
@@ -80,16 +83,6 @@ def _ids(e):
     return f"mu={e['mu']}-r={e['r']}-{e['taste'][0]}"
 
 
-def _tp(e):
-    return ThirdPartyParams(
-        ElectorateParams(
-            r=e["r"], mu=e["mu"], p=e["p"], b_L=e["b_L"], b_R=e["b_R"],
-            taste=DistributionSpec(*e["taste"]), shock=DistributionSpec(*e["shock"]),
-        ),
-        e["v"],
-    )
-
-
 def _call_tol(e, lo, hi):
     G = ref.cdf(*e["shock"])
     return ABS + REL * (G(hi) - G(lo)) + ref.TAIL * ((lo == -mp.inf) + (hi == mp.inf))
@@ -115,7 +108,7 @@ def _ahead(e, regime):
     for e in CASES for regime in ("no_referendum", "non_binding")
 ])
 def test_win_prob_third_matches_mpmath(e, regime):
-    value = win_prob_third(_tp(e), ReferendumRegime(regime))
+    value = win_prob_third(spoiler(e), ReferendumRegime(regime))
     expected = _ahead(e, regime)
     if regime == "no_referendum":
         tol = _call_tol(e, -mp.inf, mp.inf)
@@ -126,7 +119,7 @@ def test_win_prob_third_matches_mpmath(e, regime):
 
 @pytest.mark.parametrize("e", CASES, ids=_ids)
 def test_net_benefit_third_matches_mpmath(e):
-    value = net_benefit_third(_tp(e))
+    value = net_benefit_third(spoiler(e))
     expected = _ahead(e, "non_binding") - _ahead(e, "no_referendum")
     tol = _call_tol(e, -e["b_R"], -e["b_L"]) + _call_tol(e, -e["b_L"], mp.inf) + _gap_tol(e)
     assert abs(value - expected) <= tol
@@ -144,3 +137,13 @@ def test_the_saturated_reference_is_frozen(point):
     assert all(abs(ref._lam_hat_raw(e, x)) < 1e-12 for x in kinks)
     expected = ref.ahead_third(e, "non_binding") - ref.ahead_third(e, "no_referendum")
     assert abs(expected - SATURATED[point]) < 1e-15
+
+
+@pytest.mark.parametrize("name", SPOILER_HELPS)
+def test_the_spoiler_helps_right_where_its_map_saturates(name):
+    # P(Right ahead of Left) exceeds lambda(r), Right's win probability
+    # without the entrant, so Right is not worse off with it, although
+    # r KR exceeds (1-r) KL.
+    e = SPOILER_HELPS[name]
+    assert ref.ahead_third(e, "no_referendum") > ref.lam(e, e["r"])
+    assert worse_off_condition(spoiler(e)) is False

@@ -22,6 +22,8 @@ from refcalc.third_party import (
     worse_off_condition,
 )
 
+from conftest import SPOILER_HELPS, spoiler
+
 NO_REF = ReferendumRegime.NO_REFERENDUM
 NON_BINDING = ReferendumRegime.NON_BINDING
 
@@ -201,12 +203,14 @@ def test_phi_sign_structure_around_thresholds():
 
 def test_worse_off_condition_matches_definition():
     # Right is worse off with the spoiler present when its three-way win
-    # probability falls short of the two-party one.
-    expected = win_prob_third(SPOILER, NO_REF) < lambda_win(BASE_B.r, BASE_B.mu)
-    assert worse_off_condition(SPOILER) is expected
-    assert worse_off_condition(SPOILER) is True
-    # The two-party comparison point for the aligned baseline is lambda(r).
-    assert win_prob(BASE_B, NO_REF) == pytest.approx(lambda_win(BASE_B.r, BASE_B.mu), abs=1e-12)
+    # probability falls short of the two-party one, lambda(r) for the aligned
+    # baseline. Where the spoiler map saturates, the spoiler can help Right.
+    for tp in (SPOILER, *map(spoiler, SPOILER_HELPS.values())):
+        b = tp.base
+        expected = win_prob_third(tp, NO_REF) < lambda_win(b.r, b.mu)
+        assert worse_off_condition(tp) is expected
+        assert expected is (tp is SPOILER)
+        assert win_prob(b, NO_REF) == pytest.approx(lambda_win(b.r, b.mu), abs=1e-12)
 
 
 def test_classify_requires_wide_dispersion():

@@ -48,13 +48,15 @@ SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNO
 # r = 1/2 knife edge, where the traditional delta is empty; the diverged
 # scenario at mu = 0.9, where the win map saturates and the win integrals
 # split at its kinks; the spoiler scenario there, whose net benefit
-# subtracts the split two-party gap; two saturating spoiler electorates, one
-# whose kinks a clipped-map quadrature missed by 4.8e-7 and one with a narrow
+# subtracts the split two-party gap; three saturating spoiler electorates,
+# one whose kinks a clipped-map quadrature missed by 4.8e-7, one with a narrow
 # taste under a wide shock, where the spoiler map's slope underflows away
-# from its kernels' centres; one whose cohesion kernels both underflow to 0,
-# so r_bind has no root; and two sim blocks the loader rejects with exit 2,
-# one with a non-boolean agent_level and one with the unknown key
-# continuum_tally.
+# from its kernels' centres, and one where the spoiler raises Right's chance
+# of finishing ahead of Left although r KR exceeds (1-r) KL, the comparison of
+# the unclamped spoiler kernels over the whole line; one whose cohesion
+# kernels both underflow to 0, so r_bind has no root; and two sim blocks the
+# loader rejects with exit 2, one with a non-boolean agent_level and one with
+# the unknown key continuum_tally.
 EVALUATED = {
     "binding": {**wl.DIVERGED, "regime": "binding"},
     "aligned": {**wl.DIVERGED, "b_R": -0.1},
@@ -72,6 +74,12 @@ EVALUATED = {
         "taste": {"family": "normal", "scale": 0.051},
         "shock": {"family": "normal", "scale": 0.619},
         "third_party": {"v": -0.155},
+    },
+    "spoiler_better_off": {
+        **wl.SPOILER, "r": 0.43, "mu": 0.82, "p": 0.1, "b_L": -0.8, "b_R": -0.73,
+        "taste": {"family": "normal", "scale": 0.106},
+        "shock": {"family": "normal", "scale": 0.77},
+        "third_party": {"v": -0.12},
     },
     "underflow": {
         "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
