@@ -13,11 +13,16 @@ cdf, pdf and quantile take a branch for a Python float, the argument of every
 integrand call in the shock integrals. It checks the argument with math
 (math.isfinite, or the open unit interval for quantile) instead of building a
 0-d array, which cost far more than the special function itself, and does the
-arithmetic in floats. It still calls the same scipy/numpy ufuncs as the array
-path (erfc, expit, exp, erfcinv, log, log1p) in the same order, so a float
-and an array element give bit-identical results, and with them the CLI's CSVs
-and the oracle's golden file. math.erfc and math.exp are not used: math.erfc
+arithmetic in floats, with the same scipy/numpy ufuncs as the array path
+(erfc, expit, exp, erfcinv, log, log1p) in the same order: a float and an
+array element give bit-identical results, and with them the CLI's CSVs and
+the oracle's golden file. math.erfc and math.exp are not used: math.erfc
 differs from scipy's erfc in the last bits on about 40% of N(0, 4^2) points.
+The float cdf and pdf are closures over family and scale (_scalar_formulas),
+built once per spec and bound once per integral or root by the hot callers.
+Not being fields, they stay out of ==, hash, repr and the memo keys; as they
+do not pickle, a spec pickles as DistributionSpec(family, scale), which
+builds them again in sweep --threads' workers.
 
 A truncated variant restricts a family to a symmetric interval [-w, w] and
 renormalises by its mass 1 - 2 cdf(-w), computed once, at construction. Its
@@ -47,17 +52,41 @@ FAMILIES = ("normal", "logistic")
 TRUNCATION_TAIL = 1e-12
 
 
-def _check_finite_float(x):
-    if not math.isfinite(x):
-        raise UsageError("distribution evaluated at a non-finite point")
-    return x
+_NON_FINITE = "distribution evaluated at a non-finite point"
 
 
 def _check_finite(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise UsageError("distribution evaluated at a non-finite point")
+        raise UsageError(_NON_FINITE)
     return arr
+
+
+def _scalar_formulas(family, scale):
+    """(cdf, pdf) of the family at scale for one scalar argument, raising
+    UsageError where it is not finite: the float branch of the methods."""
+    isfinite, erfc, expit, exp = math.isfinite, special.erfc, special.expit, np.exp
+    if family == "normal":
+        def cdf(x):
+            if not isfinite(x):
+                raise UsageError(_NON_FINITE)
+            return 0.5 * float(erfc(-(x / scale) / _SQRT2))
+
+        def pdf(x):
+            if not isfinite(x):
+                raise UsageError(_NON_FINITE)
+            z = x / scale
+            return _INV_SQRT2PI * float(exp(-0.5 * z * z)) / scale
+    else:
+        def cdf(x):
+            if not isfinite(x):
+                raise UsageError(_NON_FINITE)
+            return float(expit(x / scale))
+
+        def pdf(x):
+            s = cdf(x)
+            return s * (1.0 - s) / scale
+    return cdf, pdf
 
 
 @dataclass(frozen=True)
@@ -74,13 +103,16 @@ class DistributionSpec:
             )
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise UsageError(f"scale must be finite and positive, got {self.scale}")
+        cdf, pdf = _scalar_formulas(self.family, self.scale)
+        object.__setattr__(self, "_scalar_cdf", cdf)
+        object.__setattr__(self, "_scalar_pdf", pdf)
+
+    def __reduce__(self):
+        return type(self), (self.family, self.scale)
 
     def cdf(self, x):
         if type(x) is float:
-            z = _check_finite_float(x) / self.scale
-            if self.family == "normal":
-                return 0.5 * float(special.erfc(-z / _SQRT2))
-            return float(special.expit(z))
+            return self._scalar_cdf(x)
         z = _check_finite(x) / self.scale
         if self.family == "normal":
             out = 0.5 * special.erfc(-z / _SQRT2)
@@ -90,11 +122,7 @@ class DistributionSpec:
 
     def pdf(self, x):
         if type(x) is float:
-            z = _check_finite_float(x) / self.scale
-            if self.family == "normal":
-                return _INV_SQRT2PI * float(np.exp(-0.5 * z * z)) / self.scale
-            s = float(special.expit(z))
-            return s * (1.0 - s) / self.scale
+            return self._scalar_pdf(x)
         z = _check_finite(x) / self.scale
         if self.family == "normal":
             out = _INV_SQRT2PI * np.exp(-0.5 * z * z) / self.scale

@@ -133,7 +133,7 @@ def split_at_kinks(params: ElectorateParams, lo, hi, v=None) -> tuple:
     if v is None and not (reads[0][2] > 0.0 or reads[1][2] < -1.0):
         return ()
     if v is not None:
-        (_, bL, pL), (_, bR, pR), pdf = kL, kR, params.taste.pdf
+        (_, bL, pL), (_, bR, pR), pdf = kL, kR, params.taste._scalar_pdf
 
         def slope(g):
             return r * pdf(-pR + g + bR) - (1.0 - r) * pdf(-pL + g + bL)
@@ -180,7 +180,7 @@ def _wins(params, lo, hi, config, v=None):
     c, kL, kR = _race(params, v)
     right = gap = 0.0
     for x, y, level in split_at_kinks(params, lo, hi, v) or ((lo, hi, None),):
-        g_x, g_y = cdf_ends(shock.cdf, x, y)
+        g_x, g_y = cdf_ends(shock._scalar_cdf, x, y)
         mass = g_y - g_x
         if level is None:
             L, R = (_kernel(*k, taste, shock, x, y, config) for k in (kL, kR))
@@ -210,7 +210,7 @@ def win_prob(
         if positions.diverged:
             diverged = diverged + _wins(params, lo, hi, config)[0]
         else:
-            g_lo, g_hi = cdf_ends(params.shock.cdf, lo, hi)
+            g_lo, g_hi = cdf_ends(params.shock._scalar_cdf, lo, hi)
             aligned = aligned + g_hi - g_lo
     return aligned * _clamp(lambda_win(params.r, params.mu)) + diverged
 

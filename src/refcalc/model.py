@@ -136,9 +136,10 @@ def referendum_support(params: ElectorateParams, gamma):
 
     A voter backs it iff her taste b_J + gamma + u is nonnegative, so the share
     is r * B(gamma + b_R) + (1 - r) * B(gamma + b_L). Strictly increasing in
-    gamma; crossing 1/2 defines the pivotal shock.
+    gamma; crossing 1/2 defines the pivotal shock. At a float gamma, as in
+    gamma_star's root search, B is the taste's float cdf closure.
     """
-    B = params.taste.cdf
+    B = params.taste._scalar_cdf if type(gamma) is float else params.taste.cdf
     return params.r * B(gamma + params.b_R) + (1.0 - params.r) * B(gamma + params.b_L)
 
 

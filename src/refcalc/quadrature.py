@@ -143,9 +143,11 @@ def shock_bounds(shock, lo=None, hi=None):
 
 
 def integrate_shock(fn, shock, lo=None, hi=None, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Integral of fn(gamma) * shock.pdf(gamma) over [lo, hi] (default: whole line)."""
+    """Integral of fn(gamma) * shock.pdf(gamma) over [lo, hi] (default: whole
+    line), with the shock's float pdf closure bound once (distributions)."""
     a, b = shock_bounds(shock, lo, hi)
-    return integrate(lambda g: fn(g) * shock.pdf(g), a, b, config)
+    pdf = shock._scalar_pdf
+    return integrate(lambda g: fn(g) * pdf(g), a, b, config)
 
 
 # The integrals of the command now running, by key; None outside memo().

@@ -82,7 +82,7 @@ def win_prob_third(
         elif positions.y_right == 0:
             total = total + _wins(b, lo, hi, config, tp.v)[0]
         else:
-            g_lo, g_hi = cdf_ends(b.shock.cdf, lo, hi)
+            g_lo, g_hi = cdf_ends(b.shock._scalar_cdf, lo, hi)
             total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu))
     return total
 

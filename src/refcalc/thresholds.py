@@ -17,7 +17,9 @@ slope, (1-r) * L - r * R = 0, with L and R the shock integrals of
 B(-p + gamma + b_L) and B(-p - gamma - b_R) over the shock pieces where the
 referendum moves positions (model.moved_pieces). Each root is the closed
 kernel ratio L/(L+R), reported with the residual of the condition; where
-both kernels underflow to 0 every r solves it, and RootFindError says so. None
+both kernels underflow to 0 every r solves it, and RootFindError says so.
+Where both lie below the quadrature's abs_tol the report is flagged
+kernels_below_abs_tol, as the tolerance then bounds nothing. None
 depends on mu: the popularity channel scales the net benefit without moving
 its sign change (as long as the affine win map never saturates; see the
 election module). Neither does any kernel, so within one command
@@ -173,8 +175,9 @@ def gamma_star(params: ElectorateParams) -> ThresholdReport:
 
 
 def _integrand(form, b, p, taste):
-    """Kernel integrand of form "L", B(-p + gamma + b), or "R", B(-p - gamma - b)."""
-    B = taste.cdf
+    """Kernel integrand of form "L", B(-p + gamma + b), or "R", B(-p - gamma - b),
+    at a float gamma, with the taste's float cdf closure B bound once."""
+    B = taste._scalar_cdf
     return (lambda g: B(-p + g + b)) if form == "L" else (lambda g: B(-p - g - b))
 
 
@@ -197,11 +200,11 @@ def _kernels(b_L, b_R, p, taste, shock, pieces, config):
     return L, R
 
 
-def _ratio(name, L, R, bracket):
+def _ratio(name, L, R, bracket, flags=()):
     if L + R == 0.0:
         raise RootFindError(f"{name}: both kernels are 0, so the condition holds for every r")
     value = L / (L + R)
-    return ThresholdReport(name, value, abs((1.0 - value) * L - value * R), bracket, 0)
+    return ThresholdReport(name, value, abs((1.0 - value) * L - value * R), bracket, 0, flags)
 
 
 def _cohesion(name, regime, diverged, bracket, doc):
@@ -224,8 +227,9 @@ def _cohesion(name, regime, diverged, bracket, doc):
         if b_R == b_L:
             # Only r_star gets here: its split piece is empty.
             return ThresholdReport(name, 0.5, 0.0, bracket, 0, ("degenerate_equal_biases",))
-        pieces = moved_pieces(b_L, b_R, regime)
-        return _ratio(name, *_kernels(b_L, b_R, p, taste, shock, pieces, config), bracket)
+        L, R = _kernels(b_L, b_R, p, taste, shock, moved_pieces(b_L, b_R, regime), config)
+        flags = ("kernels_below_abs_tol",) if max(L, R) < config.abs_tol else ()
+        return _ratio(name, L, R, bracket, flags)
 
     threshold.__name__ = threshold.__qualname__ = name
     threshold.__doc__ = doc

@@ -6,11 +6,13 @@ written, so they do not depend on the package's own quadrature.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
 
+from refcalc import distributions
 from refcalc.model import DistributionSpec, ElectorateParams, competitive_band
 from refcalc.third_party import ThirdPartyParams
 
@@ -93,3 +95,22 @@ def diverged_draws(n: int, seed: int) -> list[ElectorateParams]:
 @pytest.fixture
 def scenario_a() -> ElectorateParams:
     return SCENARIO_A
+
+
+def nan_where(monkeypatch, which, where):
+    """Make the float cdf or pdf (which) of every DistributionSpec built from
+    now on return NaN at each x where where(x) holds. The closures of
+    distributions._scalar_formulas are the methods' float branch and what
+    the shock integrals call, so a spec built before the patch is clean."""
+    formulas = distributions._scalar_formulas
+
+    def poisoned(family, scale):
+        cdf, pdf = formulas(family, scale)
+        f = cdf if which == "cdf" else pdf
+
+        def nan_f(x):
+            return math.nan if where(x) else f(x)
+
+        return (nan_f, pdf) if which == "cdf" else (cdf, nan_f)
+
+    monkeypatch.setattr(distributions, "_scalar_formulas", poisoned)

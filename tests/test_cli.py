@@ -26,6 +26,8 @@ from refcalc.election import win_prob
 from refcalc.model import ElectorateParams, referendum_support
 from refcalc.third_party import phi
 
+from conftest import nan_where
+
 GAMMA_STAR_A = 0.2365713444530117      # FROZEN scipy brentq
 WIN_NO_REF_A = 0.4312868827503117      # FROZEN scipy quad
 WIN_NON_BINDING_A = 0.44589834351968965  # FROZEN scipy quad
@@ -256,11 +258,7 @@ def test_exhausted_quadrature_exits_3(tmp_path, capsys):
 
 def test_non_finite_integrand_exits_3(tmp_path, capsys, monkeypatch):
     scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding"))
-    pdf = DistributionSpec.pdf
-    monkeypatch.setattr(
-        DistributionSpec, "pdf",
-        lambda self, x: math.nan if type(x) is float and x > 0.1 else pdf(self, x),
-    )
+    nan_where(monkeypatch, "pdf", lambda x: type(x) is float and x > 0.1)
     rc = main(["eval", scn])
     assert rc == 3
     err = capsys.readouterr().err
@@ -281,14 +279,11 @@ def test_a_nan_in_the_win_integrand_exits_3(tmp_path, capsys, monkeypatch, comma
     }[command]
     assert main(argv) == 0
     capsys.readouterr()
-    cdf = DistributionSpec.cdf
-    monkeypatch.setattr(
-        DistributionSpec, "cdf",
-        lambda self, x: math.nan if type(x) is float and 0.30 < x < 0.50 else cdf(self, x),
-    )
+    nan_where(monkeypatch, "cdf", lambda x: type(x) is float and 0.30 < x < 0.50)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
+    assert "non-finite integrand" in captured.err
     assert captured.out == ""
 
 

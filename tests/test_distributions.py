@@ -1,7 +1,10 @@
 """Distribution layer: closed forms, truncation, and shape validation."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from refcalc.distributions import (
     validate_shape,
 )
 from refcalc.errors import UsageError
+from refcalc.thresholds import _integrand
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -133,6 +137,63 @@ def test_array_path_rejects_what_the_float_path_rejects():
             d.partial_mean(np.array([0.0, math.nan]), 1.0)
         with pytest.raises(UsageError, match="lo <= hi"):
             d.partial_mean(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+@seed(20240615)
+@settings(max_examples=300, deadline=None)
+@given(
+    taste_family=st.sampled_from(FAMILIES),
+    shock_family=st.sampled_from(FAMILIES),
+    form=st.sampled_from(("L", "R")),
+    taste_scale=st.floats(0.05, 5.0),
+    shock_scale=st.floats(0.05, 5.0),
+    b=st.floats(-3.0, 3.0),
+    p=st.floats(0.01, 3.0),
+    z=st.floats(-40.0, 40.0),
+)
+def test_kernel_integrand_closures_equal_the_method_and_array_paths(
+    taste_family, shock_family, form, taste_scale, shock_scale, b, p, z
+):
+    # The kernel integrand and integrate_shock's weight call the per-spec
+    # closures; each product must be the double the array branch gives.
+    taste = DistributionSpec(taste_family, taste_scale)
+    shock = DistributionSpec(shock_family, shock_scale)
+    g = z * shock_scale
+    x = -p + g + b if form == "L" else -p - g - b
+    closure = _integrand(form, b, p, taste)(g) * shock._scalar_pdf(g)
+    assert closure == taste.cdf(np.array([x]))[0] * shock.pdf(np.array([g]))[0]
+    assert closure == _integrand(form, b, p, taste)(g) * shock.pdf(g)
+    assert closure == taste.cdf(x) * shock.pdf(g)
+
+
+def test_scalar_closures_reject_non_finite_arguments():
+    for family in FAMILIES:
+        d = DistributionSpec(family, 0.7)
+        for f in (d._scalar_cdf, d._scalar_pdf):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(UsageError, match="non-finite point"):
+                    f(bad)
+
+
+def test_copies_rebuild_the_closures_and_keep_identity():
+    # The closures are not fields, so they stay out of ==, hash, repr and
+    # the memo keys, and a copy builds its own: sweep --threads pickles the
+    # specs into its workers.
+    assert [f.name for f in dataclasses.fields(DistributionSpec)] == ["family", "scale"]
+    xs = (-2.5, -0.3, 0.0, 0.4, 1.7)
+    for family in FAMILIES:
+        d = DistributionSpec(family, 0.7)
+        d.truncation_window  # cached on d, so each copy must compute its own
+        copies = (
+            pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d),
+            dataclasses.replace(d),
+        )
+        for c in copies:
+            assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+            assert c._scalar_cdf is not d._scalar_cdf
+            assert [c.cdf(x) for x in xs] == [d.cdf(x) for x in xs]
+            assert [c.pdf(x) for x in xs] == [d.pdf(x) for x in xs]
+            assert c.truncation_window == d.truncation_window
 
 
 @pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan])

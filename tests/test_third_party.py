@@ -22,7 +22,7 @@ from refcalc.third_party import (
     worse_off_condition,
 )
 
-from conftest import SPOILER_HELPS, spoiler
+from conftest import SPOILER_HELPS, nan_where, spoiler
 
 NO_REF = ReferendumRegime.NO_REFERENDUM
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -82,20 +82,19 @@ def test_a_nan_in_the_spoiler_integrand_raises(monkeypatch):
     # The benchmark's spoiler electorate. A taste cdf that returns NaN on
     # part of its range must fail the quadrature, not be saturated to 1.0
     # and integrated as a probability.
-    tp = ThirdPartyParams(
-        base=ElectorateParams(
-            r=0.45, mu=0.5, p=0.2, b_L=-0.5, b_R=-0.1,
-            taste=DistributionSpec("normal", 0.2),
-            shock=DistributionSpec("normal", 0.25),
-        ),
-        v=-0.01,
-    )
-    assert win_prob_third(tp, NO_REF) == pytest.approx(0.3714, abs=1e-4)
-    cdf = DistributionSpec.cdf
-    monkeypatch.setattr(
-        DistributionSpec, "cdf",
-        lambda self, x: math.nan if type(x) is float and -0.50 < x < -0.30 else cdf(self, x),
-    )
+    def electorate():
+        return ThirdPartyParams(
+            base=ElectorateParams(
+                r=0.45, mu=0.5, p=0.2, b_L=-0.5, b_R=-0.1,
+                taste=DistributionSpec("normal", 0.2),
+                shock=DistributionSpec("normal", 0.25),
+            ),
+            v=-0.01,
+        )
+
+    assert win_prob_third(electorate(), NO_REF) == pytest.approx(0.3714, abs=1e-4)
+    nan_where(monkeypatch, "cdf", lambda x: type(x) is float and -0.50 < x < -0.30)
+    tp = electorate()
     for regime in (NO_REF, NON_BINDING):
         with pytest.raises(QuadratureError, match="non-finite integrand"):
             win_prob_third(tp, regime)

@@ -30,7 +30,7 @@ from refcalc.thresholds import (
     referendum_support,
 )
 
-from conftest import PRIM_NARROW, PRIM_WIDE
+from conftest import PRIM_NARROW, PRIM_WIDE, SCENARIO_A, diverged_draws, mirror
 
 WIDE = (PRIM_WIDE["b_L"], PRIM_WIDE["p"], PRIM_WIDE["taste"], PRIM_WIDE["shock"])
 NARROW = (PRIM_NARROW["b_L"], PRIM_NARROW["p"], PRIM_NARROW["taste"], PRIM_NARROW["shock"])
@@ -268,6 +268,22 @@ def test_r_star_frozen_narrow():
     assert rep.name == "r_star"
     assert rep.value == pytest.approx(0.37040492047629675, abs=1e-8)
     assert rep.residual < 1e-9
+
+
+def test_kernels_below_abs_tol_are_flagged():
+    # Draw 0: r_star_star's kernels are 4.7e-11 and 1.5e-11 against abs_tol
+    # 1e-10, r_bind's 5.3e-8 and 2.9e-8. No other draw of the set qualifies.
+    flag = "kernels_below_abs_tol"
+    flagged = []
+    for i, d in enumerate(diverged_draws(60, seed=3)):
+        for tag, e in (("draw", d), ("mirror", mirror(d))):
+            for f in (r_bind, r_star_star):
+                if flag in f(e.b_L, e.b_R, e.p, e.taste, e.shock).flags:
+                    flagged.append((i, tag, f.__name__))
+    assert flagged == [(0, "draw", "r_star_star"), (0, "mirror", "r_star_star")]
+    a = SCENARIO_A
+    for f in (r_bind, r_star_star):
+        assert f(a.b_L, a.b_R, a.p, a.taste, a.shock).flags == ()
 
 
 def test_r_star_degenerate_equal_biases():
