@@ -29,7 +29,6 @@ from refcalc import (
     second_issue_congruence,
     traditional_issue_congruence,
     validate,
-    validate_shape,
     win_prob,
 )
 
@@ -70,10 +69,6 @@ def main(argv=None) -> int:
     print(f"shock  ~ {p.shock.family}(scale={p.shock.scale})")
     violations = validate(p)
     print(f"model requirements: {'all satisfied' if not violations else violations}")
-    for dist, label in ((p.taste, "taste"), (p.shock, "shock")):
-        report = validate_shape(dist)
-        verdict = "ok" if report.ok else f"FAILED {report.failures()}"
-        print(f"shape audit ({label:>5}): symmetric, unimodal, unit-mass ... {verdict}")
 
     section("positions and the pivotal shock")
     pos = initial_positions(p)

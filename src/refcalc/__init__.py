@@ -15,14 +15,11 @@ from .congruence import (
     second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
-    traditional_report,
 )
 from .distributions import (
     FAMILIES,
     DistributionSpec,
-    ShapeReport,
     TruncatedDistribution,
-    validate_shape,
 )
 from .election import (
     lambda_margin,

@@ -39,7 +39,7 @@ from .congruence import (
     second_issue_congruence,
     second_issue_levels,
     traditional_delta,
-    traditional_report,
+    traditional_issue_congruence,
 )
 from .distributions import DistributionSpec
 from .election import net_benefit, win_prob
@@ -157,14 +157,12 @@ def _eval_rows(scenario: Scenario):
         ("win_prob_no_referendum", "λ", wp_no),
     ]
     if regime is not NO_REFERENDUM:
-        wp_with = _value(scenario, "win_prob")
-        gain = _value(scenario, "net_benefit")
         rows += [
-            (f"win_prob_{regime.value}", "λ", wp_with),
-            ("net_benefit", "Δλ", gain),
+            (f"win_prob_{regime.value}", "λ", _value(scenario, "win_prob")),
+            ("net_benefit", "Δλ", _value(scenario, "net_benefit")),
         ]
         second = second_issue_congruence(p, regime, quad)
-        trad = traditional_report(p.r, regime, wp_no, wp_with, gain)
+        trad = traditional_issue_congruence(p, regime, quad)
         rows += [
             ("congruence_second_no_ref", "P(y=maj)", second.prob_no_ref),
             ("congruence_second_with_ref", "P(y=maj)", second.prob_with_ref),

@@ -205,13 +205,18 @@ def traditional_issue_congruence(
     matters here only through how realigned emerging-issue positions shift
     the win probability. With r > 1/2 the report tracks Right's win
     probability, with r < 1/2 Left's; at r = 1/2 Right's, flagged with
-    KNIFE_EDGE_FLAG and with delta None (see traditional_report).
+    KNIFE_EDGE_FLAG. delta is traditional_delta's: Right's net benefit
+    signed by the majority, and None on the knife edge.
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
     wp_no = win_prob(params, ReferendumRegime.NO_REFERENDUM, config)
     wp_with = win_prob(params, regime, config)
-    return traditional_report(params.r, regime, wp_no, wp_with, net_benefit(params, regime, config))
+    delta = _majority_delta(params.r, net_benefit(params, regime, config))
+    if params.r < 0.5:
+        return CongruenceReport(ISSUE_TRADITIONAL, regime, 1.0 - wp_no, 1.0 - wp_with, delta)
+    flags = (KNIFE_EDGE_FLAG,) if delta is None else ()
+    return CongruenceReport(ISSUE_TRADITIONAL, regime, wp_no, wp_with, delta, flags)
 
 
 def _majority_delta(r, gain):
@@ -221,20 +226,6 @@ def _majority_delta(r, gain):
     if knife_edge(r):
         return None
     return gain if r > 0.5 else 0.0 - gain
-
-
-def traditional_report(
-    r: float, regime: ReferendumRegime, wp_no: float, wp_with: float, gain: float
-) -> CongruenceReport:
-    """The traditional-issue report from Right's win probabilities without
-    (wp_no) and with (wp_with) the referendum and Right's net benefit (gain),
-    for a caller that already holds them. delta is traditional_delta's: the
-    gain signed by the majority, and None on the r = 1/2 knife edge."""
-    delta = _majority_delta(r, gain)
-    if r < 0.5:
-        return CongruenceReport(ISSUE_TRADITIONAL, regime, 1.0 - wp_no, 1.0 - wp_with, delta)
-    flags = (KNIFE_EDGE_FLAG,) if delta is None else ()
-    return CongruenceReport(ISSUE_TRADITIONAL, regime, wp_no, wp_with, delta, flags)
 
 
 def traditional_delta(

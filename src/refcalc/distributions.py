@@ -270,60 +270,3 @@ class TruncatedDistribution:
         out = below + above
         return out if np.ndim(out) else float(out)
 
-
-@dataclass(frozen=True)
-class ShapeCheck:
-    name: str
-    passed: bool
-    worst: float
-
-
-@dataclass(frozen=True)
-class ShapeReport:
-    checks: tuple[ShapeCheck, ...]
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c.name for c in self.checks if not c.passed]
-
-
-def validate_shape(dist: DistributionSpec, n_grid: int = 1000, tol: float = 1e-9) -> ShapeReport:
-    """Check the structural properties the model relies on.
-
-    Evaluated on a quantile-spanning grid: symmetry of the density, the
-    mirror identity cdf(x) + cdf(-x) = 1, monotonicity of the cdf, the
-    quantile/cdf round trip, quasi-concavity of the density, and
-    log-concavity (second differences of log pdf, needed for the taste role).
-    """
-    qs = np.linspace(1e-6, 1.0 - 1e-6, n_grid)
-    x = dist.quantile(qs)
-    checks = []
-
-    sym = np.max(np.abs(dist.pdf(x) - dist.pdf(-x)))
-    checks.append(ShapeCheck("pdf_symmetric", sym <= tol, float(sym)))
-
-    mirror = np.max(np.abs(dist.cdf(x) + dist.cdf(-x) - 1.0))
-    checks.append(ShapeCheck("cdf_mirror_identity", mirror <= tol, float(mirror)))
-
-    cdf_vals = dist.cdf(x)
-    mono = float(np.min(np.diff(cdf_vals)))
-    checks.append(ShapeCheck("cdf_strictly_increasing", mono > 0, mono))
-
-    roundtrip = np.max(np.abs(cdf_vals - qs))
-    checks.append(ShapeCheck("quantile_roundtrip", roundtrip <= 1e-8, float(roundtrip)))
-
-    pos = x[x >= 0]
-    quasi = float(np.max(np.diff(dist.pdf(pos)))) if len(pos) > 1 else 0.0
-    checks.append(ShapeCheck("density_quasiconcave", quasi <= tol, quasi))
-
-    # Log-concavity on an uneven grid: the chord slopes of log pdf must be
-    # nonincreasing (plain second differences would be spacing-sensitive).
-    logpdf = np.log(dist.pdf(x))
-    slopes = np.diff(logpdf) / np.diff(x)
-    logconc = float(np.max(np.diff(slopes))) if len(slopes) > 1 else 0.0
-    checks.append(ShapeCheck("density_logconcave", logconc <= 1e-6, logconc))
-
-    return ShapeReport(tuple(checks))

@@ -13,7 +13,8 @@ Two maintained restrictions gate every computation:
 * bias ordering: b_L < 0 and b_L < b_R (Left opposes the emerging policy and
   is more opposed than Right);
 * interior competitiveness: 1 - 1/(2 mu) < r < 1/(2 mu), so neither party's
-  single-issue win probability saturates.
+  single-issue win probability saturates, up to rounding at the band's ends,
+  where win_prob clamps.
 """
 
 from __future__ import annotations

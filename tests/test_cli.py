@@ -22,8 +22,8 @@ from scipy import optimize
 
 from refcalc.cli import _FIG12_GAMMAS, _FIG12_PARAMS, main
 from refcalc.distributions import DistributionSpec
-from refcalc.election import win_prob
 from refcalc.model import ElectorateParams, referendum_support
+from refcalc.quadrature import recall
 from refcalc.third_party import phi
 
 from conftest import nan_where
@@ -157,22 +157,25 @@ def test_eval_traditional_delta_is_empty_on_the_knife_edge(tmp_path, capsys):
 
 @pytest.mark.parametrize("r", [0.45, 0.5, 0.55])
 def test_eval_integrates_each_win_probability_once(tmp_path, capsys, monkeypatch, r):
-    # The traditional congruence rows reuse the two win probabilities eval
-    # prints instead of integrating them again.
-    import refcalc.cli as cli
-    import refcalc.congruence as congruence
+    # The traditional congruence rows read the two win probabilities again,
+    # but within the command's memo every kernel integral behind them is
+    # computed once.
+    import refcalc.thresholds as thresholds
 
-    calls = []
+    computed = []
 
-    def spy(params, regime, *args):
-        calls.append(regime)
-        return win_prob(params, regime, *args)
+    def spy(compute, *key):
+        def counted():
+            computed.append(key)
+            return compute()
 
-    monkeypatch.setattr(cli, "win_prob", spy)
-    monkeypatch.setattr(congruence, "win_prob", spy)
+        return recall(counted, *key)
+
+    monkeypatch.setattr(thresholds, "recall", spy)
     scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding", r=r))
     assert main(["eval", scn]) == 0
-    assert sorted(regime.value for regime in calls) == ["no_referendum", "non_binding"]
+    assert computed
+    assert len(set(computed)) == len(computed)
 
 
 def test_eval_second_delta_is_exactly_zero_where_both_tails_saturate(tmp_path, capsys):

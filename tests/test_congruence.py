@@ -14,7 +14,6 @@ from refcalc.congruence import (
     second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
-    traditional_report,
 )
 from refcalc.election import net_benefit, split_at_kinks, win_prob
 from refcalc.errors import InvalidParamsError, UsageError
@@ -113,31 +112,34 @@ def test_traditional_delta_is_the_report_delta_off_the_knife_edge(scenario_a, r,
     )
 
 
-@pytest.mark.parametrize("r", [0.45, 0.5, 0.55])
-@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
-def test_traditional_report_on_held_win_probabilities_is_the_integrated_one(
-    scenario_a, r, regime
-):
-    params = replace(scenario_a, r=r)
-    wp_no, wp_with = win_prob(params, NO_REF), win_prob(params, regime)
-    gain = net_benefit(params, regime)
-    assert traditional_report(r, regime, wp_no, wp_with, gain) == (
-        traditional_issue_congruence(params, regime)
-    )
-
-
-def test_traditional_report_tracks_the_majority_party():
+def test_traditional_report_tracks_the_majority_party(scenario_a):
     # The delta is the gain, signed by the majority, not wp_with - wp_no.
-    left = traditional_report(0.4, BINDING, 0.25, 0.5, 0.125)
-    assert (left.prob_no_ref, left.prob_with_ref, left.delta) == (0.75, 0.5, -0.125)
-    right = traditional_report(0.6, BINDING, 0.25, 0.5, 0.125)
-    assert (right.prob_no_ref, right.prob_with_ref, right.delta) == (0.25, 0.5, 0.125)
+    left_params, right_params = replace(scenario_a, r=0.4), replace(scenario_a, r=0.6)
+    left = traditional_issue_congruence(left_params, BINDING)
+    assert (left.prob_no_ref, left.prob_with_ref, left.delta) == (
+        1.0 - win_prob(left_params, NO_REF),
+        1.0 - win_prob(left_params, BINDING),
+        0.0 - net_benefit(left_params, BINDING),
+    )
+    right = traditional_issue_congruence(right_params, BINDING)
+    assert (right.prob_no_ref, right.prob_with_ref, right.delta) == (
+        win_prob(right_params, NO_REF),
+        win_prob(right_params, BINDING),
+        net_benefit(right_params, BINDING),
+    )
     assert left.flags == right.flags == ()
-    tied = traditional_report(0.5, BINDING, 0.25, 0.5, 0.125)
-    assert (tied.prob_no_ref, tied.prob_with_ref, tied.delta) == (0.25, 0.5, None)
+    tied_params = replace(scenario_a, r=0.5)
+    tied = traditional_issue_congruence(tied_params, BINDING)
+    assert (tied.prob_no_ref, tied.prob_with_ref, tied.delta) == (
+        win_prob(tied_params, NO_REF), win_prob(tied_params, BINDING), None,
+    )
     assert tied.flags == (KNIFE_EDGE_FLAG,)
-    # Left's delta of a zero gain is +0.0, which prints as 0, not -0.
-    assert str(traditional_report(0.4, BINDING, 0.25, 0.25, 0.0).delta) == "0.0"
+    # A binding referendum from an aligned start moves nothing, so Right's
+    # net benefit is exactly 0.0, and Left's delta of it is +0.0, which
+    # prints as 0, not -0.
+    aligned = replace(left_params, b_R=-0.1)
+    assert net_benefit(aligned, BINDING) == 0.0
+    assert str(traditional_issue_congruence(aligned, BINDING).delta) == "0.0"
 
 
 def test_traditional_delta_validates_on_the_knife_edge(scenario_a):

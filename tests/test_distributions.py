@@ -14,7 +14,6 @@ from refcalc.distributions import (
     FAMILIES,
     DistributionSpec,
     TruncatedDistribution,
-    validate_shape,
 )
 from refcalc.errors import UsageError
 from refcalc.thresholds import _integrand
@@ -399,13 +398,23 @@ def test_truncated_quantile_does_not_call_the_checked_base_quantile(monkeypatch)
         assert t.quantile(np.array([0.1, 0.9])).shape == (2,)
 
 
-def test_validate_shape_passes_known_families():
-    for family in ("normal", "logistic"):
-        report = validate_shape(DistributionSpec(family, 0.7))
-        assert all(c.passed for c in report.checks), [
-            (c.name, c.worst) for c in report.checks if not c.passed
-        ]
-        names = {c.name for c in report.checks}
-        assert "pdf_symmetric" in names
-        assert "cdf_strictly_increasing" in names
-        assert "quantile_roundtrip" in names
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 0.7, 1e3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_families_have_the_shape_the_model_assumes(family, scale):
+    # Symmetric, unimodal and log-concave, on a grid spanning the quantiles
+    # 1e-6 to 1 - 1e-6. The tolerances are a few ulps of the quantity
+    # compared (the density relative to its peak), so they hold at any scale.
+    eps = np.finfo(float).eps
+    d = DistributionSpec(family, scale)
+    qs = np.linspace(1e-6, 1.0 - 1e-6, 1000)
+    x = d.quantile(qs)
+    pdf, cdf = d.pdf(x), d.cdf(x)
+    assert np.max(np.abs(pdf - d.pdf(-x))) <= 8 * eps * d.pdf(0.0)
+    assert np.max(np.abs(cdf + d.cdf(-x) - 1.0)) <= 4 * eps
+    assert np.all(np.diff(cdf) > 0)
+    assert np.max(np.abs(cdf - qs)) <= 4 * eps
+    assert np.all(np.diff(pdf[x >= 0]) < 0)
+    # Log-concavity on an uneven grid: the chord slopes of log pdf decrease
+    # (plain second differences would depend on the spacing).
+    slopes = np.diff(np.log(pdf)) / np.diff(x)
+    assert np.all(np.diff(slopes) < 0)

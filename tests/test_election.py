@@ -17,7 +17,14 @@ from refcalc.election import (
 )
 from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, UsageError
-from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, shock_pieces
+from refcalc.model import (
+    DistributionSpec,
+    ElectorateParams,
+    ReferendumRegime,
+    competitive_band,
+    shock_pieces,
+    validate,
+)
 from refcalc.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from refcalc.third_party import ThirdPartyParams, win_prob_third
 from refcalc.thresholds import gamma_star, r_bind
@@ -146,15 +153,20 @@ def test_win_prob_aligned_baseline_is_lambda_r(scenario_a):
     assert win_prob(aligned, NO_REF) == pytest.approx(0.45, abs=1e-12)
 
 
-def test_the_clip_holds_lambda_r_at_a_band_edge():
-    # competitive_band leaves r = 0.09090909090909095 valid at mu = 0.55,
-    # where lambda(r) rounds to -1.1e-16. Aligned majors race at lambda(r),
-    # so without the clip the win probability would be negative.
+@pytest.mark.parametrize("mu", [0.55, 0.6448905175136281])
+def test_the_clip_holds_lambda_r_at_a_band_edge(mu):
+    # The band is open, yet one ulp inside its lower end validate accepts an
+    # r where lambda(r) rounds to -1.1e-16 (r = 0.09090909090909095 at
+    # mu = 0.55, 0.22467459759255373 at the second mu). Aligned majors race
+    # at lambda(r), so without the clip the win probability would be
+    # negative.
+    r = math.nextafter(competitive_band(mu)[0], 1.0)
     params = ElectorateParams(
-        r=0.09090909090909095, mu=0.55, p=0.2, b_L=-0.5, b_R=-0.1,
+        r=r, mu=mu, p=0.2, b_L=-0.5, b_R=-0.1,
         taste=DistributionSpec("normal", 0.2), shock=DistributionSpec("normal", 0.25),
     )
-    assert lambda_win(params.r, params.mu) < 0.0
+    assert validate(params) == []
+    assert lambda_win(r, mu) == -1.1102230246251565e-16
     assert win_prob(params, NO_REF) == 0.0
     ahead = win_prob_third(ThirdPartyParams(params, v=-0.01), NON_BINDING)
     assert 0.0 <= ahead <= 1.0

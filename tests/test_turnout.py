@@ -127,7 +127,12 @@ def test_net_benefit_is_win_prob_difference():
     reason="the affine win map is not clamped: at mu=0.95 it leaves [0, 1]",
 )
 def test_win_prob_stays_a_probability_when_the_map_saturates():
-    # Passes validate_turnout; the oracle gives about 0.916 here.
+    # Passes validate_turnout. The per-shock map spans [0.127, 1.756] and
+    # crosses 1 once, at gamma ~ 0.08682. FROZEN scipy quad of the map
+    # clipped to [0, 1], split there: 0.9207506833217723 (the unclipped
+    # integral, which win_prob_turnout returns, is 1.0731749). A counts-engine
+    # run of the oracle (1e5 voters x 2e5 replications, seed 3) gave
+    # 0.920825 +- 0.000604.
     tp = TurnoutParams(
         base=replace(BASE_T, r=0.52, mu=0.95, b_L=-0.1, b_R=-0.9),
         c_bar=3.5,
@@ -135,7 +140,9 @@ def test_win_prob_stays_a_probability_when_the_map_saturates():
         kappa=1.0,
     )
     assert validate_turnout(tp) == []
-    assert 0.0 <= win_prob_turnout(tp, BINDING, config=CFG) <= 1.0
+    prob = win_prob_turnout(tp, BINDING, config=CFG)
+    assert 0.0 <= prob <= 1.0
+    assert prob == pytest.approx(0.9207506833217723, abs=1e-6)
 
 
 def test_r_T_frozen():
