@@ -12,7 +12,6 @@ from .congruence import (
     classify_congruence_region,
     second_delta,
     second_issue_congruence,
-    second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
 )

@@ -37,7 +37,6 @@ from .congruence import (
     classify_congruence_region,
     second_delta,
     second_issue_congruence,
-    second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
 )
@@ -411,7 +410,7 @@ def _validate_checks(scenario: Scenario):
     held = regime is not NO_REFERENDUM
     # Without a referendum only the level without it is used, and it is the
     # same under either held regime.
-    second_no_ref, second_with_ref = second_issue_levels(p, regime if held else BINDING, quad)
+    second = second_issue_congruence(p, regime if held else BINDING, quad)
     runs = [(p, reg) for reg in ((NO_REFERENDUM, regime) if held else (NO_REFERENDUM,))]
     if scenario.third is not None:
         runs += [(scenario.third, reg) for reg in REGIMES["third_party"]]
@@ -424,7 +423,7 @@ def _validate_checks(scenario: Scenario):
             checks.append((
                 f"win_prob_{reg.value}", win_prob(p, reg, quad), res.win_freq_R, res.se_win_R,
             ))
-            cong = second_no_ref if reg is NO_REFERENDUM else second_with_ref
+            cong = second.prob_no_ref if reg is NO_REFERENDUM else second.prob_with_ref
             checks.append((
                 f"congruence_y_{reg.value}", cong, res.congruence_y, res.se_congruence_y,
             ))

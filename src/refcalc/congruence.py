@@ -6,34 +6,31 @@ majority of policy voters prefers, with and without a referendum, and the
 delta between the two. Holding a referendum can move congruence in either
 direction; the region classifier maps out where it falls on each issue.
 
-The levels come from _levels and both deltas from _deltas. Each states the
-four (regime, start) branches once, from one gamma* and from election._wins,
-the one reader of a race piece. _deltas reads the race only on the shock
-pieces whose positions the regime changes, so a delta may differ from the
-difference of the two levels in the last digit. With W Right's win integral
-over a piece (over the whole line where no piece is named), G the shock cdf
-and gamma* the pivotal shock, the levels without and with the referendum,
-and the delta, are:
+The level without a referendum comes from _no_ref and both deltas from
+_deltas, each from one gamma* and from election._wins, the one reader of a
+race piece. With W Right's win integral over a piece (over the whole line
+where no piece is named), G the shock cdf and gamma* the pivotal shock, the
+level without the referendum is G(gamma*) from an aligned start (b_R < 0)
+and G(gamma*) - 2 W(-inf, gamma*] + W from a diverged one (b_R >= 0). A
+binding referendum makes the level with it 1, so its delta is 1 minus that
+level, and its traditional gain is the gap of _no_ref's whole-line read (0
+from an aligned start, where nothing moves). A non-binding one leaves the
+split piece [-b_R, -b_L] to the election, and its delta reads the race only
+on the pieces whose positions it changes:
 
-* non-binding, diverged start (b_R >= 0): G(gamma*) - 2 W(-inf, gamma*] + W
-  and G(gamma*) - 2 W[-b_R, gamma*] + W[-b_R, -b_L] + 1 - G(-b_L), as both
-  tails are congruent and the split piece is left to the election; the
-  delta reads only the two tails, where the parties move to the majority's
+* diverged start: the two tails, where the parties move to the majority's
   side: W below -b_R plus the mass less W above -b_L, without gamma*;
-* non-binding, aligned start: G(gamma*) and the same level with the
-  referendum; the delta reads the split piece [-b_R, -b_L] and
-  [-b_R, gamma*]: 1 - G(-b_L) + W[-b_R, -b_L] - 2 W[-b_R, gamma*];
-* binding, diverged start: G(gamma*) - 2 W(-inf, gamma*] + W and 1; the
-  delta reads the whole line and (-inf, gamma*], as (-inf, -b_R] and
-  [-b_R, gamma*]: 1 - (G(gamma*) - 2 W(-inf, gamma*] + W);
-* binding, aligned start: G(gamma*) and 1; the delta reads nothing:
-  1 - G(gamma*).
+* aligned start: the split piece and [-b_R, gamma*]:
+  1 - G(-b_L) + W[-b_R, -b_L] - 2 W[-b_R, gamma*].
+
+Its level with the referendum is the level without it plus that delta, so
+the two levels of a report differ by its delta up to one rounding.
 
 delta_traditional is Right's net benefit, signed by the traditional
 majority: the gaps of the same reads, the doubles net_benefit sums, in its
 order. traditional_delta computes it from net_benefit alone, so a caller that
 wants only it pays no gamma*. Every read goes through the kernels
-quadrature.memo() keeps, so within one command the levels and the delta
+quadrature.memo() keeps, so within one command the level and the delta
 integrate the [-b_R, gamma*] pair once.
 
 Majority conventions. On the emerging issue the majority preference flips at
@@ -64,9 +61,12 @@ class CongruenceReport:
     """Congruence probabilities for one issue, without and with a referendum.
 
     delta is prob_with_ref - prob_no_ref, computed from what the referendum
-    changes (second_delta, traditional_delta), so it may differ from that
-    difference in the last digit. On the traditional issue at r = 1/2 the
-    probabilities use the Right-as-majority convention, the report carries
+    changes (second_delta, traditional_delta). On the emerging issue
+    prob_with_ref is 1.0 under a binding referendum, where delta is
+    1.0 - prob_no_ref, and prob_no_ref + delta under a non-binding one. On
+    the traditional issue delta may differ from the difference of the two
+    win probabilities in the last digits, and at r = 1/2 the probabilities
+    use the Right-as-majority convention, the report carries
     KNIFE_EDGE_FLAG, and delta is None.
     """
 
@@ -83,33 +83,18 @@ def knife_edge(r: float) -> bool:
     return r == 0.5
 
 
-def _win_below(params, lo, gs, config):
-    # Right's win over [lo, gamma_star], lo -b_R or -inf: the read of
-    # [-b_R, gamma_star], plus from -inf the left tail's read.
-    w = _wins(params, -params.b_R, gs, config)[0]
-    if lo is None:
-        w = _wins(params, None, -params.b_R, config)[0] + w
-    return w
-
-
-def _levels(params, regime, config):
-    # (prob_no_ref, prob_with_ref) of the emerging issue, from one
-    # gamma_star; the module docstring lists each branch's reads.
-    b_L, b_R, G = params.b_L, params.b_R, params.shock.cdf
-    gs = gamma_star(params).value
-    no_ref = g_gs = G(gs)
-    if b_R >= 0:
-        w_below = _win_below(params, None, gs, config)
-        no_ref = g_gs - 2.0 * w_below + _wins(params, None, None, config)[0]
-    if regime is ReferendumRegime.BINDING:
-        return no_ref, 1.0
-    # Summed piece by piece in shock order: the left tail's mass g_R, the
-    # split piece's g_gs - g_R - 2 W[-b_R, gamma_star] + W[-b_R, -b_L], and
-    # the right tail's 1 - G(-b_L). Cancelling g_R would move the level by
-    # a few ulps.
-    g_R, w_below = G(-b_R), _win_below(params, -b_R, gs, config)
-    w_split = _wins(params, -b_R, -b_L, config)[0]
-    return no_ref, g_R + g_gs - g_R - 2.0 * w_below + w_split + 1.0 - G(-b_L)
+def _no_ref(params, config):
+    # (prob_no_ref, line) of the emerging issue, from one gamma_star: G(gamma*)
+    # from an aligned start, G(gamma*) - 2 W(-inf, gamma*] + W from a
+    # diverged one, with line the whole-line _wins read (None when aligned),
+    # whose gap is the binding referendum's gain.
+    b_R, gs = params.b_R, gamma_star(params).value
+    level = params.shock.cdf(gs)
+    if b_R < 0:
+        return level, None
+    w_below = _wins(params, -b_R, gs, config)[0] + _wins(params, None, -b_R, config)[0]
+    line = _wins(params, None, None, config)
+    return level - 2.0 * w_below + line[0], line
 
 
 def _deltas(params, regime, config):
@@ -122,23 +107,19 @@ def _deltas(params, regime, config):
     require_valid(params)
     require_regime(regime, "post_referendum")
     b_L, b_R, G = params.b_L, params.b_R, params.shock.cdf
-    if regime is ReferendumRegime.NON_BINDING and b_R >= 0:
+    if regime is ReferendumRegime.BINDING:
+        no_ref, line = _no_ref(params, config)
+        second, gain = 1.0 - no_ref, 0.0 if line is None else line[1]
+    elif b_R >= 0:
         w_left, gap_left = _wins(params, None, -b_R, config)
         w_right, gap_right = _wins(params, -b_L, None, config)
         second = w_left + (1.0 - G(-b_L) - w_right)
         gain = 0.0 + gap_left + gap_right
-    elif regime is ReferendumRegime.NON_BINDING:
+    else:
         w_split, gap_split = _wins(params, -b_R, -b_L, config)
         gs = gamma_star(params).value
-        second = 1.0 - G(-b_L) + w_split - 2.0 * _win_below(params, -b_R, gs, config)
+        second = 1.0 - G(-b_L) + w_split - 2.0 * _wins(params, -b_R, gs, config)[0]
         gain = 0.0 - gap_split
-    elif b_R >= 0:
-        w_line, gap_line = _wins(params, None, None, config)
-        gs = gamma_star(params).value
-        second = 1.0 - (G(gs) - 2.0 * _win_below(params, None, gs, config) + w_line)
-        gain = 0.0 + gap_line
-    else:
-        second, gain = 1.0 - G(gamma_star(params).value), 0.0
     return second, _majority_delta(params.r, gain)
 
 
@@ -149,27 +130,15 @@ def second_delta(
 ) -> float:
     """second_issue_congruence's delta, without its levels.
 
-    The first half of _deltas: it reads the race once on each piece whose
-    positions the regime changes (the module docstring lists them per
-    regime and start). From a diverged start (b_R >= 0) a non-binding
-    referendum changes only the tails, so it needs no gamma_star, and its
-    kernels do not move with r. Only a regime that splits the parties across
-    gamma_star (binding from a diverged start, non-binding from an aligned
-    one) reads the piece [-b_R, gamma_star].
+    The first half of _deltas. Under a binding referendum it is 1 minus the
+    level without it, which from a diverged start (b_R >= 0) reads the whole
+    line, (-inf, -b_R] and [-b_R, gamma_star]. A non-binding referendum reads
+    the race once on each piece whose positions it changes (the module
+    docstring lists them per start): from a diverged start only the tails, so
+    it needs no gamma_star and its kernels do not move with r; from an
+    aligned one the split piece and [-b_R, gamma_star].
     """
     return _deltas(params, regime, config)[0]
-
-
-def second_issue_levels(
-    params: ElectorateParams,
-    regime: ReferendumRegime,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
-    """second_issue_congruence's prob_no_ref and prob_with_ref, without its
-    delta, for a caller that prints only the levels."""
-    require_valid(params)
-    require_regime(regime, "post_referendum")
-    return _levels(params, regime, config)
 
 
 def second_issue_congruence(
@@ -179,19 +148,25 @@ def second_issue_congruence(
 ) -> CongruenceReport:
     """Probability the implemented emerging policy matches the majority.
 
-    Stated per (regime, start) branch, as the module docstring lists them,
-    from one gamma_star (_levels). Where the parties agree on y=0 the
-    outcome is congruent exactly when the shock stays below gamma_star; where
-    they diverge, congruence requires the right-sided party to win on the
-    right side of gamma_star. A binding referendum makes the match certain. A
-    non-binding one realigns positions with the shock, which helps in the
-    tails (both parties end up on the majority side) but still leaves the
-    middle interval to the election, now with gamma_star interior to it.
-    The delta is second_delta's. Each computes gamma_star; within
-    quadrature.memo() they share the kernels over [-b_R, gamma_star].
+    Where the parties agree on y=0 the outcome is congruent exactly when the
+    shock stays below gamma_star; where they diverge, congruence requires the
+    right-sided party to win on the right side of gamma_star. That level
+    without the referendum is stated once (_no_ref). A binding referendum
+    makes the match certain: prob_with_ref is 1.0 and delta 1.0 minus the
+    level. A non-binding one realigns positions with the shock, which helps
+    in the tails (both parties end up on the majority side) but still leaves
+    the middle interval to the election, now with gamma_star interior to it:
+    delta is second_delta's and prob_with_ref prob_no_ref + delta. Within
+    quadrature.memo() the level and the delta share the kernels over
+    [-b_R, gamma_star].
     """
+    require_valid(params)
+    require_regime(regime, "post_referendum")
+    no_ref = _no_ref(params, config)[0]
+    if regime is ReferendumRegime.BINDING:
+        return CongruenceReport(ISSUE_SECOND, regime, no_ref, 1.0, 1.0 - no_ref)
     delta = _deltas(params, regime, config)[0]
-    return CongruenceReport(ISSUE_SECOND, regime, *_levels(params, regime, config), delta)
+    return CongruenceReport(ISSUE_SECOND, regime, no_ref, no_ref + delta, delta)
 
 
 def traditional_issue_congruence(

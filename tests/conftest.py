@@ -57,14 +57,28 @@ SPOILER_HELPS = {
               taste=("normal", 0.16), shock=("normal", 0.73)),
 }
 
+# An electorate, in the form tests/reference_mp.py reads, where the emerging
+# issue's level without a referendum misses its mpmath value by 7.2e-12 and
+# the non-binding delta by 3.6e-13, so two levels computed apart would differ
+# by other than the delta in the printed 12 digits.
+DRIFT = dict(
+    r=0.5423513267880153, mu=0.2673229325623562, p=0.8800131320181206,
+    b_L=-0.43787516865302867, b_R=0.17780354004872323,
+    taste=("normal", 0.18597422077258624), shock=("logistic", 0.7587116519611558),
+)
 
-def spoiler(e: dict) -> ThirdPartyParams:
-    """The ThirdPartyParams of a spoiler electorate in reference_mp's form."""
-    base = ElectorateParams(
+
+def electorate(e: dict) -> ElectorateParams:
+    """The ElectorateParams of an electorate in reference_mp's form."""
+    return ElectorateParams(
         r=e["r"], mu=e["mu"], p=e["p"], b_L=e["b_L"], b_R=e["b_R"],
         taste=DistributionSpec(*e["taste"]), shock=DistributionSpec(*e["shock"]),
     )
-    return ThirdPartyParams(base, e["v"])
+
+
+def spoiler(e: dict) -> ThirdPartyParams:
+    """The ThirdPartyParams of a spoiler electorate in reference_mp's form."""
+    return ThirdPartyParams(electorate(e), e["v"])
 
 
 def mirror(params: ElectorateParams) -> ElectorateParams:

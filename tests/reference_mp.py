@@ -185,3 +185,47 @@ def _ahead_third(items, regime):
         return total
     G = cdf(*e["shock"])
     return total + win_diverged(e, -e["b_R"], -e["b_L"]) + (1 - G(-e["b_L"])) * lam(e, e["r"])
+
+
+def gamma_star(e):
+    """The pivotal shock: where the share r B(x + b_R) + (1-r) B(x + b_L) of
+    policy voters backing the emerging policy crosses 1/2, by mp.findroot
+    bracketed by (-b_R, -b_L)."""
+    B = cdf(*e["taste"])
+
+    def excess(x):
+        return e["r"] * B(x + e["b_R"]) + (1 - e["r"]) * B(x + e["b_L"]) - HALF
+
+    return mp.findroot(excess, (-mp.mpf(e["b_R"]), -mp.mpf(e["b_L"])), solver="anderson")
+
+
+def congruence_no_ref(e):
+    """P(the implemented emerging policy matches its majority), no
+    referendum. The majority backs it iff the shock is at least gamma*. From
+    an aligned start (b_R < 0) both parties keep y=0, so it is G(gamma*);
+    from a diverged one Left (y=0) must win below gamma* and Right (y=1)
+    above: G(gamma*) - W(-inf, gamma*] + W[gamma*, inf)."""
+    gs = gamma_star(e)
+    G = cdf(*e["shock"])
+    if e["b_R"] < 0:
+        return G(gs)
+    return G(gs) - win_diverged(e, -mp.inf, gs) + win_diverged(e, gs, mp.inf)
+
+
+def congruence_non_binding(e):
+    """The same under a non-binding referendum: in both tails the parties
+    agree with the majority, and on [-b_R, -b_L] they split, so Left must win
+    below gamma* and Right above. That is the tails' mass
+    + the integral from -b_R to gamma* of (1 - lambda) g
+    + the integral from gamma* to -b_L of lambda g."""
+    gs = gamma_star(e)
+    lo, hi = -mp.mpf(e["b_R"]), -mp.mpf(e["b_L"])
+    G = cdf(*e["shock"])
+    tails = G(lo) + 1 - G(hi)
+    return tails + (G(gs) - G(lo) - win_diverged(e, lo, gs)) + win_diverged(e, gs, hi)
+
+
+def phi(b_L, b_R, shock):
+    """The wide-dispersion sign kernel 1 - 2 G(-b_L) + G(-b_R)."""
+    G = cdf(*shock)
+    return 1 - 2 * G(-mp.mpf(b_L)) + G(-mp.mpf(b_R))

@@ -26,7 +26,7 @@ from refcalc.model import ElectorateParams, referendum_support
 from refcalc.quadrature import recall
 from refcalc.third_party import phi
 
-from conftest import nan_where
+from conftest import DRIFT, nan_where
 
 GAMMA_STAR_A = 0.2365713444530117      # FROZEN scipy brentq
 WIN_NO_REF_A = 0.4312868827503117      # FROZEN scipy quad
@@ -187,6 +187,23 @@ def test_eval_second_delta_is_exactly_zero_where_both_tails_saturate(tmp_path, c
     assert main(["eval", scn, "--out", str(out)]) == 0
     assert dict(_read_csv(out)[1])["congruence_second_delta"] == "0"
     assert "congruence_second_delta            ΔP         0\n" in capsys.readouterr().out
+
+
+def test_eval_prints_emerging_levels_that_differ_by_the_delta(tmp_path, capsys):
+    # On this electorate the level without a referendum misses its mpmath
+    # value by 7.2e-12 and the delta by 3.6e-13. Each printed value is
+    # rounded to 12 significant digits, by at most 5e-13 here, so levels
+    # that differ by the delta print within three such roundings of it.
+    scn = {
+        **DRIFT, "regime": "non_binding",
+        **{k: {"family": DRIFT[k][0], "scale": DRIFT[k][1]} for k in ("taste", "shock")},
+    }
+    out = tmp_path / "eval.csv"
+    assert main(["eval", _dump(tmp_path, "drift.json", scn), "--out", str(out)]) == 0
+    values = {name: float(cell) for name, cell in _read_csv(out)[1]}
+    no_ref, with_ref, delta = (
+        values[f"congruence_second_{k}"] for k in ("no_ref", "with_ref", "delta"))
+    assert abs(with_ref - no_ref - delta) <= 1.5e-12
 
 
 @pytest.mark.xfail(

@@ -11,7 +11,6 @@ from refcalc.congruence import (
     classify_congruence_region,
     second_delta,
     second_issue_congruence,
-    second_issue_levels,
     traditional_delta,
     traditional_issue_congruence,
 )
@@ -20,7 +19,7 @@ from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE, memo
 
-from conftest import diverged_draws, mirror
+from conftest import SCENARIO_A, diverged_draws, mirror
 
 BINDING = ReferendumRegime.BINDING
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -204,6 +203,15 @@ def test_the_mirror_draws_reach_the_saturated_win_map():
     assert len(saturated) >= 5
 
 
+def _emerging_levels_add_up(report):
+    # The level with the referendum is 1 under a binding one, whose delta is
+    # 1 less the level without it, and the level without it plus the delta
+    # under a non-binding one: the printed rows add up, exactly.
+    if report.regime is BINDING:
+        return report.prob_with_ref == 1.0 and report.delta == 1.0 - report.prob_no_ref
+    return report.prob_with_ref == report.prob_no_ref + report.delta
+
+
 @pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
 @pytest.mark.parametrize("b_R", [0.3, -0.1], ids=["diverged", "aligned"])
 @pytest.mark.parametrize("mu, r", [(0.5, 0.45), (0.9, 0.52)], ids=["interior", "saturated"])
@@ -215,8 +223,26 @@ def test_each_delta_is_the_difference_of_its_report_levels(scenario_a, regime, b
     trad = traditional_issue_congruence(params, regime)
     assert second.delta == second_delta(params, regime)
     assert trad.delta == traditional_delta(params, regime)
-    assert abs(second.delta - (second.prob_with_ref - second.prob_no_ref)) <= DELTA_BOUND
+    assert _emerging_levels_add_up(second)
     assert abs(trad.delta - (trad.prob_with_ref - trad.prob_no_ref)) <= DELTA_BOUND
+
+
+def _with_aligned_variants(draws):
+    # Each draw, then its aligned variant at b_R = -0.1 where its b_L lies
+    # below that.
+    return [*draws, *(replace(p, b_R=-0.1) for p in draws if p.b_L < -0.1)]
+
+
+@pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
+@pytest.mark.parametrize("params", [
+    *_with_aligned_variants(diverged_draws(60, seed=3)),
+    *(replace(SCENARIO_A, mu=0.9, r=0.52, b_R=b_R) for b_R in (0.3, -0.1)),
+])
+def test_the_emerging_levels_differ_by_the_delta(params, regime):
+    with memo():
+        report = second_issue_congruence(params, regime)
+        assert report.delta == second_delta(params, regime)
+    assert _emerging_levels_add_up(report)
 
 
 def test_second_delta_is_exactly_zero_where_both_tails_saturate(scenario_a):
@@ -250,7 +276,7 @@ def test_each_region_cell_holds_its_reports_deltas(scenario_a, regime, family, m
         second = second_issue_congruence(electorate, regime)
         assert abs(cell.delta_second - (second.prob_with_ref - second.prob_no_ref)) <= DELTA_BOUND
         assert cell.delta_second == second.delta == second_delta(electorate, regime)
-        assert (second.prob_no_ref, second.prob_with_ref) == second_issue_levels(electorate, regime)
+        assert _emerging_levels_add_up(second)
         # The core's traditional half is traditional_delta's double.
         assert (cell.delta_traditional is None) == (cell.r == 0.5)
         assert cell.delta_traditional == traditional_delta(electorate, regime)

@@ -7,10 +7,12 @@ Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what that may
 and may not change: each distinct kernel is integrated once per command, no
 integral is computed outside recall, the memo stores nothing else, every
 value is the very double computed outside the memo (at either zero), nothing
-survives the command, and a failure is never stored. Four counts pin what
+survives the command, and a failure is never stored. Five counts pin what
 is read: figg reads each moved piece of a cell once, second_delta integrates
-no kernel pair it does not use, validate integrates no delta it does not
-print, and a saturated spoiler eval reads the spoiler race's whole line once.
+no kernel pair it does not use, the emerging-issue report integrates each
+kernel pair of its level and delta once, validate integrates each distinct
+kernel once, and a saturated spoiler eval reads the spoiler race's whole
+line once.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ import pytest
 
 from refcalc import cli, congruence, election, quadrature, thresholds
 from refcalc.cli import main
-from refcalc.congruence import classify_congruence_region, second_delta, second_issue_levels
-from refcalc.election import win_prob
+from refcalc.congruence import (
+    classify_congruence_region,
+    second_delta,
+    second_issue_congruence,
+)
 from refcalc.errors import QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ReferendumRegime, moved_pieces
 from refcalc.quadrature import QuadratureConfig, memo
 from refcalc.scenario import load_scenario
-from refcalc.thresholds import r_bind, r_star, r_star_star
+from refcalc.thresholds import gamma_star, r_bind, r_star, r_star_star
 
 from conftest import SCENARIO_A
 
@@ -201,24 +206,49 @@ def test_second_delta_integrates_only_the_kernels_it_reads(monkeypatch, b_R, reg
     assert tally.integrals == tally.integrals_in_compute == 4
 
 
-def test_validate_integrates_no_congruence_delta(tmp_path, monkeypatch):
-    # validate prints the emerging issue's congruence levels, not its delta.
-    # From this diverged start the delta reads the right tail's kernel pair,
-    # which neither level nor either win probability reads.
+# (start, regime, integrals outside memo(), integrals inside it) of the
+# emerging-issue report on SCENARIO_A. From the aligned start the level is
+# G(gamma_star) and reads nothing, and the delta reads the kernel pairs over
+# [-b_R, -b_L] and [-b_R, gamma_star]. From the diverged start the level
+# reads the pairs over the whole line, (-inf, -b_R] and [-b_R, gamma_star];
+# the binding delta is 1 less it, and the non-binding delta reads both
+# tails, of which the memo keeps (-inf, -b_R] from the level.
+REPORT_READS = [
+    (-0.1, "non_binding", 4, 4),
+    (0.3, "binding", 6, 6),
+    (0.3, "non_binding", 10, 8),
+]
+
+
+@pytest.mark.parametrize("b_R, regime, outside, inside", REPORT_READS)
+def test_the_emerging_report_integrates_each_kernel_pair_once(
+    monkeypatch, b_R, regime, outside, inside
+):
+    params, regime = replace(SCENARIO_A, b_R=b_R), ReferendumRegime(regime)
+    tally = _Tally(monkeypatch)
+    second_issue_congruence(params, regime)
+    assert tally.integrals == tally.integrals_in_compute == outside
+    with memo():
+        second_issue_congruence(params, regime)
+    assert tally.integrals - outside == inside
+
+
+def test_validate_integrates_each_distinct_kernel_once(tmp_path, monkeypatch):
+    # validate prints both win probabilities and both emerging-issue levels,
+    # and the level with a non-binding referendum is the level without it
+    # plus the delta. From this diverged start that is the kernel pairs over
+    # the whole line, the split piece, (-inf, -b_R], [-b_R, gamma_star] and
+    # the right tail [-b_L, inf), which only the delta reads.
     sim = {"n_policy_voters": 200, "n_replications": 20, "agent_level": False}
     path = _dump(tmp_path, {**DIVERGED, "sim": sim})
-    scenario = load_scenario(path)
-    p, nb, quad = scenario.params, ReferendumRegime.NON_BINDING, scenario.quadrature
     tally = _Tally(monkeypatch)
     assert main(["validate", path, "--out", str(tmp_path / "validate.csv")]) == 0
-    printed = tally.integrals
-    with memo():
-        win_prob(p, ReferendumRegime.NO_REFERENDUM, quad)
-        win_prob(p, nb, quad)
-        second_issue_levels(p, nb, quad)
-        assert tally.integrals - printed == printed == 8
-        second_delta(p, nb, quad)
-        assert tally.integrals - printed == 8 + 2
+    assert max(tally.computed.values()) == 1
+    assert tally.integrals == tally.integrals_in_compute == len(tally.looked_up) == 10
+    (table,) = tally.tables
+    assert {key[5:7] for key in table} == {
+        (None, None), (-0.3, 0.5), (None, -0.3), (-0.3, gamma_star(load_scenario(path).params).value), (0.5, None),
+    }
 
 
 def _bits(values):

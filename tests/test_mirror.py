@@ -25,7 +25,7 @@ from dataclasses import replace
 import pytest
 
 from refcalc import thresholds
-from refcalc.congruence import second_issue_levels
+from refcalc.congruence import second_issue_congruence
 from refcalc.election import net_benefit, split_at_kinks, win_prob
 from refcalc.errors import RootFindError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime, moved_pieces
@@ -57,7 +57,10 @@ def _quantities(params):
         return (
             [win_prob(params, regime) for regime in ReferendumRegime],
             [net_benefit(params, regime) for regime in POST],
-            [second_issue_levels(params, regime) for regime in POST],
+            [
+                (report.prob_no_ref, report.prob_with_ref)
+                for report in (second_issue_congruence(params, regime) for regime in POST)
+            ],
             rss,
             L + R,
         )

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import pytest
 
-from refcalc.distributions import DistributionSpec
 from refcalc.election import _wins, net_benefit, split_at_kinks
-from refcalc.model import ElectorateParams, ReferendumRegime
+from refcalc.model import ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE
+
+from conftest import electorate
 
 mp = pytest.importorskip("mpmath")
 import reference_mp as ref  # noqa: E402  (needs mpmath)
@@ -49,13 +50,6 @@ def _ids(e):
     return f"b_R={e['b_R']}-mu={e['mu']}-{e['taste'][0]}"
 
 
-def _params(e):
-    return ElectorateParams(
-        r=e["r"], mu=e["mu"], p=e["p"], b_L=e["b_L"], b_R=e["b_R"],
-        taste=DistributionSpec(*e["taste"]), shock=DistributionSpec(*e["shock"]),
-    )
-
-
 def _finite(lo, hi):
     """A piece's ends as refcalc takes them: None where infinite."""
     return [None if abs(end) == mp.inf else end for end in (lo, hi)]
@@ -67,7 +61,7 @@ def _call_tol(integral_of_abs, lo, hi):
 
 @pytest.mark.parametrize("e", CASES, ids=_ids)
 def test_wins_matches_mpmath(e):
-    params = _params(e)
+    params = electorate(e)
     for lo, hi in ((-mp.inf, mp.inf), (-e["b_R"], -e["b_L"])):
         value = _wins(params, *_finite(lo, hi), DEFAULT_QUADRATURE)[0]
         assert bool(split_at_kinks(params, *_finite(lo, hi))) == ref.saturates(e, lo, hi)
@@ -89,7 +83,7 @@ def _net_benefit_pieces(e, regime):
 @pytest.mark.parametrize("regime", ["binding", "non_binding"])
 @pytest.mark.parametrize("e", CASES, ids=_ids)
 def test_net_benefit_matches_mpmath(e, regime):
-    params = _params(e)
+    params = electorate(e)
     value = net_benefit(params, ReferendumRegime(regime))
     expected = ref.win_prob(e, regime) - ref.win_prob(e, "no_referendum")
     pieces = _net_benefit_pieces(e, regime)
