@@ -12,17 +12,17 @@ log-probability), where the cdf itself underflows.
 cdf, pdf and quantile take a branch for a Python float, the argument of every
 integrand call in the shock integrals. It checks the argument with math
 (math.isfinite, or the open unit interval for quantile) instead of building a
-0-d array, which cost far more than the special function itself, and does the
-arithmetic in floats, with the same scipy/numpy ufuncs as the array path
-(erfc, expit, exp, erfcinv, log, log1p) in the same order: a float and an
-array element give bit-identical results, and with them the CLI's CSVs and
-the oracle's golden file. math.erfc and math.exp are not used: math.erfc
-differs from scipy's erfc in the last bits on about 40% of N(0, 4^2) points.
-The float cdf and pdf are closures over family and scale (_scalar_formulas),
-built once per spec and bound once per integral or root by the hot callers.
-Not being fields, they stay out of ==, hash, repr and the memo keys; as they
-do not pickle, a spec pickles as DistributionSpec(family, scale), which
-builds them again in sweep --threads' workers.
+0-d array, which cost far more than the special function itself. cdf and pdf
+then use the array path's scipy/numpy ufuncs (erfc, expit, exp) in its order,
+and quantile its formula: a float and an array element give bit-identical
+results, and with them the CLI's CSVs and the oracle's golden file.
+math.erfc and math.exp are not used: math.erfc differs from scipy's erfc in
+the last bits on about 40% of N(0, 4^2) points. The float cdf and pdf are
+closures over family and scale (_scalar_formulas), built once per spec and
+bound once per integral or root by the hot callers. Not being fields, they
+stay out of ==, hash, repr and the memo keys; as they do not pickle, a spec
+pickles as DistributionSpec(family, scale), which builds them again in sweep
+--threads' workers.
 
 A truncated variant restricts a family to a symmetric interval [-w, w] and
 renormalises by its mass 1 - 2 cdf(-w), computed once, at construction. Its
@@ -135,9 +135,7 @@ class DistributionSpec:
         if type(q) is float:
             if not 0.0 < q < 1.0:
                 raise UsageError("quantile argument must lie strictly in (0, 1)")
-            if self.family == "normal":
-                return -self.scale * _SQRT2 * float(special.erfcinv(2.0 * q))
-            return self.scale * (float(np.log(q)) - float(np.log1p(-q)))
+            return float(self._quantile_formula(q))
         qa = np.asarray(q, dtype=float)
         if np.any((qa <= 0) | (qa >= 1) | ~np.isfinite(qa)):
             raise UsageError("quantile argument must lie strictly in (0, 1)")

@@ -19,9 +19,9 @@ two-party one where the parties split and the spoiler race while both majors
 hold y=0, as a coefficient and two cohesion kernels of the thresholds
 module: over a shock piece the gap lambda(r) - lambda is affine in them.
 _wins is the one reader of a race piece: it gives Right's win and that gap
-together. win_prob, net_benefit, the congruence levels and deltas, and the
-spoiler quantities (win_prob_third, net_benefit_third, worse_off_condition)
-each read one of them; no other module reads a race's kernels. Where the
+together; no other module reads a race's kernels. _piece picks the race a
+shock piece holds from its positions, and _win_walk and _gain_walk sum it
+for both models, the spoiler's with its valence v. Where the
 map saturates, the piece is cut at its kinks (split_at_kinks): the saturated
 sub-pieces are shock masses, and the stretches between kinks read kernels
 like any other piece. Every kernel goes through thresholds._kernel, so
@@ -37,7 +37,7 @@ from .model import (
     ElectorateParams,
     ReferendumRegime,
     cdf_ends,
-    moved_pieces,
+    initial_positions,
     require_regime,
     require_valid,
     shock_pieces,
@@ -193,6 +193,39 @@ def _wins(params, lo, hi, config, v=None):
     return right, gap
 
 
+def _piece(params, lo, hi, positions, config, v=None):
+    """(W, gap) over the piece [lo, hi] of the race the positions hold:
+    two-party where the parties split, spoiler (v) where both majors hold
+    y=0, else single-issue at share r, its gap 0.0 inside the band."""
+    if positions.diverged:
+        return _wins(params, lo, hi, config)
+    if v is not None and positions.y_right == 0:
+        return _wins(params, lo, hi, config, v)
+    g_lo, g_hi = cdf_ends(params.shock._scalar_cdf, lo, hi)
+    lam_r = lambda_win(params.r, params.mu)
+    return (g_hi - g_lo) * _clamp(lam_r), (g_hi - g_lo) * (lam_r - _clamp(lam_r))
+
+
+def _win_walk(params, regime, config, v=None):
+    """Right's win probability: _piece's W over model.shock_pieces, in order."""
+    total = 0.0
+    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
+        total = total + _piece(params, lo, hi, positions, config, v)[0]
+    return total
+
+
+def _gain_walk(params, regime, config, v=None):
+    """Right's gain from the regime: on each piece whose positions it
+    changes, the gap under the initial positions less that under its own."""
+    start = initial_positions(params)
+    total = 0.0
+    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
+        if positions != start:
+            before = _piece(params, lo, hi, start, config, v)[1]
+            total = total + (before - _piece(params, lo, hi, positions, config, v)[1])
+    return total
+
+
 def win_prob(
     params: ElectorateParams,
     regime: ReferendumRegime,
@@ -205,14 +238,7 @@ def win_prob(
     integral of lambda(share(gamma)).
     """
     require_valid(params)
-    aligned = diverged = 0.0
-    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
-        if positions.diverged:
-            diverged = diverged + _wins(params, lo, hi, config)[0]
-        else:
-            g_lo, g_hi = cdf_ends(params.shock._scalar_cdf, lo, hi)
-            aligned = aligned + g_hi - g_lo
-    return aligned * _clamp(lambda_win(params.r, params.mu)) + diverged
+    return _win_walk(params, regime, config)
 
 
 def net_benefit(
@@ -222,16 +248,12 @@ def net_benefit(
 ) -> float:
     """Right's gain in win probability from the referendum being held.
 
-    Equals win_prob(regime) - win_prob(NO_REFERENDUM), but computed only over
-    model.moved_pieces, so each regime's sign structure is explicit: the
-    integral of lambda(r) - lambda(share) where the referendum aligns the
-    parties, minus it where the referendum splits them, and exactly zero
-    where it moves nothing (binding, b_R < 0).
+    Equals win_prob(regime) - win_prob(NO_REFERENDUM), but computed only
+    where the regime moves the parties, so each regime's sign structure is
+    explicit: the integral of lambda(r) - lambda(share) where the referendum
+    aligns the parties, minus it where the referendum splits them, and
+    exactly zero where it moves nothing (binding, b_R < 0).
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
-    total = 0.0
-    for lo, hi, positions in moved_pieces(params.b_L, params.b_R, regime):
-        piece = _wins(params, lo, hi, config)[1]
-        total = total - piece if positions.diverged else total + piece
-    return total
+    return _gain_walk(params, regime, config)

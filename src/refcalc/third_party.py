@@ -6,7 +6,7 @@ emerging-issue draw beats -v, liberals when it beats p - v, so Right bleeds
 more as the natural home of x=1 voters. An advisory referendum can repair
 that by revealing the shock and letting the majors reposition; once either
 major matches the spoiler's emerging position the spoiler's support
-collapses and the race reverts to the two-party formulas.
+collapses and the race reverts to the two-party one (election._piece).
 
 The spoiler race (election._race, v) tracks the probability Right finishes
 ahead of Left, the margin the analytic results are stated in; whether the
@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec
 from .congruence import knife_edge
-from .election import _clamp, _wins, lambda_win
+from .election import _gain_walk, _win_walk, _wins
 from .errors import InvalidParamsError, UsageError
-from .model import ElectorateParams, ReferendumRegime, cdf_ends, require_regime, shock_pieces
+from .model import ElectorateParams, ReferendumRegime, require_regime
 from .model import validate as validate_base
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
@@ -66,25 +66,14 @@ def win_prob_third(
 ) -> float:
     """P(Right ahead of Left), without or with an advisory referendum.
 
-    Sums over the regime's model.shock_pieces. While both majors hold y=0
-    the spoiler keeps its base: the race is the spoiler race, read by
-    election._wins(..., v). Where Right alone moves to y=1 it absorbs that
-    base and the race is the diverged two-party one; where both sit at y=1
-    it is single-issue at share r.
+    election._win_walk with the valence: while both majors hold y=0 the
+    spoiler keeps its base and the race is the spoiler race. Where Right
+    alone moves to y=1 it absorbs that base and the race is the diverged
+    two-party one; where both sit at y=1 it is single-issue at share r.
     """
     require_valid_third(tp)
     require_regime(regime, "third_party")
-    b = tp.base
-    total = 0.0
-    for lo, hi, positions in shock_pieces(b.b_L, b.b_R, regime):
-        if positions.diverged:
-            total = total + _wins(b, lo, hi, config)[0]
-        elif positions.y_right == 0:
-            total = total + _wins(b, lo, hi, config, tp.v)[0]
-        else:
-            g_lo, g_hi = cdf_ends(b.shock._scalar_cdf, lo, hi)
-            total = total + (g_hi - g_lo) * _clamp(lambda_win(b.r, b.mu))
-    return total
+    return _win_walk(tp.base, regime, config, tp.v)
 
 
 def net_benefit_third(
@@ -92,25 +81,16 @@ def net_benefit_third(
 ) -> float:
     """Right's gain, ahead-of-Left probability, from the advisory referendum.
 
-    Summed only over the non-binding model.shock_pieces where Right has left
-    y=0, the only shocks at which the reveal changes anything. On each, the
-    spoiler race's gap (election._wins(..., v)), the integral of lambda(r)
-    less the spoiler map, less, where the majors split, the two-party gap:
-    both read cohesion kernels and split at their win map's kinks.
-    Identical (up to quadrature) to the difference of the two win_prob_third
-    calls where both meet their tolerance; kept in this form so the sign
-    analysis stays legible.
+    election._gain_walk with the valence: summed only over the non-binding
+    model.shock_pieces where Right has left y=0, the only shocks at which
+    the reveal changes anything. On each, the spoiler race's gap, the
+    integral of lambda(r) less the spoiler map, less the gap of the race the
+    reveal leaves: two-party where the majors split, 0.0 inside the band
+    where both hold y=1. Identical (up to quadrature) to the difference of
+    the two win_prob_third calls where both meet their tolerance.
     """
     require_valid_third(tp)
-    b = tp.base
-    total = 0.0
-    for lo, hi, positions in shock_pieces(b.b_L, b.b_R, ReferendumRegime.NON_BINDING):
-        if positions.y_right == 0:
-            continue
-        total = total + _wins(b, lo, hi, config, tp.v)[1]
-        if positions.diverged:
-            total = total - _wins(b, lo, hi, config)[1]
-    return total
+    return _gain_walk(tp.base, ReferendumRegime.NON_BINDING, config, tp.v)
 
 
 def worse_off_condition(

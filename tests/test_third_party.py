@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from refcalc.election import lambda_win, win_prob
+from refcalc.election import lambda_win, net_benefit, win_prob
 from refcalc.errors import InvalidParamsError, QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.third_party import (
@@ -109,6 +109,14 @@ def test_a_hopeless_spoiler_leaves_the_single_issue_race():
     assert win_prob_third(hopeless, NO_REF) == pytest.approx(
         lambda_win(BASE_B.r, BASE_B.mu), abs=1e-9
     )
+    # With no defectors the spoiler race is the two-party one, piece by
+    # piece, so both quantities equal their two-party twins exactly.
+    for mu in (0.5, 0.9):
+        base = replace(BASE_B, mu=mu)
+        hopeless = ThirdPartyParams(base=base, v=-50.0)
+        for regime in (NO_REF, NON_BINDING):
+            assert win_prob_third(hopeless, regime) == win_prob(base, regime)
+        assert net_benefit_third(hopeless) == net_benefit(base, NON_BINDING)
 
 
 def test_phi_closed_form_identities():
