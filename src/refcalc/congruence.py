@@ -64,10 +64,9 @@ class CongruenceReport:
     changes (second_delta, traditional_delta). On the emerging issue
     prob_with_ref is 1.0 under a binding referendum, where delta is
     1.0 - prob_no_ref, and prob_no_ref + delta under a non-binding one. On
-    the traditional issue delta may differ from the difference of the two
-    win probabilities in the last digits, and at r = 1/2 the probabilities
-    use the Right-as-majority convention, the report carries
-    KNIFE_EDGE_FLAG, and delta is None.
+    the traditional issue, at r = 1/2 the probabilities use the
+    Right-as-majority convention, the report carries KNIFE_EDGE_FLAG, and
+    delta is None.
     """
 
     issue: str
@@ -180,14 +179,15 @@ def traditional_issue_congruence(
     matters here only through how realigned emerging-issue positions shift
     the win probability. With r > 1/2 the report tracks Right's win
     probability, with r < 1/2 Left's; at r = 1/2 Right's, flagged with
-    KNIFE_EDGE_FLAG. delta is traditional_delta's: Right's net benefit
+    KNIFE_EDGE_FLAG. Right's win probability with the referendum is the one
+    without it plus net_benefit, and delta is traditional_delta's: that gain
     signed by the majority, and None on the knife edge.
     """
     require_valid(params)
     require_regime(regime, "post_referendum")
     wp_no = win_prob(params, ReferendumRegime.NO_REFERENDUM, config)
-    wp_with = win_prob(params, regime, config)
-    delta = _majority_delta(params.r, net_benefit(params, regime, config))
+    gain = net_benefit(params, regime, config)
+    wp_with, delta = wp_no + gain, _majority_delta(params.r, gain)
     if params.r < 0.5:
         return CongruenceReport(ISSUE_TRADITIONAL, regime, 1.0 - wp_no, 1.0 - wp_with, delta)
     flags = (KNIFE_EDGE_FLAG,) if delta is None else ()

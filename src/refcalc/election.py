@@ -20,11 +20,12 @@ hold y=0, as a coefficient and two cohesion kernels of the thresholds
 module: over a shock piece the gap lambda(r) - lambda is affine in them.
 _wins is the one reader of a race piece: it gives Right's win and that gap
 together; no other module reads a race's kernels. _piece picks the race a
-shock piece holds from its positions, and _win_walk and _gain_walk sum it
-for both models, the spoiler's with its valence v. Where the
-map saturates, the piece is cut at its kinks (split_at_kinks): the saturated
-sub-pieces are shock masses, and the stretches between kinks read kernels
-like any other piece. Every kernel goes through thresholds._kernel, so
+shock piece holds from its positions, for both models, the spoiler's with
+its valence v. _gain_walk sums its gaps over the pieces a regime moves, and
+_win_walk adds that gain to its whole-line read under the initial positions.
+Where the map saturates, the piece is cut at its kinks (split_at_kinks): the
+saturated sub-pieces are shock masses, and the stretches between kinks read
+kernels like any other piece. Every kernel goes through thresholds._kernel, so
 within quadrature.memo() each is integrated once per command. Right's win
 over a saturated sub-piece is its mass times the level, exactly, so a tail
 where one side always wins adds exactly 0 to the emerging-issue delta.
@@ -206,14 +207,6 @@ def _piece(params, lo, hi, positions, config, v=None):
     return (g_hi - g_lo) * _clamp(lam_r), (g_hi - g_lo) * (lam_r - _clamp(lam_r))
 
 
-def _win_walk(params, regime, config, v=None):
-    """Right's win probability: _piece's W over model.shock_pieces, in order."""
-    total = 0.0
-    for lo, hi, positions in shock_pieces(params.b_L, params.b_R, regime):
-        total = total + _piece(params, lo, hi, positions, config, v)[0]
-    return total
-
-
 def _gain_walk(params, regime, config, v=None):
     """Right's gain from the regime: on each piece whose positions it
     changes, the gap under the initial positions less that under its own."""
@@ -226,6 +219,13 @@ def _gain_walk(params, regime, config, v=None):
     return total
 
 
+def _win_walk(params, regime, config, v=None):
+    """Right's win probability: _piece's W over the whole line under the
+    initial positions, plus _gain_walk's gain (0.0 without a referendum)."""
+    start = _piece(params, None, None, initial_positions(params), config, v)[0]
+    return start + _gain_walk(params, regime, config, v)
+
+
 def win_prob(
     params: ElectorateParams,
     regime: ReferendumRegime,
@@ -233,9 +233,9 @@ def win_prob(
 ) -> float:
     """Probability that Right wins the election under the given regime.
 
-    Sums over the regime's model.shock_pieces: where the parties agree the
-    race is single-issue at share r, where they split it is the multi-issue
-    integral of lambda(share(gamma)).
+    The race over the whole line under the initial positions, single-issue
+    at share r or the integral of lambda(share(gamma)) where the parties
+    split, plus net_benefit where a referendum is held.
     """
     require_valid(params)
     return _win_walk(params, regime, config)
@@ -248,11 +248,11 @@ def net_benefit(
 ) -> float:
     """Right's gain in win probability from the referendum being held.
 
-    Equals win_prob(regime) - win_prob(NO_REFERENDUM), but computed only
-    where the regime moves the parties, so each regime's sign structure is
-    explicit: the integral of lambda(r) - lambda(share) where the referendum
-    aligns the parties, minus it where the referendum splits them, and
-    exactly zero where it moves nothing (binding, b_R < 0).
+    win_prob(regime) is win_prob(NO_REFERENDUM) plus this gain, computed
+    only where the regime moves the parties, so each regime's sign structure
+    is explicit: the integral of lambda(r) - lambda(share) where the
+    referendum aligns the parties, minus it where the referendum splits
+    them, and exactly zero where it moves nothing (binding, b_R < 0).
     """
     require_valid(params)
     require_regime(regime, "post_referendum")

@@ -66,10 +66,9 @@ def win_prob_third(
 ) -> float:
     """P(Right ahead of Left), without or with an advisory referendum.
 
-    election._win_walk with the valence: while both majors hold y=0 the
-    spoiler keeps its base and the race is the spoiler race. Where Right
-    alone moves to y=1 it absorbs that base and the race is the diverged
-    two-party one; where both sit at y=1 it is single-issue at share r.
+    election._win_walk with the valence: the spoiler race over the whole
+    line, as both majors start at y=0 and the spoiler keeps its base, plus
+    net_benefit_third where the referendum is held.
     """
     require_valid_third(tp)
     require_regime(regime, "third_party")
@@ -86,8 +85,8 @@ def net_benefit_third(
     the reveal changes anything. On each, the spoiler race's gap, the
     integral of lambda(r) less the spoiler map, less the gap of the race the
     reveal leaves: two-party where the majors split, 0.0 inside the band
-    where both hold y=1. Identical (up to quadrature) to the difference of
-    the two win_prob_third calls where both meet their tolerance.
+    where both hold y=1. win_prob_third with the referendum is the one
+    without it plus this gain, so the two differ by it up to one rounding.
     """
     require_valid_third(tp)
     return _gain_walk(tp.base, ReferendumRegime.NON_BINDING, config, tp.v)

@@ -106,6 +106,18 @@ def diverged_draws(n: int, seed: int) -> list[ElectorateParams]:
     return draws
 
 
+def with_aligned_variants(draws):
+    """Each draw, then its aligned variant at b_R = -0.1 where its b_L lies
+    below that."""
+    return [*draws, *(replace(p, b_R=-0.1) for p in draws if p.b_L < -0.1)]
+
+
+# A level with a referendum is the level without it plus the gain, so the
+# two differ by the gain up to the rounding of that sum and of reading the
+# difference back off them, each within half an ulp at 1.
+ADD_UP = 2.3e-16
+
+
 @pytest.fixture
 def scenario_a() -> ElectorateParams:
     return SCENARIO_A

@@ -190,10 +190,13 @@ def test_eval_second_delta_is_exactly_zero_where_both_tails_saturate(tmp_path, c
 
 
 def test_eval_prints_emerging_levels_that_differ_by_the_delta(tmp_path, capsys):
-    # On this electorate the level without a referendum misses its mpmath
-    # value by 7.2e-12 and the delta by 3.6e-13. Each printed value is
-    # rounded to 12 significant digits, by at most 5e-13 here, so levels
-    # that differ by the delta print within three such roundings of it.
+    # On this electorate the emerging level without a referendum misses its
+    # mpmath value by 7.2e-12 and the delta by 3.6e-13, and Right's win
+    # probability without one by 7.6e-12. Each printed value is rounded to
+    # 12 significant digits, by at most 5e-13 here, so levels that differ by
+    # their delta print within three such roundings of it: the emerging
+    # levels, the two win probabilities around net_benefit and the
+    # traditional levels around their delta.
     scn = {
         **DRIFT, "regime": "non_binding",
         **{k: {"family": DRIFT[k][0], "scale": DRIFT[k][1]} for k in ("taste", "shock")},
@@ -201,9 +204,14 @@ def test_eval_prints_emerging_levels_that_differ_by_the_delta(tmp_path, capsys):
     out = tmp_path / "eval.csv"
     assert main(["eval", _dump(tmp_path, "drift.json", scn), "--out", str(out)]) == 0
     values = {name: float(cell) for name, cell in _read_csv(out)[1]}
-    no_ref, with_ref, delta = (
-        values[f"congruence_second_{k}"] for k in ("no_ref", "with_ref", "delta"))
-    assert abs(with_ref - no_ref - delta) <= 1.5e-12
+    rows = [
+        ("congruence_second_with_ref", "congruence_second_no_ref", "congruence_second_delta"),
+        ("win_prob_non_binding", "win_prob_no_referendum", "net_benefit"),
+        ("congruence_traditional_with_ref", "congruence_traditional_no_ref",
+         "congruence_traditional_delta"),
+    ]
+    for with_ref, no_ref, delta in rows:
+        assert abs(values[with_ref] - values[no_ref] - values[delta]) <= 1.5e-12
 
 
 @pytest.mark.xfail(

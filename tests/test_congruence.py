@@ -19,7 +19,7 @@ from refcalc.errors import InvalidParamsError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE, memo
 
-from conftest import SCENARIO_A, diverged_draws, mirror
+from conftest import ADD_UP, SCENARIO_A, diverged_draws, mirror, with_aligned_variants
 
 BINDING = ReferendumRegime.BINDING
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -217,25 +217,21 @@ def _emerging_levels_add_up(report):
 @pytest.mark.parametrize("mu, r", [(0.5, 0.45), (0.9, 0.52)], ids=["interior", "saturated"])
 def test_each_delta_is_the_difference_of_its_report_levels(scenario_a, regime, b_R, mu, r):
     # One point per (regime, start) branch of the changed pieces, each also
-    # where the win map saturates.
+    # where the win map saturates. The traditional level with the referendum
+    # is Right's win probability without it plus net_benefit, so its levels
+    # differ by its delta up to the roundings ADD_UP bounds.
     params = replace(scenario_a, b_R=b_R, mu=mu, r=r)
     second = second_issue_congruence(params, regime)
     trad = traditional_issue_congruence(params, regime)
     assert second.delta == second_delta(params, regime)
     assert trad.delta == traditional_delta(params, regime)
     assert _emerging_levels_add_up(second)
-    assert abs(trad.delta - (trad.prob_with_ref - trad.prob_no_ref)) <= DELTA_BOUND
-
-
-def _with_aligned_variants(draws):
-    # Each draw, then its aligned variant at b_R = -0.1 where its b_L lies
-    # below that.
-    return [*draws, *(replace(p, b_R=-0.1) for p in draws if p.b_L < -0.1)]
+    assert abs(trad.delta - (trad.prob_with_ref - trad.prob_no_ref)) <= ADD_UP
 
 
 @pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
 @pytest.mark.parametrize("params", [
-    *_with_aligned_variants(diverged_draws(60, seed=3)),
+    *with_aligned_variants(diverged_draws(60, seed=3)),
     *(replace(SCENARIO_A, mu=0.9, r=0.52, b_R=b_R) for b_R in (0.3, -0.1)),
 ])
 def test_the_emerging_levels_differ_by_the_delta(params, regime):

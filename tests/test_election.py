@@ -26,10 +26,10 @@ from refcalc.model import (
     validate,
 )
 from refcalc.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from refcalc.third_party import ThirdPartyParams, win_prob_third
+from refcalc.third_party import ThirdPartyParams, net_benefit_third, win_prob_third
 from refcalc.thresholds import gamma_star, r_bind
 
-from conftest import PRIM_WIDE
+from conftest import ADD_UP, DRIFT, PRIM_WIDE, diverged_draws, electorate, with_aligned_variants
 
 NO_REF = ReferendumRegime.NO_REFERENDUM
 BINDING = ReferendumRegime.BINDING
@@ -172,6 +172,38 @@ def test_the_clip_holds_lambda_r_at_a_band_edge(mu):
     assert 0.0 <= ahead <= 1.0
 
 
+def _inside_band_ends(electorates):
+    # Each electorate at r one ulp inside each end of its competitive band
+    # that lies in (0, 1), where lambda(r) is within a rounding of 0 or 1.
+    lo_hi = [(p, competitive_band(p.mu)) for p in electorates]
+    return [
+        replace(p, r=r) for p, (lo, hi) in lo_hi
+        for r in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)) if 0.0 < r < 1.0
+    ]
+
+
+RACES = with_aligned_variants([*diverged_draws(60, seed=3), electorate(DRIFT)])
+
+
+@pytest.mark.parametrize("params", [*RACES, *_inside_band_ends(RACES)])
+def test_win_probs_stay_probabilities_and_differ_by_the_gain(params):
+    # Each win probability with a referendum is a sum, the one without it
+    # plus the gain, so it must stay in [0, 1], and the rows printed for a
+    # race add up: in the two-party race under each referendum, and in the
+    # spoiler race from the aligned starts.
+    no_ref = win_prob(params, NO_REF)
+    assert 0.0 <= no_ref <= 1.0
+    for regime in (BINDING, NON_BINDING):
+        with_ref = win_prob(params, regime)
+        assert 0.0 <= with_ref <= 1.0
+        assert abs((with_ref - no_ref) - net_benefit(params, regime)) <= ADD_UP
+    if params.b_R < 0:
+        spoiler = ThirdPartyParams(params)
+        ahead_no, ahead = (win_prob_third(spoiler, regime) for regime in (NO_REF, NON_BINDING))
+        assert 0.0 <= ahead_no <= 1.0 and 0.0 <= ahead <= 1.0
+        assert abs((ahead - ahead_no) - net_benefit_third(spoiler)) <= ADD_UP
+
+
 def test_win_prob_rejects_invalid_params(scenario_a):
     with pytest.raises(InvalidParamsError):
         win_prob(replace(scenario_a, p=-1.0), NO_REF)
@@ -217,9 +249,10 @@ def test_net_benefit_binding_sign_flips_at_r_bind():
 @pytest.mark.parametrize("b_R", [-0.1, 0.2])
 @pytest.mark.parametrize("regime", [BINDING, NON_BINDING])
 def test_net_benefit_is_the_win_prob_difference(regime, b_R, mu):
-    # net_benefit integrates only where the referendum moves the parties; it
-    # must agree with the difference of the two win probabilities, also where
-    # the win map saturates (mu = 0.7 from a diverged start).
+    # net_benefit integrates only where the referendum moves the parties, and
+    # the win probability with a referendum is the one without it plus that
+    # gain, so the two agree up to rounding, also where the win map
+    # saturates (mu = 0.7 from a diverged start).
     params = ElectorateParams(
         r=0.45, mu=mu, p=0.3, b_L=-0.4, b_R=b_R,
         taste=DistributionSpec("normal", 1.0),
@@ -227,7 +260,7 @@ def test_net_benefit_is_the_win_prob_difference(regime, b_R, mu):
     )
     gain = net_benefit(params, regime)
     diff = win_prob(params, regime) - win_prob(params, NO_REF)
-    assert abs(gain - diff) <= 1e-10
+    assert abs(gain - diff) <= ADD_UP
     diverged = [
         (lo, hi) for reg in (regime, NO_REF)
         for lo, hi, positions in shock_pieces(params.b_L, params.b_R, reg)

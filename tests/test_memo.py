@@ -137,21 +137,25 @@ def test_each_distinct_integral_is_integrated_once_per_command(
     assert set(table) == set(tally.computed)
     assert {key[0] for key in table} <= {"L", "R"}
     if command == "sweep_r":
-        # No kernel depends on r. L and R over the whole line (r_bind's),
-        # over both tails (r_star_star's) and over the split piece
-        # [-b_R, -b_L] are computed at the first grid point only, and every
-        # quantity reads nothing else: delta_second sums over the two tails,
-        # which lie on either side of gamma_star, so no kernel pair over
-        # [-b_R, gamma_star] is integrated outside the memo.
+        # No kernel depends on r. L and R over the whole line (r_bind's and
+        # the win probability's) and over both tails (r_star_star's and the
+        # net benefit's) are computed at the first grid point only, and every
+        # quantity reads nothing else: the win probability with a referendum
+        # is the whole-line read plus the net benefit, so the split piece
+        # [-b_R, -b_L], whose positions the referendum keeps, is not read,
+        # and delta_second sums over the two tails, which lie on either side
+        # of gamma_star, so no kernel pair over [-b_R, gamma_star] is
+        # integrated outside the memo.
         pieces = {key[5:7] for key in table}
-        assert pieces == {(None, None), (None, -0.3), (-0.3, 0.5), (0.5, None)}
-        assert len(table) == 8
+        assert pieces == {(None, None), (None, -0.3), (0.5, None)}
+        assert len(table) == 6
     elif command == "eval_spoiler_saturated":
         # worse_off_condition reads the spoiler race's gap over the whole
-        # line, the read win_prob_third makes without a referendum, so the
-        # whole line's spoiler kernel pair is not integrated beside its
-        # stretches.
-        assert len(table) == 14
+        # line, the read win_prob_third makes with or without a referendum,
+        # so the whole line's spoiler kernel pair is not integrated beside
+        # its stretches, and no spoiler pair is integrated over the left
+        # tail (-inf, -b_R], whose positions the referendum keeps.
+        assert len(table) == 12
     elif command == "fig3":
         # r_bind's L does not involve b_R: one for all 50 diverged rows.
         assert sum(key[0] == "L" and key[5:7] == (None, None) for key in table) == 1
@@ -235,19 +239,21 @@ def test_the_emerging_report_integrates_each_kernel_pair_once(
 
 def test_validate_integrates_each_distinct_kernel_once(tmp_path, monkeypatch):
     # validate prints both win probabilities and both emerging-issue levels,
-    # and the level with a non-binding referendum is the level without it
-    # plus the delta. From this diverged start that is the kernel pairs over
-    # the whole line, the split piece, (-inf, -b_R], [-b_R, gamma_star] and
-    # the right tail [-b_L, inf), which only the delta reads.
+    # and each level with a non-binding referendum is the level without it
+    # plus its gain. From this diverged start that is the kernel pairs over
+    # the whole line, (-inf, -b_R] and [-b_R, gamma_star], which the levels
+    # without it read, and the right tail [-b_L, inf), which only the gains
+    # read; the split piece [-b_R, -b_L], whose positions the referendum
+    # keeps, is not read.
     sim = {"n_policy_voters": 200, "n_replications": 20, "agent_level": False}
     path = _dump(tmp_path, {**DIVERGED, "sim": sim})
     tally = _Tally(monkeypatch)
     assert main(["validate", path, "--out", str(tmp_path / "validate.csv")]) == 0
     assert max(tally.computed.values()) == 1
-    assert tally.integrals == tally.integrals_in_compute == len(tally.looked_up) == 10
+    assert tally.integrals == tally.integrals_in_compute == len(tally.looked_up) == 8
     (table,) = tally.tables
     assert {key[5:7] for key in table} == {
-        (None, None), (-0.3, 0.5), (None, -0.3), (-0.3, gamma_star(load_scenario(path).params).value), (0.5, None),
+        (None, None), (None, -0.3), (-0.3, gamma_star(load_scenario(path).params).value), (0.5, None),
     }
 
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from refcalc.election import lambda_win, net_benefit, win_prob
+from refcalc.election import lambda_win, net_benefit, split_at_kinks, win_prob
 from refcalc.errors import InvalidParamsError, QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.third_party import (
@@ -22,7 +22,7 @@ from refcalc.third_party import (
     worse_off_condition,
 )
 
-from conftest import SPOILER_HELPS, nan_where, spoiler
+from conftest import ADD_UP, SPOILER_HELPS, nan_where, spoiler
 
 NO_REF = ReferendumRegime.NO_REFERENDUM
 NON_BINDING = ReferendumRegime.NON_BINDING
@@ -72,10 +72,15 @@ def test_net_benefit_third_frozen_and_dual_route():
     # FROZEN scipy difference: 0.01997658098094468.
     gamma = net_benefit_third(SPOILER)
     assert gamma == pytest.approx(0.01997658098094468, abs=1e-8)
-    # The module computes the net benefit by its own integral; it must agree
-    # with the difference of the two win probabilities it refines.
-    diff = win_prob_third(SPOILER, NON_BINDING) - win_prob_third(SPOILER, NO_REF)
-    assert gamma == pytest.approx(diff, abs=1e-8)
+    # The module computes the net benefit by its own integral, and the win
+    # probability with the referendum is the one without it plus that gain,
+    # so the gain is the difference of the two up to rounding: here, and at
+    # mu 0.9, where the spoiler map saturates.
+    saturated = replace(SPOILER, base=replace(BASE_B, mu=0.9, r=0.52))
+    assert split_at_kinks(saturated.base, None, None, saturated.v)
+    for tp in (SPOILER, saturated):
+        diff = win_prob_third(tp, NON_BINDING) - win_prob_third(tp, NO_REF)
+        assert abs(net_benefit_third(tp) - diff) <= ADD_UP
 
 
 def test_a_nan_in_the_spoiler_integrand_raises(monkeypatch):

@@ -1,11 +1,12 @@
 """The win integrals and the net benefit against mpmath.
 
-Right's win as election._wins reads it, and election.net_benefit, are
-checked at the benchmark's diverged (b_R = 0.3) and spoiler (b_R = -0.1)
+Right's win as election._wins reads it, election.net_benefit and
+election.win_prob under each regime are checked at the benchmark's diverged (b_R = 0.3) and spoiler (b_R = -0.1)
 electorates, with normal and logistic taste, against tests/reference_mp.py,
 which shares no code with refcalc. The net benefit's reference is the
 difference of the two win probabilities, so it also checks the piecewise
-form refcalc computes.
+form refcalc computes. win_prob is also checked at conftest.DRIFT, where
+the whole-line read misses by more than its pieces do.
 At mu <= 1/2 the win map never saturates. The diverged electorate also runs
 at mu = 0.7 and 0.9, where it saturates: the reference clamps the map and
 splits its integrals at the kinks it finds with mp.findroot. refcalc must
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import pytest
 
-from refcalc.election import _wins, net_benefit, split_at_kinks
+from refcalc.election import _wins, net_benefit, split_at_kinks, win_prob
 from refcalc.model import ReferendumRegime
 from refcalc.quadrature import DEFAULT_QUADRATURE
 
-from conftest import electorate
+from conftest import DRIFT, electorate
 
 mp = pytest.importorskip("mpmath")
 import reference_mp as ref  # noqa: E402  (needs mpmath)
@@ -80,6 +81,23 @@ def _net_benefit_pieces(e, regime):
     return [(-e["b_R"], -e["b_L"])]
 
 
+def _net_benefit_tol(e, pieces):
+    """The declared tolerance of net_benefit's reads of the pieces."""
+    lam_r = ref.lam(e, e["r"])
+
+    def gap(x):
+        return abs(lam_r - ref.win(e, x))
+
+    # A tolerance needs only a few digits of the integral of |gap|.
+    return sum(
+        _call_tol(
+            ref.shock_integral(gap, e["shock"], lo, hi, ref.kinks(e, lo, hi), maxdegree=3),
+            lo, hi,
+        )
+        for lo, hi in pieces
+    )
+
+
 @pytest.mark.parametrize("regime", ["binding", "non_binding"])
 @pytest.mark.parametrize("e", CASES, ids=_ids)
 def test_net_benefit_matches_mpmath(e, regime):
@@ -93,17 +111,26 @@ def test_net_benefit_matches_mpmath(e, regime):
         # Binding from an aligned start changes nothing.
         assert value == 0.0 and expected == 0
         return
-    lam_r = ref.lam(e, e["r"])
+    assert abs(value - expected) <= _net_benefit_tol(e, pieces)
 
-    def gap(x):
-        return abs(lam_r - ref.win(e, x))
 
-    # A tolerance needs only a few digits of the integral of |gap|.
-    tol = sum(
-        _call_tol(
-            ref.shock_integral(gap, e["shock"], lo, hi, ref.kinks(e, lo, hi), maxdegree=3),
-            lo, hi,
-        )
-        for lo, hi in pieces
-    )
+# Rounding of the few double sums and products that join the reads.
+ROUNDING = 1e-15
+
+
+@pytest.mark.parametrize("regime", ["no_referendum", "binding", "non_binding"])
+@pytest.mark.parametrize("e", [*CASES, DRIFT], ids=[*map(_ids, CASES), "drift"])
+def test_win_prob_matches_mpmath(e, regime):
+    # Right's win probability is the whole-line read under the initial
+    # positions plus net_benefit's reads of the moved pieces, so it may miss
+    # by the sum of their declared tolerances. From an aligned start the
+    # whole line is the single-issue lambda(r), integrated nowhere. On DRIFT
+    # the non-binding value misses by 7.6e-12, the whole-line read's miss.
+    params = electorate(e)
+    value = win_prob(params, ReferendumRegime(regime))
+    expected = ref.win_prob(e, regime)
+    line = ref.win_diverged(e, -mp.inf, mp.inf) if e["b_R"] >= 0 else None
+    tol = ROUNDING + (0.0 if line is None else _call_tol(line, -mp.inf, mp.inf))
+    if regime != "no_referendum":
+        tol += _net_benefit_tol(e, _net_benefit_pieces(e, regime))
     assert abs(value - expected) <= tol

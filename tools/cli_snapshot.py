@@ -54,9 +54,11 @@ SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNO
 # from its kernels' centres, and one where the spoiler raises Right's chance
 # of finishing ahead of Left although r KR exceeds (1-r) KL, the comparison of
 # the unclamped spoiler kernels over the whole line; one whose cohesion
-# kernels both underflow to 0, so r_bind has no root; and two sim blocks the
-# loader rejects with exit 2, one with a non-boolean agent_level and one with
-# the unknown key continuum_tally.
+# kernels both underflow to 0, so r_bind has no root; one under a logistic
+# shock, tests/conftest.py's DRIFT, whose whole-line win integral misses by
+# 7.6e-12, more than the pieces of the line do; and two sim blocks the loader
+# rejects with exit 2, one with a non-boolean agent_level and one with the
+# unknown key continuum_tally.
 EVALUATED = {
     "binding": {**wl.DIVERGED, "regime": "binding"},
     "aligned": {**wl.DIVERGED, "b_R": -0.1},
@@ -85,6 +87,13 @@ EVALUATED = {
         "r": 0.5, "mu": 0.5, "p": 3.0, "b_L": -1.0, "b_R": 1.2,
         "taste": {"family": "normal", "scale": 0.05},
         "shock": {"family": "normal", "scale": 0.1},
+    },
+    "drift": {
+        "r": 0.5423513267880153, "mu": 0.2673229325623562, "p": 0.8800131320181206,
+        "b_L": -0.43787516865302867, "b_R": 0.17780354004872323,
+        "taste": {"family": "normal", "scale": 0.18597422077258624},
+        "shock": {"family": "logistic", "scale": 0.7587116519611558},
+        "regime": "non_binding",
     },
     "sim_agent_level_int": {**wl.DIVERGED, "sim": {"agent_level": 1}},
     "sim_continuum_tally": {**wl.DIVERGED, "sim": {"continuum_tally": False}},
