@@ -50,9 +50,9 @@ from .thresholds import _brent, _integrand, _kernel
 def _clamp(value):
     """value saturated into [0, 1].
 
-    A NaN is returned unchanged, so the quadrature that integrates it raises
-    rather than counting it as a probability: max and min keep their first
-    argument when the comparison is false, so the NaN must come first.
+    A NaN is returned unchanged, the mark of a fault upstream, rather than
+    saturated into a probability: max and min keep their first argument
+    when the comparison is false, so the NaN must come first.
     """
     return min(max(value, 0.0), 1.0)
 
@@ -60,8 +60,8 @@ def _clamp(value):
 def lambda_margin(margin: float, mu: float) -> float:
     """Right's win probability given the policy-voter margin D (unsaturated).
 
-    A NaN margin passes through as a NaN probability, so the quadrature
-    integrating it raises QuadratureError instead of reading as undefined.
+    A NaN margin passes through as a NaN probability, the mark of a fault
+    upstream; no quadrature integrates this map, so none raises on it.
     """
     if not 0 < mu < 1:
         raise UsageError(f"mu must lie in (0, 1), got {mu}")

@@ -47,8 +47,9 @@ spoiler race with no spoiler votes. Other tie conventions: indifferent
 voters vote their own party; referendum tallies at exactly the threshold
 count as yes. Every referendum-derived quantity (tally or cast share,
 inferred positions, outcome, latent majority) is read off the sampled
-ballots, in both engines and every mode: the oracle shares no support curve
-with the analytic modules it checks.
+ballots, in both engines and every mode. The oracle states the position rule
+itself (_position_cuts) and reads one model curve, referendum_support, at -b_J
+for the non-binding cuts; the analytic modules read it only for gamma_star.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .model import (
     ElectorateParams,
     ReferendumRegime,
     competitive_band,
-    initial_positions,
     referendum_support,
     require_regime,
     require_valid,
@@ -168,8 +168,8 @@ def _position_cuts(params, regime):
     initial position. The oracle's own statement of the position rule, in
     tally space, kept apart from model.shock_pieces so that validate checks it."""
     if regime is ReferendumRegime.NO_REFERENDUM:
-        pos = initial_positions(params)
-        return tuple(-math.inf if y else math.inf for y in (pos.y_right, pos.y_left))
+        # Party J starts at y=1 exactly when b_J >= 0.
+        return tuple(-math.inf if b >= 0 else math.inf for b in (params.b_R, params.b_L))
     if regime is ReferendumRegime.BINDING:
         return 0.5, 0.5
     # A non-binding tally share t reveals the shock through the strictly

@@ -12,8 +12,8 @@ al. 1983, Kronrod 1965). The panel is accepted when
     |K15 - G7| <= max(abs_tol_local, rel_tol * |K15|)
 
 and contributes K15; otherwise it is bisected and abs_tol_local is halved on
-each side. Every bisection spends one unit of max_subdivisions; exhausting the
-budget, or reaching _MAX_DEPTH, raises QuadratureError carrying the worst
+each side. Every bisection spends one unit of _MAX_SUBDIVISIONS; exhausting
+the budget, or reaching _MAX_DEPTH, raises QuadratureError carrying the worst
 rejected |K15 - G7|. A NaN or inf integrand value makes |K15 - G7| NaN (G7's
 zero weights turn an inf into NaN), so its panel is rejected; it then raises
 QuadratureError at once, with achieved tolerance inf.
@@ -40,7 +40,6 @@ from .errors import QuadratureError, UsageError
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         # Written so that NaN fails them: NaN compares false to everything.
@@ -48,11 +47,6 @@ class QuadratureConfig:
             raise UsageError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
         if not 0.0 <= self.rel_tol < math.inf:
             raise UsageError(f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
-        # A NaN or inf budget would never run out; bool is an int subclass.
-        if type(self.max_subdivisions) is not int:
-            raise UsageError(f"max_subdivisions must be an integer, got {self.max_subdivisions!r}")
-        if self.max_subdivisions < 1:
-            raise UsageError("max_subdivisions must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -92,6 +86,10 @@ class _Budget:
         self.worst = 0.0
 
 
+# Bisections one integral may spend. A fault bound, not a setting: no command
+# spends more than a few dozen, even at tolerances of 1e-15.
+_MAX_SUBDIVISIONS = 2000
+
 # A 2^-60 wide subinterval is below float resolution on any sane domain;
 # treat needing one as a failure rather than recursing to the frame limit.
 _MAX_DEPTH = 60
@@ -125,7 +123,7 @@ def integrate(f, a, b, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
         raise UsageError("integrate needs finite limits; truncate first")
     if b <= a:
         return 0.0
-    budget = _Budget(config.max_subdivisions)
+    budget = _Budget(_MAX_SUBDIVISIONS)
     return _adapt(f, a, b, config.abs_tol, config.rel_tol, budget, 0)
 
 

@@ -14,8 +14,7 @@ Schema (all numbers JSON numbers, booleans JSON booleans):
       "regime": "no_referendum" | "binding" | "non_binding",   # optional
       "third_party": {"v": -0.01},                             # optional
       "turnout": {"c_bar": 9.0, "sigma": 1.2, "kappa": 0.7},   # optional
-      "quadrature": {"abs_tol": ..., "rel_tol": ...,
-                     "max_subdivisions": ...},                 # optional
+      "quadrature": {"abs_tol": ..., "rel_tol": ...},          # optional
       "sim": {"n_policy_voters": ..., "n_replications": ...,
               "seed": ..., "agent_level": ...}                 # optional
     }
@@ -157,9 +156,7 @@ def parse_scenario(data, source: str = "scenario") -> Scenario:
         )
         require_valid_turnout(turnout)
 
-    tolerances = _fields(obj, "quadrature", source, {
-        "abs_tol": _real, "rel_tol": _real, "max_subdivisions": None,
-    })
+    tolerances = _fields(obj, "quadrature", source, dict.fromkeys(("abs_tol", "rel_tol"), _real))
     try:
         quadrature = QuadratureConfig(**tolerances)
     except UsageError as exc:

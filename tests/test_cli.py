@@ -20,6 +20,7 @@ import pytest
 
 from scipy import optimize
 
+from refcalc import quadrature
 from refcalc.cli import _FIG12_GAMMAS, _FIG12_PARAMS, main
 from refcalc.distributions import DistributionSpec
 from refcalc.model import ElectorateParams, referendum_support
@@ -76,6 +77,13 @@ _UNDERFLOW = {
 UNDERFLOW_ERR = (
     "numerical failure: r_bind: both kernels are 0, so the condition holds for every r\n"
 )
+
+
+# conftest's DRIFT electorate as a scenario, under a non-binding referendum.
+_DRIFT = {
+    **DRIFT, "regime": "non_binding",
+    **{k: {"family": DRIFT[k][0], "scale": DRIFT[k][1]} for k in ("taste", "shock")},
+}
 
 
 def _dump(tmp_path, name, scn):
@@ -197,12 +205,8 @@ def test_eval_prints_emerging_levels_that_differ_by_the_delta(tmp_path, capsys):
     # their delta print within three such roundings of it: the emerging
     # levels, the two win probabilities around net_benefit and the
     # traditional levels around their delta.
-    scn = {
-        **DRIFT, "regime": "non_binding",
-        **{k: {"family": DRIFT[k][0], "scale": DRIFT[k][1]} for k in ("taste", "shock")},
-    }
     out = tmp_path / "eval.csv"
-    assert main(["eval", _dump(tmp_path, "drift.json", scn), "--out", str(out)]) == 0
+    assert main(["eval", _dump(tmp_path, "drift.json", _DRIFT), "--out", str(out)]) == 0
     values = {name: float(cell) for name, cell in _read_csv(out)[1]}
     rows = [
         ("congruence_second_with_ref", "congruence_second_no_ref", "congruence_second_delta"),
@@ -274,14 +278,37 @@ def test_turnout_below_the_cost_ceiling_exits_2(tmp_path, capsys):
     assert "participation probability" in capsys.readouterr().err
 
 
-def test_exhausted_quadrature_exits_3(tmp_path, capsys):
+def test_exhausted_quadrature_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
     scn = _dump(tmp_path, "tight.json", _scenario_a(
-        regime="non_binding",
-        quadrature={"abs_tol": 1e-300, "rel_tol": 1e-300, "max_subdivisions": 1},
+        regime="non_binding", quadrature={"abs_tol": 1e-300, "rel_tol": 1e-300},
     ))
     rc = main(["eval", scn])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scn", [
+    _scenario_a(regime="non_binding"),
+    _scenario_a(regime="non_binding", b_R=-0.1, third_party={"v": -0.01}),
+    _scenario_turnout(),
+    _DRIFT,
+], ids=["diverged", "spoiler", "turnout", "drift"])
+def test_no_integral_comes_near_the_subdivision_budget(tmp_path, monkeypatch, scn):
+    # The budget only stops a runaway bisection, so it is a constant and not
+    # a setting. At tolerances of 1e-15 the most any integral of these evals
+    # (the benchmark's three scenarios and DRIFT) spent was 38, on DRIFT.
+    budgets = []
+
+    def recorded(n, make=quadrature._Budget):
+        budgets.append(make(n))
+        return budgets[-1]
+
+    monkeypatch.setattr(quadrature, "_Budget", recorded)
+    path = _dump(tmp_path, "scn.json", scn)
+    assert main(["eval", path, "--quad-abs-tol", "1e-15", "--quad-rel-tol", "1e-15"]) == 0
+    assert budgets
+    assert max(quadrature._MAX_SUBDIVISIONS - b.left for b in budgets) <= 100
 
 
 def test_non_finite_integrand_exits_3(tmp_path, capsys, monkeypatch):

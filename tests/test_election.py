@@ -47,7 +47,7 @@ def test_lambda_win_shape():
     assert _clamp(lambda_win(0.6, 0.75)) == lambda_win(0.6, 0.75)
     assert _clamp(lambda_win(0.75, 0.8)) == 1.0
     assert _clamp(lambda_win(0.25, 0.8)) == 0.0
-    # A NaN is not saturated: it must reach the quadrature, which raises.
+    # A NaN is not saturated: it stays a NaN, the mark of a fault upstream.
     # min(1.0, max(0.0, nan)) would turn it into 0.0.
     assert math.isnan(_clamp(math.nan))
 
@@ -60,7 +60,7 @@ def test_lambda_win_rejects_a_share_outside_the_unit_interval(share):
 
 def test_lambda_win_passes_a_nan_share_through():
     # A NaN share is a numerical fault upstream, not a point where the win
-    # probability is undefined: it must reach the quadrature, which raises.
+    # probability is undefined: it must come back a NaN, not a probability.
     assert math.isnan(lambda_win(math.nan, 0.5))
     assert math.isnan(lambda_margin(math.nan, 0.5))
     assert lambda_win(0.0, 0.5) == 0.0 and lambda_win(1.0, 0.5) == 1.0

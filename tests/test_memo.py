@@ -33,7 +33,7 @@ from refcalc.congruence import (
 )
 from refcalc.errors import QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ReferendumRegime, moved_pieces
-from refcalc.quadrature import QuadratureConfig, memo
+from refcalc.quadrature import memo
 from refcalc.scenario import load_scenario
 from refcalc.thresholds import gamma_star, r_bind, r_star, r_star_star
 
@@ -359,12 +359,12 @@ def test_sweep_with_two_workers_prints_the_serial_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_a_failed_integral_is_not_stored():
+def test_a_failed_integral_is_not_stored(monkeypatch):
     # One subdivision is too few for the full-line kernels at the default
     # tolerance; the identical next call must fail again, not hit.
-    starved = QuadratureConfig(max_subdivisions=1)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
     p = SCENARIO_A
     with memo():
         for _ in range(2):
             with pytest.raises(QuadratureError):
-                r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock, starved)
+                r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock)

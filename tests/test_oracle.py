@@ -13,9 +13,9 @@ import pytest
 from refcalc.election import win_prob
 from refcalc.congruence import second_issue_congruence
 from refcalc.errors import UsageError
-from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
+from refcalc.model import DistributionSpec, ElectorateParams, PartyPositions, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
-from refcalc import oracle
+from refcalc import model, oracle
 from refcalc.oracle import SimConfig, estimate_threshold, simulate, simulate_runs
 from refcalc.third_party import ThirdPartyParams, win_prob_third
 from refcalc.turnout import TurnoutParams, validate_turnout, win_prob_turnout
@@ -342,6 +342,25 @@ def test_two_party_matches_analytic(regime):
     res = simulate(SCENARIO_A, regime, FULL)
     analytic = win_prob(SCENARIO_A, regime)
     assert _z(analytic, res) < 3.0
+
+
+@pytest.mark.parametrize("agents", [False, True], ids=["counts", "agents"])
+def test_oracle_states_its_own_starting_positions(agents, monkeypatch):
+    # win_prob reads the starting positions from model.shock_pieces; the
+    # oracle must not, or a fault in that row would cancel out in validate.
+    # On SCENARIO_A, the benchmark's diverged electorate, the fault below
+    # moved win_freq_R from 0.375 to 0.400 (counts) and 0.410 (agents).
+    cfg = SimConfig(n_policy_voters=2000, n_replications=200, seed=3, agent_level=agents)
+    honest = simulate(SCENARIO_A, NO_REF, cfg)
+    rule = model.shock_pieces
+
+    def both_start_at_zero(b_L, b_R, regime):
+        if regime is NO_REF:
+            return ((None, None, PartyPositions(0, 0)),)
+        return rule(b_L, b_R, regime)
+
+    monkeypatch.setattr(model, "shock_pieces", both_start_at_zero)
+    assert simulate(SCENARIO_A, NO_REF, cfg) == honest
 
 
 def test_two_party_congruence_matches_analytic():

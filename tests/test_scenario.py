@@ -141,13 +141,12 @@ def test_quadrature_and_sim_overrides():
     sc = parse_scenario(
         {
             **_minimal(),
-            "quadrature": {"abs_tol": 1e-8, "max_subdivisions": 500},
+            "quadrature": {"abs_tol": 1e-8},
             "sim": {"n_policy_voters": 1000, "seed": 7, "agent_level": True},
         }
     )
     assert sc.quadrature.abs_tol == 1e-8
     assert sc.quadrature.rel_tol == 1e-8  # untouched default
-    assert sc.quadrature.max_subdivisions == 500
     assert sc.sim.n_policy_voters == 1000
     assert sc.sim.n_replications == 10_000  # untouched default
     assert sc.sim.seed == 7
@@ -155,15 +154,17 @@ def test_quadrature_and_sim_overrides():
 
 
 @pytest.mark.parametrize("block, message", [
-    ({"rel_tol": math.nan}, "rel_tol must be finite and non-negative, got nan"),
-    ({"abs_tol": 0.0}, "abs_tol must be finite and positive, got 0.0"),
-    ({"max_subdivisions": 0}, "max_subdivisions must be at least 1"),
-    ({"max_subdivisions": 1.5}, "max_subdivisions must be an integer, got 1.5"),
+    ({"rel_tol": math.nan},
+     "scn.json.quadrature: rel_tol must be finite and non-negative, got nan"),
+    ({"abs_tol": 0.0}, "scn.json.quadrature: abs_tol must be finite and positive, got 0.0"),
+    # The subdivision budget is a constant of the quadrature, not a key.
+    ({"max_subdivisions": 2000},
+     'unknown key "max_subdivisions" at scn.json.quadrature; allowed keys: abs_tol, rel_tol'),
 ])
 def test_quadrature_block_errors_name_their_path(block, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario({**_minimal(), "quadrature": block}, source="scn.json")
-    assert str(exc.value) == f"scn.json.quadrature: {message}"
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("block, message", [

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import pytest
 
+from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, QuadratureError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
@@ -86,10 +87,10 @@ def test_intensity_frozen_at_default_tolerance():
     assert intensity(-0.4, TURNOUT) == pytest.approx(1.0082682745509306, abs=1e-10)
 
 
-def test_intensity_budget_exhaustion_raises():
-    starved = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2)
+def test_intensity_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
     with pytest.raises(QuadratureError):
-        intensity(-0.8, TURNOUT, starved)
+        intensity(-0.8, TURNOUT, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
 
 
 def test_intensity_even_and_monotone_in_magnitude():

@@ -56,9 +56,10 @@ SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNO
 # the unclamped spoiler kernels over the whole line; one whose cohesion
 # kernels both underflow to 0, so r_bind has no root; one under a logistic
 # shock, tests/conftest.py's DRIFT, whose whole-line win integral misses by
-# 7.6e-12, more than the pieces of the line do; and two sim blocks the loader
+# 7.6e-12, more than the pieces of the line do; two sim blocks the loader
 # rejects with exit 2, one with a non-boolean agent_level and one with the
-# unknown key continuum_tally.
+# unknown key continuum_tally; and a quadrature block with the former key
+# max_subdivisions, which it also rejects with exit 2.
 EVALUATED = {
     "binding": {**wl.DIVERGED, "regime": "binding"},
     "aligned": {**wl.DIVERGED, "b_R": -0.1},
@@ -97,10 +98,14 @@ EVALUATED = {
     },
     "sim_agent_level_int": {**wl.DIVERGED, "sim": {"agent_level": 1}},
     "sim_continuum_tally": {**wl.DIVERGED, "sim": {"continuum_tally": False}},
+    "quad_max_subdivisions": {
+        **wl.DIVERGED, "quadrature": {**wl.CALCULUS_TOL, "max_subdivisions": 2000},
+    },
 }
 EXPECTED_EXIT = {
     "eval_underflow": 3, "sweep_underflow_p": 3, "sweep_underflow_p_threads2": 3,
     "eval_sim_agent_level_int": 2, "eval_sim_continuum_tally": 2,
+    "eval_quad_max_subdivisions": 2,
 }
 
 
