@@ -32,6 +32,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cached_property
 
 from .congruence import (
     classify_congruence_region,
@@ -119,12 +120,37 @@ def _threshold(fn, p: ElectorateParams, quad: QuadratureConfig):
         return None
 
 
+class _Point:
+    """A scenario as _QUANTITIES reads it: its params, regime, quadrature,
+    third and turnout blocks, and win_prob's two terms, each computed at its
+    first read. win_prob under a regime is the no-referendum win probability
+    plus net_benefit, the very double election.win_prob returns, so one gain
+    walk serves a point's win_prob and net_benefit rows."""
+
+    def __init__(self, scenario: Scenario):
+        for field in ("params", "regime", "quadrature", "third", "turnout"):
+            setattr(self, field, getattr(scenario, field))
+
+    @cached_property
+    def win_no_ref(self) -> float:
+        return win_prob(self.params, NO_REFERENDUM, self.quadrature)
+
+    @cached_property
+    def gain(self) -> float:
+        return net_benefit(self.params, self.regime, config=self.quadrature)
+
+    def win_prob(self) -> float:
+        if self.regime is NO_REFERENDUM:
+            return self.win_no_ref
+        return self.win_no_ref + self.gain
+
+
 # Every named scalar quantity, shared by eval and sweep: the scenario block it
 # needs (None, "regime", "third_party" or "turnout") and its value at a
-# Scenario. A sweep naming a quantity whose block is missing is rejected.
+# _Point. A sweep naming a quantity whose block is missing is rejected.
 _QUANTITIES = {
-    "win_prob": (None, lambda s: win_prob(s.params, s.regime, s.quadrature)),
-    "net_benefit": ("regime", lambda s: net_benefit(s.params, s.regime, config=s.quadrature)),
+    "win_prob": (None, _Point.win_prob),
+    "net_benefit": ("regime", lambda s: s.gain),
     "gamma_star": (None, lambda s: gamma_star(s.params).value),
     "r_bind": (None, lambda s: _threshold(r_bind, s.params, s.quadrature)),
     "r_star": (None, lambda s: _threshold(r_star, s.params, s.quadrature)),
@@ -140,8 +166,8 @@ _QUANTITIES = {
 }
 
 
-def _value(scn: Scenario, name: str):
-    return _QUANTITIES[name][1](scn)
+def _value(point: _Point, name: str):
+    return _QUANTITIES[name][1](point)
 
 
 # ---------------------------------------------------------------- eval
@@ -150,15 +176,16 @@ def _eval_rows(scenario: Scenario):
     """(code_name, symbol, value) triples for every applicable quantity."""
     p, quad = scenario.params, scenario.quadrature
     regime = scenario.regime
-    wp_no = win_prob(p, NO_REFERENDUM, quad)
+    point = _Point(scenario)
+    wp_no = point.win_no_ref
     rows = [
-        ("gamma_star", "γ*", _value(scenario, "gamma_star")),
+        ("gamma_star", "γ*", _value(point, "gamma_star")),
         ("win_prob_no_referendum", "λ", wp_no),
     ]
     if regime is not NO_REFERENDUM:
         rows += [
-            (f"win_prob_{regime.value}", "λ", _value(scenario, "win_prob")),
-            ("net_benefit", "Δλ", _value(scenario, "net_benefit")),
+            (f"win_prob_{regime.value}", "λ", _value(point, "win_prob")),
+            ("net_benefit", "Δλ", _value(point, "net_benefit")),
         ]
         second = second_issue_congruence(p, regime, quad)
         trad = traditional_issue_congruence(p, regime, quad)
@@ -171,25 +198,25 @@ def _eval_rows(scenario: Scenario):
             ("congruence_traditional_delta", "ΔP", trad.delta),
         ]
     for name, symbol in (("r_bind", "r_bind"), ("r_star_star", "r**"), ("r_star", "r*")):
-        value = _value(scenario, name)
+        value = _value(point, name)
         if value is not None:
             rows.append((name, symbol, value))
     if scenario.third is not None:
         tp = scenario.third
         rows += [
-            ("phi", "φ", _value(scenario, "phi")),
+            ("phi", "φ", _value(point, "phi")),
             ("ahead_third_no_ref", "∫λ̂g", win_prob_third(tp, NO_REFERENDUM, quad)),
             ("ahead_third_non_binding", "λ̂→λ", win_prob_third(tp, NON_BINDING, quad)),
-            ("net_benefit_third", "Γ", _value(scenario, "net_benefit_third")),
+            ("net_benefit_third", "Γ", _value(point, "net_benefit_third")),
             ("worse_off_with_spoiler", "∫λ̂g<λ(r)", worse_off_condition(tp, config=quad)),
         ]
     if scenario.turnout is not None:
         tu = scenario.turnout
         rows += [
-            ("r_T", "r_T", _value(scenario, "r_T")),
+            ("r_T", "r_T", _value(point, "r_T")),
             ("win_prob_turnout_no_ref", "P_T", win_prob_turnout(tu, NO_REFERENDUM, quad)),
             ("win_prob_turnout_binding", "P_T", win_prob_turnout(tu, BINDING, quad)),
-            ("net_benefit_turnout", "ΔP_T", _value(scenario, "net_benefit_turnout")),
+            ("net_benefit_turnout", "ΔP_T", _value(point, "net_benefit_turnout")),
         ]
     return rows
 
@@ -250,7 +277,7 @@ def _sweep_cell(job):
         return [_fmt(value)] + [
             _fmt(_GAMMA_QUANTITIES[q](scenario.params, value)) for q in quantities
         ]
-    point = _rebuild(scenario, var, value)
+    point = _Point(_rebuild(scenario, var, value))
     cells = []
     for q in quantities:
         try:

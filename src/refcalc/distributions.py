@@ -12,17 +12,30 @@ log-probability), where the cdf itself underflows.
 cdf, pdf and quantile take a branch for a Python float, the argument of every
 integrand call in the shock integrals. It checks the argument with math
 (math.isfinite, or the open unit interval for quantile) instead of building a
-0-d array, which cost far more than the special function itself. cdf and pdf
-then use the array path's scipy/numpy ufuncs (erfc, expit, exp) in its order,
-and quantile its formula: a float and an array element give bit-identical
-results, and with them the CLI's CSVs and the oracle's golden file.
-math.erfc and math.exp are not used: math.erfc differs from scipy's erfc in
-the last bits on about 40% of N(0, 4^2) points. The float cdf and pdf are
-closures over family and scale (_scalar_formulas), built once per spec and
-bound once per integral or root by the hot callers. Not being fields, they
-stay out of ==, hash, repr and the memo keys; as they do not pickle, a spec
-pickles as DistributionSpec(family, scale), which builds them again in sweep
---threads' workers.
+0-d array, which cost far more than the special function itself. The float
+cdf runs the array path's algorithm in Python: the normal cdf is a port of
+Cephes' erfc (ndtr.c; S. L. Moshier, Methods and Programs for Mathematical
+Functions, 1989), which scipy.special.erfc runs, and the logistic cdf is
+expit's 1 / (1 + exp(-z)). The pdf uses the array path's np.exp, and quantile
+its formula. A float and an array element give bit-identical results, and
+with them the CLI's CSVs and the oracle's golden file. math.erfc is not used:
+it differs from scipy's erfc in the last bits on about 40% of N(0, 4^2)
+points, where the port agrees with it at every point tested.
+
+So no float closure needs scipy, and a two-party or spoiler command never
+imports it; the import alone cost about 0.27 s and 26 MB per process.
+scipy.special is imported at its first use (_LazySpecial): by the array
+branches, logcdf and ilogcdf, the normal quantile and partial_mean's
+logistic antiderivative, which serve the oracle, turnout's
+TruncatedDistribution and phi_thresholds. The normal truncation_window,
+which every shock integral reads, takes its two erfcinv values from
+literals (_ERFCINV_WINDOW).
+
+The float cdf and pdf are closures over family and scale (_scalar_formulas),
+built once per spec and bound once per integral or root by the hot callers.
+Not being fields, they stay out of ==, hash, repr and the memo keys; as they
+do not pickle, a spec pickles as DistributionSpec(family, scale), which
+builds them again in sweep --threads' workers.
 
 A truncated variant restricts a family to a symmetric interval [-w, w] and
 renormalises by its mass 1 - 2 cdf(-w), computed once, at construction. Its
@@ -38,18 +51,38 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import UsageError
 
+
+class _LazySpecial:
+    """scipy.special, imported at the first attribute read. The float
+    closures read none, so the two-party and spoiler calculus never imports
+    scipy. The import rebinds the module global special to the module
+    itself, so every later read costs what it would after a plain import."""
+
+    def __getattr__(self, name):
+        global special
+        from scipy import special
+
+        return getattr(special, name)
+
+
+special = _LazySpecial()
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Cephes' MAXLOG, log(DBL_MAX): erfc underflows to 0 (or 2) where a^2 exceeds it.
+_MAXLOG = 7.09782712893383996843e2
 
 FAMILIES = ("normal", "logistic")
 
 # Tail mass discarded on each side when an improper shock integral is
 # truncated to quantiles (DistributionSpec.truncation_window).
 TRUNCATION_TAIL = 1e-12
+# scipy.special.erfcinv(2.0 * TRUNCATION_TAIL) and erfcinv(2.0 * (1.0 -
+# TRUNCATION_TAIL)): the normal truncation window's quantiles need no scipy.
+_ERFCINV_WINDOW = (4.974131215017515, -4.974133396262828)
 
 
 _NON_FINITE = "distribution evaluated at a non-finite point"
@@ -64,24 +97,71 @@ def _check_finite(x):
 
 def _scalar_formulas(family, scale):
     """(cdf, pdf) of the family at scale for one scalar argument, raising
-    UsageError where it is not finite: the float branch of the methods."""
-    isfinite, erfc, expit, exp = math.isfinite, special.erfc, special.expit, np.exp
+    UsageError where it is not finite: the float branch of the methods. The
+    normal cdf is 0.5 erfc(a), a = -(x/scale)/sqrt(2), with Cephes' erfc/erf
+    written out: ndtr.c's constants in polevl/p1evl's Horner order, and the
+    underflow to 0 or 2 where a^2 > MAXLOG. The logistic cdf is expit; where
+    math.exp overflows, C's exp gives inf and expit 0.0."""
+    isfinite, exp, np_exp, sqrt2 = math.isfinite, math.exp, np.exp, _SQRT2
     if family == "normal":
         def cdf(x):
-            if not isfinite(x):
-                raise UsageError(_NON_FINITE)
-            return 0.5 * float(erfc(-(x / scale) / _SQRT2))
+            a = -(x / scale) / sqrt2
+            t = -a if a < 0.0 else a
+            if t < 1.0:
+                # erfc(a) = 1 - erf(a), erf(a) = a T(a^2) / U(a^2).
+                z = a * a
+                return 0.5 * (1.0 - a * ((((
+                    9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
+                    + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z
+                    + 5.55923013010394962768e4) / (((((
+                        z + 3.35617141647503099647e1) * z
+                        + 5.21357949780152679795e2) * z + 4.59432382970980127987e3) * z
+                        + 2.26290000613890934246e4) * z + 4.92673942608635921086e4))
+            z = -a * a
+            if t < 8.0:
+                p = ((((((((
+                    2.46196981473530512524e-10 * t + 5.64189564831068821977e-1) * t
+                    + 7.46321056442269912687e0) * t + 4.86371970985681366614e1) * t
+                    + 1.96520832956077098242e2) * t + 5.26445194995477358631e2) * t
+                    + 9.34528527171957607540e2) * t + 1.02755188689515710272e3) * t
+                    + 5.57535335369399327526e2)
+                q = (((((((
+                    t + 1.32281951154744992508e1) * t + 8.67072140885989742329e1) * t
+                    + 3.54937778887819891062e2) * t + 9.75708501743205489753e2) * t
+                    + 1.82390916687909736289e3) * t + 2.24633760818710981792e3) * t
+                    + 1.65666309194161350182e3) * t + 5.57535340817727675546e2
+            elif z >= -_MAXLOG:
+                p = ((((
+                    5.64189583547755073984e-1 * t + 1.27536670759978104416e0) * t
+                    + 5.01905042251180477414e0) * t + 6.16021097993053585195e0) * t
+                    + 7.40974269950448939160e0) * t + 2.97886665372100240670e0
+                q = (((((
+                    t + 2.26052863220117276590e0) * t + 9.39603524938001434673e0) * t
+                    + 1.20489539808096656605e1) * t + 1.70814450747565897222e1) * t
+                    + 9.60896809063285878198e0) * t + 3.36907645100081516050e0
+            else:
+                # erfc underflows to 0 or 2 (Cephes tests this first, but
+                # below t = 8 a^2 cannot reach MAXLOG). A NaN or infinite x
+                # takes no branch above, so it is checked only here.
+                if not isfinite(x):
+                    raise UsageError(_NON_FINITE)
+                return 1.0 if a < 0.0 else 0.0
+            y = exp(z) * p / q
+            return 0.5 * (2.0 - y if a < 0.0 else y)
 
         def pdf(x):
             if not isfinite(x):
                 raise UsageError(_NON_FINITE)
             z = x / scale
-            return _INV_SQRT2PI * float(exp(-0.5 * z * z)) / scale
+            return _INV_SQRT2PI * float(np_exp(-0.5 * z * z)) / scale
     else:
         def cdf(x):
             if not isfinite(x):
                 raise UsageError(_NON_FINITE)
-            return float(expit(x / scale))
+            try:
+                return 1.0 / (1.0 + exp(-(x / scale)))
+            except OverflowError:
+                return 0.0
 
         def pdf(x):
             s = cdf(x)
@@ -147,7 +227,11 @@ class DistributionSpec:
         """The TRUNCATION_TAIL and 1 - TRUNCATION_TAIL quantiles, to which
         quadrature.shock_bounds truncates an improper shock integral.
         Computed at the first read and kept on the instance, which is not a
-        field: equality, hashing and repr ignore it."""
+        field: equality, hashing and repr ignore it. The normal family reads
+        erfcinv at both ends from _ERFCINV_WINDOW, in _quantile_formula's
+        expression, so no shock integral loads scipy."""
+        if self.family == "normal":
+            return tuple(-self.scale * _SQRT2 * e for e in _ERFCINV_WINDOW)
         return self.quantile(TRUNCATION_TAIL), self.quantile(1.0 - TRUNCATION_TAIL)
 
     def _quantile_formula(self, qa):

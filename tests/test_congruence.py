@@ -279,6 +279,20 @@ def test_each_region_cell_holds_its_reports_deltas(scenario_a, regime, family, m
         assert cell.region_flag == _region_flag(cell.delta_second, cell.delta_traditional)
 
 
+def test_a_zero_emerging_delta_is_not_negative(scenario_a):
+    """At mu = 0.9 a non-binding referendum moves only the two tails, where
+    the win map sits at 0 and at 1, so delta_second is exactly 0.0. A zero
+    delta counts as not negative: the cell's flag is the traditional
+    delta's alone.
+
+    Kills the mutant `delta_second < 0` -> `<= 0` in _region_flag.
+    """
+    cells = classify_congruence_region(
+        replace(scenario_a, mu=0.9), [scenario_a.b_R], [0.52, 0.48], NON_BINDING)
+    assert [(c.delta_second, c.delta_traditional > 0.0, c.region_flag) for c in cells] == [
+        (0.0, True, "none_negative"), (0.0, False, "traditional_negative")]
+
+
 def test_the_region_cells_reach_the_saturated_win_map(scenario_a):
     # Above mu = 1/2 the whole line and both tails of every cell above
     # saturate; at 0.9 the aligned start's split piece [0.1, 0.5] does too.

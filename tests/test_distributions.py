@@ -10,8 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from scipy import special
+
 from refcalc.distributions import (
+    _ERFCINV_WINDOW,
+    _MAXLOG,
     FAMILIES,
+    TRUNCATION_TAIL,
     DistributionSpec,
     TruncatedDistribution,
 )
@@ -100,8 +105,9 @@ def test_logcdf_roundtrip_past_underflow(family, scale, z):
     q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
 def test_float_path_equals_array_path(family, scale, z, q):
-    # A Python float skips the array conversion but must run the same ufuncs
-    # in the same order: the results are bit-identical, not merely close.
+    # A Python float skips the array conversion but must compute the array
+    # path's formula in its order: the results are bit-identical, not merely
+    # close.
     d = DistributionSpec(family, scale)
     x = z * scale
     for method, arg in ((d.cdf, x), (d.pdf, x), (d.quantile, q)):
@@ -109,6 +115,68 @@ def test_float_path_equals_array_path(family, scale, z, q):
         assert type(out) is float
         assert out == method(np.array([arg, 0.5]))[0]
         assert out == method(np.float64(arg))
+
+
+def _cdf_points():
+    # Points a of erfc: uniform on [-30, 30], N(0, 4^2) and N(0, 1), and
+    # both edges of each branch: |a| = 1 and 8, where the port changes
+    # polynomials, and a^2 = MAXLOG (|a| near 26.64), where erfc underflows
+    # to 0 or 2, with 26.5, 26.6 and 27 around it.
+    rng = np.random.default_rng(36)
+    edge = math.sqrt(_MAXLOG)
+    near = [edge + k * 1e-12 for k in range(-50, 51)] + [np.nextafter(edge, 0.0), edge]
+    special_points = [1.0, 8.0, 26.5, 26.6, 27.0, 0.0, *near]
+    special_points += [np.nextafter(t, 0.0) for t in (1.0, 8.0)]
+    special_points += [np.nextafter(t, 30.0) for t in (1.0, 8.0)]
+    return np.concatenate([
+        rng.uniform(-30.0, 30.0, 400_000),
+        rng.normal(0.0, 4.0, 300_000),
+        rng.normal(0.0, 1.0, 300_000),
+        special_points,
+        np.negative(special_points),
+    ])
+
+
+def test_normal_float_cdf_is_scipys_erfc_bit_for_bit():
+    # The float cdf is 0.5 erfc(a) at a = -(x/scale)/sqrt(2), with erfc a
+    # port of Cephes' ndtr.c. It must return scipy.special.erfc's double at
+    # each point read: this is what notices a scipy whose erfc changes. At
+    # scale 1, x = -sqrt(2) a reads 1 and 8 back exactly.
+    a = _cdf_points()
+    assert a.size > 1_000_000
+    for scale in (1.0, 0.3):
+        x = -a * math.sqrt(2.0) * scale
+        cdf = DistributionSpec("normal", scale)._scalar_cdf
+        reads = -(x / scale) / math.sqrt(2.0)
+        assert [cdf(v) for v in x.tolist()] == (0.5 * special.erfc(reads)).tolist()
+        if scale == 1.0:
+            assert {1.0, 8.0, -1.0, -8.0} <= set(reads.tolist())
+
+
+def test_logistic_float_cdf_is_scipys_expit_bit_for_bit():
+    # 1 / (1 + exp(-z)), and 0.0 where math.exp overflows (z < -709.78),
+    # as C's exp gives inf there.
+    rng = np.random.default_rng(37)
+    z = np.concatenate([
+        rng.uniform(-800.0, 800.0, 300_000),
+        rng.normal(0.0, 4.0, 400_000),
+        rng.logistic(0.0, 1.0, 300_000),
+        [-709.78, -745.2, 710.0, -_MAXLOG, np.nextafter(-_MAXLOG, 0.0),
+         np.nextafter(-_MAXLOG, -800.0), 0.0, -0.0, 36.7, 37.0, -1e300, 1e300],
+    ])
+    cdf = DistributionSpec("logistic", 1.0)._scalar_cdf
+    assert [cdf(v) for v in z.tolist()] == special.expit(z).tolist()
+
+
+def test_normal_truncation_window_literals_are_scipys_erfcinv():
+    assert _ERFCINV_WINDOW == (
+        special.erfcinv(2.0 * TRUNCATION_TAIL),
+        special.erfcinv(2.0 * (1.0 - TRUNCATION_TAIL)),
+    )
+    for scale in (0.25, 1.0, 3.7):
+        d = DistributionSpec("normal", scale)
+        assert d.truncation_window == (
+            d.quantile(TRUNCATION_TAIL), d.quantile(1.0 - TRUNCATION_TAIL))
 
 
 def test_float_path_rejects_non_finite_and_closed_unit_interval():

@@ -264,7 +264,7 @@ def _bits(values):
 def _sweep_values(scenario, var, grid, quantities):
     rows = []
     for value in grid:
-        point = cli._rebuild(scenario, var, value)
+        point = cli._Point(cli._rebuild(scenario, var, value))
         row = []
         for q in quantities:
             try:

@@ -68,6 +68,40 @@ def test_budget_exhaustion_raises_with_achieved_tolerance(monkeypatch):
     assert "achieved tolerance" in str(exc.value)
 
 
+def test_depth_limit_ends_a_bisection_the_budget_would_not(monkeypatch):
+    """1/(x - 0.3) on [-7e3, 7e3], the window of a normal shock of scale 1e3:
+    the panel holding the pole is bisected until depth _MAX_DEPTH (60) ends
+    it, after 443 panels and well inside the subdivision budget.
+
+    Kills the mutant `depth + 1` -> `depth - 1` in _adapt, which never
+    reaches the depth limit and runs on until the budget ends the integral.
+    """
+    depths, panels, budgets = [], [], []
+    adapt, panel, budget = quadrature._adapt, quadrature._panel, quadrature._Budget
+
+    def spied_adapt(*args):
+        depths.append(args[-1])
+        return adapt(*args)
+
+    def counted_panel(*args):
+        panels.append(args[1:])
+        return panel(*args)
+
+    def kept_budget(n):
+        budgets.append(budget(n))
+        return budgets[-1]
+
+    monkeypatch.setattr(quadrature, "_adapt", spied_adapt)
+    monkeypatch.setattr(quadrature, "_panel", counted_panel)
+    monkeypatch.setattr(quadrature, "_Budget", kept_budget)
+    with pytest.raises(QuadratureError, match="subdivision budget exhausted"):
+        integrate(lambda x: 1.0 / (x - 0.3), -7e3, 7e3)
+    assert max(depths) == quadrature._MAX_DEPTH == 60
+    assert len(panels) == 443
+    (spent,) = budgets
+    assert spent.left > 0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_integrand_raises_at_once(bad):
     # The bad value fills (0.5, 1], so bisection can never isolate it; the
@@ -116,24 +150,33 @@ def test_shock_bounds_clip():
 
 def test_shock_bounds_reads_each_shocks_window_once(monkeypatch):
     # The window is the two tail quantiles, computed at the first call and
-    # kept on the spec; a spec with another scale computes its own, and
-    # equality and hashing ignore the kept window.
+    # kept on the spec (in its __dict__); a spec with another scale computes
+    # its own, and equality and hashing ignore the kept window. The normal
+    # window takes its erfcinv values from literals, so only the logistic
+    # one calls quantile.
     calls = []
     quantile = DistributionSpec.quantile
 
     def counted(self, q):
-        calls.append(q)
+        calls.append((self.family, q))
         return quantile(self, q)
 
     monkeypatch.setattr(DistributionSpec, "quantile", counted)
     shock = DistributionSpec("normal", 0.5)
+    assert "truncation_window" not in vars(shock)
     window = shock_bounds(shock)
     assert window == (quantile(shock, 1e-12), quantile(shock, 1.0 - 1e-12))
+    assert vars(shock)["truncation_window"] == window
     assert shock_bounds(shock, -100.0, 0.2) == (window[0], 0.2)
-    assert len(calls) == 2
     wider = replace(shock, scale=1.0)
     assert shock_bounds(wider) == (quantile(wider, 1e-12), quantile(wider, 1.0 - 1e-12))
-    assert len(calls) == 4
+    assert vars(wider)["truncation_window"] != window
+    assert calls == []
+    logistic = DistributionSpec("logistic", 0.5)
+    window = shock_bounds(logistic)
+    assert window == (quantile(logistic, 1e-12), quantile(logistic, 1.0 - 1e-12))
+    assert shock_bounds(logistic, None, 0.2) == (window[0], 0.2)
+    assert calls == [("logistic", 1e-12), ("logistic", 1.0 - 1e-12)]
     assert shock == DistributionSpec("normal", 0.5)
     assert hash(shock) == hash(DistributionSpec("normal", 0.5))
 

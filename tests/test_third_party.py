@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from refcalc.election import lambda_win, net_benefit, split_at_kinks, win_prob
+from refcalc.election import _wins, lambda_win, net_benefit, split_at_kinks, win_prob
 from refcalc.errors import InvalidParamsError, QuadratureError, UsageError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
+from refcalc.quadrature import DEFAULT_QUADRATURE
 from refcalc.third_party import (
     DEFAULT_VALENCE,
     ThirdPartyParams,
@@ -223,6 +224,20 @@ def test_worse_off_condition_matches_definition():
         assert worse_off_condition(tp) is expected
         assert expected is (tp is SPOILER)
         assert win_prob(b, NO_REF) == pytest.approx(lambda_win(b.r, b.mu), abs=1e-12)
+
+
+def test_a_zero_spoiler_gap_is_not_worse_off():
+    """A spoiler so far from every voter (v = -30) that neither major loses a
+    voter to it: both kernels of the spoiler race underflow to 0.0 over the
+    whole shock window, so its gap is exactly 0.0 and Right ahead of Left is
+    exactly lambda(r). The spoiler does not make Right worse off.
+
+    Kills the mutant `> 0.0` -> `>= 0.0` in worse_off_condition.
+    """
+    tp = ThirdPartyParams(base=BASE_B, v=-30.0)
+    assert _wins(BASE_B, None, None, DEFAULT_QUADRATURE, tp.v)[1] == 0.0
+    assert win_prob_third(tp, NO_REF) == lambda_win(BASE_B.r, BASE_B.mu)
+    assert worse_off_condition(tp) is False
 
 
 def test_classify_requires_wide_dispersion():

@@ -75,6 +75,18 @@ def test_validate_turnout_collects_violations():
         intensity(-0.4, tight)
 
 
+def test_sigma_must_exceed_p_plus_kappa_strictly():
+    """sigma == p + kappa is rejected, and the next float above it accepted.
+
+    Kills the mutants `sigma >= p + kappa` and `sigma > p - kappa` in
+    validate_turnout, which both accept the edge.
+    """
+    edge = BASE_T.p + TURNOUT.kappa
+    violations = validate_turnout(replace(TURNOUT, sigma=edge))
+    assert violations == [f"need sigma > p + kappa, got {edge} vs {edge}"]
+    assert validate_turnout(replace(TURNOUT, sigma=math.nextafter(edge, math.inf))) == []
+
+
 def test_intensity_frozen():
     # FROZEN scipy: I(-0.8) = 1.1585232962496952, I(-0.4) = 1.0082682745509306.
     assert _cached_intensity(-0.8) == pytest.approx(1.1585232962496952, abs=1e-7)
