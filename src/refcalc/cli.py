@@ -35,11 +35,12 @@ from dataclasses import replace
 from functools import cached_property
 
 from .congruence import (
+    _majority_delta,
+    _traditional,
     classify_congruence_region,
+    knife_edge,
     second_delta,
     second_issue_congruence,
-    traditional_delta,
-    traditional_issue_congruence,
 )
 from .distributions import DistributionSpec
 from .election import net_benefit, win_prob
@@ -125,7 +126,8 @@ class _Point:
     third and turnout blocks, and win_prob's two terms, each computed at its
     first read. win_prob under a regime is the no-referendum win probability
     plus net_benefit, the very double election.win_prob returns, so one gain
-    walk serves a point's win_prob and net_benefit rows."""
+    walk serves a point's win_prob, net_benefit and traditional congruence
+    rows."""
 
     def __init__(self, scenario: Scenario):
         for field in ("params", "regime", "quadrature", "third", "turnout"):
@@ -144,6 +146,12 @@ class _Point:
             return self.win_no_ref
         return self.win_no_ref + self.gain
 
+    def delta_traditional(self) -> float | None:
+        # congruence.traditional_delta from the point's gain: None on the
+        # knife edge, where nothing is integrated.
+        r = self.params.r
+        return None if knife_edge(r) else _majority_delta(r, self.gain)
+
 
 # Every named scalar quantity, shared by eval and sweep: the scenario block it
 # needs (None, "regime", "third_party" or "turnout") and its value at a
@@ -156,7 +164,7 @@ _QUANTITIES = {
     "r_star": (None, lambda s: _threshold(r_star, s.params, s.quadrature)),
     "r_star_star": (None, lambda s: _threshold(r_star_star, s.params, s.quadrature)),
     "delta_second": ("regime", lambda s: second_delta(s.params, s.regime, s.quadrature)),
-    "delta_traditional": ("regime", lambda s: traditional_delta(s.params, s.regime, s.quadrature)),
+    "delta_traditional": ("regime", _Point.delta_traditional),
     "phi": ("third_party", lambda s: None if validate_third(s.third)
             else phi(s.params.b_L, s.params.b_R, s.params.shock)),
     "net_benefit_third": ("third_party", lambda s: net_benefit_third(s.third, config=s.quadrature)),
@@ -188,7 +196,7 @@ def _eval_rows(scenario: Scenario):
             ("net_benefit", "Δλ", _value(point, "net_benefit")),
         ]
         second = second_issue_congruence(p, regime, quad)
-        trad = traditional_issue_congruence(p, regime, quad)
+        trad = _traditional(p.r, regime, wp_no, point.gain)
         rows += [
             ("congruence_second_no_ref", "P(y=maj)", second.prob_no_ref),
             ("congruence_second_with_ref", "P(y=maj)", second.prob_with_ref),

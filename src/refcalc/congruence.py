@@ -186,9 +186,15 @@ def traditional_issue_congruence(
     require_valid(params)
     require_regime(regime, "post_referendum")
     wp_no = win_prob(params, ReferendumRegime.NO_REFERENDUM, config)
-    gain = net_benefit(params, regime, config)
-    wp_with, delta = wp_no + gain, _majority_delta(params.r, gain)
-    if params.r < 0.5:
+    return _traditional(params.r, regime, wp_no, net_benefit(params, regime, config))
+
+
+def _traditional(r, regime, wp_no, gain):
+    # The traditional report at share r from Right's win probability without
+    # the referendum and its gain from it, the two terms of its win
+    # probability with it.
+    wp_with, delta = wp_no + gain, _majority_delta(r, gain)
+    if r < 0.5:
         return CongruenceReport(ISSUE_TRADITIONAL, regime, 1.0 - wp_no, 1.0 - wp_with, delta)
     flags = (KNIFE_EDGE_FLAG,) if delta is None else ()
     return CongruenceReport(ISSUE_TRADITIONAL, regime, wp_no, wp_with, delta, flags)

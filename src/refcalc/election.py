@@ -25,10 +25,12 @@ its valence v. _gain_walk sums its gaps over the pieces a regime moves, and
 _win_walk adds that gain to its whole-line read under the initial positions.
 Where the map saturates, the piece is cut at its kinks (split_at_kinks): the
 saturated sub-pieces are shock masses, and the stretches between kinks read
-kernels like any other piece. Every kernel goes through thresholds._kernel, so
-within quadrature.memo() each is integrated once per command. Right's win
-over a saturated sub-piece is its mass times the level, exactly, so a tail
-where one side always wins adds exactly 0 to the emerging-issue delta.
+kernels like any other piece. Every kernel pair goes through
+thresholds._kernel_pair, so within quadrature.memo() each kernel is
+integrated once per command, both of a pair in one pass where neither is
+kept. Right's win over a saturated sub-piece is its mass times the level,
+exactly, so a tail where one side always wins adds exactly 0 to the
+emerging-issue delta.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .model import (
     shock_pieces,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, shock_bounds
-from .thresholds import _brent, _integrand, _kernel
+from .thresholds import _brent, _integrand, _kernel_pair
 
 
 def _clamp(value):
@@ -169,12 +171,12 @@ def _wins(params, lo, hi, config, v=None):
 
     The piece is cut by split_at_kinks (uncut where the map stays inside
     [0, 1]) and its stretches summed in shock order. Between kinks the gap
-    is c (r R - (1-r) L), with L and R the race's kernels over the stretch
-    (thresholds._kernel, kept within quadrature.memo()), and Right gets the
-    stretch's shock mass times lambda(r) less it. Where the map sits at a
-    level, Right gets mass * level, exactly, so a piece wholly saturated at
-    0 gives 0.0 and one at 1 its mass, and the gap gets mass times
-    lambda(r) - level.
+    is c (r R - (1-r) L), with L and R the race's kernel pair over the
+    stretch (thresholds._kernel_pair, kept within quadrature.memo()), and
+    Right gets the stretch's shock mass times lambda(r) less it. Where the
+    map sits at a level, Right gets mass * level, exactly, so a piece wholly
+    saturated at 0 gives 0.0 and one at 1 its mass, and the gap gets mass
+    times lambda(r) - level.
     """
     r, taste, shock = params.r, params.taste, params.shock
     lam_r = lambda_win(r, params.mu)
@@ -184,7 +186,7 @@ def _wins(params, lo, hi, config, v=None):
         g_x, g_y = cdf_ends(shock._scalar_cdf, x, y)
         mass = g_y - g_x
         if level is None:
-            L, R = (_kernel(*k, taste, shock, x, y, config) for k in (kL, kR))
+            L, R = _kernel_pair(kL, kR, taste, shock, x, y, config)
             stretch = c * (r * R - (1.0 - r) * L)
             right += mass * lam_r - stretch
             gap += stretch

@@ -23,13 +23,16 @@ kernels_below_abs_tol, as the tolerance then bounds nothing. None
 depends on mu: the popularity channel scales the net benefit without moving
 its sign change (as long as the affine win map never saturates; see the
 election module). Neither does any kernel, so within one command
-(quadrature.memo) each kernel integral is computed once: a sweep over r or mu
-integrates them at its first point only, and r_bind's L, which does not
-involve b_R, once for all b_R. The win integrals read the same kernels
-(election._wins), the spoiler race two more L-form ones (election._race). A
-kernel over a piece whose end moves with r or mu (gamma_star, a kink of the
-saturated win map) is kept like any other, so a command that reads it twice,
-as the congruence levels and delta do, integrates it once.
+(quadrature.memo) each kernel integral is computed once, and in pairs: L and
+R over a piece are read together (_kernel_pair) and integrated in one pass
+where neither is kept. A sweep over r or mu integrates them at its first
+point only, and r_bind's L, which does not involve b_R, once for all b_R, so
+there each later point integrates its R alone. The win integrals read the
+same kernel pairs (election._wins), the spoiler race two more L-form ones
+(election._race). A kernel over a piece whose end moves with r or mu
+(gamma_star, a kink of the saturated win map) is kept like any other, so a
+command that reads it twice, as the congruence levels and delta do,
+integrates it once.
 
 The roots that remain (gamma_star and the b_R scan) come from _brent, a port
 of scipy's brentq.c (Brent, "Algorithms for Minimization without
@@ -58,7 +61,13 @@ from .model import (
     require_valid,
     shock_pieces,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_shock, recall
+from .quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    integrate_shock,
+    integrate_shock_pair,
+    recall_pair,
+)
 
 ROOT_XTOL = 1e-12
 ROOT_MAXITER = 200
@@ -182,12 +191,23 @@ def _integrand(form, b, p, taste):
 
 
 def _kernel(form, b, p, taste, shock, lo, hi, config):
-    """Shock integral of _integrand(form, b, p, taste) over [lo, hi], looked
-    up before it is computed within quadrature.memo()."""
-    def compute():
-        return integrate_shock(_integrand(form, b, p, taste), shock, lo, hi, config)
+    """Shock integral of _integrand(form, b, p, taste) over [lo, hi]."""
+    return integrate_shock(_integrand(form, b, p, taste), shock, lo, hi, config)
 
-    return recall(compute, form, b, p, taste, shock, lo, hi, config)
+
+def _kernel_pair(kL, kR, taste, shock, lo, hi, config):
+    """(_kernel(*kL, ...), _kernel(*kR, ...)) over [lo, hi], kL and kR each a
+    (form, b, p). Within quadrature.memo() each is looked up by its _kernel
+    arguments first (recall_pair): the two are integrated in one pass
+    (integrate_shock_pair) only where neither is kept, and a missing one
+    alone by _kernel otherwise."""
+    return recall_pair(
+        lambda: integrate_shock_pair(
+            _integrand(*kL, taste), _integrand(*kR, taste), shock, lo, hi, config),
+        _kernel,
+        (*kL, taste, shock, lo, hi, config),
+        (*kR, taste, shock, lo, hi, config),
+    )
 
 
 def _kernels(b_L, b_R, p, taste, shock, pieces, config):
@@ -195,8 +215,9 @@ def _kernels(b_L, b_R, p, taste, shock, pieces, config):
     each summed over pieces, a sequence of model.shock_pieces entries."""
     L = R = 0.0
     for lo, hi, _ in pieces:
-        L += _kernel("L", b_L, p, taste, shock, lo, hi, config)
-        R += _kernel("R", b_R, p, taste, shock, lo, hi, config)
+        piece_L, piece_R = _kernel_pair(("L", b_L, p), ("R", b_R, p), taste, shock, lo, hi, config)
+        L += piece_L
+        R += piece_R
     return L, R
 
 

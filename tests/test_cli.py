@@ -24,7 +24,7 @@ from refcalc import quadrature
 from refcalc.cli import _FIG12_GAMMAS, _FIG12_PARAMS, main
 from refcalc.distributions import DistributionSpec
 from refcalc.model import ElectorateParams, referendum_support
-from refcalc.quadrature import recall
+from refcalc.quadrature import recall_pair
 from refcalc.third_party import phi
 
 from conftest import DRIFT, nan_where
@@ -165,21 +165,25 @@ def test_eval_traditional_delta_is_empty_on_the_knife_edge(tmp_path, capsys):
 
 @pytest.mark.parametrize("r", [0.45, 0.5, 0.55])
 def test_eval_integrates_each_win_probability_once(tmp_path, capsys, monkeypatch, r):
-    # The traditional congruence rows read the two win probabilities again,
-    # but within the command's memo every kernel integral behind them is
-    # computed once.
+    # The congruence reports read the kernels behind the win probabilities
+    # again, but within the command's memo every kernel integral is computed
+    # once, in a pair or alone.
     import refcalc.thresholds as thresholds
 
     computed = []
 
-    def spy(compute, *key):
-        def counted():
-            computed.append(key)
+    def spy(compute, compute_one, key_a, key_b):
+        def pair():
+            computed.extend((key_a, key_b))
             return compute()
 
-        return recall(counted, *key)
+        def one(*key):
+            computed.append(key)
+            return compute_one(*key)
 
-    monkeypatch.setattr(thresholds, "recall", spy)
+        return recall_pair(pair, one, key_a, key_b)
+
+    monkeypatch.setattr(thresholds, "recall_pair", spy)
     scn = _dump(tmp_path, "a.json", _scenario_a(regime="non_binding", r=r))
     assert main(["eval", scn]) == 0
     assert computed

@@ -1,18 +1,19 @@
-"""The per-command integral memo (quadrature.memo / quadrature.recall).
+"""The per-command integral memo (quadrature.memo / quadrature.recall_pair).
 
 The CLI runs every command inside quadrature.memo(), where the cohesion
-kernels, and only they, are looked up before they are integrated; the
-thresholds, the win integrals and the congruence deltas read them alike.
-Keys compare by ==, so 0.0 and -0.0 share one. These tests pin what that may
-and may not change: each distinct kernel is integrated once per command, no
-integral is computed outside recall, the memo stores nothing else, every
+kernels, and only they, are looked up before they are integrated, in pairs
+(recall_pair); the thresholds, the win integrals and the congruence deltas
+read them alike. Keys compare by ==, so 0.0 and -0.0 share one. These tests
+pin what that may and may not change: each distinct kernel is integrated
+once per command, a pair half kept integrates only its missing kernel, no
+integral is computed outside recall_pair, the memo stores nothing else, every
 value is the very double computed outside the memo (at either zero), nothing
 survives the command, and a failure is never stored. Five counts pin what
 is read: figg reads each moved piece of a cell once, second_delta integrates
 no kernel pair it does not use, the emerging-issue report integrates each
 kernel pair of its level and delta once, validate integrates each distinct
-kernel once, and a saturated spoiler eval reads the spoiler race's whole
-line once.
+kernel once, a saturated spoiler eval reads the spoiler race's whole line
+once, and a sweep point or an eval walks its gain once.
 """
 
 from __future__ import annotations
@@ -69,33 +70,48 @@ def _sweep_r(path, steps=41):
 
 
 class _Tally:
-    """Counts quadrature.integrate calls, and per key the lookups and
-    computations that go through the kernels' recall. Keeps the table of
-    each memo the CLI enters."""
+    """Counts kernel integrals, one per quadrature.integrate call and two per
+    integrate_shock_pair call, and per key the lookups and computations that
+    go through the kernels' recall_pair. Keeps the table of each memo the
+    CLI enters."""
 
     def __init__(self, monkeypatch):
         self.integrals = 0
+        self.pairs = 0
         self.looked_up = Counter()
         self.computed = Counter()
         self.integrals_in_compute = 0
         self.tables = []
-        integrate, recall = quadrature.integrate, quadrature.recall
+        integrate, pair = quadrature.integrate, thresholds.integrate_shock_pair
+        recall_pair = quadrature.recall_pair
 
         def counted_integrate(*args, **kwargs):
             self.integrals += 1
             return integrate(*args, **kwargs)
 
-        def spied_recall(compute, *key):
-            self.looked_up[key] += 1
+        def counted_pair(*args, **kwargs):
+            self.integrals += 2
+            self.pairs += 1
+            return pair(*args, **kwargs)
+
+        def in_compute(compute, *args):
+            before = self.integrals
+            value = compute(*args)
+            self.integrals_in_compute += self.integrals - before
+            return value
+
+        def spied_recall_pair(compute, compute_one, key_a, key_b):
+            self.looked_up.update((key_a, key_b))
 
             def counted_compute():
-                self.computed[key] += 1
-                before = self.integrals
-                value = compute()
-                self.integrals_in_compute += self.integrals - before
-                return value
+                self.computed.update((key_a, key_b))
+                return in_compute(compute)
 
-            return recall(counted_compute, *key)
+            def counted_one(*key):
+                self.computed[key] += 1
+                return in_compute(compute_one, *key)
+
+            return recall_pair(counted_compute, counted_one, key_a, key_b)
 
         @contextmanager
         def kept_memo():
@@ -104,7 +120,8 @@ class _Tally:
                 yield
 
         monkeypatch.setattr(quadrature, "integrate", counted_integrate)
-        monkeypatch.setattr(thresholds, "recall", spied_recall)
+        monkeypatch.setattr(thresholds, "integrate_shock_pair", counted_pair)
+        monkeypatch.setattr(thresholds, "recall_pair", spied_recall_pair)
         monkeypatch.setattr(cli, "memo", kept_memo)
 
 
@@ -368,3 +385,43 @@ def test_a_failed_integral_is_not_stored(monkeypatch):
         for _ in range(2):
             with pytest.raises(QuadratureError):
                 r_bind(p.b_L, p.b_R, p.p, p.taste, p.shock)
+
+
+@pytest.mark.parametrize("command, points", [("sweep_r", 41), ("eval", 1), ("eval_knife_edge", 1)])
+def test_a_point_walks_its_gain_once(tmp_path, capsys, monkeypatch, command, points):
+    # A sweep point's win_prob, net_benefit and delta_traditional, and an
+    # eval's win probabilities, net benefit and traditional congruence rows,
+    # all read the point's one gain walk over the moved pieces
+    # (cli._Point.gain). A walk under no referendum moves nothing.
+    walked = []
+    gain_walk = election._gain_walk
+
+    def counted(params, regime, *args):
+        if regime is not ReferendumRegime.NO_REFERENDUM:
+            walked.append(params.r)
+        return gain_walk(params, regime, *args)
+
+    monkeypatch.setattr(election, "_gain_walk", counted)
+    if command == "sweep_r":
+        argv = _sweep_r(_dump(tmp_path, DIVERGED))
+    else:
+        argv = ["eval", _dump(tmp_path, {**DIVERGED, "r": 0.5} if "knife" in command else DIVERGED)]
+    assert main(argv) == 0
+    assert len(walked) == len(set(walked)) == points
+
+
+def test_a_half_kept_pair_integrates_only_its_missing_kernel(tmp_path, capsys, monkeypatch):
+    # r_bind's L over the whole line does not involve b_R: along a b_R sweep
+    # it is kept from the first point on, so each later point integrates its
+    # whole-line R alone instead of the pair.
+    argv = ["sweep", _dump(tmp_path, DIVERGED), "--var", "b_R", "--from", "0", "--to", "0.4",
+            "--steps", "5", "--quantities", "r_bind"]
+    tally = _Tally(monkeypatch)
+    assert main(argv) == 0
+    assert tally.pairs == 1
+    assert tally.integrals == tally.integrals_in_compute == len(tally.computed) == 2 + 4
+    assert max(tally.computed.values()) == 1
+    (L,) = [key for key in tally.looked_up if key[0] == "L"]
+    assert L[1:3] == (-0.5, 0.2) and L[5:7] == (None, None)
+    assert tally.looked_up[L] == 5
+    assert sorted(key[1] for key in tally.computed if key[0] == "R") == [i * 0.1 for i in range(5)]

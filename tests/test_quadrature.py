@@ -14,8 +14,10 @@ from refcalc.quadrature import (
     _panel,
     integrate,
     integrate_shock,
+    integrate_shock_pair,
     shock_bounds,
 )
+from refcalc.thresholds import _integrand
 
 
 def test_panel_rule_degrees():
@@ -208,3 +210,108 @@ def test_integrate_shock_meets_its_tolerance_or_raises():
     except QuadratureError:
         return
     assert abs(val - exact) <= max(1e-10, 1e-8 * exact)
+
+
+# The paired pass (integrate_shock_pair) against two integrate_shock calls.
+PAIR_SHOCK = DistributionSpec("normal", 0.25)
+
+
+def _flat(g):
+    return 0.5
+
+
+def _square(g):
+    return g * g
+
+
+def _kink(g):
+    return abs(g - 0.0123)
+
+
+def _singles(fa, fb, lo, hi, shock=PAIR_SHOCK):
+    """The two integrate_shock values and the deepest _adapt level each reaches."""
+    depths = []
+    adapt = quadrature._adapt
+
+    def spied(*args):
+        depths[-1] = max(depths[-1], args[-1])
+        return adapt(*args)
+
+    values = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_adapt", spied)
+        for f in (fa, fb):
+            depths.append(0)
+            values.append(integrate_shock(f, shock, lo, hi))
+    return tuple(values), tuple(depths)
+
+
+@pytest.mark.parametrize("fa, fb, lo, hi, depths", [
+    # Both accept their first panel.
+    (_flat, _square, 0.0, 0.05, (0, 0)),
+    # One accepts it and the other bisects on, in both orders.
+    (_flat, _kink, 0.0, 0.05, (0, 16)),
+    (_kink, _flat, 0.0, 0.05, (16, 0)),
+    # Both bisect, to different depths.
+    (_flat, _kink, None, None, (3, 30)),
+    (_kink, _square, -0.5, 0.5, (24, 1)),
+])
+def test_the_pair_is_two_single_integrals_bit_for_bit(fa, fb, lo, hi, depths):
+    values, reached = _singles(fa, fb, lo, hi)
+    assert reached == depths
+    assert integrate_shock_pair(fa, fb, PAIR_SHOCK, lo, hi) == values
+
+
+@pytest.mark.parametrize("lo, hi", [(0.2, 0.2), (0.3, 0.1), (10.0, 20.0), (None, -10.0)])
+def test_a_pair_over_a_piece_clipped_to_empty_is_zero(lo, hi):
+    # (10, 20) and (-inf, -10] lie outside the shock's truncation window.
+    assert integrate_shock_pair(_flat, _kink, PAIR_SHOCK, lo, hi) == (0.0, 0.0)
+    assert _singles(_flat, _kink, lo, hi)[0] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("family", ["normal", "logistic"])
+@pytest.mark.parametrize("scale", [0.2, 0.02])
+@pytest.mark.parametrize("lo, hi", [(None, None), (None, -0.3), (-0.3, 0.5), (0.5, None)])
+def test_the_kernel_pair_is_two_single_kernels_bit_for_bit(family, scale, lo, hi):
+    # The cohesion kernels of a two-party race and of a spoiler race, under
+    # a normal and a logistic shock.
+    taste = DistributionSpec(family, scale)
+    races = [(("L", -0.5, 0.2), ("R", 0.3, 0.2)), (("L", -0.5, 0.21), ("L", -0.1, 0.01))]
+    for shock in (PAIR_SHOCK, DistributionSpec("logistic", 0.2)):
+        for kL, kR in races:
+            fL, fR = _integrand(*kL, taste), _integrand(*kR, taste)
+            assert integrate_shock_pair(fL, fR, shock, lo, hi) == _singles(fL, fR, lo, hi, shock)[0]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_non_finite_integrand_on_one_side_of_a_pair_raises(side):
+    fs = [_flat, _flat]
+    fs[side] = lambda g: math.nan if g > 0.02 else 1.0
+    with pytest.raises(QuadratureError, match="non-finite integrand") as exc:
+        integrate_shock_pair(*fs, PAIR_SHOCK, 0.0, 0.05)
+    assert exc.value.achieved_tol == math.inf
+
+
+def _failure(f):
+    with pytest.raises(QuadratureError) as exc:
+        integrate_shock(f, PAIR_SHOCK, -0.5, 0.5)
+    return str(exc.value), exc.value.achieved_tol
+
+
+def test_where_both_fail_the_first_kernels_error_is_raised(monkeypatch):
+    # On [-0.5, 0.5] each kink needs more than 4 bisections and _flat 1. The
+    # second kernel's kink lies left of the first's, so in the paired pass,
+    # which bisects both left half first, the second runs out first; the
+    # first's error is raised all the same, as two single calls in that
+    # order raise it.
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
+    first, second = (lambda g: abs(g - 0.3)), (lambda g: abs(g + 0.27))
+    expected, other = _failure(first), _failure(second)
+    assert expected != other
+    with pytest.raises(QuadratureError) as exc:
+        integrate_shock_pair(first, second, PAIR_SHOCK, -0.5, 0.5)
+    assert (str(exc.value), exc.value.achieved_tol) == expected
+    # Where only the second fails, its error is raised.
+    with pytest.raises(QuadratureError) as exc:
+        integrate_shock_pair(_flat, second, PAIR_SHOCK, -0.5, 0.5)
+    assert (str(exc.value), exc.value.achieved_tol) == other

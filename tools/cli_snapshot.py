@@ -127,8 +127,14 @@ def _commands():
         "binding", "r", "0.3", "0.6", 13, ("delta_second", "delta_traditional", "net_benefit"))
     yield "sweep_aligned_mu", _sweep(
         "aligned", "mu", "0.3", "0.9", 13, ("delta_second", "delta_traditional"))
-    yield "sweep_spoiler_r", _sweep(
-        "spoiler", "r", "0.3", "0.6", 13, ("win_prob", "net_benefit", "phi", "net_benefit_third"))
+    spoiler = ("win_prob", "net_benefit", "phi", "net_benefit_third")
+    yield "sweep_spoiler_r", _sweep("spoiler", "r", "0.3", "0.6", 13, spoiler)
+    # b_R below 0, so both majors stay at y=0 over the spoiler pieces. The
+    # spoiler race's kernel pair over the right tail [-b_L, inf) is half kept
+    # after the first point: its (b_L, p - v) kernel does not involve b_R.
+    spoiler_b_R = ("spoiler", "b_R", "-0.45", "-0.05", 9, spoiler)
+    yield "sweep_spoiler_b_R", _sweep(*spoiler_b_R)
+    yield "sweep_spoiler_b_R_threads2", _sweep(*spoiler_b_R, "--threads", "2")
     yield "sweep_turnout_r", _sweep(
         "turnout", "r", "0.4", "0.7", 7, ("win_prob", "r_T", "net_benefit_turnout"))
     # mu across 1/2, where the win map starts to saturate.
