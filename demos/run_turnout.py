@@ -43,8 +43,10 @@ BASE = ElectorateParams(
 )
 TP = TurnoutParams(base=BASE, c_bar=6.0, sigma=3.0, kappa=1.0)
 
-# One shock quadrature per intensity: at these tolerances the intensities
-# agree with 10x tighter ones, and with scipy quad at 1e-14, within 3e-16.
+# Each intensity is one integral over the truncated shock, and r_T and the
+# net benefit read both from one paired pass: at these tolerances the
+# intensities agree with 10x tighter ones, and with scipy quad at 1e-14,
+# within 3e-16.
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
 
 

@@ -22,14 +22,13 @@ with them the CLI's CSVs and the oracle's golden file. math.erfc is not used:
 it differs from scipy's erfc in the last bits on about 40% of N(0, 4^2)
 points, where the port agrees with it at every point tested.
 
-So no float closure needs scipy, and a two-party or spoiler command never
-imports it; the import alone cost about 0.27 s and 26 MB per process.
-scipy.special is imported at its first use (_LazySpecial): by the array
-branches, logcdf and ilogcdf, the normal quantile and partial_mean's
-logistic antiderivative, which serve the oracle, turnout's
-TruncatedDistribution and phi_thresholds. The normal truncation_window,
-which every shock integral reads, takes its two erfcinv values from
-literals (_ERFCINV_WINDOW).
+So no float closure needs scipy, and no two-party, spoiler or turnout
+command imports it; the import alone cost about 0.27 s and 26 MB per
+process. scipy.special is imported at its first use (_LazySpecial): by the
+array branches, logcdf and ilogcdf, the normal quantile and partial_mean's
+logistic antiderivative, which serve the oracle and phi_thresholds. The
+normal truncation_window, which every shock integral reads, takes its two
+erfcinv values from literals (_ERFCINV_WINDOW).
 
 The float cdf and pdf are closures over family and scale (_scalar_formulas),
 built once per spec and bound once per integral or root by the hot callers.
@@ -41,7 +40,12 @@ A truncated variant restricts a family to a symmetric interval [-w, w] and
 renormalises by its mass 1 - 2 cdf(-w), computed once, at construction. Its
 quantile checks q once and maps it into the base family's formula. It
 additionally exposes partial first moments and E|u + a| in closed form,
-which the Monte Carlo oracle and the turnout intensity use.
+which the Monte Carlo oracle and the turnout intensity use. Float
+closures of its pdf and abs_moment, built at construction over the base's
+(_truncated_formulas), serve the turnout kernels, which integrate the
+taste's abs_moment against the shock's pdf over the shock's
+truncation_window, its support [-w, w]. The methods themselves take the
+array path at every argument.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ from .errors import UsageError
 
 class _LazySpecial:
     """scipy.special, imported at the first attribute read. The float
-    closures read none, so the two-party and spoiler calculus never imports
-    scipy. The import rebinds the module global special to the module
+    closures read none, so the two-party, spoiler and turnout calculus never
+    imports scipy. The import rebinds the module global special to the module
     itself, so every later read costs what it would after a plain import."""
 
     def __getattr__(self, name):
@@ -167,6 +171,59 @@ def _scalar_formulas(family, scale):
             s = cdf(x)
             return s * (1.0 - s) / scale
     return cdf, pdf
+
+
+def _truncated_formulas(base, w, lowmass, mass):
+    """(pdf, abs_moment) of base truncated to [-w, w] for one float argument,
+    raising UsageError where it is not finite: the closures that the turnout
+    kernels bind (_scalar_pdf, _scalar_abs_moment). Each repeats the array
+    path's float operations in its order over the base's float closures, so
+    each returns the array path's double. abs_moment is the array path's below + above at
+    kink = clip(-shift, -w, w): the truncated mass below the kink is
+    cdf(kink) - cdf(-w), and cdf(-w) is 0.0; the partial means are
+    differences of the antiderivative of u * pdf(u) (_antideriv_u_pdf),
+    whose values at -w and w are computed once, here. At kink = -w or w the
+    difference is 0.0, as the array path's empty partial mean is."""
+    isfinite, scale = math.isfinite, base.scale
+    base_cdf, base_pdf = base._scalar_cdf, base._scalar_pdf
+    if base.family == "normal":
+        coef, np_exp = -scale * _INV_SQRT2PI, np.exp
+
+        def antideriv(x):
+            z = x / scale
+            return coef * float(np_exp(-0.5 * z * z))
+    else:
+        np_logaddexp = np.logaddexp
+
+        def antideriv(x):
+            # base_cdf(x) is expit(x / scale).
+            return x * base_cdf(x) - scale * float(np_logaddexp(0.0, x / scale))
+
+    lo_antideriv, hi_antideriv = antideriv(-w), antideriv(w)
+
+    def pdf(x):
+        if -w <= x <= w:
+            return base_pdf(x) / mass
+        if not isfinite(x):
+            raise UsageError(_NON_FINITE)
+        return 0.0
+
+    def abs_moment(a):
+        if not isfinite(a):
+            raise UsageError(_NON_FINITE)
+        kink = min(max(-a, -w), w)
+        if kink <= -w:
+            below_mass = 0.0
+        elif kink >= w:
+            below_mass = 1.0
+        else:
+            below_mass = min(max((base_cdf(kink) - lowmass) / mass, 0.0), 1.0)
+        at_kink = antideriv(kink)
+        below = -((at_kink - lo_antideriv) / mass + a * below_mass)
+        above = (hi_antideriv - at_kink) / mass + a * (1.0 - below_mass)
+        return below + above
+
+    return pdf, abs_moment
 
 
 @dataclass(frozen=True)
@@ -302,6 +359,19 @@ class TruncatedDistribution:
             )
         object.__setattr__(self, "_lowmass", self.base.cdf(-self.half_width))
         object.__setattr__(self, "_mass", 1.0 - 2.0 * self._lowmass)
+        pdf, abs_moment = _truncated_formulas(
+            self.base, self.half_width, self._lowmass, self._mass)
+        object.__setattr__(self, "_scalar_pdf", pdf)
+        object.__setattr__(self, "_scalar_abs_moment", abs_moment)
+
+    def __reduce__(self):
+        return type(self), (self.base, self.half_width)
+
+    @property
+    def truncation_window(self) -> tuple[float, float]:
+        """The support [-half_width, half_width], to which
+        quadrature.shock_bounds clips a shock integral."""
+        return -self.half_width, self.half_width
 
     def cdf(self, x):
         xa = _check_finite(x)
@@ -345,7 +415,7 @@ class TruncatedDistribution:
     def abs_moment(self, shift):
         """E|u + shift| for u drawn from the truncated distribution, closed form."""
         w = self.half_width
-        a = np.asarray(shift, dtype=float)
+        a = _check_finite(shift)
         kink = np.clip(-a, -w, w)
         below = -(self.partial_mean(-w, kink) + a * self.mass(-w, kink))
         above = self.partial_mean(kink, w) + a * self.mass(kink, w)

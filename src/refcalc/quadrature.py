@@ -18,18 +18,21 @@ rejected |K15 - G7|. A NaN or inf integrand value makes |K15 - G7| NaN (G7's
 zero weights turn an inf into NaN), so its panel is rejected; it then raises
 QuadratureError at once, with achieved tolerance inf.
 
-The cohesion kernels come in pairs over one shock piece, and
-integrate_shock_pair integrates a pair in one pass that reads the shock pdf
-once per node for both. Each kernel keeps its own acceptance test, budget
-and depth limit, so each value is the double integrate_shock returns alone.
-Within memo(), the cohesion kernels look both integrals of a pair up by
-their keys before computing them (recall_pair): the pair is integrated
-together where neither is kept and the missing one alone otherwise, so a
-command integrates each distinct kernel once. The thresholds and every win
-integral read these kernels, also over a piece whose end moves with r or mu
+The kernels of thresholds come in pairs over one shock piece: the cohesion
+kernels L and R, and turnout's two intensities. integrate_shock_pair
+integrates a pair in one pass that reads the shock pdf once per node for
+both. Each kernel keeps its own acceptance test, budget and depth limit, so
+each value is the double integrate_shock returns alone. Within memo(), the
+kernels look both integrals of a pair up by their keys before computing
+them (recall_pair): the pair is integrated together where neither is kept
+and the missing one alone otherwise, so a command integrates each distinct
+kernel once. The thresholds, every win integral and the turnout quantities
+read these kernels, also over a piece whose end moves with r or mu
 (gamma_star, a kink of the saturated win map), so they are the only
-integrals a two-party or spoiler command computes. Outside memo() nothing
-is kept.
+integrals an analytic command computes. A truncated shock
+(TruncatedDistribution) has its support as its truncation_window, so
+shock_bounds and integrate_shock_pair take it as they take a
+DistributionSpec. Outside memo() nothing is kept.
 """
 
 from __future__ import annotations
@@ -275,10 +278,11 @@ def recall_pair(compute, compute_one, key_a, key_b):
     otherwise. What they return is kept; an exception is not.
 
     Key parts compare by ==, so 0.0 and -0.0 share a key. That is exact for
-    the one caller, the cohesion kernels (thresholds._kernel_pair): a piece
-    end at either zero gives the same G7-K15 nodes, and the taste cdf at
-    x - 0.0 and x + 0.0 is the same double, so a hit returns the very double
-    that recomputing would. A DistributionSpec or QuadratureConfig part
+    the one caller, the kernels (thresholds._kernel_pair): a piece end at
+    either zero gives the same G7-K15 nodes, the taste cdf at x - 0.0 and
+    x + 0.0 is the same double, and so is the truncated taste's E|u + x| at
+    g + 0.0 and g + (-0.0), which compare equal; so a hit returns the very
+    double that recomputing would. A distribution or QuadratureConfig part
     compares by its own fields.
     """
     table = _memo.get()

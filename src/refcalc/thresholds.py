@@ -29,7 +29,9 @@ where neither is kept. A sweep over r or mu integrates them at its first
 point only, and r_bind's L, which does not involve b_R, once for all b_R, so
 there each later point integrates its R alone. The win integrals read the
 same kernel pairs (election._wins), the spoiler race two more L-form ones
-(election._race). A kernel over a piece whose end moves with r or mu
+(election._race). Turnout's two intensities are a pair of a third form, A:
+A(gamma + b_J) over the truncated shock, with A the truncated taste's
+E|u + x| (turnout.r_T). A kernel over a piece whose end moves with r or mu
 (gamma_star, a kink of the saturated win map) is kept like any other, so a
 command that reads it twice, as the congruence levels and delta do,
 integrates it once.
@@ -185,7 +187,12 @@ def gamma_star(params: ElectorateParams) -> ThresholdReport:
 
 def _integrand(form, b, p, taste):
     """Kernel integrand of form "L", B(-p + gamma + b), or "R", B(-p - gamma - b),
-    at a float gamma, with the taste's float cdf closure B bound once."""
+    at a float gamma, with the taste's float cdf closure B bound once; or of
+    form "A", A(gamma + b), with A the float closure of a truncated taste's
+    E|u + x| (TruncatedDistribution.abs_moment), which reads no p."""
+    if form == "A":
+        A = taste._scalar_abs_moment
+        return lambda g: A(g + b)
     B = taste._scalar_cdf
     return (lambda g: B(-p + g + b)) if form == "L" else (lambda g: B(-p - g - b))
 

@@ -8,7 +8,13 @@ The referendum therefore mobilizes each party in proportion to the mean
 absolute emerging-issue stake of its supporters, intensity(b_J), and the
 paying side is decided by r against the threshold r_T. The stake's
 expectation over the taste draw is closed form, so each intensity is a
-single quadrature over the shock.
+single integral over the shock, a kernel of thresholds' "A" form. r_T and
+net_benefit_turnout (and through it win_prob_turnout) read both from one
+kernel pair (thresholds._kernel_pair): one pass over the shock, kept for
+the whole command (quadrature.memo). Its key holds only what the
+intensities read, b_J, the truncated taste and shock and the quadrature
+config, so a sweep over r, mu, p or c_bar integrates it at its first point
+only.
 
 Supports are truncated so stakes stay below c_bar: tastes to [-sigma, sigma],
 the shock to [-kappa, kappa]. validate_turnout requires
@@ -32,8 +38,8 @@ from dataclasses import dataclass
 from .distributions import TruncatedDistribution
 from .errors import InvalidParamsError
 from .model import ElectorateParams, ReferendumRegime, _violations, require_regime
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from .thresholds import ThresholdReport, _ratio
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .thresholds import ThresholdReport, _kernel, _kernel_pair, _ratio
 
 
 @dataclass(frozen=True)
@@ -88,16 +94,18 @@ def intensity(
 
     Even in b_J and strictly increasing in |b_J|. The expectation over the
     taste u is the closed-form TruncatedDistribution.abs_moment, so one
-    adaptive G7-K15 pass over the truncated shock is all that is left.
+    adaptive G7-K15 integral over the truncated shock is all that is left:
+    the "A" kernel, the very double _intensities returns for b_J.
     """
     require_valid_turnout(tp)
-    taste_t, shock_t = tp.taste_t, tp.shock_t
-    return integrate(
-        lambda g: taste_t.abs_moment(b_J + g) * shock_t.pdf(g),
-        -tp.kappa,
-        tp.kappa,
-        config,
-    )
+    return _kernel("A", b_J, None, tp.taste_t, tp.shock_t, None, None, config)
+
+
+def _intensities(tp: TurnoutParams, config: QuadratureConfig) -> tuple[float, float]:
+    """(I(b_L), I(b_R)): one kernel pair over the truncated shock."""
+    b = tp.base
+    return _kernel_pair(
+        ("A", b.b_L, None), ("A", b.b_R, None), tp.taste_t, tp.shock_t, None, None, config)
 
 
 def win_prob_turnout(
@@ -138,15 +146,8 @@ def net_benefit_turnout(
     """
     require_valid_turnout(tp)
     b = tp.base
-    return (
-        b.mu
-        / (1.0 - b.mu)
-        / (2.0 * tp.c_bar)
-        * (
-            b.r * intensity(b.b_R, tp, config)
-            - (1.0 - b.r) * intensity(b.b_L, tp, config)
-        )
-    )
+    i_L, i_R = _intensities(tp, config)
+    return b.mu / (1.0 - b.mu) / (2.0 * tp.c_bar) * (b.r * i_R - (1.0 - b.r) * i_L)
 
 
 def r_T(
@@ -154,10 +155,9 @@ def r_T(
 ) -> ThresholdReport:
     """Conservative share above which the referendum helps Right.
 
-    Closed ratio I(b_L) / (I(b_L) + I(b_R)); equals 1/2 at |b_R| = |b_L|,
-    falls as Right's supporters care more (|b_R| up), rises as Left's do.
+    Closed ratio I(b_L) / (I(b_L) + I(b_R)) of the one kernel pair that
+    net_benefit_turnout reads; equals 1/2 at |b_R| = |b_L|, falls as Right's
+    supporters care more (|b_R| up), rises as Left's do.
     """
     require_valid_turnout(tp)
-    i_L = intensity(tp.base.b_L, tp, config)
-    i_R = intensity(tp.base.b_R, tp, config)
-    return _ratio("r_T", i_L, i_R, (0.0, 1.0))
+    return _ratio("r_T", *_intensities(tp, config), (0.0, 1.0))

@@ -430,6 +430,70 @@ def test_truncation_evaluates_its_tail_mass_once(monkeypatch):
         assert float_calls == [-2.0]
 
 
+# (family, scale, w): the turnout tastes and shocks, a half-width far below
+# the scale, one far above it, and one where the tail mass underflows to 0.
+TRUNCATIONS = [
+    ("normal", 1.2, 3.0), ("normal", 0.3, 1.0), ("normal", 2.0, 0.5), ("normal", 0.01, 3.0),
+    ("logistic", 0.7, 3.0), ("logistic", 0.2, 1.0), ("logistic", 1.2, 0.4),
+    ("logistic", 0.002, 3.0),
+]
+
+
+@pytest.mark.parametrize("family, scale, w", TRUNCATIONS)
+def test_truncated_float_path_equals_array_path(family, scale, w):
+    # The float pdf and abs_moment closures, which the turnout kernels bind,
+    # repeat the array path's operations in its order: each float is the
+    # array element's double, inside the support, outside it (pdf 0, and a
+    # shift past w, where the kink clips to an end), at both ends and both
+    # zeros.
+    t = TruncatedDistribution(DistributionSpec(family, scale), w)
+    rng = np.random.default_rng(38)
+    ends = [w, -w, math.nextafter(w, 0.0), math.nextafter(-w, 0.0),
+            math.nextafter(w, math.inf), math.nextafter(-w, -math.inf)]
+    xs = np.concatenate([
+        rng.uniform(-3.0 * w, 3.0 * w, 10_000),
+        rng.normal(0.0, scale, 2_000),
+        [*ends, 0.0, -0.0, 5e-324, -5e-324, 2.0 * w, -2.0 * w, 1e150, -1e150],
+    ])
+    for closure, method in ((t._scalar_pdf, t.pdf), (t._scalar_abs_moment, t.abs_moment)):
+        floats = [closure(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert floats == method(xs).tolist(), method.__name__
+        assert closure(0.0) == closure(-0.0) == method(0.0)
+    assert t.truncation_window == (-w, w)
+
+
+def test_truncated_float_and_array_paths_reject_non_finite_points():
+    for family in FAMILIES:
+        t = TruncatedDistribution(DistributionSpec(family, 0.6), 2.0)
+        for method in (t.pdf, t.abs_moment, t._scalar_pdf, t._scalar_abs_moment):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(UsageError, match="non-finite point"):
+                    method(bad)
+        for method in (t.pdf, t.abs_moment):
+            with pytest.raises(UsageError, match="non-finite point"):
+                method(np.array([0.0, math.inf]))
+
+
+def test_truncated_copies_rebuild_the_closures_and_keep_identity():
+    # As DistributionSpec's: the closures are not fields, and a pickled copy
+    # (a sweep --threads worker's) builds its own.
+    assert [f.name for f in dataclasses.fields(TruncatedDistribution)] == ["base", "half_width"]
+    xs = (-2.5, -0.3, 0.0, 0.4, 1.7)
+    for family in FAMILIES:
+        t = TruncatedDistribution(DistributionSpec(family, 0.7), 2.0)
+        copies = (
+            pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t),
+            dataclasses.replace(t),
+        )
+        for c in copies:
+            assert c == t and hash(c) == hash(t) and repr(c) == repr(t)
+            assert c._scalar_abs_moment is not t._scalar_abs_moment
+            assert [c._scalar_pdf(x) for x in xs] == [t._scalar_pdf(x) for x in xs]
+            assert [c._scalar_abs_moment(x) for x in xs] == [t._scalar_abs_moment(x) for x in xs]
+            assert c.truncation_window == t.truncation_window == (-2.0, 2.0)
+
+
 def _half_widths(base):
     """Half-widths whose tail mass runs from about 0.4 down past 2^-53, where
     1 - 2 * mass starts to round, to one that underflows to 0."""

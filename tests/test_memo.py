@@ -1,9 +1,10 @@
 """The per-command integral memo (quadrature.memo / quadrature.recall_pair).
 
-The CLI runs every command inside quadrature.memo(), where the cohesion
-kernels, and only they, are looked up before they are integrated, in pairs
-(recall_pair); the thresholds, the win integrals and the congruence deltas
-read them alike. Keys compare by ==, so 0.0 and -0.0 share one. These tests
+The CLI runs every command inside quadrature.memo(), where the kernels of
+thresholds (the cohesion kernels and turnout's intensities), and only they,
+are looked up before they are integrated, in pairs (recall_pair); the
+thresholds, the win integrals, the congruence deltas and the turnout
+quantities read them alike. Keys compare by ==, so 0.0 and -0.0 share one. These tests
 pin what that may and may not change: each distinct kernel is integrated
 once per command, a pair half kept integrates only its missing kernel, no
 integral is computed outside recall_pair, the memo stores nothing else, every
@@ -13,7 +14,9 @@ is read: figg reads each moved piece of a cell once, second_delta integrates
 no kernel pair it does not use, the emerging-issue report integrates each
 kernel pair of its level and delta once, validate integrates each distinct
 kernel once, a saturated spoiler eval reads the spoiler race's whole line
-once, and a sweep point or an eval walks its gain once.
+once, a sweep point or an eval walks its gain once, and a turnout eval
+integrates its two intensities in one pair, which a turnout sweep over r,
+mu, p or c_bar integrates at its first point only.
 """
 
 from __future__ import annotations
@@ -56,6 +59,15 @@ SWEEP_QUANTITIES = (
     "win_prob", "net_benefit", "gamma_star", "r_bind", "r_star_star",
     "delta_second", "delta_traditional",
 )
+# The benchmark's turnout scenario.
+TURNOUT = {
+    "r": 0.55, "mu": 0.6, "p": 0.2, "b_L": -0.8, "b_R": -0.4,
+    "taste": {"family": "normal", "scale": 1.2},
+    "shock": {"family": "normal", "scale": 0.3},
+    "regime": "binding",
+    "turnout": {"c_bar": 6.0, "sigma": 3.0, "kappa": 1.0},
+    "quadrature": {"abs_tol": 1e-7, "rel_tol": 1e-6},
+}
 
 
 def _dump(tmp_path, scn):
@@ -72,14 +84,15 @@ def _sweep_r(path, steps=41):
 class _Tally:
     """Counts kernel integrals, one per quadrature.integrate call and two per
     integrate_shock_pair call, and per key the lookups and computations that
-    go through the kernels' recall_pair. Keeps the table of each memo the
-    CLI enters."""
+    go through the kernels' recall_pair, and lists the key pairs integrated
+    in one pass. Keeps the table of each memo the CLI enters."""
 
     def __init__(self, monkeypatch):
         self.integrals = 0
         self.pairs = 0
         self.looked_up = Counter()
         self.computed = Counter()
+        self.paired = []
         self.integrals_in_compute = 0
         self.tables = []
         integrate, pair = quadrature.integrate, thresholds.integrate_shock_pair
@@ -105,6 +118,7 @@ class _Tally:
 
             def counted_compute():
                 self.computed.update((key_a, key_b))
+                self.paired.append((key_a, key_b))
                 return in_compute(compute)
 
             def counted_one(*key):
@@ -425,3 +439,39 @@ def test_a_half_kept_pair_integrates_only_its_missing_kernel(tmp_path, capsys, m
     assert L[1:3] == (-0.5, 0.2) and L[5:7] == (None, None)
     assert tally.looked_up[L] == 5
     assert sorted(key[1] for key in tally.computed if key[0] == "R") == [i * 0.1 for i in range(5)]
+
+
+def test_a_turnout_eval_integrates_its_two_intensities_in_one_pair(tmp_path, capsys, monkeypatch):
+    # r_T, the win probability with the measure and the net benefit all read
+    # I(b_L) and I(b_R): one kernel pair of the "A" form, integrated in one
+    # pass over the truncated shock and kept for the rest of the command.
+    # The two-party rows read their L and R kernels as before.
+    tally = _Tally(monkeypatch)
+    assert main(["eval", _dump(tmp_path, TURNOUT)]) == 0
+    assert max(tally.computed.values()) == 1
+    assert tally.integrals == tally.integrals_in_compute == len(tally.looked_up)
+    [(key_L, key_R)] = [pair for pair in tally.paired if pair[0][0] == "A"]
+    assert [key for key in tally.computed if key[0] == "A"] == [key_L, key_R]
+    # The key holds what the intensity reads, b_J, the truncated taste and
+    # shock and the config, and no p.
+    assert key_L[1:3] == (-0.8, None) and key_R[1:3] == (-0.4, None)
+    # r_T, net_benefit_turnout and win_prob_turnout's net benefit.
+    assert tally.looked_up[key_L] == tally.looked_up[key_R] == 3
+
+
+@pytest.mark.parametrize("var, lo, hi", [
+    ("r", "0.4", "0.7"), ("mu", "0.3", "0.8"), ("p", "0.1", "0.7"), ("c_bar", "5.5", "8"),
+])
+def test_a_turnout_sweep_integrates_the_intensity_pair_at_its_first_point(
+    tmp_path, capsys, monkeypatch, var, lo, hi
+):
+    # No intensity reads r, mu, p or c_bar, so a sweep over any of them reads
+    # the pair its first point integrated.
+    argv = ["sweep", _dump(tmp_path, TURNOUT), "--var", var, "--from", lo, "--to", hi,
+            "--steps", "7", "--quantities", "r_T,net_benefit_turnout"]
+    tally = _Tally(monkeypatch)
+    assert main(argv) == 0
+    assert tally.pairs == 1 and tally.integrals == tally.integrals_in_compute == 2
+    assert len(tally.paired) == 1
+    assert set(tally.computed) == set(tally.looked_up) == set(tally.paired[0])
+    assert all(n == 2 * 7 for n in tally.looked_up.values())

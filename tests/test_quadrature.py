@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from refcalc import quadrature
-from refcalc.distributions import DistributionSpec
+from refcalc.distributions import DistributionSpec, TruncatedDistribution
 from refcalc.errors import QuadratureError, UsageError
 from refcalc.quadrature import (
     QuadratureConfig,
@@ -315,3 +315,11 @@ def test_where_both_fail_the_first_kernels_error_is_raised(monkeypatch):
     with pytest.raises(QuadratureError) as exc:
         integrate_shock_pair(_flat, second, PAIR_SHOCK, -0.5, 0.5)
     assert (str(exc.value), exc.value.achieved_tol) == other
+
+
+
+def test_a_truncated_shock_integrates_over_its_support():
+    shock = TruncatedDistribution(DistributionSpec("normal", 0.3), 1.0)
+    assert shock_bounds(shock) == (-1.0, 1.0)
+    assert shock_bounds(shock, -3.0, 0.25) == (-1.0, 0.25)
+    assert integrate_shock(lambda g: 1.0, shock) == pytest.approx(1.0, abs=1e-12)

@@ -17,6 +17,7 @@ from refcalc import quadrature
 from refcalc.errors import InvalidParamsError, QuadratureError
 from refcalc.model import DistributionSpec, ElectorateParams, ReferendumRegime
 from refcalc.quadrature import QuadratureConfig
+from refcalc.thresholds import _kernel_pair
 from refcalc.turnout import (
     TurnoutParams,
     intensity,
@@ -99,10 +100,34 @@ def test_intensity_frozen_at_default_tolerance():
     assert intensity(-0.4, TURNOUT) == pytest.approx(1.0082682745509306, abs=1e-10)
 
 
-def test_intensity_budget_exhaustion_raises(monkeypatch):
+@pytest.mark.parametrize("quantity", [
+    lambda tp, config: intensity(-0.8, tp, config), r_T, net_benefit_turnout,
+], ids=["intensity", "r_T", "net_benefit_turnout"])
+def test_intensity_budget_exhaustion_raises(monkeypatch, quantity):
+    # r_T and the net benefit read the intensities as one kernel pair, from
+    # which the error surfaces as from the single intensity.
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
     with pytest.raises(QuadratureError):
-        intensity(-0.8, TURNOUT, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
+        quantity(TURNOUT, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
+
+
+@pytest.mark.parametrize("taste_family, shock_family", [
+    ("normal", "normal"), ("logistic", "normal"), ("normal", "logistic"), ("logistic", "logistic"),
+])
+@pytest.mark.parametrize("tol", [(1e-7, 1e-6), (1e-10, 1e-8), (1e-13, 1e-12)])
+def test_the_intensity_pair_is_two_intensities_bit_for_bit(taste_family, shock_family, tol):
+    # r_T and the net benefit read (I(b_L), I(b_R)) as one kernel pair of the
+    # "A" form; intensity is its single kernel.
+    base = replace(BASE_T, taste=DistributionSpec(taste_family, 1.2),
+                   shock=DistributionSpec(shock_family, 0.3))
+    config = QuadratureConfig(*tol)
+    for b_L, b_R in ((-0.8, -0.4), (-0.8, 0.0), (-0.0, 0.4), (0.9, -0.9)):
+        tp = replace(TURNOUT, base=replace(base, b_L=b_L, b_R=b_R))
+        pair = _kernel_pair(("A", b_L, None), ("A", b_R, None), tp.taste_t, tp.shock_t,
+                            None, None, config)
+        assert pair == (intensity(b_L, tp, config), intensity(b_R, tp, config))
+    # Both zeros are one key in the memo: the intensity is the same double.
+    assert intensity(0.0, TURNOUT, config).hex() == intensity(-0.0, TURNOUT, config).hex()
 
 
 def test_intensity_even_and_monotone_in_magnitude():

@@ -56,7 +56,9 @@ SCENARIOS = {"diverged": wl.DIVERGED, "spoiler": wl.SPOILER, "turnout": wl.TURNO
 # the unclamped spoiler kernels over the whole line; one whose cohesion
 # kernels both underflow to 0, so r_bind has no root; one under a logistic
 # shock, tests/conftest.py's DRIFT, whose whole-line win integral misses by
-# 7.6e-12, more than the pieces of the line do; two sim blocks the loader
+# 7.6e-12, more than the pieces of the line do; the turnout scenario under a
+# logistic taste and shock, whose intensities read the logistic truncated
+# closures; two sim blocks the loader
 # rejects with exit 2, one with a non-boolean agent_level and one with the
 # unknown key continuum_tally; and a quadrature block with the former key
 # max_subdivisions, which it also rejects with exit 2.
@@ -95,6 +97,11 @@ EVALUATED = {
         "taste": {"family": "normal", "scale": 0.18597422077258624},
         "shock": {"family": "logistic", "scale": 0.7587116519611558},
         "regime": "non_binding",
+    },
+    "turnout_logistic": {
+        **wl.TURNOUT,
+        "taste": {"family": "logistic", "scale": 0.7},
+        "shock": {"family": "logistic", "scale": 0.2},
     },
     "sim_agent_level_int": {**wl.DIVERGED, "sim": {"agent_level": 1}},
     "sim_continuum_tally": {**wl.DIVERGED, "sim": {"continuum_tally": False}},
@@ -137,6 +144,11 @@ def _commands():
     yield "sweep_spoiler_b_R_threads2", _sweep(*spoiler_b_R, "--threads", "2")
     yield "sweep_turnout_r", _sweep(
         "turnout", "r", "0.4", "0.7", 7, ("win_prob", "r_T", "net_benefit_turnout"))
+    # The shock's truncation kappa, which each intensity pair's key holds:
+    # every point integrates its own, also in the pool's workers.
+    kappa = ("turnout", "kappa", "0.9", "2", 12, ("r_T", "net_benefit_turnout"))
+    yield "sweep_turnout_kappa", _sweep(*kappa)
+    yield "sweep_turnout_kappa_threads2", _sweep(*kappa, "--threads", "2")
     # mu across 1/2, where the win map starts to saturate.
     mu = ("diverged", "mu", "0.3", "0.8", 11, ("win_prob", "net_benefit", "r_bind", "r_star_star"))
     yield "sweep_mu", _sweep(*mu)
